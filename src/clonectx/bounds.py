@@ -118,6 +118,11 @@ def quantum_optimal_fidelity(c_ab: float) -> float:
     return 0.25 * bracket * bracket
 
 
+def nc_bound(c_ab: float, c_aabb: float, err: float = 0.0) -> float:
+    """The noncontextual ceiling 1 - c_ab/2 + c_aabb/2 + err, unvalidated and unclamped."""
+    return 1.0 - 0.5 * c_ab + 0.5 * c_aabb + err
+
+
 def nc_bound_ideal(c_ab: float, c_aabb: float) -> float:
     """Noncontextual ceiling on the global cloning fidelity, ideal correlations.
 
@@ -125,9 +130,12 @@ def nc_bound_ideal(c_ab: float, c_aabb: float) -> float:
     reproduces perfect test correlations and the two mixing equivalences
     cannot clone better than this.
     """
-    c_ab = _check_unit("c_ab", c_ab)
-    c_aabb = _check_unit("c_aabb", c_aabb)
-    return 1.0 - 0.5 * c_ab + 0.5 * c_aabb
+    return nc_bound(_check_unit("c_ab", c_ab), _check_unit("c_aabb", c_aabb))
+
+
+def _budget_err(eb: ErrorBudget) -> float:
+    """Error term (eps_b + 2*eps_bb + eps_aa)/2 of the noise-robust ceiling."""
+    return 0.5 * (eb.eps_b + 2.0 * eb.eps_bb + eb.eps_aa)
 
 
 def nc_bound_noisy(ov: OverlapParams, eb: ErrorBudget) -> BoundValue:
@@ -136,8 +144,7 @@ def nc_bound_noisy(ov: OverlapParams, eb: ErrorBudget) -> BoundValue:
     Adds (eps_b + 2*eps_bb + eps_aa)/2 to the ideal bound; reduces to it
     exactly for a zero budget.
     """
-    err = 0.5 * (eb.eps_b + 2.0 * eb.eps_bb + eb.eps_aa)
-    return BoundValue.of(1.0 - 0.5 * ov.c_ab + 0.5 * ov.c_aabb + err)
+    return BoundValue.of(nc_bound(ov.c_ab, ov.c_aabb, _budget_err(eb)))
 
 
 def nc_bound_noisy_symmetric(ov: OverlapParams, eb: ErrorBudget) -> BoundValue:
@@ -209,15 +216,24 @@ class ErrTerms:
     eps_effective: float
 
 
+# Error term of the noisy ceiling under each published variant (``err_mode``),
+# as a function of the depolarizing level v.
+ERR_MODES = {
+    "thm2-direct": lambda v: _budget_err(depolarizing_epsilons(v)),
+    "appendix-err": lambda v: 0.5 * v * (31.0 - 29.0 * v + 9.0 * v * v),
+    "err-prime": lambda v: 0.125 * v * (31.0 - 21.0 * v + 9.0 * v * v),
+}
+
+
 def err_terms(v: float) -> ErrTerms:
     """All depolarizing-noise error-term variants at noise level ``v``."""
     v = _check_unit("v", v)
-    eb = depolarizing_epsilons(v)
+    err_prime = ERR_MODES["err-prime"](v)
     return ErrTerms(
-        err_thm2=0.5 * (eb.eps_b + 2.0 * eb.eps_bb + eb.eps_aa),
-        err_appendix=0.5 * v * (31.0 - 29.0 * v + 9.0 * v * v),
-        err_prime=0.125 * v * (31.0 - 21.0 * v + 9.0 * v * v),
-        eps_effective=v * (31.0 - 21.0 * v + 9.0 * v * v) / 16.0,
+        err_thm2=ERR_MODES["thm2-direct"](v),
+        err_appendix=ERR_MODES["appendix-err"](v),
+        err_prime=err_prime,
+        eps_effective=0.5 * err_prime,
     )
 
 

@@ -17,7 +17,7 @@ import json
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -81,13 +81,31 @@ def _probability(text: str) -> float:
     return x
 
 
-def _positive_int(text: str) -> int:
+def _open_probability(text: str) -> float:
+    x = _probability(text)
+    if not 0.0 < x < 1.0:
+        raise argparse.ArgumentTypeError(f"value {x} must lie strictly inside (0, 1)")
+    return x
+
+
+def _integer(text: str) -> int:
     try:
-        x = int(text)
+        return int(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-    if x <= 0:
-        raise argparse.ArgumentTypeError(f"value {x} must be positive")
+
+
+def _curve_points(text: str) -> int:
+    x = _integer(text)
+    if x < 2:
+        raise argparse.ArgumentTypeError(f"value {x} must be at least 2")
+    return x
+
+
+def _resolution(text: str) -> int:
+    x = _integer(text)
+    if x < 4 or x % 2:
+        raise argparse.ArgumentTypeError(f"value {x} must be an even number >= 4")
     return x
 
 
@@ -119,17 +137,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v", type=_probability, required=True)
 
     p = sub.add_parser("critical-noise", parents=[common, modes], help="largest noise level keeping the advantage")
-    p.add_argument("--c", type=_probability, required=True)
+    p.add_argument("--c", type=_open_probability, required=True, help="input confusability in (0, 1)")
 
     p = sub.add_parser("curves", parents=[common], help="write figure data (fidelity tradeoff, noise resistance)")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--points", type=_positive_int, default=500)
+    p.add_argument("--points", type=_curve_points, default=500)
     p.add_argument("--c-mode", choices=scan.C_MODES, default="observed-confusability")
 
     p = sub.add_parser("verify-ontic", parents=[common], help="build the saturating model and run every check")
     p.add_argument("--c", type=_probability, required=True)
-    p.add_argument("--resolution", type=_positive_int, default=200)
+    p.add_argument("--resolution", type=_resolution, default=200, help="even number of grid cells, >= 4")
 
     p = sub.add_parser("verify-quantum", parents=[common], help="verify the noisy experiment against closed forms")
     p.add_argument("--v", type=_probability, required=True)
@@ -187,35 +205,24 @@ def _cmd_clones(args: argparse.Namespace) -> RunReport:
     return report
 
 
-def _record_outputs(report: RunReport, rec: quantum.ExperimentRecord) -> None:
-    report.outputs.update(
-        {
-            "c_ab_observed": rec.overlaps.c_ab,
-            "c_ba_observed": rec.overlaps.c_ba,
-            "c_aabb_observed": rec.overlaps.c_aabb,
-            "c_bbaa_observed": rec.overlaps.c_bbaa,
-            "eps_a": rec.budget.eps_a,
-            "eps_b": rec.budget.eps_b,
-            "eps_alpha": rec.budget.eps_alpha,
-            "eps_beta": rec.budget.eps_beta,
-            "eps_aa": rec.budget.eps_aa,
-            "eps_bb": rec.budget.eps_bb,
-            "f_global": rec.f_global,
-            "o2_residual": rec.o2_residual,
-        }
-    )
+def _cmd_quantum(args: argparse.Namespace) -> RunReport:
+    """``noise`` and ``verify-quantum``: Born-rule outputs of the noisy experiment
+    checked against the closed forms; ``verify-quantum`` adds each equivalence residual."""
+    v, c = args.v, args.c
+    report = RunReport(args.command, inputs={"v": v, "c": c})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        ens = quantum.noisy_ensemble(v, c)
+        rec = ens.record()
+    report.outputs.update({f"{k}_observed": x for k, x in asdict(rec.overlaps).items()})
+    report.outputs.update(asdict(rec.budget))
+    report.outputs.update({"f_global": rec.f_global, "o2_residual": rec.o2_residual})
+    if args.command == "verify-quantum":
+        for pair, resid in ens.equivalence_residuals().items():
+            report.outputs[f"equivalence_residual[{pair}]"] = resid
 
-
-def _quantum_verdicts(report: RunReport, rec: quantum.ExperimentRecord, v: float, c: float, degenerate: bool) -> None:
     eb = bounds.depolarizing_epsilons(v)
-    worst_eps = max(
-        abs(rec.budget.eps_a - eb.eps_a),
-        abs(rec.budget.eps_b - eb.eps_b),
-        abs(rec.budget.eps_alpha - eb.eps_alpha),
-        abs(rec.budget.eps_beta - eb.eps_beta),
-        abs(rec.budget.eps_aa - eb.eps_aa),
-        abs(rec.budget.eps_bb - eb.eps_bb),
-    )
+    worst_eps = max(abs(getattr(rec.budget, f) - getattr(eb, f)) for f in eb.__dataclass_fields__)
     report.add_verdict("epsilons-match-closed-forms", worst_eps <= ACCEPT_EXACT, f"max |delta| = {worst_eps:.3e}")
 
     d_cab = abs(rec.overlaps.c_ab - quantum.observed_confusability(v, c))
@@ -229,7 +236,7 @@ def _quantum_verdicts(report: RunReport, rec: quantum.ExperimentRecord, v: float
     d_fg = abs(rec.f_global - bounds.quantum_noisy_fidelity(v, c))
     report.add_verdict("global-fidelity-matches-closed-form", d_fg <= ACCEPT_EXACT, f"|delta| = {d_fg:.3e}")
 
-    if degenerate:
+    if c in (0.0, 1.0):
         report.add_verdict("mixing-equivalences", None, "collapsed span; complements taken in the ambient space")
     else:
         report.add_verdict(
@@ -237,28 +244,6 @@ def _quantum_verdicts(report: RunReport, rec: quantum.ExperimentRecord, v: float
             rec.o2_residual <= ACCEPT_EXACT,
             f"max residual = {rec.o2_residual:.3e}",
         )
-
-
-def _cmd_noise(args: argparse.Namespace) -> RunReport:
-    report = RunReport("noise", inputs={"v": args.v, "c": args.c})
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        rec = quantum.simulate_confusabilities(args.v, args.c)
-    _record_outputs(report, rec)
-    _quantum_verdicts(report, rec, args.v, args.c, degenerate=args.c in (0.0, 1.0))
-    return report
-
-
-def _cmd_verify_quantum(args: argparse.Namespace) -> RunReport:
-    report = RunReport("verify-quantum", inputs={"v": args.v, "c": args.c})
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        ens = quantum.noisy_ensemble(args.v, args.c)
-        rec = quantum.simulate_confusabilities(args.v, args.c)
-    _record_outputs(report, rec)
-    for pair, resid in ens.equivalence_residuals().items():
-        report.outputs[f"equivalence_residual[{pair}]"] = resid
-    _quantum_verdicts(report, rec, args.v, args.c, degenerate=args.c in (0.0, 1.0))
     return report
 
 
@@ -374,12 +359,12 @@ def _cmd_verify_ontic(args: argparse.Namespace) -> RunReport:
 _HANDLERS = {
     "bounds": _cmd_bounds,
     "clones": _cmd_clones,
-    "noise": _cmd_noise,
+    "noise": _cmd_quantum,
     "region": _cmd_region,
     "critical-noise": _cmd_critical_noise,
     "curves": _cmd_curves,
     "verify-ontic": _cmd_verify_ontic,
-    "verify-quantum": _cmd_verify_quantum,
+    "verify-quantum": _cmd_quantum,
 }
 
 

@@ -132,19 +132,9 @@ def make_input_pair(c_ab: float) -> tuple[PureState, PureState]:
 
 
 def depolarize(rho: DensityOperator, v: float) -> DensityOperator:
-    """Mix a two-copy (4x4) state with the maximally mixed state: (1-v) rho + v I/4."""
+    """Depolarizing channel in the state's own dimension d: (1-v) rho + v I/d."""
     v = _check_unit("v", v)
-    if rho.dim != 4:
-        raise ValueError("depolarizing channel is defined on the two-copy space (dimension 4)")
-    return DensityOperator((1.0 - v) * rho.matrix + v * np.eye(4) / 4.0)
-
-
-def partial_trace_second(rho: DensityOperator) -> DensityOperator:
-    """Trace out the second tensor factor of a 4x4 two-qubit state."""
-    if rho.dim != 4:
-        raise ValueError("partial trace expects the two-copy space (dimension 4)")
-    blocks = rho.matrix.reshape(2, 2, 2, 2)
-    return DensityOperator(np.einsum("ikjk->ij", blocks))
+    return DensityOperator((1.0 - v) * rho.matrix + v * np.eye(rho.dim) / rho.dim)
 
 
 def _ketbra(psi: np.ndarray) -> DensityOperator:
@@ -309,14 +299,25 @@ def _orth_in_span(anchor: np.ndarray, other: np.ndarray, label: str) -> np.ndarr
 
 
 @dataclass(frozen=True)
+class ExperimentRecord:
+    """Born-rule summary of one noisy run: observed confusabilities, measured
+    error budget, global fidelity and the worst mixing-equivalence residual."""
+
+    overlaps: OverlapParams
+    budget: ErrorBudget
+    f_global: float
+    o2_residual: float
+
+
+@dataclass(frozen=True)
 class NoisyEnsemble:
     """All preparations and test measurements of the depolarized experiment.
 
     Qubit layer (dimension 2): the two inputs and their in-span orthogonal
-    partners, each depolarized once (via the two-copy channel and a partial
-    trace).  Two-copy layer (dimension 4): clone outputs, ideal targets and
-    their orthogonal partners, each carrying two rounds of depolarization
-    so that the mixing equivalences survive the noise.  The ``*_alt``
+    partners, each depolarized once.  Two-copy layer (dimension 4): clone
+    outputs, ideal targets and their orthogonal partners, each carrying two
+    rounds of depolarization so that the mixing equivalences survive the
+    noise.  The ``*_alt``
     complements are the alternative orthogonal partners tailored to the
     target-target equivalence.
     """
@@ -365,6 +366,36 @@ class NoisyEnsemble:
             "aa~bb": resid(self.rho_aa, self.rho_aa_perp_alt, self.rho_bb, self.rho_bb_perp_alt),
         }
 
+    def record(self) -> ExperimentRecord:
+        """Every observed probability of the run, from the Born rule on this ensemble.
+
+        Observed confusabilities for both preparation pairs, the six measured
+        error allowances (worst of correlation shortfall and orthogonal leak),
+        and the global cloning fidelity of the noiseless-optimal strategy.
+        """
+        overlaps = OverlapParams(
+            c_ab=born(self.rho_a, self.meas_b),
+            c_ba=born(self.rho_b, self.meas_a),
+            c_aabb=born(self.rho_aa, self.meas_bb),
+            c_bbaa=born(self.rho_bb, self.meas_aa),
+        )
+
+        def eps(rho: DensityOperator, rho_perp: DensityOperator, m: TwoOutcomeMeasurement) -> float:
+            return max(1.0 - born(rho, m), born(rho_perp, m))
+
+        budget = ErrorBudget(
+            eps_a=eps(self.rho_a, self.rho_a_perp, self.meas_a),
+            eps_b=eps(self.rho_b, self.rho_b_perp, self.meas_b),
+            eps_alpha=eps(self.rho_alpha, self.rho_alpha_perp, self.meas_alpha),
+            eps_beta=eps(self.rho_beta, self.rho_beta_perp, self.meas_beta),
+            eps_aa=eps(self.rho_aa, self.rho_aa_perp, self.meas_aa),
+            eps_bb=eps(self.rho_bb, self.rho_bb_perp, self.meas_bb),
+        )
+
+        f_global = 0.5 * born(self.rho_alpha, self.meas_aa) + 0.5 * born(self.rho_beta, self.meas_bb)
+        o2_residual = max(self.equivalence_residuals().values())
+        return ExperimentRecord(overlaps=overlaps, budget=budget, f_global=f_global, o2_residual=o2_residual)
+
 
 def noisy_ensemble(v: float, c_ab: float) -> NoisyEnsemble:
     """Construct every preparation and measurement of the noisy experiment.
@@ -387,20 +418,15 @@ def noisy_ensemble(v: float, c_ab: float) -> NoisyEnsemble:
     a_perp = np.array([-a[1], a[0]])
     b_perp = np.array([b[1], -b[0]])
 
-    zero = np.array([1.0, 0.0], dtype=complex)
-
     def noisy_qubit(psi: np.ndarray) -> DensityOperator:
-        # Single depolarization, realized on the two-copy space and traced.
-        return partial_trace_second(depolarize(_ketbra(np.kron(psi, zero)), v))
+        return depolarize(_ketbra(psi), v)
 
     def noisy_two_copy(psi: np.ndarray) -> DensityOperator:
         return depolarize(depolarize(_ketbra(psi), v), v)
 
-    def qubit_effect(psi: np.ndarray) -> TwoOutcomeMeasurement:
-        return TwoOutcomeMeasurement((1.0 - v) * np.outer(psi, psi.conj()) + v * np.eye(2) / 2.0)
-
-    def two_copy_effect(psi: np.ndarray) -> TwoOutcomeMeasurement:
-        return TwoOutcomeMeasurement((1.0 - v) * np.outer(psi, psi.conj()) + v * np.eye(4) / 4.0)
+    def effect(psi: np.ndarray) -> TwoOutcomeMeasurement:
+        # A noisy test: the projector onto psi, depolarized once.
+        return TwoOutcomeMeasurement(depolarize(_ketbra(psi), v).matrix)
 
     aa = np.kron(a, a)
     bb = np.kron(b, b)
@@ -424,8 +450,8 @@ def noisy_ensemble(v: float, c_ab: float) -> NoisyEnsemble:
         rho_b=noisy_qubit(b),
         rho_a_perp=noisy_qubit(a_perp),
         rho_b_perp=noisy_qubit(b_perp),
-        meas_a=qubit_effect(a),
-        meas_b=qubit_effect(b),
+        meas_a=effect(a),
+        meas_b=effect(b),
         ket_aa=PureState(aa),
         ket_bb=PureState(bb),
         ket_alpha=ket_alpha,
@@ -440,56 +466,16 @@ def noisy_ensemble(v: float, c_ab: float) -> NoisyEnsemble:
         rho_bb_perp=noisy_two_copy(bb_perp),
         rho_aa_perp_alt=noisy_two_copy(aa_perp_alt),
         rho_bb_perp_alt=noisy_two_copy(bb_perp_alt),
-        meas_aa=two_copy_effect(aa),
-        meas_bb=two_copy_effect(bb),
-        meas_alpha=two_copy_effect(alpha),
-        meas_beta=two_copy_effect(beta),
+        meas_aa=effect(aa),
+        meas_bb=effect(bb),
+        meas_alpha=effect(alpha),
+        meas_beta=effect(beta),
     )
-
-
-@dataclass(frozen=True)
-class ExperimentRecord:
-    """Born-rule summary of one noisy run: observed confusabilities, measured
-    error budget, global fidelity and the worst mixing-equivalence residual."""
-
-    overlaps: OverlapParams
-    budget: ErrorBudget
-    f_global: float
-    o2_residual: float
 
 
 def simulate_confusabilities(v: float, c_ab: float) -> ExperimentRecord:
-    """Run the noisy experiment and collect every observed probability.
-
-    All quantities come from the Born rule on the constructed ensemble:
-    observed confusabilities for both preparation pairs, the six measured
-    error allowances (worst of correlation shortfall and orthogonal leak),
-    and the global cloning fidelity of the noiseless-optimal strategy.
-    """
-    ens = noisy_ensemble(v, c_ab)
-
-    overlaps = OverlapParams(
-        c_ab=born(ens.rho_a, ens.meas_b),
-        c_ba=born(ens.rho_b, ens.meas_a),
-        c_aabb=born(ens.rho_aa, ens.meas_bb),
-        c_bbaa=born(ens.rho_bb, ens.meas_aa),
-    )
-
-    def eps(rho: DensityOperator, rho_perp: DensityOperator, m: TwoOutcomeMeasurement) -> float:
-        return max(1.0 - born(rho, m), born(rho_perp, m))
-
-    budget = ErrorBudget(
-        eps_a=eps(ens.rho_a, ens.rho_a_perp, ens.meas_a),
-        eps_b=eps(ens.rho_b, ens.rho_b_perp, ens.meas_b),
-        eps_alpha=eps(ens.rho_alpha, ens.rho_alpha_perp, ens.meas_alpha),
-        eps_beta=eps(ens.rho_beta, ens.rho_beta_perp, ens.meas_beta),
-        eps_aa=eps(ens.rho_aa, ens.rho_aa_perp, ens.meas_aa),
-        eps_bb=eps(ens.rho_bb, ens.rho_bb_perp, ens.meas_bb),
-    )
-
-    f_global = 0.5 * born(ens.rho_alpha, ens.meas_aa) + 0.5 * born(ens.rho_beta, ens.meas_bb)
-    o2_residual = max(ens.equivalence_residuals().values())
-    return ExperimentRecord(overlaps=overlaps, budget=budget, f_global=f_global, o2_residual=o2_residual)
+    """Run the noisy experiment and collect every observed probability (:meth:`NoisyEnsemble.record`)."""
+    return noisy_ensemble(v, c_ab).record()
 
 
 def observed_confusability(v: float, c_ab: float) -> float:

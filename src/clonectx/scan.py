@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -27,34 +27,39 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import bounds, quantum
-from .bounds import BoundValue, OverlapParams
+from .bounds import ERR_MODES, BoundValue, _check_unit
 
-ERR_MODES = ("thm2-direct", "appendix-err", "err-prime")
-C_MODES = ("ideal-overlap", "observed-confusability")
+# Confusabilities (c_ab, c_aabb) fed to the ceiling under each ``c_mode``,
+# as a function of the noise level v and the ideal overlap c.
+C_MODES = {
+    "ideal-overlap": lambda v, c: (c, c * c),
+    "observed-confusability": lambda v, c: (
+        quantum.observed_confusability(v, c),
+        quantum.observed_target_confusability(v, c),
+    ),
+}
 ROOT_XTOL = 1e-6
 PRESCAN_POINTS = 1000
 
 
+def _lookup(table: dict, kind: str, mode: str):
+    """The entry of a mode table; the one place an unknown mode is rejected."""
+    try:
+        return table[mode]
+    except (KeyError, TypeError):
+        raise ValueError(f"{kind} must be one of {tuple(table)}, got {mode!r}") from None
+
+
 @dataclass(frozen=True)
 class SweepSpec:
-    """Grids and mode selectors for a sweep."""
+    """Mode selectors for a sweep: the keys of ``ERR_MODES`` and ``C_MODES``."""
 
-    c_grid: tuple[float, ...] = field(default_factory=lambda: tuple(np.linspace(0.0, 1.0, 501)))
-    v_grid: tuple[float, ...] = field(default_factory=lambda: tuple(np.linspace(0.0, 0.1, 101)))
     err_mode: str = "thm2-direct"
     c_mode: str = "observed-confusability"
 
     def __post_init__(self) -> None:
-        if self.err_mode not in ERR_MODES:
-            raise ValueError(f"err_mode must be one of {ERR_MODES}, got {self.err_mode!r}")
-        if self.c_mode not in C_MODES:
-            raise ValueError(f"c_mode must be one of {C_MODES}, got {self.c_mode!r}")
-        for name, grid in (("c_grid", self.c_grid), ("v_grid", self.v_grid)):
-            arr = np.asarray(grid, dtype=float)
-            if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
-                raise ValueError(f"{name} values must lie in [0, 1]")
-            if np.any(np.diff(arr) <= 0.0):
-                raise ValueError(f"{name} must be strictly increasing")
+        _lookup(ERR_MODES, "err_mode", self.err_mode)
+        _lookup(C_MODES, "c_mode", self.c_mode)
 
 
 @dataclass(frozen=True)
@@ -103,21 +108,10 @@ class ViolationRegion:
 
 def nc_bound_at(v: float, c: float, err_mode: str, c_mode: str) -> BoundValue:
     """Noncontextual ceiling at noise ``v`` and ideal overlap ``c`` under the given modes."""
-    if err_mode not in ERR_MODES:
-        raise ValueError(f"err_mode must be one of {ERR_MODES}, got {err_mode!r}")
-    if c_mode not in C_MODES:
-        raise ValueError(f"c_mode must be one of {C_MODES}, got {c_mode!r}")
-    if c_mode == "ideal-overlap":
-        ov = OverlapParams.symmetric(c)
-    else:
-        c_obs = quantum.observed_confusability(v, c)
-        cc_obs = quantum.observed_target_confusability(v, c)
-        ov = OverlapParams(c_ab=c_obs, c_ba=c_obs, c_aabb=cc_obs, c_bbaa=cc_obs)
-    if err_mode == "thm2-direct":
-        return bounds.nc_bound_noisy(ov, bounds.depolarizing_epsilons(v))
-    terms = bounds.err_terms(v)
-    err = terms.err_appendix if err_mode == "appendix-err" else terms.err_prime
-    return BoundValue.of(1.0 - 0.5 * ov.c_ab + 0.5 * ov.c_aabb + err)
+    err = _lookup(ERR_MODES, "err_mode", err_mode)
+    overlaps = _lookup(C_MODES, "c_mode", c_mode)
+    v, c = _check_unit("v", v), _check_unit("c", c)
+    return BoundValue.of(bounds.nc_bound(*overlaps(v, c), err(v)))
 
 
 def advantage_gap(v: float, c: float, err_mode: str, c_mode: str) -> float:

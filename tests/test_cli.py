@@ -32,6 +32,22 @@ class TestExitCodes:
         assert code == 2
         assert "outside [0, 1]" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("curves", "--out", "OUT", "--points", "1"), "at least 2"),
+            (("verify-ontic", "--c", "0.5", "--resolution", "7"), "even number >= 4"),
+            (("verify-ontic", "--c", "0.5", "--resolution", "2"), "even number >= 4"),
+            (("critical-noise", "--c", "0"), "strictly inside (0, 1)"),
+            (("critical-noise", "--c", "1"), "strictly inside (0, 1)"),
+        ],
+    )
+    def test_domain_error_is_an_argument_error(self, capsys, tmp_path, argv, message):
+        code, out, err = run_cli(capsys, *(str(tmp_path) if a == "OUT" else a for a in argv))
+        assert code == 2
+        assert message in err
+        assert out == ""
+
     def test_missing_subcommand_is_an_argument_error(self, capsys):
         code, _, _ = run_cli(capsys, )
         assert code == 2

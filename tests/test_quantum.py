@@ -15,7 +15,6 @@ from clonectx.quantum import (
     make_input_pair,
     noisy_ensemble,
     optimal_clone_pair,
-    partial_trace_second,
     simulate_confusabilities,
 )
 
@@ -75,19 +74,24 @@ class TestOperators:
         np.testing.assert_allclose(depolarize(rho, 0.0).matrix, rho.matrix, atol=1e-15)
         np.testing.assert_allclose(depolarize(rho, 1.0).matrix, np.eye(4) / 4.0, atol=1e-15)
 
-    def test_depolarize_requires_two_copy_space(self):
-        ket_a, _ = make_input_pair(0.5)
-        with pytest.raises(ValueError):
-            depolarize(ket_a.density(), 0.1)
+    def test_depolarize_in_any_dimension(self):
+        for d in (2, 4):
+            psi = np.zeros(d, dtype=complex)
+            psi[0], psi[-1] = 0.6, 0.8j
+            rho = PureState(psi).density()
+            for v in V_GRID:
+                want = (1.0 - v) * rho.matrix + v * np.eye(d) / d
+                np.testing.assert_allclose(depolarize(rho, v).matrix, want, atol=1e-15)
 
     @pytest.mark.parametrize("v", V_GRID)
     def test_single_copy_noise_via_partial_trace(self, v):
+        # Depolarizing the qubit directly agrees with depolarizing it next to
+        # an ancilla |0> and tracing the ancilla out.
         ket_a, _ = make_input_pair(0.3)
-        a = ket_a.amplitudes
-        joint = PureState(np.kron(a, np.array([1.0, 0.0], dtype=complex))).density()
-        got = partial_trace_second(depolarize(joint, v))
-        want = (1.0 - v) * np.outer(a, a.conj()) + v * np.eye(2) / 2.0
-        np.testing.assert_allclose(got.matrix, want, atol=1e-14)
+        joint = PureState(np.kron(ket_a.amplitudes, np.array([1.0, 0.0], dtype=complex))).density()
+        traced = np.einsum("ikjk->ij", depolarize(joint, v).matrix.reshape(2, 2, 2, 2))
+        got = depolarize(ket_a.density(), v)
+        np.testing.assert_allclose(got.matrix, traced, atol=1e-14)
 
 
 class TestCloneOptimizer:

@@ -4,11 +4,17 @@ and the CSV/JSON emitters."""
 import csv
 import json
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clonectx import bounds
 from clonectx.scan import (
+    C_MODES,
+    ERR_MODES,
     CurveSeries,
     SweepSpec,
     ViolationRegion,
@@ -38,12 +44,6 @@ class TestSpecsAndTypes:
             SweepSpec(err_mode="nope")
         with pytest.raises(ValueError):
             SweepSpec(c_mode="nope")
-
-    def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            SweepSpec(c_grid=(0.5, 0.4))
-        with pytest.raises(ValueError):
-            SweepSpec(v_grid=(0.0, 1.5))
 
     def test_curve_requires_increasing_abscissa(self):
         with pytest.raises(ValueError):
@@ -171,6 +171,45 @@ class TestNcBoundModes:
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
             nc_bound_at(0.1, 0.2, "bogus", "ideal-overlap")
+
+
+# The advantage gap written out by hand for every mode, independently of the
+# mode tables: quantum noisy fidelity minus 1 - c_ab/2 + c_aabb/2 + err.
+CLOSED_ERR = {
+    "thm2-direct": lambda v: v * (31 - 29 * v + 9 * v**2) / 8,
+    "appendix-err": lambda v: v * (31 - 29 * v + 9 * v**2) / 2,
+    "err-prime": lambda v: v * (31 - 21 * v + 9 * v**2) / 8,
+}
+CLOSED_C = {
+    "ideal-overlap": lambda v, c: (c, c**2),
+    "observed-confusability": lambda v, c: (
+        (1 - v) ** 2 * c + v * (1 - v) + v**2 / 2,
+        (1 - v) ** 3 * c**2 + v * (3 - 3 * v + v**2) / 4,
+    ),
+}
+
+
+def closed_form_gap(v, c, err_mode, c_mode):
+    f_opt = (math.sqrt((1 + c) * (1 + math.sqrt(c))) + math.sqrt((1 - c) * (1 - math.sqrt(c)))) ** 2 / 4
+    f_noisy = (1 - v) ** 3 * f_opt + v * (3 - 3 * v + v**2) / 4
+    c_ab, c_aabb = CLOSED_C[c_mode](v, c)
+    return f_noisy - (1 - c_ab / 2 + c_aabb / 2 + CLOSED_ERR[err_mode](v))
+
+
+class TestModeTables:
+    def test_tables_cover_exactly_the_closed_forms(self):
+        assert list(ERR_MODES) == list(CLOSED_ERR)
+        assert list(C_MODES) == list(CLOSED_C)
+
+    @pytest.mark.parametrize("err_mode", list(CLOSED_ERR))
+    @pytest.mark.parametrize("c_mode", list(CLOSED_C))
+    @settings(derandomize=True, database=None)
+    @given(v=st.floats(0.0, 1.0), c=st.floats(0.0, 1.0))
+    def test_gap_matches_closed_form(self, err_mode, c_mode, v, c):
+        # 1e-15 on the gap's own scale: appendix-err gaps reach -6.2, where
+        # one ulp is already 8.9e-16.
+        got = advantage_gap(v, c, err_mode, c_mode)
+        assert got == pytest.approx(closed_form_gap(v, c, err_mode, c_mode), rel=1e-15, abs=1e-15)
 
 
 class TestEmitters:
