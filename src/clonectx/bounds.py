@@ -18,13 +18,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
 
-def _check_unit(name: str, x: float) -> float:
-    """Validate that ``x`` is a finite probability in [0, 1]."""
-    x = float(x)
-    if not math.isfinite(x) or x < 0.0 or x > 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {x!r}")
-    return x
+
+def _check_unit(name: str, x):
+    """Validate probabilities in [0, 1], NaN failing; a float comes back as a float, an array as an array."""
+    a = np.asarray(x, dtype=float)
+    bad = a[~((a >= 0.0) & (a <= 1.0))]
+    if bad.size:
+        raise ValueError(f"{name} must lie in [0, 1], got {float(bad.flat[0])!r}")
+    return float(a) if a.ndim == 0 else a
 
 
 @dataclass(frozen=True)
@@ -113,8 +116,8 @@ def quantum_optimal_fidelity(c_ab: float) -> float:
     inputs clone perfectly) and stays within [1/2, 1] in between.
     """
     c = _check_unit("c_ab", c_ab)
-    rc = math.sqrt(c)
-    bracket = math.sqrt((1.0 + c) * (1.0 + rc)) + math.sqrt((1.0 - c) * (1.0 - rc))
+    rc = np.sqrt(c)
+    bracket = np.sqrt((1.0 + c) * (1.0 + rc)) + np.sqrt((1.0 - c) * (1.0 - rc))
     return 0.25 * bracket * bracket
 
 

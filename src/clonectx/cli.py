@@ -25,6 +25,8 @@ from . import bounds, ontic, quantum, scan
 
 ACCEPT_EXACT = 1e-12
 CLONE_TOL = 1e-7
+# The ontic clone kernel is a dense n x n^2 float matrix: 2.1 GB at n = 640.
+MAX_RESOLUTION = 640
 
 
 @dataclass
@@ -106,6 +108,9 @@ def _resolution(text: str) -> int:
     x = _integer(text)
     if x < 4 or x % 2:
         raise argparse.ArgumentTypeError(f"value {x} must be an even number >= 4")
+    if x > MAX_RESOLUTION:
+        raise argparse.ArgumentTypeError(f"value {x} must be at most {MAX_RESOLUTION}: the dense "
+                                         f"clone kernel takes 8*n^3 bytes, {8 * x**3 / 1e9:.1f} GB at n = {x}")
     return x
 
 
@@ -147,7 +152,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-ontic", parents=[common], help="build the saturating model and run every check")
     p.add_argument("--c", type=_probability, required=True)
-    p.add_argument("--resolution", type=_resolution, default=200, help="even number of grid cells, >= 4")
+    p.add_argument("--resolution", type=_resolution, default=200, help=f"even number of grid cells, 4 to {MAX_RESOLUTION}")
 
     p = sub.add_parser("verify-quantum", parents=[common], help="verify the noisy experiment against closed forms")
     p.add_argument("--v", type=_probability, required=True)
@@ -282,9 +287,8 @@ def _cmd_curves(args: argparse.Namespace) -> RunReport:
 
     # The published error term is ambiguous, so both defensible noise
     #-resistance curves are emitted side by side.
-    interior = [c for c in c_grid if 0.0 < c < 1.0]
     resistance = {
-        mode: scan.noise_resistance_curve(interior, scan.SweepSpec(err_mode=mode, c_mode=args.c_mode))
+        mode: scan.noise_resistance_curve(c_grid, scan.SweepSpec(err_mode=mode, c_mode=args.c_mode))
         for mode in ("thm2-direct", "err-prime")
     }
 

@@ -21,12 +21,13 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .bounds import ErrorBudget, OverlapParams, _check_unit
 
 HERMITIAN_TOL = 1e-12
 BORN_CLIP_TOL = 1e-10
+CLONE_ZOOM_ROUNDS = 8
+CLONE_ZOOM_POINTS = 21
 
 
 @dataclass(frozen=True)
@@ -192,9 +193,11 @@ class CloneSearchResult:
     grid_fidelity: float
 
 
-def _clone_objective(c: float, aa: np.ndarray, bb: np.ndarray, t_aa: np.ndarray, t_bb: np.ndarray) -> np.ndarray:
-    # Best achievable |<bb|beta>| for fixed alpha, with <alpha|beta> = sqrt(c)
-    # eliminated in closed form (beta = sqrt(c) alpha + sqrt(1-c) w, w unit, w _|_ alpha).
+def _clone_objective(c: float, alphas: np.ndarray, aa: np.ndarray, bb: np.ndarray) -> np.ndarray:
+    # Average pass probability of each unit vector alpha in ``alphas`` and its best beta:
+    # with <alpha|beta> = sqrt(c) eliminated in closed form (beta = sqrt(c) alpha +
+    # sqrt(1-c) w, w unit, w _|_ alpha), the best |<bb|beta>| follows from <bb|alpha>.
+    t_aa, t_bb = alphas @ aa, alphas @ bb
     rc = math.sqrt(c)
     best_bb = rc * np.abs(t_bb) + math.sqrt(1.0 - c) * np.sqrt(np.clip(1.0 - t_bb**2, 0.0, None))
     return 0.5 * t_aa**2 + 0.5 * best_bb**2
@@ -207,9 +210,10 @@ def construct_optimal_clones(c_ab: float) -> CloneSearchResult:
     two-copy targets plus one orthogonal direction, subject to the
     unitarity constraint <alpha|beta> = <a|b>.  The constraint is
     eliminated analytically (for fixed alpha the best beta is closed-form),
-    leaving two free angles that are scanned on a coarse grid and then
-    refined locally.  Deliberately independent of the closed-form fidelity
-    expression, which it serves to cross-check.
+    leaving alpha on a sphere: a 100 x 100 grid of its two angles (reported
+    as ``grid_fidelity``), then CLONE_ZOOM_ROUNDS rounds that re-grid the
+    cells around the best point, each ten times finer.  Deliberately
+    independent of the closed-form fidelity expression, which it cross-checks.
     """
     c = _check_unit("c_ab", c_ab)
     if c <= 0.0 or c >= 1.0:
@@ -222,11 +226,7 @@ def construct_optimal_clones(c_ab: float) -> CloneSearchResult:
 
     aa, bb, e1, e2, e3 = _clone_plane_basis(c)
 
-    def alpha_of(angles: np.ndarray) -> np.ndarray:
-        t, p = angles
-        return math.cos(t) * e1 + math.sin(t) * math.cos(p) * e2 + math.sin(t) * math.sin(p) * e3
-
-    # Coarse scan: 100 x 100 angle grid; the objective is even in the e3
+    # Round 1: a 100 x 100 angle grid; the objective is even in the e3
     # component, so p covers [0, pi].
     ts = np.linspace(0.0, math.pi, 100)
     ps = np.linspace(0.0, math.pi, 100)
@@ -236,24 +236,27 @@ def construct_optimal_clones(c_ab: float) -> CloneSearchResult:
         + (np.sin(tg) * np.cos(pg))[..., None] * e2
         + (np.sin(tg) * np.sin(pg))[..., None] * e3
     )
-    f_grid = _clone_objective(c, aa, bb, alphas @ aa, alphas @ bb)
+    f_grid = _clone_objective(c, alphas, aa, bb)
     i_best = np.unravel_index(np.argmax(f_grid), f_grid.shape)
     grid_fidelity = float(f_grid[i_best])
 
-    def neg_f(angles: np.ndarray) -> float:
-        al = alpha_of(angles)
-        return -float(_clone_objective(c, aa, bb, al @ aa, al @ bb))
-
-    res = minimize(
-        neg_f,
-        x0=np.array([tg[i_best], pg[i_best]]),
-        method="Nelder-Mead",
-        options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 2000},
-    )
-    if not res.success:
-        raise RuntimeError(f"clone optimizer failed to converge: {res.message} (residual {res.fun + grid_fidelity:.3e})")
-
-    alpha = alpha_of(res.x)
+    # Zoom rounds re-grid the cells around the best point in its tangent plane
+    # (u along t, w along p), a chart that stays regular at the poles t = 0, pi.
+    alpha0 = alphas[i_best]
+    t, p = tg[i_best], pg[i_best]
+    u = -math.sin(t) * e1 + math.cos(t) * (math.cos(p) * e2 + math.sin(p) * e3)
+    w = -math.sin(p) * e2 + math.cos(p) * e3
+    offsets = np.linspace(-1.0, 1.0, CLONE_ZOOM_POINTS)
+    x = y = 0.0
+    half = ts[1] - ts[0]
+    for _ in range(CLONE_ZOOM_ROUNDS):
+        xg, yg = np.meshgrid(x + half * offsets, y + half * offsets, indexing="ij")
+        cand = alpha0 + xg[..., None] * u + yg[..., None] * w
+        cand /= np.linalg.norm(cand, axis=-1, keepdims=True)
+        k = np.unravel_index(np.argmax(_clone_objective(c, cand, aa, bb)), xg.shape)
+        x, y = xg[k], yg[k]
+        half *= 2.0 / (CLONE_ZOOM_POINTS - 1)
+    alpha = cand[k]
     t_bb = float(alpha @ bb)
     rc = math.sqrt(c)
     r = math.sqrt(max(0.0, 1.0 - t_bb * t_bb))

@@ -4,8 +4,10 @@ Reproduces the two headline figures of the analysis as plain data: the
 quantum-versus-noncontextual fidelity tradeoff across confusabilities, and
 the noise resistance of the quantum advantage (the largest depolarizing
 level at which the quantum fidelity still beats the noncontextual ceiling,
-per confusability).  Root finding is bisection-based with a dense pre-scan
-for bracketing.
+per confusability).  Every root comes from one vectorised bisection that
+halves all brackets together: the critical level per confusability on
+[0, 1] in v, and the flanks of the violation window around the top of the
+gap's hump in c.
 
 Because the published error term exists in mutually inconsistent variants,
 every sweep takes an explicit ``err_mode``; likewise an explicit ``c_mode``
@@ -24,7 +26,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import bounds, quantum
 from .bounds import ERR_MODES, BoundValue, _check_unit
@@ -40,6 +41,8 @@ C_MODES = {
 }
 ROOT_XTOL = 1e-6
 PRESCAN_POINTS = 1000
+ZOOM_ROUNDS = 3
+ZOOM_POINTS = 101
 
 
 def _lookup(table: dict, kind: str, mode: str):
@@ -106,138 +109,123 @@ class ViolationRegion:
         return self.c_lo is None
 
 
-def nc_bound_at(v: float, c: float, err_mode: str, c_mode: str) -> BoundValue:
-    """Noncontextual ceiling at noise ``v`` and ideal overlap ``c`` under the given modes."""
+def _ceiling(v, c, err_mode: str, c_mode: str):
     err = _lookup(ERR_MODES, "err_mode", err_mode)
     overlaps = _lookup(C_MODES, "c_mode", c_mode)
     v, c = _check_unit("v", v), _check_unit("c", c)
-    return BoundValue.of(bounds.nc_bound(*overlaps(v, c), err(v)))
+    return bounds.nc_bound(*overlaps(v, c), err(v))
 
 
-def advantage_gap(v: float, c: float, err_mode: str, c_mode: str) -> float:
-    """Quantum noisy fidelity minus the (unclamped) noncontextual ceiling."""
-    return bounds.quantum_noisy_fidelity(v, c) - nc_bound_at(v, c, err_mode, c_mode).value
+def nc_bound_at(v: float, c: float, err_mode: str, c_mode: str) -> BoundValue:
+    """Noncontextual ceiling at noise ``v`` and ideal overlap ``c`` under the given modes."""
+    return BoundValue.of(_ceiling(v, c, err_mode, c_mode))
+
+
+def advantage_gap(v, c, err_mode: str, c_mode: str):
+    """Quantum noisy fidelity minus the (unclamped) noncontextual ceiling; elementwise on arrays."""
+    return bounds.quantum_noisy_fidelity(v, c) - _ceiling(v, c, err_mode, c_mode)
 
 
 def fidelity_curves(c_grid: Sequence[float]) -> tuple[CurveSeries, CurveSeries]:
     """Ideal fidelity/confusability tradeoff: quantum optimum vs noncontextual ceiling."""
-    cs = [float(c) for c in c_grid]
-    q_points = tuple((c, bounds.quantum_optimal_fidelity(c)) for c in cs)
-    nc_points = tuple((c, bounds.nc_bound_ideal(c, c * c)) for c in cs)
-    quantum_series = CurveSeries(
-        x_label="c_ab",
-        y_label="F_g",
-        points=q_points,
-        provenance="optimal quantum cloning fidelity",
+    cs = np.asarray(c_grid, dtype=float)
+    q_points = tuple(zip(cs.tolist(), bounds.quantum_optimal_fidelity(cs).tolist()))
+    nc_points = tuple(zip(cs.tolist(), bounds.nc_bound_ideal(cs, cs * cs).tolist()))
+    return (
+        CurveSeries("c_ab", "F_g", q_points, provenance="optimal quantum cloning fidelity"),
+        CurveSeries("c_ab", "F_g", nc_points, provenance="noncontextual ceiling at c_aabb = c_ab^2"),
     )
-    nc_series = CurveSeries(
-        x_label="c_ab",
-        y_label="F_g",
-        points=nc_points,
-        provenance="noncontextual ceiling at c_aabb = c_ab^2",
-    )
-    return quantum_series, nc_series
 
 
-def _bracketed_root(g, lo: float, hi: float, g_lo: float, g_hi: float) -> float:
-    if g_lo == 0.0:
-        return lo
-    if g_hi == 0.0:
-        return hi
-    return float(brentq(g, lo, hi, xtol=ROOT_XTOL))
+def _bisect(g, pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
+    """Roots of ``g`` (elementwise, ``g(pos) > 0 >= g(neg)``) in every bracket to within ROOT_XTOL/2.
+
+    All brackets are halved together until the widest is below ROOT_XTOL.
+    """
+    width = float(np.max(np.abs(pos - neg), initial=0.0))
+    steps = math.ceil(math.log2(width / ROOT_XTOL)) if width > ROOT_XTOL else 0
+    for _ in range(steps):
+        mid = 0.5 * (pos + neg)
+        above = g(mid) > 0.0
+        pos, neg = np.where(above, mid, pos), np.where(above, neg, mid)
+    return 0.5 * (pos + neg)
 
 
 def violation_interval(v: float, spec: SweepSpec | None = None) -> ViolationRegion:
     """Confusability interval with a quantum advantage at noise level ``v``.
 
-    A 1000-point pre-scan brackets the sign changes of the advantage gap;
-    each bracket is polished by bisection to 1e-6.  No positive gap
-    anywhere yields the empty region (a value, not an error); more than two
-    sign changes are reported through ``anomalies``.
+    The gap has one hump in c.  Its top, from a 1000-point pre-scan zoomed
+    around the best point, decides emptiness, so a window narrower than the
+    pre-scan step is not missed.  Each flank is then bisected to 1e-6; more
+    than two sign changes along the scan are reported through ``anomalies``.
     """
     spec = spec or SweepSpec()
     g = lambda c: advantage_gap(v, c, spec.err_mode, spec.c_mode)
     cs = np.linspace(0.0, 1.0, PRESCAN_POINTS)
-    gs = np.array([g(c) for c in cs])
-
-    pos = np.flatnonzero(gs > 0.0)
-    if pos.size == 0:
+    gs = g(cs)
+    zs, zg = cs, gs
+    for _ in range(ZOOM_ROUNDS):
+        i = int(np.argmax(zg))
+        zs = np.linspace(zs[max(i - 1, 0)], zs[min(i + 1, zs.size - 1)], ZOOM_POINTS)
+        zg = g(zs)
+    i = int(np.argmax(zg))
+    if zg[i] <= 0.0:
         return ViolationRegion(v=v, c_lo=None, c_hi=None, err_mode=spec.err_mode, c_mode=spec.c_mode)
 
-    i0, i1 = int(pos[0]), int(pos[-1])
+    # The top joins the scan, so a window between two scan points shows its flanks.
+    k = int(np.searchsorted(cs, zs[i]))
+    cs, gs = np.insert(cs, k, zs[i]), np.insert(gs, k, zg[i])
+    above = gs > 0.0
+    flips = np.flatnonzero(above[:-1] != above[1:])
+    pos = np.where(above[flips], cs[flips], cs[flips + 1])
+    neg = np.where(above[flips], cs[flips + 1], cs[flips])
+    roots = _bisect(g, pos, neg).tolist()
     # A positive gap at a domain edge means the region touches that edge.
-    c_lo = 0.0 if i0 == 0 else _bracketed_root(g, cs[i0 - 1], cs[i0], gs[i0 - 1], gs[i0])
-    c_hi = 1.0 if i1 == len(cs) - 1 else _bracketed_root(g, cs[i1], cs[i1 + 1], gs[i1], gs[i1 + 1])
-
-    sign_changes = [i for i in range(len(cs) - 1) if (gs[i] > 0.0) != (gs[i + 1] > 0.0)]
-    anomalies: tuple[float, ...] = ()
-    if len(sign_changes) > 2:
-        anomalies = tuple(
-            _bracketed_root(g, cs[i], cs[i + 1], gs[i], gs[i + 1]) for i in sign_changes
-        )
+    c_lo = 0.0 if above[0] else roots[0]
+    c_hi = 1.0 if above[-1] else roots[-1]
     return ViolationRegion(
-        v=v, c_lo=float(c_lo), c_hi=float(c_hi),
-        err_mode=spec.err_mode, c_mode=spec.c_mode, anomalies=anomalies,
+        v=v, c_lo=c_lo, c_hi=c_hi, err_mode=spec.err_mode, c_mode=spec.c_mode,
+        anomalies=tuple(roots) if len(roots) > 2 else (),
     )
+
+
+def _critical_levels(cs: np.ndarray, spec: SweepSpec) -> np.ndarray:
+    """Critical noise level at each confusability in ``cs``, all bisected together.
+
+    The gap is nonincreasing in v, so it changes sign at most once on [0, 1].
+    """
+    g = lambda v, c: advantage_gap(v, c, spec.err_mode, spec.c_mode)
+    noiseless, saturated = g(0.0, cs) > 0.0, g(1.0, cs) > 0.0
+    levels = np.where(noiseless & saturated, 1.0, 0.0)
+    inside = noiseless & ~saturated
+    c_in = cs[inside]
+    levels[inside] = _bisect(lambda v: g(v, c_in), np.zeros(c_in.size), np.ones(c_in.size))
+    return levels
 
 
 def critical_noise(c_ab: float, spec: SweepSpec | None = None) -> float:
     """Largest depolarizing level at which the quantum advantage survives at ``c_ab``.
 
-    The advantage gap is pre-scanned over v in [0, 1]; when it decreases
-    monotonically (the generic case) the zero crossing is polished by
-    bisection, otherwise the last sign change found by the grid scan wins.
+    The zero crossing of the gap over v in [0, 1] is bisected to 1e-6.
     Returns 0.0 when there is no advantage even noiselessly.
     """
-    spec = spec or SweepSpec()
     if not 0.0 < c_ab < 1.0:
         raise ValueError(f"c_ab must lie strictly inside (0, 1), got {c_ab!r}")
-    g = lambda v: advantage_gap(v, c_ab, spec.err_mode, spec.c_mode)
-    vs = np.linspace(0.0, 1.0, PRESCAN_POINTS)
-    gs = np.array([g(v) for v in vs])
-    if gs[0] <= 0.0:
-        return 0.0
-    below = np.flatnonzero(gs <= 0.0)
-    if below.size == 0:
-        return 1.0
-    monotone = bool(np.all(np.diff(gs) <= 1e-12))
-    if monotone:
-        i = below[0]
-        return _bracketed_root(g, vs[i - 1], vs[i], gs[i - 1], gs[i])
-    # Non-monotone gap: take the last positive-to-nonpositive crossing.
-    crossings = [i for i in range(1, len(vs)) if gs[i - 1] > 0.0 >= gs[i]]
-    i = crossings[-1]
-    return _bracketed_root(g, vs[i - 1], vs[i], gs[i - 1], gs[i])
+    return float(_critical_levels(np.array([c_ab], dtype=float), spec or SweepSpec())[0])
 
 
 def noise_resistance_curve(c_grid: Sequence[float], spec: SweepSpec | None = None) -> CurveSeries:
     """Critical noise level as a function of confusability, under the spec's modes.
 
-    The critical level varies continuously along the grid, so each point
-    first tries a narrow bracket around its neighbour's root before falling
-    back to the full pre-scan of :func:`critical_noise`.
+    Points outside (0, 1) are skipped; the rest share one bisection run.
     """
     spec = spec or SweepSpec()
-    pts: list[tuple[float, float]] = []
-    v_prev: float | None = None
-    for c in (float(c) for c in c_grid):
-        if not 0.0 < c < 1.0:
-            continue
-        v_star: float | None = None
-        if v_prev is not None and v_prev > 0.0:
-            g = lambda v: advantage_gap(v, c, spec.err_mode, spec.c_mode)
-            lo, hi = max(0.0, v_prev - 0.02), min(1.0, v_prev + 0.02)
-            g_lo, g_hi = g(lo), g(hi)
-            if g_lo > 0.0 >= g_hi:
-                v_star = _bracketed_root(g, lo, hi, g_lo, g_hi)
-        if v_star is None:
-            v_star = critical_noise(c, spec)
-        pts.append((c, v_star))
-        v_prev = v_star
+    cs = np.asarray(c_grid, dtype=float)
+    cs = cs[(cs > 0.0) & (cs < 1.0)]
     return CurveSeries(
         x_label="c_ab",
         y_label="v_max",
-        points=tuple(pts),
+        points=tuple(zip(cs.tolist(), _critical_levels(cs, spec).tolist())),
         provenance=f"critical depolarizing level ({spec.err_mode}, {spec.c_mode})",
     )
 

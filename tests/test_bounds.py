@@ -227,3 +227,35 @@ class TestValueTypes:
     def test_bound_value_rejects_non_finite(self):
         with pytest.raises(ValueError):
             BoundValue.of(math.nan)
+
+
+class TestElementwise:
+    GRID = np.linspace(0.0, 1.0, 101)
+
+    def test_scalar_validation_returns_a_python_float(self):
+        # A numpy scalar would print as np.float64(...) through repr() in the CSV writers.
+        got = bounds._check_unit("c", np.float64(0.25))
+        assert type(got) is float and got == 0.25
+
+    @pytest.mark.parametrize("bad", [math.nan, -0.1, 1.5, math.inf])
+    def test_one_bad_entry_rejects_the_whole_array(self, bad):
+        with pytest.raises(ValueError, match="must lie in"):
+            bounds._check_unit("c", np.array([0.2, bad, 0.7]))
+        with pytest.raises(ValueError):
+            bounds.quantum_optimal_fidelity(np.array([0.2, bad]))
+
+    def test_closed_forms_match_the_scalar_calls(self):
+        # Only +, * and sqrt: identical bits to the scalar path.
+        cs = self.GRID
+        np.testing.assert_array_equal(
+            bounds.quantum_optimal_fidelity(cs), [bounds.quantum_optimal_fidelity(c) for c in cs]
+        )
+        np.testing.assert_array_equal(bounds.nc_bound_ideal(cs, cs * cs), [bounds.nc_bound_ideal(c, c * c) for c in cs])
+        for err in bounds.ERR_MODES.values():
+            np.testing.assert_array_equal(err(cs), [err(v) for v in cs])
+
+    def test_noisy_fidelity_matches_the_scalar_calls(self):
+        # numpy's power and Python's ** may round (1-v)**3 differently by one ulp.
+        vs, cs = np.meshgrid(self.GRID, self.GRID)
+        want = [[bounds.quantum_noisy_fidelity(v, c) for v, c in zip(rv, rc)] for rv, rc in zip(vs, cs)]
+        np.testing.assert_allclose(bounds.quantum_noisy_fidelity(vs, cs), want, rtol=0, atol=4.5e-16)

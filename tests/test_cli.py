@@ -3,6 +3,10 @@ and file emission."""
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +44,7 @@ class TestExitCodes:
             (("verify-ontic", "--c", "0.5", "--resolution", "2"), "even number >= 4"),
             (("critical-noise", "--c", "0"), "strictly inside (0, 1)"),
             (("critical-noise", "--c", "1"), "strictly inside (0, 1)"),
+            (("verify-ontic", "--c", "0.5", "--resolution", "642"), "at most 640"),
         ],
     )
     def test_domain_error_is_an_argument_error(self, capsys, tmp_path, argv, message):
@@ -66,6 +71,16 @@ class TestExitCodes:
         code, out, _ = run_cli(capsys, "clones", "--c", "0.5")
         assert code == 1
         assert "result: FAIL" in out
+
+
+def test_import_does_not_load_scipy():
+    # scipy is not a runtime dependency; a fresh interpreter shows what the CLI really imports.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, clonectx.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 class TestReports:
@@ -143,6 +158,11 @@ class TestSubcommands:
         code, out, _ = run_cli(capsys, "clones", "--c", "0.5")
         assert code == 0
         assert "optimizer-matches-closed-form" in out
+
+    def test_clones_near_orthogonal_inputs(self, capsys):
+        code, out, _ = run_cli(capsys, "clones", "--c", "0.001")
+        assert code == 0
+        assert "result: PASS" in out
 
 
 class TestCurves:

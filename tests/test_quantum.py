@@ -95,12 +95,12 @@ class TestOperators:
 
 
 class TestCloneOptimizer:
-    @pytest.mark.parametrize("c", [0.1, 0.25, 0.5, 0.75, 0.9])
+    @pytest.mark.parametrize("c", [0.1, 0.25, 0.5, 0.75, 0.9, 1e-4, 1e-3])
     def test_matches_closed_form(self, c):
         result = construct_optimal_clones(c)
         assert result.fidelity == pytest.approx(bounds.quantum_optimal_fidelity(c), abs=1e-7)
 
-    @pytest.mark.parametrize("c", [0.1, 0.25, 0.5, 0.75, 0.9])
+    @pytest.mark.parametrize("c", [0.1, 0.25, 0.5, 0.75, 0.9, 1e-4, 1e-3])
     def test_overlap_constraint_held(self, c):
         result = construct_optimal_clones(c)
         assert result.overlap_error <= 1e-9

@@ -2,8 +2,8 @@
 and the CSV/JSON emitters."""
 
 import csv
+import functools
 import json
-
 import math
 
 import numpy as np
@@ -15,6 +15,7 @@ from clonectx import bounds
 from clonectx.scan import (
     C_MODES,
     ERR_MODES,
+    ROOT_XTOL,
     CurveSeries,
     SweepSpec,
     ViolationRegion,
@@ -32,6 +33,9 @@ from clonectx.scan import (
 
 PAPER_V = 0.015
 PAPER_INTERVAL = (0.318, 0.718)
+# Largest critical level under the default modes (maximum over c of the gap's
+# root in v, at c ~ 0.532).
+V_PEAK_DEFAULT = 0.0181623369
 
 
 def spec_of(err_mode, c_mode):
@@ -122,6 +126,71 @@ class TestViolationInterval:
         for v in (0.0, 0.01, 0.015):
             assert violation_interval(v).anomalies == ()
 
+    def test_window_narrower_than_the_prescan_step(self):
+        # 1e-8 below the default modes' critical level the window is ~7e-4
+        # wide, narrower than the 1/999 pre-scan step.
+        region = violation_interval(V_PEAK_DEFAULT - 1e-8)
+        assert not region.is_empty
+        assert region.c_lo < 0.5319 < region.c_hi
+        assert region.c_hi - region.c_lo < 1e-3
+
+
+@functools.cache
+def peak_level(spec):
+    """Largest critical noise level over c: the noise-resistance curve, zoomed around its top."""
+    cs = np.linspace(0.0, 1.0, 1001)[1:-1]
+    for _ in range(4):
+        levels = [v for _, v in noise_resistance_curve(cs, spec).points]
+        i = int(np.argmax(levels))
+        cs = np.linspace(cs[max(i - 1, 0)], cs[min(i + 1, cs.size - 1)], 101)
+    return max(levels)
+
+
+ALL_SPECS = [SweepSpec(err_mode=e, c_mode=c) for e in ERR_MODES for c in C_MODES]
+# Relative offsets from the peak: spread over the whole range, and close in.
+NEAR_PEAK = st.one_of(
+    st.floats(-1.0, 1.0),
+    st.floats(-7.0, -3.0).map(lambda e: 10.0**e),
+    st.floats(-7.0, -3.0).map(lambda e: -(10.0**e)),
+)
+
+
+class TestRootProperties:
+    def test_default_peak_is_the_known_level(self):
+        assert peak_level(SweepSpec()) == pytest.approx(V_PEAK_DEFAULT, abs=ROOT_XTOL)
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: f"{s.err_mode}+{s.c_mode}")
+    @settings(derandomize=True, database=None)
+    @given(offset=NEAR_PEAK)
+    def test_window_exists_below_the_peak_level(self, spec, offset):
+        peak = peak_level(spec)
+        v = peak * (1.0 + offset)
+        if abs(v - peak) <= ROOT_XTOL:
+            return
+        region = violation_interval(v, spec)
+        assert region.is_empty == (v > peak)
+        if region.is_empty:
+            return
+        g = lambda c: advantage_gap(v, c, spec.err_mode, spec.c_mode)
+        lo, hi = region.c_lo, region.c_hi
+        assert g(0.5 * (lo + hi)) > 0.0
+        # Each interior endpoint is a sign change of the gap within ROOT_XTOL.
+        if lo > 0.0:
+            assert g(max(lo - ROOT_XTOL, 0.0)) <= 0.0 < g(lo + ROOT_XTOL)
+        if hi < 1.0:
+            assert g(hi - ROOT_XTOL) > 0.0 >= g(min(hi + ROOT_XTOL, 1.0))
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: f"{s.err_mode}+{s.c_mode}")
+    @settings(derandomize=True, database=None)
+    @given(c=st.floats(0.0, 1.0), v1=st.floats(0.0, 1.0), v2=st.floats(0.0, 1.0))
+    def test_gap_is_nonincreasing_in_noise(self, spec, c, v1, v2):
+        # The fact behind bisecting each critical level on all of [0, 1]:
+        # the gap changes sign at most once along v.  1e-14 is rounding at
+        # the gap's scale (|gap| <= 6.2).
+        lo, hi = sorted((v1, v2))
+        g = lambda v: advantage_gap(v, c, spec.err_mode, spec.c_mode)
+        assert g(lo) >= g(hi) - 1e-14
+
 
 class TestCriticalNoise:
     def test_contains_published_level_at_half(self):
@@ -146,7 +215,7 @@ class TestCriticalNoise:
         grid = np.linspace(0.05, 0.95, 19)
         series = noise_resistance_curve(grid)
         for c, v in series.points:
-            assert v == pytest.approx(critical_noise(c), abs=1e-4)
+            assert v == critical_noise(c)
 
     def test_determinism(self):
         spec = SweepSpec()
