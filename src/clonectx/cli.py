@@ -25,8 +25,11 @@ from . import bounds, ontic, quantum, scan
 
 ACCEPT_EXACT = 1e-12
 CLONE_TOL = 1e-7
-# The ontic clone kernel is a dense n x n^2 float matrix: 2.1 GB at n = 640.
-MAX_RESOLUTION = 640
+# verify-ontic keeps a dozen densities and responses on the n x n output grid
+# (the row-sparse clone kernel adds 8*n^2 bytes of weights and columns); its
+# measured peak RSS is about 105 bytes per output cell, 0.42 GB at n = 2000.
+MAX_RESOLUTION = 2000
+BYTES_PER_OUTPUT_CELL = 105
 
 
 @dataclass
@@ -109,8 +112,9 @@ def _resolution(text: str) -> int:
     if x < 4 or x % 2:
         raise argparse.ArgumentTypeError(f"value {x} must be an even number >= 4")
     if x > MAX_RESOLUTION:
-        raise argparse.ArgumentTypeError(f"value {x} must be at most {MAX_RESOLUTION}: the dense "
-                                         f"clone kernel takes 8*n^3 bytes, {8 * x**3 / 1e9:.1f} GB at n = {x}")
+        raise argparse.ArgumentTypeError(f"value {x} must be at most {MAX_RESOLUTION}: the ontic model takes about "
+                                         f"{BYTES_PER_OUTPUT_CELL}*n^2 bytes, "
+                                         f"{BYTES_PER_OUTPUT_CELL * x**2 / 1e9:.2f} GB at n = {x}")
     return x
 
 
@@ -152,7 +156,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-ontic", parents=[common], help="build the saturating model and run every check")
     p.add_argument("--c", type=_probability, required=True)
-    p.add_argument("--resolution", type=_resolution, default=200, help=f"even number of grid cells, 4 to {MAX_RESOLUTION}")
+    p.add_argument("--resolution", type=_resolution, default=200,
+                   help=f"even number of grid cells per axis, 4 to {MAX_RESOLUTION} "
+                   f"(about {BYTES_PER_OUTPUT_CELL}*n^2 bytes of memory)")
 
     p = sub.add_parser("verify-quantum", parents=[common], help="verify the noisy experiment against closed forms")
     p.add_argument("--v", type=_probability, required=True)

@@ -125,17 +125,31 @@ class ResponseFunction:
 
 @dataclass(frozen=True)
 class StochasticMap:
-    """Transition kernel between grids; each source-cell row is a distribution over target cells."""
+    """Transition kernel between grids, stored row by row.
+
+    Row i moves source cell i to the target cells ``cols[i]`` with the
+    probabilities ``kernel[i]``.  Without ``cols`` the kernel is the dense
+    matrix over every target cell.
+    """
 
     source: LambdaGrid
     target: LambdaGrid
     kernel: np.ndarray
+    cols: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         k = np.asarray(self.kernel, dtype=float)
-        expected = (self.source.num_cells, self.target.num_cells)
+        if self.cols is None:
+            cols = np.broadcast_to(np.arange(self.target.num_cells), (self.source.num_cells, self.target.num_cells))
+        else:
+            cols = np.asarray(self.cols, dtype=np.intp)
+        expected = (self.source.num_cells, *cols.shape[-1:])
         if k.shape != expected:
             raise ValueError(f"kernel must have shape {expected}, got {k.shape}")
+        if cols.shape != k.shape:
+            raise ValueError(f"cols must have the kernel's shape {k.shape}, got {cols.shape}")
+        if cols.min() < 0 or cols.max() >= self.target.num_cells:
+            raise ValueError(f"cols must index the {self.target.num_cells} target cells")
         if k.min() < 0.0:
             raise ValueError(f"kernel has negative entry {k.min():.3e}")
         rows = k.sum(axis=1)
@@ -143,7 +157,9 @@ class StochasticMap:
         if worst > STRUCTURAL_TOL:
             raise ValueError(f"kernel row sums deviate from 1 by up to {worst:.3e}")
         k.setflags(write=False)
+        cols.setflags(write=False)
         object.__setattr__(self, "kernel", k)
+        object.__setattr__(self, "cols", cols)
 
 
 def l1_distance(mu: EpistemicState, nu: EpistemicState) -> float:
@@ -165,7 +181,7 @@ def apply_map(t: StochasticMap, mu: EpistemicState) -> EpistemicState:
     if mu.grid != t.source:
         raise ValueError("state grid does not match the kernel's source grid")
     mass = mu.density * t.source.cell_volume
-    out_mass = mass @ t.kernel
+    out_mass = np.bincount(t.cols.ravel(), weights=(mass[:, None] * t.kernel).ravel(), minlength=t.target.num_cells)
     return EpistemicState(t.target, out_mass / t.target.cell_volume)
 
 
@@ -322,16 +338,10 @@ def _saturating_kernel(grid_in: LambdaGrid, grid_out: LambdaGrid, k: int) -> Sto
     """
     n = grid_in.n
     m = n // 2
-    h = grid_in.h
-    branch_a = np.arange(0, m)
-    branch_b = np.arange(m - k, 2 * m - k)
-    kernel = np.zeros((n, n * n))
-    for i in range(n):
-        branch = branch_a if i < m - k else branch_b
-        kernel[i, i * n + branch] = h
-    # Rows sum to m*h = 1 up to float rounding; renormalize exactly.
-    kernel /= kernel.sum(axis=1, keepdims=True)
-    return StochasticMap(grid_in, grid_out, kernel)
+    rows = np.arange(n)
+    start = np.where(rows < m - k, 0, m - k)
+    cols = rows[:, None] * n + start[:, None] + np.arange(m)
+    return StochasticMap(grid_in, grid_out, np.full((n, m), 1.0 / m), cols)
 
 
 def build_saturating_model(c_ab: float, n: int = 200) -> OnticModel:

@@ -232,21 +232,18 @@ def noise_resistance_curve(c_grid: Sequence[float], spec: SweepSpec | None = Non
 
 def write_series_csv(series: CurveSeries, path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y"])
-        for x, y in series.points:
-            writer.writerow([repr(x), repr(y)])
+        fh.write("x,y\r\n")
+        fh.writelines(f"{x!r},{y!r}\r\n" for x, y in series.points)
 
 
 def write_series_json(series: CurveSeries, path: str | Path, mode: str = "") -> None:
-    doc = {
-        "label": f"{series.y_label} vs {series.x_label}",
-        "mode": mode or series.provenance,
-        "points": [[x, y] for x, y in series.points],
-    }
+    """The layout of ``json.dump(doc, indent=1)``, streamed point by point."""
+    label = json.dumps(f"{series.y_label} vs {series.x_label}")
+    mode = json.dumps(mode or series.provenance)
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write(f'{{\n "label": {label},\n "mode": {mode},\n "points": [')
+        fh.writelines(f"{',' if i else ''}\n  [\n   {x!r},\n   {y!r}\n  ]" for i, (x, y) in enumerate(series.points))
+        fh.write("\n ]\n}\n" if series.points else "]\n}\n")
 
 
 def write_region_csv(region: ViolationRegion, path: str | Path) -> None:

@@ -4,8 +4,10 @@ and file emission."""
 import csv
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -44,7 +46,7 @@ class TestExitCodes:
             (("verify-ontic", "--c", "0.5", "--resolution", "2"), "even number >= 4"),
             (("critical-noise", "--c", "0"), "strictly inside (0, 1)"),
             (("critical-noise", "--c", "1"), "strictly inside (0, 1)"),
-            (("verify-ontic", "--c", "0.5", "--resolution", "642"), "at most 640"),
+            (("verify-ontic", "--c", "0.5", "--resolution", "2002"), "at most 2000"),
         ],
     )
     def test_domain_error_is_an_argument_error(self, capsys, tmp_path, argv, message):
@@ -73,14 +75,44 @@ class TestExitCodes:
         assert "result: FAIL" in out
 
 
+def fresh_env():
+    """Environment in which a fresh interpreter imports ``clonectx`` from these sources."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_import_does_not_load_scipy():
     # scipy is not a runtime dependency; a fresh interpreter shows what the CLI really imports.
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     probe = "import sys, clonectx.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    done = subprocess.run([sys.executable, "-c", probe], env=fresh_env(), capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_verify_ontic_peak_memory_at_resolution_640(tmp_path):
+    # The child's own peak RSS, from os.wait4; a dense n x n^2 clone kernel
+    # alone would take 2.1 GB at this resolution.
+    out = tmp_path / "report.json"
+    argv = [sys.executable, "-c", "from clonectx.cli import main; main()",
+            "verify-ontic", "--c", "0.37", "--resolution", "640", "--json"]
+    actions = [
+        (os.POSIX_SPAWN_OPEN, 1, str(out), os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644),
+        (os.POSIX_SPAWN_OPEN, 2, os.devnull, os.O_WRONLY, 0),
+    ]
+    pid = os.posix_spawn(sys.executable, argv, fresh_env(), file_actions=actions)
+    deadline = time.monotonic() + 120
+    while True:
+        done, status, usage = os.wait4(pid, os.WNOHANG)
+        if done:
+            break
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.wait4(pid, 0)
+            pytest.fail("verify-ontic --resolution 640 did not finish within 120 s")
+        time.sleep(0.05)
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert json.loads(out.read_text())["result"] == "pass"
+    assert usage.ru_maxrss / 1024 < 150  # Linux reports kilobytes
 
 
 class TestReports:

@@ -10,6 +10,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clonectx import bounds
 from clonectx.ontic import (
@@ -85,6 +87,20 @@ class TestGridAndStates:
         grid = LambdaGrid(1, 4)
         with pytest.raises(ValueError):
             StochasticMap(grid, grid, np.full((4, 4), 0.3))
+
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_cols_outside_the_target_grid_rejected(self, bad):
+        grid = LambdaGrid(1, 4)
+        cols = np.tile([0, 1], (4, 1))
+        cols[2, 1] = bad
+        with pytest.raises(ValueError, match="target cells"):
+            StochasticMap(grid, grid, np.full((4, 2), 0.5), cols)
+
+    @pytest.mark.parametrize("shape", [(4, 3), (5, 2), (8,)])
+    def test_cols_must_have_the_kernel_shape(self, shape):
+        grid = LambdaGrid(1, 4)
+        with pytest.raises(ValueError, match="shape"):
+            StochasticMap(grid, grid, np.full((4, 2), 0.5), np.zeros(shape, dtype=int))
 
 
 class TestDistanceAndConfusability:
@@ -259,6 +275,31 @@ class TestSaturatingModel:
         assert not check_O2(broken).passed
 
 
+class TestStructuredKernel:
+    """The row-sparse kernel of build_saturating_model against the dense matrix it stands for."""
+
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(m=st.integers(2, 32), seed=st.integers(0, 2**32 - 1))
+    def test_structured_matches_dense(self, m, seed):
+        # Every overlap k at the drawn even resolution n = 2m.
+        n = 2 * m
+        rng = np.random.default_rng(seed)
+        for k in range(m + 1):
+            model = build_saturating_model(k / m, n)
+            t = model.clone_map
+            assert t.kernel.size == n * n // 2
+            for i in range(n):
+                branch = np.arange(0, m) if i < m - k else np.arange(m - k, 2 * m - k)
+                np.testing.assert_array_equal(t.cols[i], i * n + branch)
+            dense = np.zeros((n, n * n))
+            np.put_along_axis(dense, t.cols, t.kernel, axis=1)
+            dense_map = StochasticMap(t.source, t.target, dense)
+            for mu in (model.states["a"], model.states["b"], random_state(rng, t.source)):
+                np.testing.assert_allclose(
+                    apply_map(t, mu).density, apply_map(dense_map, mu).density, rtol=0, atol=1e-15
+                )
+
+
 class TestSandwichRelations:
     @pytest.mark.parametrize("pair", [("a", "b"), ("alpha", "aa"), ("beta", "bb"), ("aa", "bb")])
     @pytest.mark.parametrize("c", [0.1, 0.5, 0.75])
@@ -359,6 +400,7 @@ class TestSerialization:
         for name, resp in model.responses.items():
             np.testing.assert_array_equal(back.responses[name].values, resp.values)
         np.testing.assert_array_equal(back.clone_map.kernel, model.clone_map.kernel)
+        np.testing.assert_array_equal(back.clone_map.cols, model.clone_map.cols)
 
     def test_round_trip_of_mixed_model(self):
         model = mix_with_uniform(build_saturating_model(0.5, 32), 0.05)

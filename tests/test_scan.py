@@ -301,6 +301,20 @@ class TestEmitters:
         assert doc["mode"] == "test-mode"
         assert [tuple(p) for p in doc["points"]] == list(series.points)
 
+    @pytest.mark.parametrize("size", [0, 1, 7])
+    def test_series_files_match_the_library_writers(self, tmp_path, size):
+        # The writers format by hand; csv.writer and json.dump(indent=1) are the reference layout.
+        points = tuple((i / 7, 1e-05 * i - 0.5) for i in range(size))
+        series = CurveSeries("c_ab", "v_max", points, provenance='mode "é"')
+        write_series_csv(series, tmp_path / "s.csv")
+        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows([["x", "y"], *([repr(x), repr(y)] for x, y in points)])
+        assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        for mode in ("", "m"):
+            write_series_json(series, tmp_path / "s.json", mode=mode)
+            doc = {"label": "v_max vs c_ab", "mode": mode or series.provenance, "points": [list(p) for p in points]}
+            assert (tmp_path / "s.json").read_text() == json.dumps(doc, indent=1) + "\n"
+
     def test_region_csv(self, tmp_path):
         region = violation_interval(PAPER_V, spec_of("thm2-direct", "ideal-overlap"))
         path = tmp_path / "region.csv"
