@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -428,22 +429,31 @@ class SandwichIdealReport:
     passed: bool
 
 
-def verify_sandwich_ideal(model: OnticModel, pair: tuple[str, str]) -> SandwichIdealReport:
-    """Check the exact ideal relation |mu_s - mu_s'| = 2(1 - c_ss') up to quadrature slack.
+def verify_sandwich_ideal(
+    model: OnticModel,
+    pairs: Sequence[tuple[str, str]],
+    o1: O1Report | None = None,
+    o2: O2Report | None = None,
+) -> list[SandwichIdealReport]:
+    """Check the exact ideal relation |mu_s - mu_s'| = 2(1 - c_ss') for each pair, up to quadrature slack.
 
-    Requires the model to pass the perfect-correlation and mixing checks
-    first; raises if either precondition fails.
+    Requires the model to pass the perfect-correlation and mixing checks,
+    run once for all pairs (a caller that already holds this model's
+    reports passes them as ``o1``/``o2``); raises if either fails.
     """
-    if not check_O1(model).passed:
+    if not (o1 or check_O1(model)).passed:
         raise ValueError("model fails the perfect-correlation check; the ideal sandwich does not apply")
-    if not check_O2(model).passed:
+    if not (o2 or check_O2(model)).passed:
         raise ValueError("model fails the mixing-equivalence check; the ideal sandwich does not apply")
-    s, s2 = pair
-    dist = l1_distance(model.states[s], model.states[s2])
-    conf = confusability(model.states[s], model.responses[s2])
-    residual = abs(dist - 2.0 * (1.0 - conf))
     tol = 4.0 * model.grid_in.h
-    return SandwichIdealReport(pair=pair, l1=dist, confus=conf, residual=residual, tol=tol, passed=residual <= tol)
+    reports = []
+    for s, s2 in pairs:
+        dist = l1_distance(model.states[s], model.states[s2])
+        conf = confusability(model.states[s], model.responses[s2])
+        residual = abs(dist - 2.0 * (1.0 - conf))
+        reports.append(SandwichIdealReport(pair=(s, s2), l1=dist, confus=conf, residual=residual, tol=tol,
+                                           passed=residual <= tol))
+    return reports
 
 
 @dataclass(frozen=True)

@@ -17,12 +17,12 @@ negligible where real geometry is expected.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import ErrorBudget, OverlapParams, _check_unit
+from .ontic import EQUIVALENCE_PAIRS, STATE_NAMES, TEST_NAMES
 
 HERMITIAN_TOL = 1e-12
 BORN_CLIP_TOL = 1e-10
@@ -143,22 +143,25 @@ def _ketbra(psi: np.ndarray) -> DensityOperator:
 
 
 def _clone_plane_basis(c: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Two-copy targets plus an orthonormal real frame (e1, e2) of their span.
+    """Two-copy targets plus an orthonormal real frame (e1, e2, e3) of the symmetric subspace.
 
-    Returns (aa, bb, e1, e2, e3) with e1 along aa+bb, e2 along aa-bb and e3
-    a third symmetric-subspace direction orthogonal to both.  Requires
-    c in (0, 1) so the span is two-dimensional.
+    Returns (aa, bb, e1, e2, e3) with e1 along aa+bb and e2 = (|01> + |10>)/sqrt(2),
+    which for c < 1 points exactly along aa-bb; span{e1, e2} is a plane for
+    every c in [0, 1], the targets' coincidence at c = 1 included.  e3 is
+    the third symmetric direction, orthogonal to both.
     """
     ket_a, ket_b = make_input_pair(c)
     aa = np.kron(ket_a.amplitudes, ket_a.amplitudes).real
     bb = np.kron(ket_b.amplitudes, ket_b.amplitudes).real
     e1 = (aa + bb) / math.sqrt(2.0 + 2.0 * c)
-    e2 = (aa - bb) / math.sqrt(2.0 - 2.0 * c)
-    sym = (np.kron(ket_a.amplitudes, ket_b.amplitudes) + np.kron(ket_b.amplitudes, ket_a.amplitudes)).real
-    sym = sym / np.linalg.norm(sym)
-    e3 = sym - (e1 @ sym) * e1 - (e2 @ sym) * e2
-    e3 = e3 / np.linalg.norm(e3)
+    e2 = np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2.0)
+    e3 = np.array([e1[3], 0.0, 0.0, -e1[0]])
     return aa, bb, e1, e2, e3
+
+
+def _quarter_turn(e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
+    """The 90-degree rotation of the real plane span{e1, e2} (e1 -> e2 -> -e1), zero off the plane."""
+    return np.outer(e2, e1) - np.outer(e1, e2)
 
 
 def optimal_clone_pair(c_ab: float) -> tuple[PureState, PureState]:
@@ -169,11 +172,7 @@ def optimal_clone_pair(c_ab: float) -> tuple[PureState, PureState]:
     must preserve from the inputs).
     """
     c = _check_unit("c_ab", c_ab)
-    if c >= 1.0 - 1e-15:
-        ket_a, _ = make_input_pair(1.0)
-        aa = np.kron(ket_a.amplitudes, ket_a.amplitudes)
-        return PureState(aa), PureState(aa)
-    aa, bb, e1, e2, _ = _clone_plane_basis(c)
+    _, _, e1, e2, _ = _clone_plane_basis(c)
     rc = math.sqrt(c)
     cos_psi = math.sqrt((1.0 + rc) / 2.0)
     sin_psi = math.sqrt((1.0 - rc) / 2.0)
@@ -278,29 +277,6 @@ def construct_optimal_clones(c_ab: float) -> CloneSearchResult:
     )
 
 
-def _orth_in_span(anchor: np.ndarray, other: np.ndarray, label: str) -> np.ndarray:
-    """Unit vector orthogonal to ``anchor`` inside span{anchor, other}.
-
-    Falls back to a fixed ambient direction (first basis vector with the
-    smallest component along the anchor, orthogonalized) when the span
-    collapses, warning that the complement is no longer span-confined.
-    """
-    g = other - np.vdot(anchor, other) * anchor
-    norm = np.linalg.norm(g)
-    if norm > 1e-7:
-        return g / norm
-    warnings.warn(
-        f"span for {label} is degenerate; taking an ambient orthogonal complement",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-    idx = int(np.argmin(np.abs(anchor)))
-    g = np.zeros_like(anchor)
-    g[idx] = 1.0
-    g = g - np.vdot(anchor, g) * anchor
-    return g / np.linalg.norm(g)
-
-
 @dataclass(frozen=True)
 class ExperimentRecord:
     """Born-rule summary of one noisy run: observed confusabilities, measured
@@ -316,57 +292,26 @@ class ExperimentRecord:
 class NoisyEnsemble:
     """All preparations and test measurements of the depolarized experiment.
 
-    Qubit layer (dimension 2): the two inputs and their in-span orthogonal
-    partners, each depolarized once.  Two-copy layer (dimension 4): clone
-    outputs, ideal targets and their orthogonal partners, each carrying two
-    rounds of depolarization so that the mixing equivalences survive the
-    noise.  The ``*_alt``
-    complements are the alternative orthogonal partners tailored to the
-    target-target equivalence.
+    ``states`` maps each name of :data:`clonectx.ontic.STATE_NAMES` to its
+    noisy preparation and ``tests`` each name of
+    :data:`clonectx.ontic.TEST_NAMES` to its noisy test; the orthogonal
+    partner of preparation ``s`` is ``states[f"{s}_perp"]``.
     """
 
     v: float
     c_ab: float
-    ket_a: PureState
-    ket_b: PureState
-    rho_a: DensityOperator
-    rho_b: DensityOperator
-    rho_a_perp: DensityOperator
-    rho_b_perp: DensityOperator
-    meas_a: TwoOutcomeMeasurement
-    meas_b: TwoOutcomeMeasurement
-    ket_aa: PureState
-    ket_bb: PureState
-    ket_alpha: PureState
-    ket_beta: PureState
-    rho_alpha: DensityOperator
-    rho_beta: DensityOperator
-    rho_alpha_perp: DensityOperator
-    rho_beta_perp: DensityOperator
-    rho_aa: DensityOperator
-    rho_bb: DensityOperator
-    rho_aa_perp: DensityOperator
-    rho_bb_perp: DensityOperator
-    rho_aa_perp_alt: DensityOperator
-    rho_bb_perp_alt: DensityOperator
-    meas_aa: TwoOutcomeMeasurement
-    meas_bb: TwoOutcomeMeasurement
-    meas_alpha: TwoOutcomeMeasurement
-    meas_beta: TwoOutcomeMeasurement
+    states: dict[str, DensityOperator]
+    tests: dict[str, TwoOutcomeMeasurement]
 
     def equivalence_residuals(self) -> dict[str, float]:
         """Max-entry residual of each of the four mixing equivalences."""
 
-        def resid(x: DensityOperator, xp: DensityOperator, y: DensityOperator, yp: DensityOperator) -> float:
-            lhs = 0.5 * (x.matrix + xp.matrix)
-            rhs = 0.5 * (y.matrix + yp.matrix)
-            return float(np.max(np.abs(lhs - rhs)))
+        def mixture(s: str) -> np.ndarray:
+            return 0.5 * (self.states[s].matrix + self.states[f"{s}_perp"].matrix)
 
         return {
-            "a~b": resid(self.rho_a, self.rho_a_perp, self.rho_b, self.rho_b_perp),
-            "alpha~aa": resid(self.rho_alpha, self.rho_alpha_perp, self.rho_aa, self.rho_aa_perp),
-            "beta~bb": resid(self.rho_beta, self.rho_beta_perp, self.rho_bb, self.rho_bb_perp),
-            "aa~bb": resid(self.rho_aa, self.rho_aa_perp_alt, self.rho_bb, self.rho_bb_perp_alt),
+            f"{s}~{s2}": float(np.max(np.abs(mixture(s) - mixture(s2))))
+            for s, s2 in EQUIVALENCE_PAIRS + (("aa", "bb"),)
         }
 
     def record(self) -> ExperimentRecord:
@@ -376,26 +321,18 @@ class NoisyEnsemble:
         error allowances (worst of correlation shortfall and orthogonal leak),
         and the global cloning fidelity of the noiseless-optimal strategy.
         """
+        states, tests = self.states, self.tests
         overlaps = OverlapParams(
-            c_ab=born(self.rho_a, self.meas_b),
-            c_ba=born(self.rho_b, self.meas_a),
-            c_aabb=born(self.rho_aa, self.meas_bb),
-            c_bbaa=born(self.rho_bb, self.meas_aa),
+            c_ab=born(states["a"], tests["b"]),
+            c_ba=born(states["b"], tests["a"]),
+            c_aabb=born(states["aa"], tests["bb"]),
+            c_bbaa=born(states["bb"], tests["aa"]),
         )
-
-        def eps(rho: DensityOperator, rho_perp: DensityOperator, m: TwoOutcomeMeasurement) -> float:
-            return max(1.0 - born(rho, m), born(rho_perp, m))
-
-        budget = ErrorBudget(
-            eps_a=eps(self.rho_a, self.rho_a_perp, self.meas_a),
-            eps_b=eps(self.rho_b, self.rho_b_perp, self.meas_b),
-            eps_alpha=eps(self.rho_alpha, self.rho_alpha_perp, self.meas_alpha),
-            eps_beta=eps(self.rho_beta, self.rho_beta_perp, self.meas_beta),
-            eps_aa=eps(self.rho_aa, self.rho_aa_perp, self.meas_aa),
-            eps_bb=eps(self.rho_bb, self.rho_bb_perp, self.meas_bb),
-        )
-
-        f_global = 0.5 * born(self.rho_alpha, self.meas_aa) + 0.5 * born(self.rho_beta, self.meas_bb)
+        budget = ErrorBudget(**{
+            f"eps_{s}": max(1.0 - born(states[s], tests[s]), born(states[f"{s}_perp"], tests[s]))
+            for s in TEST_NAMES
+        })
+        f_global = 0.5 * born(states["alpha"], tests["aa"]) + 0.5 * born(states["beta"], tests["bb"])
         o2_residual = max(self.equivalence_residuals().values())
         return ExperimentRecord(overlaps=overlaps, budget=budget, f_global=f_global, o2_residual=o2_residual)
 
@@ -406,73 +343,37 @@ def noisy_ensemble(v: float, c_ab: float) -> NoisyEnsemble:
     Input preparations are depolarized once; clone outputs and two-copy
     targets take the channel twice (output states inherit one round from
     the noisy input and one from the noisy transformation; targets get a
-    deliberate second round so the mixing equivalences close).  Orthogonal
-    partners are taken inside the two-dimensional span relevant to each
-    equivalence pair.  At ``c_ab`` = 1 the spans collapse and ambient
-    complements are substituted with a warning.
+    deliberate second round so the mixing equivalences close).  Tests are
+    projectors depolarized once.  Every orthogonal partner is its
+    preparation turned by 90 degrees inside its layer's real plane: the
+    qubit plane, or span{e1, e2} of :func:`_clone_plane_basis`, which holds
+    alpha, beta, aa and bb for every ``c_ab`` in [0, 1].  Each equal mixture
+    of a state and its partner is then half the plane's projector, so all
+    four mixing equivalences hold as matrix identities.
     """
     v = _check_unit("v", v)
     c = _check_unit("c_ab", c_ab)
 
     ket_a, ket_b = make_input_pair(c)
-    a = ket_a.amplitudes
-    b = ket_b.amplitudes
-    # In-span orthogonal qubits: rotate by 90 degrees within the real plane.
-    a_perp = np.array([-a[1], a[0]])
-    b_perp = np.array([b[1], -b[0]])
-
-    def noisy_qubit(psi: np.ndarray) -> DensityOperator:
-        return depolarize(_ketbra(psi), v)
-
-    def noisy_two_copy(psi: np.ndarray) -> DensityOperator:
-        return depolarize(depolarize(_ketbra(psi), v), v)
-
-    def effect(psi: np.ndarray) -> TwoOutcomeMeasurement:
-        # A noisy test: the projector onto psi, depolarized once.
-        return TwoOutcomeMeasurement(depolarize(_ketbra(psi), v).matrix)
-
-    aa = np.kron(a, a)
-    bb = np.kron(b, b)
     ket_alpha, ket_beta = optimal_clone_pair(c)
-    alpha = ket_alpha.amplitudes
-    beta = ket_beta.amplitudes
+    aa, bb, e1, e2, _ = _clone_plane_basis(c)
+    kets = {
+        "a": ket_a.amplitudes, "b": ket_b.amplitudes,
+        "alpha": ket_alpha.amplitudes, "beta": ket_beta.amplitudes,
+        "aa": aa, "bb": bb,
+    }
+    turn = {2: _quarter_turn(*np.eye(2)), 4: _quarter_turn(e1, e2)}
+    kets.update({f"{s}_perp": turn[psi.size] @ psi for s, psi in kets.items()})
 
-    alpha_perp = _orth_in_span(alpha, aa, "the clone/target pair (alpha, aa)")
-    aa_perp = _orth_in_span(aa, alpha, "the clone/target pair (alpha, aa)")
-    beta_perp = _orth_in_span(beta, bb, "the clone/target pair (beta, bb)")
-    bb_perp = _orth_in_span(bb, beta, "the clone/target pair (beta, bb)")
-    aa_perp_alt = _orth_in_span(aa, bb, "the target pair (aa, bb)")
-    bb_perp_alt = _orth_in_span(bb, aa, "the target pair (aa, bb)")
+    def prepare(psi: np.ndarray) -> DensityOperator:
+        rho = depolarize(_ketbra(psi), v)
+        return rho if psi.size == 2 else depolarize(rho, v)
 
     return NoisyEnsemble(
         v=v,
         c_ab=c,
-        ket_a=ket_a,
-        ket_b=ket_b,
-        rho_a=noisy_qubit(a),
-        rho_b=noisy_qubit(b),
-        rho_a_perp=noisy_qubit(a_perp),
-        rho_b_perp=noisy_qubit(b_perp),
-        meas_a=effect(a),
-        meas_b=effect(b),
-        ket_aa=PureState(aa),
-        ket_bb=PureState(bb),
-        ket_alpha=ket_alpha,
-        ket_beta=ket_beta,
-        rho_alpha=noisy_two_copy(alpha),
-        rho_beta=noisy_two_copy(beta),
-        rho_alpha_perp=noisy_two_copy(alpha_perp),
-        rho_beta_perp=noisy_two_copy(beta_perp),
-        rho_aa=noisy_two_copy(aa),
-        rho_bb=noisy_two_copy(bb),
-        rho_aa_perp=noisy_two_copy(aa_perp),
-        rho_bb_perp=noisy_two_copy(bb_perp),
-        rho_aa_perp_alt=noisy_two_copy(aa_perp_alt),
-        rho_bb_perp_alt=noisy_two_copy(bb_perp_alt),
-        meas_aa=effect(aa),
-        meas_bb=effect(bb),
-        meas_alpha=effect(alpha),
-        meas_beta=effect(beta),
+        states={name: prepare(kets[name]) for name in STATE_NAMES},
+        tests={s: TwoOutcomeMeasurement(depolarize(_ketbra(kets[s]), v).matrix) for s in TEST_NAMES},
     )
 
 

@@ -56,7 +56,7 @@ def test_criterion_2_saturating_model_reaches_the_ceiling():
 def test_criterion_3_sandwich_relations():
     model = ontic.build_saturating_model(0.5, 200)
     worst_ideal = max(
-        ontic.verify_sandwich_ideal(model, pair).residual for pair in model.pairs
+        rep.residual for rep in ontic.verify_sandwich_ideal(model, model.pairs)
     )
     ideal_ok = worst_ideal <= 4.0 * model.grid_in.h
 

@@ -47,6 +47,7 @@ class TestExitCodes:
             (("critical-noise", "--c", "0"), "strictly inside (0, 1)"),
             (("critical-noise", "--c", "1"), "strictly inside (0, 1)"),
             (("verify-ontic", "--c", "0.5", "--resolution", "2002"), "at most 2000"),
+            (("curves", "--out", "OUT", "--points", "1000001"), "at most 1000000"),
         ],
     )
     def test_domain_error_is_an_argument_error(self, capsys, tmp_path, argv, message):
@@ -170,16 +171,38 @@ class TestSubcommands:
         assert code == 0
         assert "result: PASS" in out
 
-    def test_verify_quantum_skips_equivalences_at_collapsed_span(self, capsys):
+    def test_verify_quantum_checks_equivalences_at_collapsed_span(self, capsys):
         code, out, _ = run_cli(capsys, "verify-quantum", "--v", "0.05", "--c", "1")
         assert code == 0
-        assert "[SKIP] mixing-equivalences" in out
+        assert "[PASS] mixing-equivalences" in out
+
+    def test_verify_quantum_next_to_identical_inputs(self, capsys):
+        code, out, _ = run_cli(capsys, "verify-quantum", "--v", "0", "--c", "0.9999999999")
+        assert code == 0
+        assert "[PASS] mixing-equivalences" in out
 
     def test_verify_ontic(self, capsys):
         code, out, _ = run_cli(capsys, "verify-ontic", "--c", "0.5", "--resolution", "200")
         assert code == 0
         assert "f_global = 0.875" in out
         assert "result: PASS" in out
+
+    def test_verify_ontic_runs_each_model_check_once(self, capsys, monkeypatch):
+        from clonectx import ontic
+
+        calls = {"check_O1": 0, "check_O2": 0}
+        for name in calls:
+            real = getattr(ontic, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(ontic, name, counted)
+        code, out, _ = run_cli(capsys, "verify-ontic", "--c", "0.5", "--resolution", "20")
+        assert code == 0
+        assert out.count("distance-confusability-identity") == 4
+        assert calls == {"check_O1": 1, "check_O2": 1}
 
     def test_verify_ontic_snaps_with_note(self, capsys):
         code, out, _ = run_cli(capsys, "verify-ontic", "--c", "0.318", "--resolution", "200")

@@ -305,20 +305,19 @@ class TestSandwichRelations:
     @pytest.mark.parametrize("c", [0.1, 0.5, 0.75])
     def test_ideal_identity_on_saturating_model(self, pair, c):
         model = build_saturating_model(c, 200)
-        report = verify_sandwich_ideal(model, pair)
+        (report,) = verify_sandwich_ideal(model, [pair])
         assert report.passed, report
 
     def test_ideal_identity_values_at_half(self):
         model = build_saturating_model(0.5, 200)
-        rep_ab = verify_sandwich_ideal(model, ("a", "b"))
+        rep_ab, rep_tt = verify_sandwich_ideal(model, [("a", "b"), ("aa", "bb")])
         assert rep_ab.l1 == pytest.approx(1.0, abs=1e-12)
-        rep_tt = verify_sandwich_ideal(model, ("aa", "bb"))
         assert rep_tt.l1 == pytest.approx(1.5, abs=1e-12)
         assert 2 * (1 - rep_tt.confus) == pytest.approx(1.5, abs=1e-12)
 
     def test_identical_inputs_give_zero_both_sides(self):
         model = build_saturating_model(1.0, 100)
-        report = verify_sandwich_ideal(model, ("a", "b"))
+        (report,) = verify_sandwich_ideal(model, [("a", "b")])
         assert report.l1 == pytest.approx(0.0, abs=1e-12)
         assert report.confus == pytest.approx(1.0, abs=1e-12)
 
@@ -335,7 +334,7 @@ class TestSandwichRelations:
             clone_map=model.clone_map,
         )
         with pytest.raises(ValueError):
-            verify_sandwich_ideal(broken, ("a", "b"))
+            verify_sandwich_ideal(broken, [("a", "b")])
 
     @pytest.mark.parametrize("w", [0.01, 0.05, 0.1])
     def test_noisy_sandwich_on_mixed_models(self, w):

@@ -1,10 +1,14 @@
 """Quantum-simulation tests: geometry, Born rule, the depolarized ensemble and
 the independent clone optimizer against the closed forms."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from clonectx import bounds, quantum
+from clonectx import bounds, ontic, quantum
 from clonectx.quantum import (
     DensityOperator,
     PureState,
@@ -136,9 +140,9 @@ class TestNoisyEnsemble:
 
     def test_input_pair_mixture_is_maximally_mixed(self):
         ens = noisy_ensemble(0.1, 0.5)
-        mix = 0.5 * (ens.rho_a.matrix + ens.rho_a_perp.matrix)
+        mix = 0.5 * (ens.states["a"].matrix + ens.states["a_perp"].matrix)
         np.testing.assert_allclose(mix, np.eye(2) / 2.0, atol=1e-14)
-        mix_b = 0.5 * (ens.rho_b.matrix + ens.rho_b_perp.matrix)
+        mix_b = 0.5 * (ens.states["b"].matrix + ens.states["b_perp"].matrix)
         np.testing.assert_allclose(mix_b, np.eye(2) / 2.0, atol=1e-14)
 
     def test_noiseless_ensemble_is_ideal(self):
@@ -152,13 +156,37 @@ class TestNoisyEnsemble:
         assert rec.f_global == pytest.approx(bounds.quantum_optimal_fidelity(0.35), abs=1e-12)
 
     @pytest.mark.parametrize("c", [0.0, 1.0])
-    def test_collapsed_span_warns_and_still_closes(self, c):
-        # At both endpoints the clone outputs coincide with the targets, so
-        # the clone/target spans are one-dimensional; the shared ambient
-        # complement keeps the equivalences intact.
-        with pytest.warns(RuntimeWarning):
+    def test_collapsed_span_closes_without_warning(self, c):
+        # At both endpoints the clone outputs coincide with the targets, but
+        # the plane every two-copy partner is turned in stays two-dimensional.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             ens = noisy_ensemble(0.1, c)
         assert max(ens.equivalence_residuals().values()) <= 1e-12
+
+    @settings(derandomize=True, database=None)
+    @given(
+        v=st.floats(0.0, 1.0),
+        c=st.one_of(
+            st.floats(0.0, 1.0),
+            st.integers(1, 16).map(lambda e: float("0." + "9" * e)),  # the double nearest 1 - 10**-e
+            st.sampled_from([0.0, 1.0]),
+        ),
+    )
+    def test_whole_domain_matches_the_closed_forms(self, v, c):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            ens = noisy_ensemble(v, c)
+            rec = ens.record()
+        assert set(ens.states) == set(ontic.STATE_NAMES)
+        assert list(ens.equivalence_residuals()) == ["a~b", "alpha~aa", "beta~bb", "aa~bb"]
+        assert max(ens.equivalence_residuals().values()) <= 1e-12
+        eb = bounds.depolarizing_epsilons(v)
+        for s in ontic.TEST_NAMES:
+            assert getattr(rec.budget, f"eps_{s}") == pytest.approx(getattr(eb, f"eps_{s}"), abs=1e-12)
+        assert rec.overlaps.c_ab == pytest.approx(quantum.observed_confusability(v, c), abs=1e-12)
+        assert rec.overlaps.c_aabb == pytest.approx(quantum.observed_target_confusability(v, c), abs=1e-12)
+        assert rec.f_global == pytest.approx(bounds.quantum_noisy_fidelity(v, c), abs=1e-12)
 
 
 class TestSimulatedProbabilities:
