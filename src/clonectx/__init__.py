@@ -1,15 +1,16 @@
 """Workbench for the contextuality analysis of state-dependent quantum cloning.
 
-Subpackages by concern:
+Modules by concern; ``quantum``, ``ontic`` and ``scan`` import only ``bounds``:
 
-* :mod:`clonectx.bounds`  -- closed-form fidelities, noncontextual ceilings
-  and depolarizing-noise error budgets.
+* :mod:`clonectx.bounds`  -- closed-form fidelities, noncontextual ceilings,
+  depolarizing-noise error budgets and observed confusabilities, and the
+  names of the experiment's preparations, tests and mixing equivalences.
 * :mod:`clonectx.quantum` -- finite-dimensional simulation of the noisy
   cloning experiment (states, channels, Born rule, clone optimizer).
 * :mod:`clonectx.ontic`   -- discretized ontological models on a cell grid,
   with operational-equivalence checkers and the bound-saturating model.
 * :mod:`clonectx.scan`    -- parameter sweeps, violation intervals and
-  figure-data emission.
+  figure-data series writers.
 * :mod:`clonectx.cli`     -- command-line front end.
 """
 

@@ -1,11 +1,14 @@
-"""Closed-form scalar bounds for state-dependent cloning.
+"""Closed-form scalar bounds for state-dependent cloning, and the experiment's names.
 
 Everything in this module is a deterministic pure function of its inputs:
 the optimal quantum cloning fidelity for a pair of pure states with a given
 confusability, the maximum fidelity any preparation-noncontextual model can
 reach (ideal, noise-robust, and the stronger symmetric variant), the
-noncontextual state-discrimination ceiling, and the error budgets induced
-by a depolarizing channel acting on every stage of the experiment.
+noncontextual state-discrimination ceiling, the error budgets induced
+by a depolarizing channel acting on every stage of the experiment, and the
+confusabilities that channel leaves observable.  The names of the
+experiment's preparations, tests and mixing equivalences live here too, so
+that :mod:`clonectx.quantum` and :mod:`clonectx.ontic` share one spelling.
 
 Conventions: ``c_ab`` is the confusability of the two input preparations
 (squared overlap in the ideal quantum realisation), ``c_aabb`` the
@@ -19,6 +22,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+STATE_NAMES = (
+    "a", "b", "a_perp", "b_perp",
+    "alpha", "beta", "alpha_perp", "beta_perp",
+    "aa", "bb", "aa_perp", "bb_perp",
+)
+TEST_NAMES = ("a", "b", "alpha", "beta", "aa", "bb")
+EQUIVALENCE_PAIRS = (("a", "b"), ("alpha", "aa"), ("beta", "bb"))
 
 
 def _check_unit(name: str, x):
@@ -90,15 +101,11 @@ class BoundValue:
 
     ``clamped`` marks a vacuous bound (raw value above 1 for a generous
     error budget).  The raw value is retained so that monotonicity in the
-    budget remains visible; use :attr:`capped` where a probability is needed.
+    budget remains visible.
     """
 
     value: float
     clamped: bool
-
-    @property
-    def capped(self) -> float:
-        return min(self.value, 1.0)
 
     @staticmethod
     def of(raw: float) -> "BoundValue":
@@ -250,3 +257,17 @@ def quantum_noisy_fidelity(v: float, c_ab: float) -> float:
     v = _check_unit("v", v)
     one_mv = 1.0 - v
     return one_mv**3 * quantum_optimal_fidelity(c_ab) + 0.25 * v * (3.0 - 3.0 * v + v * v)
+
+
+def observed_confusability(v: float, c_ab: float) -> float:
+    """Noisy input-pair confusability at depolarizing level ``v``: (1-v)^2 c + v(1-v) + v^2/2."""
+    v = _check_unit("v", v)
+    c = _check_unit("c_ab", c_ab)
+    return (1.0 - v) ** 2 * c + v * (1.0 - v) + 0.5 * v * v
+
+
+def observed_target_confusability(v: float, c_ab: float) -> float:
+    """Noisy target-pair confusability at depolarizing level ``v``: (1-v)^3 c^2 + v(3-3v+v^2)/4."""
+    v = _check_unit("v", v)
+    c = _check_unit("c_ab", c_ab)
+    return (1.0 - v) ** 3 * c * c + 0.25 * v * (3.0 - 3.0 * v + v * v)

@@ -19,21 +19,15 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
+from .bounds import EQUIVALENCE_PAIRS, STATE_NAMES, TEST_NAMES
+
 DOMAIN_LENGTH = 2.0
 STRUCTURAL_TOL = 1e-9
-
-STATE_NAMES = (
-    "a", "b", "a_perp", "b_perp",
-    "alpha", "beta", "alpha_perp", "beta_perp",
-    "aa", "bb", "aa_perp", "bb_perp",
-)
-TEST_NAMES = ("a", "b", "alpha", "beta", "aa", "bb")
-EQUIVALENCE_PAIRS = (("a", "b"), ("alpha", "aa"), ("beta", "bb"))
 
 
 @dataclass(frozen=True)
@@ -208,7 +202,6 @@ class OnticModel:
     responses: dict[str, ResponseFunction]
     clone_map: StochasticMap
     pairs: tuple[tuple[str, str], ...] = EQUIVALENCE_PAIRS
-    overlap_cells: int | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         missing = [s for s in STATE_NAMES if s not in self.states]
@@ -381,15 +374,14 @@ def build_saturating_model(c_ab: float, n: int = 200) -> OnticModel:
 
     states = {
         name: EpistemicState.uniform_on(grid_in if name in ("a", "b", "a_perp", "b_perp") else grid_out, cells)
-        for name, cells in supports.items()
+        for name, cells in supports.items() if name not in ("alpha", "beta")
     }
-    responses = {name: ResponseFunction.indicator(states[name].grid, supports[name]) for name in TEST_NAMES}
-
     clone_map = _saturating_kernel(grid_in, grid_out, k)
     # The clone outputs are derived, not placed by hand: push the inputs
-    # through the kernel (this reproduces the unit-height supports above).
+    # through the kernel (this reproduces their unit-height supports).
     states["alpha"] = apply_map(clone_map, states["a"])
     states["beta"] = apply_map(clone_map, states["b"])
+    responses = {name: ResponseFunction.indicator(states[name].grid, supports[name]) for name in TEST_NAMES}
 
     return OnticModel(
         grid_in=grid_in,
@@ -398,7 +390,6 @@ def build_saturating_model(c_ab: float, n: int = 200) -> OnticModel:
         states=states,
         responses=responses,
         clone_map=clone_map,
-        overlap_cells=k,
     )
 
 
@@ -519,69 +510,4 @@ def verify_sandwich_noisy(
         lower_ok=lower_ok,
         upper_ok=upper_ok,
         passed=lower_ok and upper_ok,
-    )
-
-
-def _rle_encode(arr: np.ndarray) -> list[list[float]]:
-    """Run-length encode a flat float array as [value, count] pairs."""
-    runs: list[list[float]] = []
-    if arr.size == 0:
-        return runs
-    boundaries = np.flatnonzero(np.diff(arr)) + 1
-    starts = np.concatenate([[0], boundaries])
-    ends = np.concatenate([boundaries, [arr.size]])
-    for lo, hi in zip(starts, ends):
-        runs.append([float(arr[lo]), int(hi - lo)])
-    return runs
-
-
-def _rle_decode(runs: list[list[float]], size: int) -> np.ndarray:
-    parts = [np.full(int(count), float(value)) for value, count in runs]
-    arr = np.concatenate(parts) if parts else np.zeros(0)
-    if arr.size != size:
-        raise ValueError(f"run-length data decodes to {arr.size} cells, expected {size}")
-    return arr
-
-
-def model_to_json(model: OnticModel) -> dict:
-    """JSON-ready document: grid spec, run-length-encoded cell data, kernel spec.
-
-    Only models whose kernel is the canonical cloning kernel (the builder's
-    output, possibly with mixed states) are representable.
-    """
-    if model.overlap_cells is None:
-        raise ValueError("only models built around the canonical cloning kernel are serializable")
-    return {
-        "grid_in": {"dimension": model.grid_in.dimension, "n": model.grid_in.n},
-        "grid_out": {"dimension": model.grid_out.dimension, "n": model.grid_out.n},
-        "c_ab": model.c_ab,
-        "pairs": [list(p) for p in model.pairs],
-        "states": {name: _rle_encode(state.density) for name, state in model.states.items()},
-        "responses": {name: _rle_encode(resp.values) for name, resp in model.responses.items()},
-        "clone_map": {"kind": "append-branch-sample", "overlap_cells": model.overlap_cells},
-    }
-
-
-def model_from_json(doc: dict) -> OnticModel:
-    """Rebuild a model from :func:`model_to_json` output."""
-    grid_in = LambdaGrid(**doc["grid_in"])
-    grid_out = LambdaGrid(**doc["grid_out"])
-    k = int(doc["clone_map"]["overlap_cells"])
-    states = {}
-    for name, runs in doc["states"].items():
-        grid = grid_in if name in ("a", "b", "a_perp", "b_perp") else grid_out
-        states[name] = EpistemicState(grid, _rle_decode(runs, grid.num_cells))
-    responses = {}
-    for name, runs in doc["responses"].items():
-        grid = grid_in if name in ("a", "b") else grid_out
-        responses[name] = ResponseFunction(grid, _rle_decode(runs, grid.num_cells))
-    return OnticModel(
-        grid_in=grid_in,
-        grid_out=grid_out,
-        c_ab=float(doc["c_ab"]),
-        states=states,
-        responses=responses,
-        clone_map=_saturating_kernel(grid_in, grid_out, k),
-        pairs=tuple(tuple(p) for p in doc["pairs"]),
-        overlap_cells=k,
     )

@@ -4,9 +4,10 @@ Builds the full set of preparations and two-outcome test measurements of a
 cloning run in which every stage (input preparation, cloning unitary,
 measurement) is degraded by a depolarizing channel, evaluates all observed
 probabilities through the Born rule, and verifies the mixing equivalences
-as matrix identities.  An independent constrained optimizer over the clone
-output states doubles as a numerical oracle for the closed-form optimal
-fidelity in :mod:`clonectx.bounds`.
+as matrix identities.  The closed forms it is checked against, and the
+names its preparations and tests are keyed by, live in :mod:`clonectx.bounds`.
+An independent constrained optimizer over the clone output states doubles
+as a numerical oracle for the closed-form optimal fidelity.
 
 The two input states live in a real two-dimensional span; the clone
 outputs live in the corresponding two-qubit tensor space (dimension 4).
@@ -21,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import ErrorBudget, OverlapParams, _check_unit
-from .ontic import EQUIVALENCE_PAIRS, STATE_NAMES, TEST_NAMES
+from .bounds import EQUIVALENCE_PAIRS, STATE_NAMES, TEST_NAMES, ErrorBudget, OverlapParams, _check_unit
 
 HERMITIAN_TOL = 1e-12
 BORN_CLIP_TOL = 1e-10
@@ -292,9 +292,9 @@ class ExperimentRecord:
 class NoisyEnsemble:
     """All preparations and test measurements of the depolarized experiment.
 
-    ``states`` maps each name of :data:`clonectx.ontic.STATE_NAMES` to its
+    ``states`` maps each name of :data:`clonectx.bounds.STATE_NAMES` to its
     noisy preparation and ``tests`` each name of
-    :data:`clonectx.ontic.TEST_NAMES` to its noisy test; the orthogonal
+    :data:`clonectx.bounds.TEST_NAMES` to its noisy test; the orthogonal
     partner of preparation ``s`` is ``states[f"{s}_perp"]``.
     """
 
@@ -380,17 +380,3 @@ def noisy_ensemble(v: float, c_ab: float) -> NoisyEnsemble:
 def simulate_confusabilities(v: float, c_ab: float) -> ExperimentRecord:
     """Run the noisy experiment and collect every observed probability (:meth:`NoisyEnsemble.record`)."""
     return noisy_ensemble(v, c_ab).record()
-
-
-def observed_confusability(v: float, c_ab: float) -> float:
-    """Closed form for the noisy input-pair confusability: (1-v)^2 c + v(1-v) + v^2/2."""
-    v = _check_unit("v", v)
-    c = _check_unit("c_ab", c_ab)
-    return (1.0 - v) ** 2 * c + v * (1.0 - v) + 0.5 * v * v
-
-
-def observed_target_confusability(v: float, c_ab: float) -> float:
-    """Closed form for the noisy target-pair confusability: (1-v)^3 c^2 + v(3-3v+v^2)/4."""
-    v = _check_unit("v", v)
-    c = _check_unit("c_ab", c_ab)
-    return (1.0 - v) ** 3 * c * c + 0.25 * v * (3.0 - 3.0 * v + v * v)

@@ -18,7 +18,6 @@ reports carry the mode they were computed under.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -27,16 +26,16 @@ from typing import Sequence
 
 import numpy as np
 
-from . import bounds, quantum
-from .bounds import ERR_MODES, BoundValue, _check_unit
+from . import bounds
+from .bounds import ERR_MODES, _check_unit
 
 # Confusabilities (c_ab, c_aabb) fed to the ceiling under each ``c_mode``,
 # as a function of the noise level v and the ideal overlap c.
 C_MODES = {
     "ideal-overlap": lambda v, c: (c, c * c),
     "observed-confusability": lambda v, c: (
-        quantum.observed_confusability(v, c),
-        quantum.observed_target_confusability(v, c),
+        bounds.observed_confusability(v, c),
+        bounds.observed_target_confusability(v, c),
     ),
 }
 ROOT_XTOL = 1e-6
@@ -114,11 +113,6 @@ def _ceiling(v, c, err_mode: str, c_mode: str):
     overlaps = _lookup(C_MODES, "c_mode", c_mode)
     v, c = _check_unit("v", v), _check_unit("c", c)
     return bounds.nc_bound(*overlaps(v, c), err(v))
-
-
-def nc_bound_at(v: float, c: float, err_mode: str, c_mode: str) -> BoundValue:
-    """Noncontextual ceiling at noise ``v`` and ideal overlap ``c`` under the given modes."""
-    return BoundValue.of(_ceiling(v, c, err_mode, c_mode))
 
 
 def advantage_gap(v, c, err_mode: str, c_mode: str):
@@ -244,23 +238,3 @@ def write_series_json(series: CurveSeries, path: str | Path, mode: str = "") -> 
         fh.write(f'{{\n "label": {label},\n "mode": {mode},\n "points": [')
         fh.writelines(f"{',' if i else ''}\n  [\n   {x!r},\n   {y!r}\n  ]" for i, (x, y) in enumerate(series.points))
         fh.write("\n ]\n}\n" if series.points else "]\n}\n")
-
-
-def write_region_csv(region: ViolationRegion, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["v", "c_lo", "c_hi"])
-        lo = "" if region.c_lo is None else repr(region.c_lo)
-        hi = "" if region.c_hi is None else repr(region.c_hi)
-        writer.writerow([repr(region.v), lo, hi])
-
-
-def region_to_json(region: ViolationRegion) -> dict:
-    return {
-        "v": region.v,
-        "c_lo": region.c_lo,
-        "c_hi": region.c_hi,
-        "err_mode": region.err_mode,
-        "c_mode": region.c_mode,
-        "anomalies": list(region.anomalies),
-    }

@@ -101,7 +101,6 @@ class TestNoisyBounds:
     def test_clamped_flag_keeps_raw_value(self):
         got = bounds.nc_bound_noisy(OverlapParams.symmetric(0.0), ErrorBudget.uniform(0.9))
         assert got.clamped and got.value > 1.0
-        assert got.capped == 1.0
 
     def test_symmetric_variant_case_split(self):
         # Asymmetric inputs exercising both min branches, evaluated by hand:

@@ -70,7 +70,7 @@ class TestExitCodes:
             object.__setattr__(result, "fidelity", result.fidelity - 1e-3)
             return result
 
-        monkeypatch.setattr(cli.quantum, "construct_optimal_clones", sabotaged)
+        monkeypatch.setattr(quantum, "construct_optimal_clones", sabotaged)
         code, out, _ = run_cli(capsys, "clones", "--c", "0.5")
         assert code == 1
         assert "result: FAIL" in out
@@ -88,6 +88,33 @@ def test_import_does_not_load_scipy():
     done = subprocess.run([sys.executable, "-c", probe], env=fresh_env(), capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv, unloaded",
+    [
+        (("bounds", "--c", "0.5", "--v", "0.015"), ("clonectx.ontic", "clonectx.quantum")),
+        (("region", "--v", "0.015"), ("clonectx.ontic", "clonectx.quantum")),
+        (("critical-noise", "--c", "0.5"), ("clonectx.ontic", "clonectx.quantum")),
+        (("curves", "--out", "OUT", "--points", "20"), ("clonectx.ontic", "clonectx.quantum")),
+        (("noise", "--v", "0.015", "--c", "0.5"), ("clonectx.ontic",)),
+        (("clones", "--c", "0.5"), ("clonectx.ontic",)),
+    ],
+    ids=["bounds", "region", "critical-noise", "curves", "noise", "clones"],
+)
+def test_subcommand_leaves_the_simulations_it_does_not_use_unloaded(tmp_path, argv, unloaded):
+    # The closed-form and scan subcommands never need quantum or ontic, and the
+    # quantum ones never need ontic; a fresh interpreter shows what each loads.
+    probe = ("import sys; from clonectx import cli; code = cli.run(sys.argv[1:]); "
+             "print(code, *sorted(m for m in sys.modules if m.startswith('clonectx.')))")
+    argv = [str(tmp_path) if a == "OUT" else a for a in argv]
+    done = subprocess.run([sys.executable, "-c", probe, *argv], env=fresh_env(), capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    code, *loaded = done.stdout.splitlines()[-1].split()
+    assert code == "0"
+    assert "clonectx.cli" in loaded
+    assert not set(unloaded) & set(loaded)
 
 
 def test_verify_ontic_peak_memory_at_resolution_640(tmp_path):

@@ -6,8 +6,6 @@ quantities involving a snapped overlap carry the quadrature tolerances
 2h / 4h.  Randomized property checks use a fixed seed throughout.
 """
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,8 +28,6 @@ from clonectx.ontic import (
     l1_distance,
     measured_epsilons,
     mix_with_uniform,
-    model_from_json,
-    model_to_json,
     verify_sandwich_ideal,
     verify_sandwich_noisy,
 )
@@ -252,7 +248,6 @@ class TestSaturatingModel:
             states=model.states,
             responses=broken_responses,
             clone_map=model.clone_map,
-            overlap_cells=model.overlap_cells,
         )
         report = check_O1(broken)
         assert not report.passed
@@ -270,7 +265,6 @@ class TestSaturatingModel:
             states=states,
             responses=model.responses,
             clone_map=model.clone_map,
-            overlap_cells=model.overlap_cells,
         )
         assert not check_O2(broken).passed
 
@@ -385,23 +379,3 @@ class TestSandwichRelations:
         eps = measured_epsilons(broken)
         report = verify_sandwich_noisy(broken, ("a", "b"), eps["a"], eps["b"], check_preconditions=False)
         assert report.lower_ok
-
-
-class TestSerialization:
-    def test_round_trip_preserves_everything(self):
-        model = build_saturating_model(0.25, 64)
-        doc = json.loads(json.dumps(model_to_json(model)))
-        back = model_from_json(doc)
-        assert back.c_ab == model.c_ab
-        assert back.pairs == model.pairs
-        for name, state in model.states.items():
-            np.testing.assert_array_equal(back.states[name].density, state.density)
-        for name, resp in model.responses.items():
-            np.testing.assert_array_equal(back.responses[name].values, resp.values)
-        np.testing.assert_array_equal(back.clone_map.kernel, model.clone_map.kernel)
-        np.testing.assert_array_equal(back.clone_map.cols, model.clone_map.cols)
-
-    def test_round_trip_of_mixed_model(self):
-        model = mix_with_uniform(build_saturating_model(0.5, 32), 0.05)
-        back = model_from_json(model_to_json(model))
-        np.testing.assert_allclose(back.states["alpha"].density, model.states["alpha"].density, atol=0)

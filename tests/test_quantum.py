@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clonectx import bounds, ontic, quantum
+from clonectx import bounds
 from clonectx.quantum import (
     DensityOperator,
     PureState,
@@ -178,14 +178,14 @@ class TestNoisyEnsemble:
             warnings.simplefilter("error", RuntimeWarning)
             ens = noisy_ensemble(v, c)
             rec = ens.record()
-        assert set(ens.states) == set(ontic.STATE_NAMES)
+        assert set(ens.states) == set(bounds.STATE_NAMES)
         assert list(ens.equivalence_residuals()) == ["a~b", "alpha~aa", "beta~bb", "aa~bb"]
         assert max(ens.equivalence_residuals().values()) <= 1e-12
         eb = bounds.depolarizing_epsilons(v)
-        for s in ontic.TEST_NAMES:
+        for s in bounds.TEST_NAMES:
             assert getattr(rec.budget, f"eps_{s}") == pytest.approx(getattr(eb, f"eps_{s}"), abs=1e-12)
-        assert rec.overlaps.c_ab == pytest.approx(quantum.observed_confusability(v, c), abs=1e-12)
-        assert rec.overlaps.c_aabb == pytest.approx(quantum.observed_target_confusability(v, c), abs=1e-12)
+        assert rec.overlaps.c_ab == pytest.approx(bounds.observed_confusability(v, c), abs=1e-12)
+        assert rec.overlaps.c_aabb == pytest.approx(bounds.observed_target_confusability(v, c), abs=1e-12)
         assert rec.f_global == pytest.approx(bounds.quantum_noisy_fidelity(v, c), abs=1e-12)
 
 
@@ -210,9 +210,9 @@ class TestSimulatedProbabilities:
     @pytest.mark.parametrize("c", C_GRID)
     def test_observed_confusability_closed_form(self, v, c):
         rec = simulate_confusabilities(v, c)
-        assert rec.overlaps.c_ab == pytest.approx(quantum.observed_confusability(v, c), abs=1e-12)
+        assert rec.overlaps.c_ab == pytest.approx(bounds.observed_confusability(v, c), abs=1e-12)
         assert rec.overlaps.c_ba == pytest.approx(rec.overlaps.c_ab, abs=1e-12)
-        assert rec.overlaps.c_aabb == pytest.approx(quantum.observed_target_confusability(v, c), abs=1e-12)
+        assert rec.overlaps.c_aabb == pytest.approx(bounds.observed_target_confusability(v, c), abs=1e-12)
         assert rec.overlaps.c_bbaa == pytest.approx(rec.overlaps.c_aabb, abs=1e-12)
 
     @pytest.mark.parametrize("v", V_GRID)

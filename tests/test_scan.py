@@ -1,5 +1,5 @@
 """Sweep and root-finding tests: figure curves, violation intervals, critical noise,
-and the CSV/JSON emitters."""
+and the CSV/JSON series writers."""
 
 import csv
 import functools
@@ -22,11 +22,8 @@ from clonectx.scan import (
     advantage_gap,
     critical_noise,
     fidelity_curves,
-    nc_bound_at,
     noise_resistance_curve,
-    region_to_json,
     violation_interval,
-    write_region_csv,
     write_series_csv,
     write_series_json,
 )
@@ -225,21 +222,26 @@ class TestCriticalNoise:
         assert critical_noise(0.5, spec) == critical_noise(0.5, spec)
 
 
+def ceiling_at(v, c, err_mode, c_mode):
+    """The noncontextual ceiling the gap subtracts, recovered from ``advantage_gap``."""
+    return bounds.quantum_noisy_fidelity(v, c) - advantage_gap(v, c, err_mode, c_mode)
+
+
 class TestNcBoundModes:
     def test_ideal_mode_matches_bounds_module(self):
-        got = nc_bound_at(0.015, 0.5, "thm2-direct", "ideal-overlap")
+        got = ceiling_at(0.015, 0.5, "thm2-direct", "ideal-overlap")
         eb = bounds.depolarizing_epsilons(0.015)
         want = bounds.nc_bound_noisy(bounds.OverlapParams.symmetric(0.5), eb)
-        assert got.value == want.value
+        assert got == want.value
 
     def test_observed_mode_uses_noisy_confusabilities(self):
-        lo = nc_bound_at(0.1, 0.2, "thm2-direct", "ideal-overlap").value
-        hi = nc_bound_at(0.1, 0.2, "thm2-direct", "observed-confusability").value
+        lo = ceiling_at(0.1, 0.2, "thm2-direct", "ideal-overlap")
+        hi = ceiling_at(0.1, 0.2, "thm2-direct", "observed-confusability")
         assert hi != pytest.approx(lo, abs=1e-6)
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
-            nc_bound_at(0.1, 0.2, "bogus", "ideal-overlap")
+            advantage_gap(0.1, 0.2, "bogus", "ideal-overlap")
 
 
 # The advantage gap written out by hand for every mode, independently of the
@@ -314,25 +316,3 @@ class TestEmitters:
             write_series_json(series, tmp_path / "s.json", mode=mode)
             doc = {"label": "v_max vs c_ab", "mode": mode or series.provenance, "points": [list(p) for p in points]}
             assert (tmp_path / "s.json").read_text() == json.dumps(doc, indent=1) + "\n"
-
-    def test_region_csv(self, tmp_path):
-        region = violation_interval(PAPER_V, spec_of("thm2-direct", "ideal-overlap"))
-        path = tmp_path / "region.csv"
-        write_region_csv(region, path)
-        rows = list(csv.reader(open(path)))
-        assert rows[0] == ["v", "c_lo", "c_hi"]
-        assert float(rows[1][0]) == PAPER_V
-        assert float(rows[1][1]) == region.c_lo
-
-    def test_region_csv_empty_marker(self, tmp_path):
-        region = violation_interval(0.9)
-        path = tmp_path / "region.csv"
-        write_region_csv(region, path)
-        rows = list(csv.reader(open(path)))
-        assert rows[1][1] == "" and rows[1][2] == ""
-
-    def test_region_json(self):
-        region = violation_interval(0.9)
-        doc = region_to_json(region)
-        assert doc["c_lo"] is None and doc["c_hi"] is None
-        assert doc["err_mode"] == "thm2-direct"
