@@ -4,10 +4,9 @@ Reproduces the two headline figures of the analysis as plain data: the
 quantum-versus-noncontextual fidelity tradeoff across confusabilities, and
 the noise resistance of the quantum advantage (the largest depolarizing
 level at which the quantum fidelity still beats the noncontextual ceiling,
-per confusability).  Every root comes from one vectorised bisection that
-halves all brackets together: the critical level per confusability on
-[0, 1] in v, and the flanks of the violation window around the top of the
-gap's hump in c.
+per confusability).  Every root is taken from a polynomial fitted exactly
+to the gap: a cubic in v for the critical levels, and one of degree 8 in
+t = sqrt(c) + sqrt(1 + c) for the violation window.
 
 Because the published error term exists in mutually inconsistent variants,
 every sweep takes an explicit ``err_mode``; likewise an explicit ``c_mode``
@@ -38,10 +37,6 @@ C_MODES = {
         bounds.observed_target_confusability(v, c),
     ),
 }
-ROOT_XTOL = 1e-6
-PRESCAN_POINTS = 1000
-ZOOM_ROUNDS = 3
-ZOOM_POINTS = 101
 
 
 def _lookup(table: dict, kind: str, mode: str):
@@ -86,8 +81,8 @@ class ViolationRegion:
     """Confusability interval where the quantum fidelity beats the noncontextual ceiling.
 
     ``c_lo``/``c_hi`` are None when no violation exists at this noise level.
-    ``anomalies`` lists every sign-change root if the pre-scan finds more
-    than the expected two.
+    ``anomalies`` lists every real root of the gap in (0, 1) when there are
+    more than the expected two.
     """
 
     v: float
@@ -131,76 +126,80 @@ def fidelity_curves(c_grid: Sequence[float]) -> tuple[CurveSeries, CurveSeries]:
     )
 
 
-def _bisect(g, pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
-    """Roots of ``g`` (elementwise, ``g(pos) > 0 >= g(neg)``) in every bracket to within ROOT_XTOL/2.
-
-    All brackets are halved together until the widest is below ROOT_XTOL.
-    """
-    width = float(np.max(np.abs(pos - neg), initial=0.0))
-    steps = math.ceil(math.log2(width / ROOT_XTOL)) if width > ROOT_XTOL else 0
-    for _ in range(steps):
-        mid = 0.5 * (pos + neg)
-        above = g(mid) > 0.0
-        pos, neg = np.where(above, mid, pos), np.where(above, neg, mid)
-    return 0.5 * (pos + neg)
+def _t_and_c(x):
+    """t = sqrt(c) + sqrt(1 + c) = 1 + (1 + x)/sqrt(2) for x in [-1, 1], and c = ((t*t - 1)/2t)**2."""
+    t = 1.0 + (1.0 + x) / math.sqrt(2.0)
+    return t, np.clip(((t * t - 1.0) / (2.0 * t)) ** 2, 0.0, 1.0)
 
 
 def violation_interval(v: float, spec: SweepSpec | None = None) -> ViolationRegion:
     """Confusability interval with a quantum advantage at noise level ``v``.
 
-    The gap has one hump in c.  Its top, from a 1000-point pre-scan zoomed
-    around the best point, decides emptiness, so a window narrower than the
-    pre-scan step is not missed.  Each flank is then bisected to 1e-6; more
-    than two sign changes along the scan are reported through ``anomalies``.
+    (2t)**4 times the gap is a polynomial of degree 8 in t = sqrt(c) + sqrt(1 + c),
+    fitted exactly through 9 Chebyshev nodes.  The region is empty unless the
+    gap is positive at the highest of the domain ends and critical points; it
+    then runs to the nearest real root, or domain edge, on each side of that
+    top.  More than two real roots in (0, 1) are all reported in ``anomalies``.
     """
     spec = spec or SweepSpec()
-    g = lambda c: advantage_gap(v, c, spec.err_mode, spec.c_mode)
-    cs = np.linspace(0.0, 1.0, PRESCAN_POINTS)
-    gs = g(cs)
-    zs, zg = cs, gs
-    for _ in range(ZOOM_ROUNDS):
-        i = int(np.argmax(zg))
-        zs = np.linspace(zs[max(i - 1, 0)], zs[min(i + 1, zs.size - 1)], ZOOM_POINTS)
-        zg = g(zs)
-    i = int(np.argmax(zg))
-    if zg[i] <= 0.0:
+    gap = lambda x: advantage_gap(v, _t_and_c(x)[1], spec.err_mode, spec.c_mode)
+    nodes = np.cos(np.pi * (np.arange(9) + 0.5) / 9.0)
+    poly = np.linalg.solve(np.vander(nodes), gap(nodes) * (2.0 * _t_and_c(nodes)[0]) ** 4)
+    # Complex critical points add their real parts, which can only bring the maximum closer to the top.
+    tops = np.append(np.clip(np.roots(np.polyder(poly)).real, -1.0, 1.0), [-1.0, 1.0])
+    top_gaps = gap(tops)
+    if top_gaps.max() <= 0.0:
         return ViolationRegion(v=v, c_lo=None, c_hi=None, err_mode=spec.err_mode, c_mode=spec.c_mode)
+    top = _t_and_c(tops[np.argmax(top_gaps)])[1]
+    r = np.roots(poly)
+    roots = _t_and_c(np.sort(r.real[(r.imag == 0.0) & (np.abs(r.real) < 1.0)]))[1].tolist()
+    c_lo = max((c for c in roots if c < top), default=0.0)
+    c_hi = min((c for c in roots if c > top), default=1.0)
+    return ViolationRegion(v=v, c_lo=c_lo, c_hi=c_hi, err_mode=spec.err_mode, c_mode=spec.c_mode,
+                           anomalies=tuple(roots) if len(roots) > 2 else ())
 
-    # The top joins the scan, so a window between two scan points shows its flanks.
-    k = int(np.searchsorted(cs, zs[i]))
-    cs, gs = np.insert(cs, k, zs[i]), np.insert(gs, k, zg[i])
-    above = gs > 0.0
-    flips = np.flatnonzero(above[:-1] != above[1:])
-    pos = np.where(above[flips], cs[flips], cs[flips + 1])
-    neg = np.where(above[flips], cs[flips + 1], cs[flips])
-    roots = _bisect(g, pos, neg).tolist()
-    # A positive gap at a domain edge means the region touches that edge.
-    c_lo = 0.0 if above[0] else roots[0]
-    c_hi = 1.0 if above[-1] else roots[-1]
-    return ViolationRegion(
-        v=v, c_lo=c_lo, c_hi=c_hi, err_mode=spec.err_mode, c_mode=spec.c_mode,
-        anomalies=tuple(roots) if len(roots) > 2 else (),
-    )
+
+def _cubic_root_nearest_half(a0, a1, a2, a3):
+    """The real root of a0 + a1*v + a2*v**2 + a3*v**3 nearest 1/2, elementwise (a3 != 0)."""
+    shift = a2 / (3.0 * a3)  # v = y - shift gives y**3 + p*y + q
+    p = a1 / a3 - 3.0 * shift * shift
+    q = a0 / a3 - shift * (p + shift * shift)
+    disc = 0.25 * q * q + p * p * p / 27.0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        u = np.cbrt(-0.5 * q - np.copysign(np.sqrt(disc), q))  # Cardano, where nothing cancels
+        r = np.sqrt(-p / 3.0)
+        phi = np.arccos(np.clip(-0.5 * q / (r * r * r), -1.0, 1.0))
+        three = 2.0 * r * np.cos((phi - 2.0 * np.pi * np.arange(3)[:, None]) / 3.0)
+    roots = np.where(disc > 0.0, u - p / (3.0 * u), three) - shift
+    return np.take_along_axis(roots, np.argmin(np.abs(roots - 0.5), axis=0)[None], axis=0)[0]
 
 
 def _critical_levels(cs: np.ndarray, spec: SweepSpec) -> np.ndarray:
-    """Critical noise level at each confusability in ``cs``, all bisected together.
+    """Critical noise level at each confusability in ``cs``, all solved together.
 
-    The gap is nonincreasing in v, so it changes sign at most once on [0, 1].
+    At fixed c the gap is a cubic in v, nonincreasing on [0, 1]: its root there
+    is its real root nearest 1/2, polished by two Newton steps on the gap itself.
     """
     g = lambda v, c: advantage_gap(v, c, spec.err_mode, spec.c_mode)
-    noiseless, saturated = g(0.0, cs) > 0.0, g(1.0, cs) > 0.0
-    levels = np.where(noiseless & saturated, 1.0, 0.0)
-    inside = noiseless & ~saturated
-    c_in = cs[inside]
-    levels[inside] = _bisect(lambda v: g(v, c_in), np.zeros(c_in.size), np.ones(c_in.size))
+    gs = g(np.array([[0.0], [1.0 / 3.0], [2.0 / 3.0], [1.0]]), cs)
+    levels = np.where(gs[3] > 0.0, 1.0, 0.0)
+    inside = (gs[0] > 0.0) & (gs[3] <= 0.0)
+    g0, g1, g2, g3 = gs[:, inside]
+    # The cubic through the four values, elementwise so that one point and a curve round alike.
+    a1 = g3 - 5.5 * g0 + 9.0 * g1 - 4.5 * g2
+    a2 = 4.5 * (2.0 * g0 - 5.0 * g1 + 4.0 * g2 - g3)
+    a3 = 4.5 * (g3 - g0 + 3.0 * (g1 - g2))
+    v = np.clip(_cubic_root_nearest_half(g0, a1, a2, a3), 0.0, 1.0)
+    for _ in range(2):
+        v = np.clip(v - g(v, cs[inside]) / (a1 + v * (2.0 * a2 + 3.0 * a3 * v)), 0.0, 1.0)
+    levels[inside] = v
     return levels
 
 
 def critical_noise(c_ab: float, spec: SweepSpec | None = None) -> float:
     """Largest depolarizing level at which the quantum advantage survives at ``c_ab``.
 
-    The zero crossing of the gap over v in [0, 1] is bisected to 1e-6.
+    The gap's root in v on [0, 1], from its cubic in v polished by Newton steps.
     Returns 0.0 when there is no advantage even noiselessly.
     """
     if not 0.0 < c_ab < 1.0:
@@ -211,7 +210,7 @@ def critical_noise(c_ab: float, spec: SweepSpec | None = None) -> float:
 def noise_resistance_curve(c_grid: Sequence[float], spec: SweepSpec | None = None) -> CurveSeries:
     """Critical noise level as a function of confusability, under the spec's modes.
 
-    Points outside (0, 1) are skipped; the rest share one bisection run.
+    Points outside (0, 1) are skipped; the rest share one vectorised cubic solve.
     """
     spec = spec or SweepSpec()
     cs = np.asarray(c_grid, dtype=float)

@@ -15,7 +15,6 @@ from clonectx import bounds
 from clonectx.scan import (
     C_MODES,
     ERR_MODES,
-    ROOT_XTOL,
     CurveSeries,
     SweepSpec,
     ViolationRegion,
@@ -37,6 +36,22 @@ V_PEAK_DEFAULT = 0.0181623369
 
 def spec_of(err_mode, c_mode):
     return SweepSpec(err_mode=err_mode, c_mode=c_mode)
+
+
+ALL_SPECS = [SweepSpec(err_mode=e, c_mode=c) for e in ERR_MODES for c in C_MODES]
+SPEC_IDS = [f"{s.err_mode}+{s.c_mode}" for s in ALL_SPECS]
+
+
+@functools.cache
+def peak(spec):
+    """Largest critical noise level over c and the c of that top, from the noise-resistance curve zoomed around it."""
+    cs = np.linspace(0.0, 1.0, 1001)[1:-1]
+    for _ in range(4):
+        levels = [v for _, v in noise_resistance_curve(cs, spec).points]
+        i = int(np.argmax(levels))
+        top = cs[i]
+        cs = np.linspace(cs[max(i - 1, 0)], cs[min(i + 1, cs.size - 1)], 101)
+    return max(levels), float(top)
 
 
 class TestSpecsAndTypes:
@@ -80,8 +95,8 @@ class TestFidelityCurves:
 class TestViolationInterval:
     def test_noiseless_interval_is_everything(self):
         region = violation_interval(0.0)
-        assert region.c_lo == pytest.approx(0.0, abs=1e-6)
-        assert region.c_hi == pytest.approx(1.0, abs=1e-6)
+        assert region.c_lo == pytest.approx(0.0, abs=1e-12)
+        assert region.c_hi == pytest.approx(1.0, abs=1e-12)
 
     def test_heavy_noise_kills_the_advantage(self):
         region = violation_interval(0.5)
@@ -100,9 +115,9 @@ class TestViolationInterval:
         region = violation_interval(PAPER_V, spec_of("thm2-direct", "ideal-overlap"))
         assert region.c_lo == pytest.approx(PAPER_INTERVAL[0], abs=0.05)
         assert region.c_hi == pytest.approx(PAPER_INTERVAL[1], abs=0.05)
-        # Regression pin for the exact computed endpoints.
-        assert region.c_lo == pytest.approx(0.318786, abs=2e-5)
-        assert region.c_hi == pytest.approx(0.718947, abs=2e-5)
+        # The exact endpoints, from an independent root computation of this gap.
+        assert region.c_lo == pytest.approx(0.31878623, abs=1e-8)
+        assert region.c_hi == pytest.approx(0.71894689, abs=1e-8)
 
     def test_published_interval_default_mode(self):
         region = violation_interval(PAPER_V)
@@ -120,70 +135,73 @@ class TestViolationInterval:
                 assert weaker.c_hi >= stronger.c_hi - 1e-9
 
     def test_no_anomalous_roots_in_standard_modes(self):
-        for v in (0.0, 0.01, 0.015):
-            assert violation_interval(v).anomalies == ()
+        for spec in ALL_SPECS:
+            for v in (0.0, 0.01, 0.015):
+                assert violation_interval(v, spec).anomalies == (), (spec, v)
 
     def test_window_narrower_than_the_prescan_step(self):
         # 1e-8 below the default modes' critical level the window is ~7e-4
-        # wide, narrower than the 1/999 pre-scan step.
+        # wide, narrower than the 1e-3 step of a 1000-point scan of c.
         region = violation_interval(V_PEAK_DEFAULT - 1e-8)
         assert not region.is_empty
         assert region.c_lo < 0.5319 < region.c_hi
         assert region.c_hi - region.c_lo < 1e-3
+        # In every mode pair the window still holds the hump's top as it closes
+        # like the square root of the distance to the level, and is gone 1e-12 above.
+        for spec in ALL_SPECS:
+            level, top = peak(spec)
+            for below in (1e-8, 1e-10, 1e-12):
+                region = violation_interval(level - below, spec)
+                assert not region.is_empty, (spec, below)
+                assert region.c_lo < top < region.c_hi
+                assert region.c_hi - region.c_lo < 2e-3 * math.sqrt(below / 1e-8)
+            assert violation_interval(level + 1e-12, spec).is_empty, spec
 
 
-@functools.cache
-def peak_level(spec):
-    """Largest critical noise level over c: the noise-resistance curve, zoomed around its top."""
-    cs = np.linspace(0.0, 1.0, 1001)[1:-1]
-    for _ in range(4):
-        levels = [v for _, v in noise_resistance_curve(cs, spec).points]
-        i = int(np.argmax(levels))
-        cs = np.linspace(cs[max(i - 1, 0)], cs[min(i + 1, cs.size - 1)], 101)
-    return max(levels)
-
-
-ALL_SPECS = [SweepSpec(err_mode=e, c_mode=c) for e in ERR_MODES for c in C_MODES]
 # Relative offsets from the peak: spread over the whole range, and close in.
 NEAR_PEAK = st.one_of(
     st.floats(-1.0, 1.0),
-    st.floats(-7.0, -3.0).map(lambda e: 10.0**e),
-    st.floats(-7.0, -3.0).map(lambda e: -(10.0**e)),
+    st.floats(-12.0, -3.0).map(lambda e: 10.0**e),
+    st.floats(-12.0, -3.0).map(lambda e: -(10.0**e)),
 )
 
 
 class TestRootProperties:
     def test_default_peak_is_the_known_level(self):
-        assert peak_level(SweepSpec()) == pytest.approx(V_PEAK_DEFAULT, abs=ROOT_XTOL)
+        assert peak(SweepSpec())[0] == pytest.approx(V_PEAK_DEFAULT, abs=1e-9)
 
-    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: f"{s.err_mode}+{s.c_mode}")
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=SPEC_IDS)
     @settings(derandomize=True, database=None)
     @given(offset=NEAR_PEAK)
     def test_window_exists_below_the_peak_level(self, spec, offset):
-        peak = peak_level(spec)
-        v = peak * (1.0 + offset)
-        if abs(v - peak) <= ROOT_XTOL:
+        level = peak(spec)[0]
+        if abs(offset) < 1e-12:
             return
+        v = level * (1.0 + offset)
         region = violation_interval(v, spec)
-        assert region.is_empty == (v > peak)
+        assert region.is_empty == (v > level)
         if region.is_empty:
             return
         g = lambda c: advantage_gap(v, c, spec.err_mode, spec.c_mode)
         lo, hi = region.c_lo, region.c_hi
         assert g(0.5 * (lo + hi)) > 0.0
-        # Each interior endpoint is a sign change of the gap within ROOT_XTOL.
+        # Each interior endpoint is a root of the gap to rounding at the gap's
+        # scale, and the gap is not positive one window width beyond it.
+        width = hi - lo
         if lo > 0.0:
-            assert g(max(lo - ROOT_XTOL, 0.0)) <= 0.0 < g(lo + ROOT_XTOL)
+            assert abs(g(lo)) <= 1e-14
+            assert g(max(lo - width, 0.0)) <= 0.0
         if hi < 1.0:
-            assert g(hi - ROOT_XTOL) > 0.0 >= g(min(hi + ROOT_XTOL, 1.0))
+            assert abs(g(hi)) <= 1e-14
+            assert g(min(hi + width, 1.0)) <= 0.0
 
-    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: f"{s.err_mode}+{s.c_mode}")
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=SPEC_IDS)
     @settings(derandomize=True, database=None)
     @given(c=st.floats(0.0, 1.0), v1=st.floats(0.0, 1.0), v2=st.floats(0.0, 1.0))
     def test_gap_is_nonincreasing_in_noise(self, spec, c, v1, v2):
-        # The fact behind bisecting each critical level on all of [0, 1]:
-        # the gap changes sign at most once along v.  1e-14 is rounding at
-        # the gap's scale (|gap| <= 6.2).
+        # The fact behind taking each critical level as the one root in [0, 1]
+        # of the gap's cubic in v: the gap changes sign at most once along v.
+        # 1e-14 is rounding at the gap's scale (|gap| <= 6.2).
         lo, hi = sorted((v1, v2))
         g = lambda v: advantage_gap(v, c, spec.err_mode, spec.c_mode)
         assert g(lo) >= g(hi) - 1e-14
@@ -260,11 +278,37 @@ CLOSED_C = {
 }
 
 
-def closed_form_gap(v, c, err_mode, c_mode):
-    f_opt = (math.sqrt((1 + c) * (1 + math.sqrt(c))) + math.sqrt((1 - c) * (1 - math.sqrt(c)))) ** 2 / 4
+def closed_form_gap(v, c, err_mode, c_mode, sqrt=math.sqrt):
+    f_opt = (sqrt((1 + c) * (1 + sqrt(c))) + sqrt((1 - c) * (1 - sqrt(c)))) ** 2 / 4
     f_noisy = (1 - v) ** 3 * f_opt + v * (3 - 3 * v + v**2) / 4
     c_ab, c_aabb = CLOSED_C[c_mode](v, c)
     return f_noisy - (1 - c_ab / 2 + c_aabb / 2 + CLOSED_ERR[err_mode](v))
+
+
+class TestHighPrecisionRoots:
+    """Every root against mpmath's root of the hand-written gap at 40 digits, found by bracketing."""
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=SPEC_IDS)
+    def test_critical_levels(self, spec):
+        from mpmath import mp
+
+        with mp.workdps(40):
+            for c in (0.01, 0.2, 0.5, 0.8, 0.99):
+                gap = lambda v: closed_form_gap(v, mp.mpf(c), spec.err_mode, spec.c_mode, sqrt=mp.sqrt)
+                exact = mp.findroot(gap, (mp.mpf(0), mp.mpf(1)), solver="anderson")
+                assert abs(critical_noise(c, spec) - exact) <= 1e-14, c
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=SPEC_IDS)
+    def test_window_ends(self, spec):
+        from mpmath import mp
+
+        with mp.workdps(40):
+            for v in (0.001, 0.005, 0.015):
+                region = violation_interval(v, spec)
+                gap = lambda c: closed_form_gap(mp.mpf(v), c, spec.err_mode, spec.c_mode, sqrt=mp.sqrt)
+                for end in () if region.is_empty else (region.c_lo, region.c_hi):
+                    exact = mp.findroot(gap, (mp.mpf(end) - 1e-6, mp.mpf(end) + 1e-6), solver="anderson")
+                    assert abs(end - exact) <= 1e-13, (v, end)
 
 
 class TestModeTables:
