@@ -12,7 +12,7 @@ preparation-noncontextual model whose cloning strategy reaches the
 noncontextual fidelity ceiling exactly.  Checkers for the perfect-test
 correlations (O1), the mixing equivalences (O2), the distance/confusability
 sandwich relations and the data-processing inequality operate on any model
-built from these parts.
+built from these parts, all at the one tolerance ``STRUCTURAL_TOL``.
 """
 
 from __future__ import annotations
@@ -426,7 +426,7 @@ def verify_sandwich_ideal(
     o1: O1Report | None = None,
     o2: O2Report | None = None,
 ) -> list[SandwichIdealReport]:
-    """Check the exact ideal relation |mu_s - mu_s'| = 2(1 - c_ss') for each pair, up to quadrature slack.
+    """Check the ideal relation |mu_s - mu_s'| = 2(1 - c_ss') for each pair, to ``STRUCTURAL_TOL``.
 
     Requires the model to pass the perfect-correlation and mixing checks,
     run once for all pairs (a caller that already holds this model's
@@ -436,14 +436,13 @@ def verify_sandwich_ideal(
         raise ValueError("model fails the perfect-correlation check; the ideal sandwich does not apply")
     if not (o2 or check_O2(model)).passed:
         raise ValueError("model fails the mixing-equivalence check; the ideal sandwich does not apply")
-    tol = 4.0 * model.grid_in.h
     reports = []
     for s, s2 in pairs:
         dist = l1_distance(model.states[s], model.states[s2])
         conf = confusability(model.states[s], model.responses[s2])
         residual = abs(dist - 2.0 * (1.0 - conf))
-        reports.append(SandwichIdealReport(pair=(s, s2), l1=dist, confus=conf, residual=residual, tol=tol,
-                                           passed=residual <= tol))
+        reports.append(SandwichIdealReport(pair=(s, s2), l1=dist, confus=conf, residual=residual,
+                                           tol=STRUCTURAL_TOL, passed=residual <= STRUCTURAL_TOL))
     return reports
 
 
@@ -483,8 +482,7 @@ def verify_sandwich_noisy(
         if not check_O2(model).passed:
             raise ValueError("model fails the mixing-equivalence check")
         eps_measured = measured_epsilons(model)
-        slack_eps = STRUCTURAL_TOL
-        if eps_measured[s] > eps_s + slack_eps or eps_measured[s2] > eps_s2 + slack_eps:
+        if eps_measured[s] > eps_s + STRUCTURAL_TOL or eps_measured[s2] > eps_s2 + STRUCTURAL_TOL:
             raise ValueError(
                 f"supplied allowances ({eps_s:.3e}, {eps_s2:.3e}) are smaller than the "
                 f"measured ones ({eps_measured[s]:.3e}, {eps_measured[s2]:.3e})"
@@ -494,11 +492,10 @@ def verify_sandwich_noisy(
     c_rev = confusability(model.states[s2], model.responses[s])
     lower = 2.0 * max(1.0 - c_fwd - eps_s2, 1.0 - c_rev - eps_s)
     upper = 2.0 * min(1.0 - c_fwd + eps_s2, 1.0 - c_rev + eps_s)
-    slack = 4.0 * model.grid_in.h
     margin_lower = dist - lower
     margin_upper = upper - dist
-    lower_ok = margin_lower >= -slack
-    upper_ok = margin_upper >= -slack
+    lower_ok = margin_lower >= -STRUCTURAL_TOL
+    upper_ok = margin_upper >= -STRUCTURAL_TOL
     return SandwichNoisyReport(
         pair=pair,
         l1=dist,
@@ -506,7 +503,7 @@ def verify_sandwich_noisy(
         upper=upper,
         margin_lower=margin_lower,
         margin_upper=margin_upper,
-        slack=slack,
+        slack=STRUCTURAL_TOL,
         lower_ok=lower_ok,
         upper_ok=upper_ok,
         passed=lower_ok and upper_ok,

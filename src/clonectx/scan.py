@@ -229,10 +229,10 @@ def write_series_csv(series: CurveSeries, path: str | Path) -> None:
         fh.writelines(f"{x!r},{y!r}\r\n" for x, y in series.points)
 
 
-def write_series_json(series: CurveSeries, path: str | Path, mode: str = "") -> None:
+def write_series_json(series: CurveSeries, path: str | Path) -> None:
     """The layout of ``json.dump(doc, indent=1)``, streamed point by point."""
     label = json.dumps(f"{series.y_label} vs {series.x_label}")
-    mode = json.dumps(mode or series.provenance)
+    mode = json.dumps(series.provenance)
     with open(path, "w") as fh:
         fh.write(f'{{\n "label": {label},\n "mode": {mode},\n "points": [')
         fh.writelines(f"{',' if i else ''}\n  [\n   {x!r},\n   {y!r}\n  ]" for i, (x, y) in enumerate(series.points))

@@ -216,6 +216,25 @@ class TestSubcommands:
         assert "f_global = 0.875" in out
         assert "result: PASS" in out
 
+    @pytest.mark.parametrize("c, n", [(0.0, 4), (0.37, 100), (0.318, 200), (1.0, 64)])
+    def test_verify_ontic_judges_every_verdict_at_the_structural_tolerance(self, capsys, c, n):
+        code, out, _ = run_cli(capsys, "verify-ontic", "--c", str(c), "--resolution", str(n), "--json")
+        assert code == 0
+        verdicts = json.loads(out)["verdicts"]
+        assert len(verdicts) == 9
+        assert all(v["status"] == "pass" and v["detail"].endswith("<= 1e-09") for v in verdicts), verdicts
+
+    def test_verify_ontic_fails_a_fidelity_off_by_a_micro(self, capsys, monkeypatch):
+        # At n = 100 a grid-size slack of 4h = 0.08 would let this through.
+        from clonectx import ontic
+
+        real = ontic.global_fidelity
+        monkeypatch.setattr(ontic, "global_fidelity", lambda model: real(model) + 1e-6)
+        code, out, _ = run_cli(capsys, "verify-ontic", "--c", "0.5", "--resolution", "100")
+        assert code == 1
+        assert "[FAIL] fidelity-saturates-nc-bound" in out
+        assert "result: FAIL" in out
+
     def test_verify_ontic_runs_each_model_check_once(self, capsys, monkeypatch):
         from clonectx import ontic
 

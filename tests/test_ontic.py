@@ -1,9 +1,9 @@
 """Ontological-model engine tests.
 
-Structural identities of the bound-saturating model are expected at
-machine precision (its supports are grid-aligned by construction); only
-quantities involving a snapped overlap carry the quadrature tolerances
-2h / 4h.  Randomized property checks use a fixed seed throughout.
+Every quantity of the bound-saturating model is expected at machine
+precision: its supports are grid-aligned by construction, so at the
+snapped overlap each one equals its closed form to rounding.  Randomized
+property checks use a fixed seed throughout.
 """
 
 import numpy as np
@@ -195,7 +195,7 @@ class TestSaturatingModel:
     def test_fidelity_saturates_the_ceiling(self, c):
         model = build_saturating_model(c, 200)
         target = bounds.nc_bound_ideal(model.c_ab, model.c_ab**2)
-        assert global_fidelity(model) == pytest.approx(target, abs=4 * model.grid_in.h)
+        assert global_fidelity(model) == pytest.approx(target, abs=1e-12)
 
     def test_half_overlap_by_hand(self):
         model = build_saturating_model(0.5, 200)
@@ -218,14 +218,14 @@ class TestSaturatingModel:
     def test_maximal_overlap_of_inputs(self):
         model = build_saturating_model(0.5, 200)
         mass_on_other_support = confusability(model.states["a"], model.responses["b"])
-        assert mass_on_other_support == pytest.approx(model.c_ab, abs=2 * model.grid_in.h)
+        assert mass_on_other_support == pytest.approx(model.c_ab, abs=1e-12)
 
     def test_discrimination_ceiling_from_the_model_distance(self):
         # The best discrimination probability 1/2 + |mu_a - mu_b|/4 of the
         # saturating model meets the closed-form noncontextual ceiling.
         model = build_saturating_model(0.5, 200)
         from_distance = 0.5 + 0.25 * l1_distance(model.states["a"], model.states["b"])
-        assert from_distance == pytest.approx(bounds.nc_discrimination_bound(0.5), abs=2 * model.grid_in.h)
+        assert from_distance == pytest.approx(bounds.nc_discrimination_bound(0.5), abs=1e-12)
         assert from_distance == pytest.approx(0.75, abs=1e-12)
 
     def test_snapping_warns(self):
@@ -267,6 +267,34 @@ class TestSaturatingModel:
             clone_map=model.clone_map,
         )
         assert not check_O2(broken).passed
+
+
+class TestExactAtTheSnappedOverlap:
+    """Every quantity verify-ontic reports against its closed form at c = k/m."""
+
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(m=st.integers(2, 32))
+    def test_every_overlap_matches_the_closed_forms(self, m):
+        for k in range(m + 1):
+            model = build_saturating_model(k / m, 2 * m)
+            c = model.c_ab
+            assert c == k / m
+            assert global_fidelity(model) == pytest.approx(bounds.nc_bound_ideal(c, c * c), rel=0, abs=1e-14)
+            assert check_O1(model).max_residual <= 1e-14
+            assert check_O2(model).max_residual <= 1e-14
+            # (l1 distance, confusability) of each pair the identities run on.
+            expected = {
+                ("a", "b"): (2.0 * (1.0 - c), c),
+                ("alpha", "aa"): (2.0 * (c - c * c), 1.0 - c + c * c),
+                ("beta", "bb"): (0.0, 1.0),
+                ("aa", "bb"): (2.0 * (1.0 - c * c), c * c),
+            }
+            for rep in verify_sandwich_ideal(model, list(expected)):
+                assert (rep.l1, rep.confus) == pytest.approx(expected[rep.pair], rel=0, abs=1e-14), rep
+                assert rep.residual <= 1e-14, rep
+            assert confusability(model.states["a"], model.responses["b"]) == pytest.approx(c, rel=0, abs=1e-14)
+            b = model.states["b"].density
+            assert np.abs(model.states["beta"].density - np.outer(b, b).ravel()).max() <= 1e-14
 
 
 class TestStructuredKernel:

@@ -341,10 +341,10 @@ class TestEmitters:
     def test_series_json_schema(self, tmp_path):
         series, _ = fidelity_curves(np.linspace(0.0, 1.0, 5))
         path = tmp_path / "curve.json"
-        write_series_json(series, path, mode="test-mode")
+        write_series_json(series, path)
         doc = json.loads(path.read_text())
         assert set(doc) == {"label", "mode", "points"}
-        assert doc["mode"] == "test-mode"
+        assert doc["mode"] == series.provenance
         assert [tuple(p) for p in doc["points"]] == list(series.points)
 
     @pytest.mark.parametrize("size", [0, 1, 7])
@@ -356,7 +356,6 @@ class TestEmitters:
         with open(tmp_path / "ref.csv", "w", newline="") as fh:
             csv.writer(fh).writerows([["x", "y"], *([repr(x), repr(y)] for x, y in points)])
         assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-        for mode in ("", "m"):
-            write_series_json(series, tmp_path / "s.json", mode=mode)
-            doc = {"label": "v_max vs c_ab", "mode": mode or series.provenance, "points": [list(p) for p in points]}
-            assert (tmp_path / "s.json").read_text() == json.dumps(doc, indent=1) + "\n"
+        write_series_json(series, tmp_path / "s.json")
+        doc = {"label": "v_max vs c_ab", "mode": series.provenance, "points": [list(p) for p in points]}
+        assert (tmp_path / "s.json").read_text() == json.dumps(doc, indent=1) + "\n"
