@@ -1,6 +1,8 @@
 """Workbench for the contextuality analysis of state-dependent quantum cloning.
 
-Modules by concern; ``quantum``, ``ontic`` and ``scan`` import only ``bounds``:
+Modules by concern; ``quantum``, ``ontic`` and ``scan`` import only ``bounds``.
+``bounds`` and ``scan`` compute on Python floats with :mod:`math`; only
+``quantum`` and ``ontic`` import numpy:
 
 * :mod:`clonectx.bounds`  -- closed-form fidelities, noncontextual ceilings,
   depolarizing-noise error budgets and observed confusabilities, and the

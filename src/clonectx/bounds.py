@@ -10,6 +10,12 @@ confusabilities that channel leaves observable.  The names of the
 experiment's preparations, tests and mixing equivalences live here too, so
 that :mod:`clonectx.quantum` and :mod:`clonectx.ontic` share one spelling.
 
+Every closed form computes on Python floats with :mod:`math` alone, and
+every number it returns is a ``float``: importing this module does not
+load numpy.  Every
+validated probability goes through :func:`_check_unit`, which rejects NaN,
+±inf and anything outside [0, 1] with a ``ValueError``.
+
 Conventions: ``c_ab`` is the confusability of the two input preparations
 (squared overlap in the ideal quantum realisation), ``c_aabb`` the
 confusability of the two ideal two-copy targets, and ``eps_*`` the
@@ -21,8 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 STATE_NAMES = (
     "a", "b", "a_perp", "b_perp",
     "alpha", "beta", "alpha_perp", "beta_perp",
@@ -32,13 +36,12 @@ TEST_NAMES = ("a", "b", "alpha", "beta", "aa", "bb")
 EQUIVALENCE_PAIRS = (("a", "b"), ("alpha", "aa"), ("beta", "bb"))
 
 
-def _check_unit(name: str, x):
-    """Validate probabilities in [0, 1], NaN failing; a float comes back as a float, an array as an array."""
-    a = np.asarray(x, dtype=float)
-    bad = a[~((a >= 0.0) & (a <= 1.0))]
-    if bad.size:
-        raise ValueError(f"{name} must lie in [0, 1], got {float(bad.flat[0])!r}")
-    return float(a) if a.ndim == 0 else a
+def _check_unit(name: str, x) -> float:
+    """A probability in [0, 1] as a Python float; NaN, ±inf and anything outside fail."""
+    x = float(x)
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {x!r}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -123,8 +126,8 @@ def quantum_optimal_fidelity(c_ab: float) -> float:
     inputs clone perfectly) and stays within [1/2, 1] in between.
     """
     c = _check_unit("c_ab", c_ab)
-    rc = np.sqrt(c)
-    bracket = np.sqrt((1.0 + c) * (1.0 + rc)) + np.sqrt((1.0 - c) * (1.0 - rc))
+    rc = math.sqrt(c)
+    bracket = math.sqrt((1.0 + c) * (1.0 + rc)) + math.sqrt((1.0 - c) * (1.0 - rc))
     return 0.25 * bracket * bracket
 
 

@@ -7,14 +7,19 @@ and quantum simulation).  Reports go to standard output as plain text, or
 as a single JSON document with ``--json``; elapsed wall time goes to
 standard error so that identical invocations produce byte-identical
 reports.  Exit status: 0 when every verdict passes, 1 when any fails,
-2 for argument errors.  Only the handlers that simulate import
-:mod:`clonectx.quantum` or :mod:`clonectx.ontic`, so the closed-form and
-scan subcommands never load either.
+2 for argument errors.  ``bounds`` and ``scan`` compute on Python floats,
+so importing this module does not load numpy.  Only the subcommands that
+simulate load :mod:`clonectx.quantum` or :mod:`clonectx.ontic`, and numpy
+with them; ``_HANDLERS`` names that module for each, and :func:`run`
+imports it before the clock starts, so ``elapsed:`` times the computation
+alone.  ``bounds``, ``region``, ``critical-noise`` and ``curves`` load
+neither.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 import time
@@ -118,6 +123,16 @@ def _curve_points(text: str) -> int:
     return x
 
 
+def _out_dir(text: str) -> Path:
+    """The output directory, made here if it does not exist yet."""
+    path = Path(text)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(f"cannot create directory {text!r}: {exc.strerror}") from exc
+    return path
+
+
 def _resolution(text: str) -> int:
     x = _integer(text)
     if x < 4 or x % 2:
@@ -160,7 +175,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=_open_probability, required=True, help="input confusability in (0, 1)")
 
     p = sub.add_parser("curves", parents=[common], help="write figure data (fidelity tradeoff, noise resistance)")
-    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--out", type=_out_dir, required=True, help="output directory")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--points", type=_curve_points, default=500,
                    help=f"number of c grid points, 2 to {MAX_POINTS} "
@@ -209,9 +224,7 @@ def _cmd_bounds(args: argparse.Namespace) -> RunReport:
     return report
 
 
-def _cmd_clones(args: argparse.Namespace) -> RunReport:
-    from . import quantum
-
+def _cmd_clones(args: argparse.Namespace, quantum) -> RunReport:
     c = args.c
     report = RunReport("clones", inputs={"c": c})
     result = quantum.construct_optimal_clones(c)
@@ -232,11 +245,9 @@ def _cmd_clones(args: argparse.Namespace) -> RunReport:
     return report
 
 
-def _cmd_quantum(args: argparse.Namespace, residuals: bool) -> RunReport:
+def _cmd_quantum(args: argparse.Namespace, quantum, residuals: bool) -> RunReport:
     """``noise`` and ``verify-quantum``: Born-rule outputs of the noisy experiment
     checked against the closed forms, with each equivalence residual if ``residuals``."""
-    from . import quantum
-
     v, c = args.v, args.c
     report = RunReport(args.command, inputs={"v": v, "c": c})
     ens = quantum.noisy_ensemble(v, c)
@@ -298,8 +309,7 @@ def _cmd_critical_noise(args: argparse.Namespace) -> RunReport:
 
 
 def _cmd_curves(args: argparse.Namespace) -> RunReport:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = args.out
     n = args.points
     c_grid = [i / (n - 1) for i in range(n)]
     q_series, nc_series = scan.fidelity_curves(c_grid)
@@ -331,9 +341,7 @@ def _cmd_curves(args: argparse.Namespace) -> RunReport:
     )
 
 
-def _cmd_verify_ontic(args: argparse.Namespace) -> RunReport:
-    from . import ontic
-
+def _cmd_verify_ontic(args: argparse.Namespace, ontic) -> RunReport:
     report = RunReport("verify-ontic", inputs={"c": args.c, "resolution": args.resolution})
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -380,15 +388,16 @@ def _cmd_verify_ontic(args: argparse.Namespace) -> RunReport:
     return report
 
 
+# Each subcommand's handler, and the simulation module it takes (None: it needs none).
 _HANDLERS = {
-    "bounds": _cmd_bounds,
-    "clones": _cmd_clones,
-    "noise": partial(_cmd_quantum, residuals=False),
-    "region": _cmd_region,
-    "critical-noise": _cmd_critical_noise,
-    "curves": _cmd_curves,
-    "verify-ontic": _cmd_verify_ontic,
-    "verify-quantum": partial(_cmd_quantum, residuals=True),
+    "bounds": (_cmd_bounds, None),
+    "clones": (_cmd_clones, "quantum"),
+    "noise": (partial(_cmd_quantum, residuals=False), "quantum"),
+    "region": (_cmd_region, None),
+    "critical-noise": (_cmd_critical_noise, None),
+    "curves": (_cmd_curves, None),
+    "verify-ontic": (_cmd_verify_ontic, "ontic"),
+    "verify-quantum": (partial(_cmd_quantum, residuals=True), "quantum"),
 }
 
 
@@ -398,8 +407,11 @@ def run(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    handler, module = _HANDLERS[args.command]
+    # The module, and numpy with it, loads before the clock starts: elapsed: is compute only.
+    modules = (importlib.import_module(f"{__package__}.{module}"),) if module else ()
     start = time.perf_counter()
-    report = _HANDLERS[args.command](args)
+    report = handler(args, *modules)
     report.wall_time_s = time.perf_counter() - start
     print(report.render_json() if args.json else report.render_text())
     print(f"elapsed: {report.wall_time_s:.3f} s", file=sys.stderr)

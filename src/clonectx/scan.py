@@ -6,7 +6,9 @@ the noise resistance of the quantum advantage (the largest depolarizing
 level at which the quantum fidelity still beats the noncontextual ceiling,
 per confusability).  Every root is taken from a polynomial fitted exactly
 to the gap: a cubic in v for the critical levels, and one of degree 8 in
-t = sqrt(c) + sqrt(1 + c) for the violation window.
+t = sqrt(c) + sqrt(1 + c) for the violation window.  Like
+:mod:`clonectx.bounds`, this module computes on Python floats with
+:mod:`math` alone, so the subcommands built on it start without numpy.
 
 Because the published error term exists in mutually inconsistent variants,
 every sweep takes an explicit ``err_mode``; likewise an explicit ``c_mode``
@@ -22,8 +24,6 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
-
-import numpy as np
 
 from . import bounds
 from .bounds import ERR_MODES, _check_unit
@@ -103,122 +103,192 @@ class ViolationRegion:
         return self.c_lo is None
 
 
-def _ceiling(v, c, err_mode: str, c_mode: str):
-    err = _lookup(ERR_MODES, "err_mode", err_mode)
-    overlaps = _lookup(C_MODES, "c_mode", c_mode)
-    v, c = _check_unit("v", v), _check_unit("c", c)
-    return bounds.nc_bound(*overlaps(v, c), err(v))
+def _gap_in_c(v: float, spec: SweepSpec):
+    """The gap at noise level ``v`` as a function of c alone; the error term is taken once."""
+    err = ERR_MODES[spec.err_mode](v)
+    overlaps = C_MODES[spec.c_mode]
+    noisy, ceiling = bounds.quantum_noisy_fidelity, bounds.nc_bound
+    return lambda c: noisy(v, c) - ceiling(*overlaps(v, c), err)
 
 
-def advantage_gap(v, c, err_mode: str, c_mode: str):
-    """Quantum noisy fidelity minus the (unclamped) noncontextual ceiling; elementwise on arrays."""
-    return bounds.quantum_noisy_fidelity(v, c) - _ceiling(v, c, err_mode, c_mode)
+def advantage_gap(v: float, c: float, err_mode: str, c_mode: str) -> float:
+    """Quantum noisy fidelity minus the (unclamped) noncontextual ceiling."""
+    return _gap_in_c(_check_unit("v", v), SweepSpec(err_mode, c_mode))(_check_unit("c", c))
 
 
 def fidelity_curves(c_grid: Sequence[float]) -> tuple[CurveSeries, CurveSeries]:
     """Ideal fidelity/confusability tradeoff: quantum optimum vs noncontextual ceiling."""
-    cs = np.asarray(c_grid, dtype=float)
-    q_points = tuple(zip(cs.tolist(), bounds.quantum_optimal_fidelity(cs).tolist()))
-    nc_points = tuple(zip(cs.tolist(), bounds.nc_bound_ideal(cs, cs * cs).tolist()))
+    cs = [float(c) for c in c_grid]
+    q_points = tuple((c, bounds.quantum_optimal_fidelity(c)) for c in cs)
+    nc_points = tuple((c, bounds.nc_bound_ideal(c, c * c)) for c in cs)
     return (
         CurveSeries("c_ab", "F_g", q_points, provenance="optimal quantum cloning fidelity"),
         CurveSeries("c_ab", "F_g", nc_points, provenance="noncontextual ceiling at c_aabb = c_ab^2"),
     )
 
 
-def _t_and_c(x):
+# Chebyshev nodes of x in [-1, 1] for the degree-8 fit of the violation window.
+_CHEBYSHEV_9 = tuple(math.cos(math.pi * (k + 0.5) / 9.0) for k in range(9))
+
+
+def _t_and_c(x: float) -> tuple[float, float]:
     """t = sqrt(c) + sqrt(1 + c) = 1 + (1 + x)/sqrt(2) for x in [-1, 1], and c = ((t*t - 1)/2t)**2."""
     t = 1.0 + (1.0 + x) / math.sqrt(2.0)
-    return t, np.clip(((t * t - 1.0) / (2.0 * t)) ** 2, 0.0, 1.0)
+    return t, min(max(((t * t - 1.0) / (2.0 * t)) ** 2, 0.0), 1.0)
+
+
+def _interpolate(xs: Sequence[float], ys: Sequence[float]) -> list[float]:
+    """Coefficients, lowest power first, of the polynomial through (xs, ys): Newton's divided differences, expanded."""
+    dd = list(ys)
+    for j in range(1, len(xs)):
+        for i in range(len(xs) - 1, j - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - j])
+    poly = [dd[-1]]
+    for a, d in zip(xs[-2::-1], dd[-2::-1]):  # poly * (x - a) + d
+        poly = [d - a * poly[0], *(lo - a * hi for lo, hi in zip(poly, poly[1:])), poly[-1]]
+    return poly
+
+
+def _horner(poly: Sequence[float], x: float) -> float:
+    y = 0.0
+    for a in reversed(poly):
+        y = y * x + a
+    return y
+
+
+def _bisect(f, lo: float, hi: float, lo_positive: bool) -> float:
+    """The sign change of ``f`` in [lo, hi], bisected down to adjacent floats: the end nearer zero."""
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if (f(mid) > 0.0) == lo_positive:
+            lo = mid
+        else:
+            hi = mid
+    return lo if abs(f(lo)) <= abs(f(hi)) else hi
+
+
+def _sign_changes(f, cuts: Sequence[float]) -> list[float]:
+    """Where ``f`` changes sign on [-1, 1], ascending, given cuts that split it into monotone pieces."""
+    ends = [-1.0, *cuts, 1.0]
+    up = [f(x) > 0.0 for x in ends]
+    return [_bisect(f, a, b, sa) for a, b, sa, sb in zip(ends, ends[1:], up, up[1:]) if sa != sb]
+
+
+def _derivative(poly: Sequence[float]) -> list[float]:
+    return [k * a for k, a in enumerate(poly)][1:]
+
+
+def _real_roots(poly: Sequence[float]) -> list[float]:
+    """Real roots in [-1, 1] at which the polynomial changes sign, ascending.
+
+    The derivative cascade: the real roots of the derivative, found the same
+    way, cut [-1, 1] into monotone pieces, and each piece holds at most one root.
+    """
+    if len(poly) < 2:
+        return []
+    return _sign_changes(lambda x: _horner(poly, x), _real_roots(_derivative(poly)))
 
 
 def violation_interval(v: float, spec: SweepSpec | None = None) -> ViolationRegion:
     """Confusability interval with a quantum advantage at noise level ``v``.
 
     (2t)**4 times the gap is a polynomial of degree 8 in t = sqrt(c) + sqrt(1 + c),
-    fitted exactly through 9 Chebyshev nodes.  The region is empty unless the
-    gap is positive at the highest of the domain ends and critical points; it
-    then runs to the nearest real root, or domain edge, on each side of that
-    top.  More than two real roots in (0, 1) are all reported in ``anomalies``.
+    fitted exactly through 9 Chebyshev nodes; the real roots of its derivative
+    are its critical points, and they cut the domain into pieces on which the
+    gap is monotone.  The region is empty unless the gap is positive at the
+    highest of the domain ends and critical points; it then runs to the
+    nearest sign change of the gap, bisected down to adjacent floats, or to
+    the domain edge, on each side of that top.  More than two sign changes in
+    (0, 1) are all reported in ``anomalies``.
     """
     spec = spec or SweepSpec()
-    gap = lambda x: advantage_gap(v, _t_and_c(x)[1], spec.err_mode, spec.c_mode)
-    nodes = np.cos(np.pi * (np.arange(9) + 0.5) / 9.0)
-    poly = np.linalg.solve(np.vander(nodes), gap(nodes) * (2.0 * _t_and_c(nodes)[0]) ** 4)
-    # Complex critical points add their real parts, which can only bring the maximum closer to the top.
-    tops = np.append(np.clip(np.roots(np.polyder(poly)).real, -1.0, 1.0), [-1.0, 1.0])
-    top_gaps = gap(tops)
-    if top_gaps.max() <= 0.0:
+    v = _check_unit("v", v)
+    gap_in_c = _gap_in_c(v, spec)
+    gap = lambda x: gap_in_c(_t_and_c(x)[1])
+    poly = _interpolate(_CHEBYSHEV_9, [gap(x) * (2.0 * _t_and_c(x)[0]) ** 4 for x in _CHEBYSHEV_9])
+    critical = _real_roots(_derivative(poly))
+    tops = [*critical, -1.0, 1.0]
+    top_gaps = [gap(x) for x in tops]
+    best = max(range(len(tops)), key=top_gaps.__getitem__)
+    if top_gaps[best] <= 0.0:
         return ViolationRegion(v=v, c_lo=None, c_hi=None, err_mode=spec.err_mode, c_mode=spec.c_mode)
-    top = _t_and_c(tops[np.argmax(top_gaps)])[1]
-    r = np.roots(poly)
-    roots = _t_and_c(np.sort(r.real[(r.imag == 0.0) & (np.abs(r.real) < 1.0)]))[1].tolist()
+    top = _t_and_c(tops[best])[1]
+    roots = [_t_and_c(x)[1] for x in _sign_changes(gap, critical) if -1.0 < x < 1.0]
     c_lo = max((c for c in roots if c < top), default=0.0)
     c_hi = min((c for c in roots if c > top), default=1.0)
     return ViolationRegion(v=v, c_lo=c_lo, c_hi=c_hi, err_mode=spec.err_mode, c_mode=spec.c_mode,
                            anomalies=tuple(roots) if len(roots) > 2 else ())
 
 
-def _cubic_root_nearest_half(a0, a1, a2, a3):
-    """The real root of a0 + a1*v + a2*v**2 + a3*v**3 nearest 1/2, elementwise (a3 != 0)."""
+def _cbrt(x: float) -> float:
+    """The real cube root, negative for negative x (``math.cbrt`` needs Python 3.11)."""
+    return math.copysign(abs(x) ** (1.0 / 3.0), x)
+
+
+def _cubic_root_nearest_half(a0: float, a1: float, a2: float, a3: float) -> float:
+    """The real root of a0 + a1*v + a2*v**2 + a3*v**3 nearest 1/2 (a3 != 0)."""
     shift = a2 / (3.0 * a3)  # v = y - shift gives y**3 + p*y + q
     p = a1 / a3 - 3.0 * shift * shift
     q = a0 / a3 - shift * (p + shift * shift)
     disc = 0.25 * q * q + p * p * p / 27.0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        u = np.cbrt(-0.5 * q - np.copysign(np.sqrt(disc), q))  # Cardano, where nothing cancels
-        r = np.sqrt(-p / 3.0)
-        phi = np.arccos(np.clip(-0.5 * q / (r * r * r), -1.0, 1.0))
-        three = 2.0 * r * np.cos((phi - 2.0 * np.pi * np.arange(3)[:, None]) / 3.0)
-    roots = np.where(disc > 0.0, u - p / (3.0 * u), three) - shift
-    return np.take_along_axis(roots, np.argmin(np.abs(roots - 0.5), axis=0)[None], axis=0)[0]
+    if disc > 0.0:  # one real root: Cardano, where nothing cancels
+        u = _cbrt(-0.5 * q - math.copysign(math.sqrt(disc), q))
+        return u - p / (3.0 * u) - shift
+    r = math.sqrt(-p / 3.0)  # three real roots: the trigonometric form
+    phi = math.acos(max(-1.0, min(1.0, -0.5 * q / (r * r * r)))) if r else 0.0
+    roots = [2.0 * r * math.cos((phi - 2.0 * math.pi * k) / 3.0) - shift for k in range(3)]
+    return min(roots, key=lambda y: abs(y - 0.5))
 
 
-def _critical_levels(cs: np.ndarray, spec: SweepSpec) -> np.ndarray:
-    """Critical noise level at each confusability in ``cs``, all solved together.
+def _critical_level(g0: float, g1: float, g2: float, g3: float) -> float:
+    """The root in [0, 1] of the cubic through the gap's values at v = 0, 1/3, 2/3 and 1.
 
-    At fixed c the gap is a cubic in v, nonincreasing on [0, 1]: its root there
-    is its real root nearest 1/2, polished by two Newton steps on the gap itself.
+    0 when there is no advantage at v = 0, 1 when it survives v = 1.  The gap
+    is nonincreasing in v, so the root is the cubic's real root nearest 1/2,
+    polished by one Newton step on the cubic.
     """
-    g = lambda v, c: advantage_gap(v, c, spec.err_mode, spec.c_mode)
-    gs = g(np.array([[0.0], [1.0 / 3.0], [2.0 / 3.0], [1.0]]), cs)
-    levels = np.where(gs[3] > 0.0, 1.0, 0.0)
-    inside = (gs[0] > 0.0) & (gs[3] <= 0.0)
-    g0, g1, g2, g3 = gs[:, inside]
-    # The cubic through the four values, elementwise so that one point and a curve round alike.
+    if g3 > 0.0:
+        return 1.0
+    if g0 <= 0.0:
+        return 0.0
     a1 = g3 - 5.5 * g0 + 9.0 * g1 - 4.5 * g2
     a2 = 4.5 * (2.0 * g0 - 5.0 * g1 + 4.0 * g2 - g3)
     a3 = 4.5 * (g3 - g0 + 3.0 * (g1 - g2))
-    v = np.clip(_cubic_root_nearest_half(g0, a1, a2, a3), 0.0, 1.0)
-    for _ in range(2):
-        v = np.clip(v - g(v, cs[inside]) / (a1 + v * (2.0 * a2 + 3.0 * a3 * v)), 0.0, 1.0)
-    levels[inside] = v
-    return levels
+    v = min(max(_cubic_root_nearest_half(g0, a1, a2, a3), 0.0), 1.0)
+    slope = a1 + v * (2.0 * a2 + 3.0 * a3 * v)
+    if slope:
+        v = min(max(v - (g0 + v * (a1 + v * (a2 + v * a3))) / slope, 0.0), 1.0)
+    return v
+
+
+def _critical_levels(cs: Sequence[float], spec: SweepSpec) -> list[float]:
+    """Critical noise level at each confusability in ``cs``; the gap's v-only terms are taken once per node."""
+    g0, g1, g2, g3 = (_gap_in_c(v, spec) for v in (0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0))
+    return [_critical_level(g0(c), g1(c), g2(c), g3(c)) for c in cs]
 
 
 def critical_noise(c_ab: float, spec: SweepSpec | None = None) -> float:
     """Largest depolarizing level at which the quantum advantage survives at ``c_ab``.
 
-    The gap's root in v on [0, 1], from its cubic in v polished by Newton steps.
+    The gap's root in v on [0, 1], from its cubic in v polished by a Newton step.
     Returns 0.0 when there is no advantage even noiselessly.
     """
     if not 0.0 < c_ab < 1.0:
         raise ValueError(f"c_ab must lie strictly inside (0, 1), got {c_ab!r}")
-    return float(_critical_levels(np.array([c_ab], dtype=float), spec or SweepSpec())[0])
+    return _critical_levels([float(c_ab)], spec or SweepSpec())[0]
 
 
 def noise_resistance_curve(c_grid: Sequence[float], spec: SweepSpec | None = None) -> CurveSeries:
     """Critical noise level as a function of confusability, under the spec's modes.
 
-    Points outside (0, 1) are skipped; the rest share one vectorised cubic solve.
+    Points outside (0, 1) are skipped; each of the rest is the same scalar
+    solve as :func:`critical_noise`, so a point and the curve agree bit for bit.
     """
     spec = spec or SweepSpec()
-    cs = np.asarray(c_grid, dtype=float)
-    cs = cs[(cs > 0.0) & (cs < 1.0)]
+    cs = [float(c) for c in c_grid if 0.0 < c < 1.0]
     return CurveSeries(
         x_label="c_ab",
         y_label="v_max",
-        points=tuple(zip(cs.tolist(), _critical_levels(cs, spec).tolist())),
+        points=tuple(zip(cs, _critical_levels(cs, spec))),
         provenance=f"critical depolarizing level ({spec.err_mode}, {spec.c_mode})",
     )
 

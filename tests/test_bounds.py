@@ -228,33 +228,47 @@ class TestValueTypes:
             BoundValue.of(math.nan)
 
 
-class TestElementwise:
-    GRID = np.linspace(0.0, 1.0, 101)
+# Every public closed form, as a function of one probability x (the others held
+# valid): each must return a Python float and reject a bad x with a ValueError.
+SCALAR_FORMS = {
+    "quantum_optimal_fidelity": lambda x: bounds.quantum_optimal_fidelity(x),
+    "nc_bound_ideal[c_ab]": lambda x: bounds.nc_bound_ideal(x, 0.25),
+    "nc_bound_ideal[c_aabb]": lambda x: bounds.nc_bound_ideal(0.5, x),
+    "nc_discrimination_bound[c_ab]": lambda x: bounds.nc_discrimination_bound(x, 0.0),
+    "nc_discrimination_bound[eps_b]": lambda x: bounds.nc_discrimination_bound(0.5, x),
+    "quantum_noisy_fidelity[v]": lambda x: bounds.quantum_noisy_fidelity(x, 0.5),
+    "quantum_noisy_fidelity[c_ab]": lambda x: bounds.quantum_noisy_fidelity(0.015, x),
+    "observed_confusability[v]": lambda x: bounds.observed_confusability(x, 0.5),
+    "observed_confusability[c_ab]": lambda x: bounds.observed_confusability(0.015, x),
+    "observed_target_confusability[v]": lambda x: bounds.observed_target_confusability(x, 0.5),
+    "observed_target_confusability[c_ab]": lambda x: bounds.observed_target_confusability(0.015, x),
+    "depolarizing_epsilons": lambda x: bounds.depolarizing_epsilons(x).eps_aa,
+    "err_terms": lambda x: bounds.err_terms(x).err_prime,
+    "nc_bound_noisy": lambda x: bounds.nc_bound_noisy(OverlapParams.symmetric(x), ErrorBudget.uniform(0.01)).value,
+    "nc_bound_noisy_symmetric": lambda x: bounds.nc_bound_noisy_symmetric(
+        OverlapParams.symmetric(0.5), ErrorBudget.uniform(x)).value,
+}
 
+
+class TestScalarContract:
     def test_scalar_validation_returns_a_python_float(self):
         # A numpy scalar would print as np.float64(...) through repr() in the CSV writers.
         got = bounds._check_unit("c", np.float64(0.25))
         assert type(got) is float and got == 0.25
 
-    @pytest.mark.parametrize("bad", [math.nan, -0.1, 1.5, math.inf])
-    def test_one_bad_entry_rejects_the_whole_array(self, bad):
-        with pytest.raises(ValueError, match="must lie in"):
-            bounds._check_unit("c", np.array([0.2, bad, 0.7]))
-        with pytest.raises(ValueError):
-            bounds.quantum_optimal_fidelity(np.array([0.2, bad]))
+    @pytest.mark.parametrize("name", list(SCALAR_FORMS))
+    def test_returns_a_python_float(self, name):
+        for x in (0.0, 0.25, np.float64(0.5), 1):
+            assert type(SCALAR_FORMS[name](x)) is float, x
 
-    def test_closed_forms_match_the_scalar_calls(self):
-        # Only +, * and sqrt: identical bits to the scalar path.
-        cs = self.GRID
-        np.testing.assert_array_equal(
-            bounds.quantum_optimal_fidelity(cs), [bounds.quantum_optimal_fidelity(c) for c in cs]
-        )
-        np.testing.assert_array_equal(bounds.nc_bound_ideal(cs, cs * cs), [bounds.nc_bound_ideal(c, c * c) for c in cs])
+    def test_unvalidated_forms_return_python_floats(self):
+        # nc_bound and the error terms take values their callers have already validated.
+        assert type(bounds.nc_bound(0.5, 0.25, 0.1)) is float
         for err in bounds.ERR_MODES.values():
-            np.testing.assert_array_equal(err(cs), [err(v) for v in cs])
+            assert type(err(0.25)) is float
 
-    def test_noisy_fidelity_matches_the_scalar_calls(self):
-        # numpy's power and Python's ** may round (1-v)**3 differently by one ulp.
-        vs, cs = np.meshgrid(self.GRID, self.GRID)
-        want = [[bounds.quantum_noisy_fidelity(v, c) for v, c in zip(rv, rc)] for rv, rc in zip(vs, cs)]
-        np.testing.assert_allclose(bounds.quantum_noisy_fidelity(vs, cs), want, rtol=0, atol=4.5e-16)
+    @pytest.mark.parametrize("name", list(SCALAR_FORMS))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.1, 1.5, -1e-300])
+    def test_rejects_a_bad_probability(self, name, bad):
+        with pytest.raises(ValueError, match="must lie in"):
+            SCALAR_FORMS[name](bad)

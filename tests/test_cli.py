@@ -56,6 +56,15 @@ class TestExitCodes:
         assert message in err
         assert out == ""
 
+    @pytest.mark.parametrize("out", ["notes.txt", "notes.txt/figs"], ids=["file", "below-a-file"])
+    def test_out_through_a_file_is_an_argument_error(self, capsys, tmp_path, out):
+        (tmp_path / "notes.txt").write_text("kept")
+        code, stdout, err = run_cli(capsys, "curves", "--out", str(tmp_path / out), "--points", "5")
+        assert code == 2
+        assert "argument --out: cannot create directory" in err
+        assert stdout == ""
+        assert (tmp_path / "notes.txt").read_text() == "kept"
+
     def test_missing_subcommand_is_an_argument_error(self, capsys):
         code, _, _ = run_cli(capsys, )
         assert code == 2
@@ -82,41 +91,66 @@ def fresh_env():
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
+def run_fresh(probe, *argv):
+    """Run ``probe`` in a fresh interpreter; the last line it prints, split on whitespace."""
+    done = subprocess.run([sys.executable, "-c", probe, *argv], env=fresh_env(), capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1].split()
+
+
 def test_import_does_not_load_scipy():
     # scipy is not a runtime dependency; a fresh interpreter shows what the CLI really imports.
     probe = "import sys, clonectx.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    done = subprocess.run([sys.executable, "-c", probe], env=fresh_env(), capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    assert run_fresh(probe) == ["[]"]
+
+
+CLOSED_FORM_ONLY = ("clonectx.ontic", "clonectx.quantum", "numpy")
 
 
 @pytest.mark.parametrize(
     "argv, unloaded",
     [
-        (("bounds", "--c", "0.5", "--v", "0.015"), ("clonectx.ontic", "clonectx.quantum")),
-        (("region", "--v", "0.015"), ("clonectx.ontic", "clonectx.quantum", "numpy.polynomial")),
-        (("critical-noise", "--c", "0.5"), ("clonectx.ontic", "clonectx.quantum", "numpy.polynomial")),
-        (("curves", "--out", "OUT", "--points", "20"), ("clonectx.ontic", "clonectx.quantum", "numpy.polynomial")),
+        (("bounds", "--c", "0.5", "--v", "0.015"), CLOSED_FORM_ONLY),
+        (("region", "--v", "0.015"), CLOSED_FORM_ONLY),
+        (("critical-noise", "--c", "0.5"), CLOSED_FORM_ONLY),
+        (("curves", "--out", "OUT", "--points", "20"), CLOSED_FORM_ONLY),
         (("noise", "--v", "0.015", "--c", "0.5"), ("clonectx.ontic",)),
         (("clones", "--c", "0.5"), ("clonectx.ontic",)),
     ],
     ids=["bounds", "region", "critical-noise", "curves", "noise", "clones"],
 )
 def test_subcommand_leaves_the_simulations_it_does_not_use_unloaded(tmp_path, argv, unloaded):
-    # The closed-form and scan subcommands never need quantum or ontic, and the
-    # quantum ones never need ontic; the scan roots never need numpy.polynomial,
-    # whose import costs milliseconds at every start.  A fresh interpreter shows
-    # what each subcommand loads on top of numpy itself.
-    probe = ("import sys, numpy; before = set(sys.modules); from clonectx import cli; code = cli.run(sys.argv[1:]); "
-             "print(code, *sorted(m for m in set(sys.modules) - before if m.startswith(('clonectx.', 'numpy.'))))")
-    argv = [str(tmp_path) if a == "OUT" else a for a in argv]
-    done = subprocess.run([sys.executable, "-c", probe, *argv], env=fresh_env(), capture_output=True, text=True,
-                          timeout=60)
-    assert done.returncode == 0, done.stderr
-    code, *loaded = done.stdout.splitlines()[-1].split()
+    # The closed-form and scan subcommands need neither quantum nor ontic, nor
+    # numpy, which only those two import; the quantum ones never need ontic.
+    # A fresh interpreter shows every module of the package and of numpy that
+    # the import and the subcommand load.
+    probe = ("import sys; from clonectx import cli; code = cli.run(sys.argv[1:]); "
+             "print(code, *sorted(m for m in sys.modules if m.split('.')[0] in ('clonectx', 'numpy')))")
+    code, *loaded = run_fresh(probe, *(str(tmp_path) if a == "OUT" else a for a in argv))
     assert code == "0"
     assert "clonectx.cli" in loaded
-    assert not set(unloaded) & set(loaded)
+    assert not [m for m in loaded if any(m == u or m.startswith(u + ".") for u in unloaded)]
+
+
+@pytest.mark.parametrize(
+    "argv, module",
+    [
+        (("clones", "--c", "0.5"), "clonectx.quantum"),
+        (("noise", "--v", "0.015", "--c", "0.5"), "clonectx.quantum"),
+        (("verify-quantum", "--v", "0.015", "--c", "0.5"), "clonectx.quantum"),
+        (("verify-ontic", "--c", "0.5", "--resolution", "20"), "clonectx.ontic"),
+    ],
+    ids=["clones", "noise", "verify-quantum", "verify-ontic"],
+)
+def test_simulation_loads_before_the_clock_starts(argv, module):
+    # elapsed: times the computation only: the simulation module, and numpy
+    # with it, is already loaded when run() first reads the clock.
+    probe = ("import sys, time, types; from clonectx import cli; seen = []; "
+             "cli.time = types.SimpleNamespace(perf_counter=lambda: seen.append(sorted(sys.modules)) or time.perf_counter()); "
+             "cli.run(sys.argv[1:]); print(*seen[0])")
+    loaded = run_fresh(probe, *argv)
+    assert module in loaded and "numpy" in loaded
 
 
 def test_verify_ontic_peak_memory_at_resolution_640(tmp_path):

@@ -8,10 +8,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from clonectx import bounds
+from clonectx import bounds, scan
 from clonectx.scan import (
     C_MODES,
     ERR_MODES,
@@ -309,6 +309,100 @@ class TestHighPrecisionRoots:
                 for end in () if region.is_empty else (region.c_lo, region.c_hi):
                     exact = mp.findroot(gap, (mp.mpf(end) - 1e-6, mp.mpf(end) + 1e-6), solver="anderson")
                     assert abs(end - exact) <= 1e-13, (v, end)
+
+
+def numpy_window(v, spec):
+    """Window ends by a Vandermonde solve and ``np.roots``, or None when the window is empty."""
+    gap = np.vectorize(lambda c: advantage_gap(v, c, spec.err_mode, spec.c_mode))
+    t_of = lambda x: 1.0 + (1.0 + x) / np.sqrt(2.0)
+    c_of = lambda x: np.clip(((t_of(x) ** 2 - 1.0) / (2.0 * t_of(x))) ** 2, 0.0, 1.0)
+    nodes = np.cos(np.pi * (np.arange(9) + 0.5) / 9.0)
+    poly = np.linalg.solve(np.vander(nodes), gap(c_of(nodes)) * (2.0 * t_of(nodes)) ** 4)
+    tops = np.append(np.clip(np.roots(np.polyder(poly)).real, -1.0, 1.0), [-1.0, 1.0])
+    top_gaps = gap(c_of(tops))
+    if top_gaps.max() <= 0.0:
+        return None
+    top = c_of(tops[np.argmax(top_gaps)])
+    r = np.roots(poly)
+    roots = c_of(np.sort(r.real[(r.imag == 0.0) & (np.abs(r.real) < 1.0)]))
+    return max((c for c in roots if c < top), default=0.0), min((c for c in roots if c > top), default=1.0)
+
+
+def numpy_critical_level(c, spec):
+    """The critical level by Cardano on numpy arrays, then two Newton steps on the gap itself."""
+    g = lambda v: advantage_gap(v, c, spec.err_mode, spec.c_mode)
+    g0, g1, g2, g3 = (g(v) for v in (0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0))
+    if g3 > 0.0:
+        return 1.0
+    if g0 <= 0.0:
+        return 0.0
+    a1 = g3 - 5.5 * g0 + 9.0 * g1 - 4.5 * g2
+    a2 = 4.5 * (2.0 * g0 - 5.0 * g1 + 4.0 * g2 - g3)
+    a3 = 4.5 * (g3 - g0 + 3.0 * (g1 - g2))
+    roots = np.roots([a3, a2, a1, g0])
+    roots = roots.real[roots.imag == 0.0]
+    v = float(np.clip(roots[np.argmin(np.abs(roots - 0.5))], 0.0, 1.0))
+    for _ in range(2):
+        v = float(np.clip(v - g(v) / (a1 + v * (2.0 * a2 + 3.0 * a3 * v)), 0.0, 1.0))
+    return v
+
+
+class TestAgainstTheNumpyRoute:
+    """The pure-Python roots against the same fits solved with numpy's linear algebra and np.roots."""
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=SPEC_IDS)
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(u=st.floats(0.0, 2.0))
+    def test_window_ends(self, spec, u):
+        # v = u times the critical level.  Within 1e-4 of the level the ends
+        # straddle a near-double root, where a gap error of one rounding moves
+        # them by more than 1e-12 in either route.
+        assume(abs(u - 1.0) > 1e-4)
+        v = peak(spec)[0] * u
+        region = violation_interval(v, spec)
+        want = numpy_window(v, spec)
+        assert region.is_empty == (want is None)
+        if want is not None:
+            assert abs(region.c_lo - want[0]) <= 1e-12 and abs(region.c_hi - want[1]) <= 1e-12
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=SPEC_IDS)
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(c=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_critical_levels(self, spec, c):
+        assert abs(critical_noise(c, spec) - numpy_critical_level(c, spec)) <= 1e-12
+
+
+class TestRootHelpers:
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(
+        real=st.lists(st.floats(-0.95, 0.95), max_size=5),
+        pair=st.tuples(st.floats(-2.0, 2.0), st.floats(0.1, 2.0)),
+        outside=st.floats(1.1, 3.0),
+    )
+    def test_cascade_finds_the_planted_roots(self, real, pair, outside):
+        # Simple real roots at least 0.05 apart inside [-1, 1], a complex pair and a real root outside.
+        real = sorted(real)
+        assume(all(b - a >= 0.05 for a, b in zip(real, real[1:])))
+        planted = [*real, complex(*pair), complex(pair[0], -pair[1]), outside]
+        poly = np.polynomial.polynomial.polyfromroots(planted).real.tolist()
+        got = scan._real_roots(poly)
+        r = np.roots(poly[::-1])
+        want = np.sort(r.real[(np.abs(r.imag) < 1e-9) & (np.abs(r.real) <= 1.0)])
+        assert len(got) == len(want) == len(real)
+        assert np.allclose(got, want, rtol=0, atol=1e-9)
+        assert np.allclose(got, real, rtol=0, atol=1e-9)
+
+    def test_interpolation_recovers_the_polynomial(self):
+        coeffs = [0.3, -1.2, 2.5, 0.7, -3.1, 1.9, 0.4, -0.8, 1.1]
+        xs = scan._CHEBYSHEV_9
+        got = scan._interpolate(xs, [np.polynomial.polynomial.polyval(x, coeffs) for x in xs])
+        assert np.allclose(got, coeffs, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("x, root", [(-27.0, -3.0), (-1e-9, -1e-3), (0.0, 0.0), (-0.0, -0.0), (0.125, 0.5), (8e9, 2e3)])
+    def test_real_cube_root_keeps_the_sign(self, x, root):
+        got = scan._cbrt(x)
+        assert got == pytest.approx(root, rel=1e-15, abs=0.0)
+        assert math.copysign(1.0, got) == math.copysign(1.0, root)
 
 
 class TestModeTables:
