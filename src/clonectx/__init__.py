@@ -1,14 +1,17 @@
 """Workbench for the contextuality analysis of state-dependent quantum cloning.
 
-Modules by concern; ``quantum``, ``ontic`` and ``scan`` import only ``bounds``.
-``bounds`` and ``scan`` compute on Python floats with :mod:`math`; only
-``quantum`` and ``ontic`` import numpy:
+Modules by concern; ``cloner``, ``ontic`` and ``scan`` import only ``bounds``,
+``quantum`` only ``bounds`` and ``cloner``.  ``bounds``, ``cloner`` and
+``scan`` compute on Python floats with :mod:`math`; only ``quantum`` and
+``ontic`` import numpy:
 
 * :mod:`clonectx.bounds`  -- closed-form fidelities, noncontextual ceilings,
   depolarizing-noise error budgets and observed confusabilities, and the
   names of the experiment's preparations, tests and mixing equivalences.
+* :mod:`clonectx.cloner`  -- the two-copy frame and the independent search
+  for the optimal clone outputs.
 * :mod:`clonectx.quantum` -- finite-dimensional simulation of the noisy
-  cloning experiment (states, channels, Born rule, clone optimizer).
+  cloning experiment (states, channels, Born rule, clone outputs as states).
 * :mod:`clonectx.ontic`   -- discretized ontological models on a cell grid,
   with operational-equivalence checkers and the bound-saturating model.
 * :mod:`clonectx.scan`    -- parameter sweeps, violation intervals and

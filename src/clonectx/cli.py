@@ -7,13 +7,13 @@ and quantum simulation).  Reports go to standard output as plain text, or
 as a single JSON document with ``--json``; elapsed wall time goes to
 standard error so that identical invocations produce byte-identical
 reports.  Exit status: 0 when every verdict passes, 1 when any fails,
-2 for argument errors.  ``bounds`` and ``scan`` compute on Python floats,
-so importing this module does not load numpy.  Only the subcommands that
-simulate load :mod:`clonectx.quantum` or :mod:`clonectx.ontic`, and numpy
-with them; ``_HANDLERS`` names that module for each, and :func:`run`
-imports it before the clock starts, so ``elapsed:`` times the computation
-alone.  ``bounds``, ``region``, ``critical-noise`` and ``curves`` load
-neither.
+2 for argument errors.  ``bounds``, ``cloner`` and ``scan`` compute on
+Python floats, so importing this module does not load numpy.  Only the
+subcommands that simulate states and tests load :mod:`clonectx.quantum` or
+:mod:`clonectx.ontic`, and numpy with them; ``_HANDLERS`` names that module
+for each, and :func:`run` imports it before the clock starts, so
+``elapsed:`` times the computation alone.  ``bounds``, ``clones``,
+``region``, ``critical-noise`` and ``curves`` load neither.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from functools import partial
 from pathlib import Path
 from typing import Sequence
 
-from . import bounds, scan
+from . import bounds, cloner, scan
 
 ACCEPT_EXACT = 1e-12
 CLONE_TOL = 1e-7
@@ -224,10 +224,10 @@ def _cmd_bounds(args: argparse.Namespace) -> RunReport:
     return report
 
 
-def _cmd_clones(args: argparse.Namespace, quantum) -> RunReport:
+def _cmd_clones(args: argparse.Namespace) -> RunReport:
     c = args.c
     report = RunReport("clones", inputs={"c": c})
-    result = quantum.construct_optimal_clones(c)
+    result = cloner.search_clones(c)
     formula = bounds.quantum_optimal_fidelity(c)
     delta = abs(result.fidelity - formula)
     report.outputs.update(
@@ -391,7 +391,7 @@ def _cmd_verify_ontic(args: argparse.Namespace, ontic) -> RunReport:
 # Each subcommand's handler, and the simulation module it takes (None: it needs none).
 _HANDLERS = {
     "bounds": (_cmd_bounds, None),
-    "clones": (_cmd_clones, "quantum"),
+    "clones": (_cmd_clones, None),
     "noise": (partial(_cmd_quantum, residuals=False), "quantum"),
     "region": (_cmd_region, None),
     "critical-noise": (_cmd_critical_noise, None),

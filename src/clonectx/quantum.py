@@ -5,9 +5,9 @@ cloning run in which every stage (input preparation, cloning unitary,
 measurement) is degraded by a depolarizing channel, evaluates all observed
 probabilities through the Born rule, and verifies the mixing equivalences
 as matrix identities.  The closed forms it is checked against, and the
-names its preparations and tests are keyed by, live in :mod:`clonectx.bounds`.
-An independent constrained optimizer over the clone output states doubles
-as a numerical oracle for the closed-form optimal fidelity.
+names its preparations and tests are keyed by, live in :mod:`clonectx.bounds`;
+the two-copy frame and the independent clone-fidelity search, a numerical
+oracle for the closed-form optimal fidelity, live in :mod:`clonectx.cloner`.
 
 The two input states live in a real two-dimensional span; the clone
 outputs live in the corresponding two-qubit tensor space (dimension 4).
@@ -23,11 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import EQUIVALENCE_PAIRS, STATE_NAMES, TEST_NAMES, ErrorBudget, OverlapParams, _check_unit
+from .cloner import plane_basis, search_clones
 
 HERMITIAN_TOL = 1e-12
 BORN_CLIP_TOL = 1e-10
-CLONE_ZOOM_ROUNDS = 8
-CLONE_ZOOM_POINTS = 21
 
 
 @dataclass(frozen=True)
@@ -143,20 +142,8 @@ def _ketbra(psi: np.ndarray) -> DensityOperator:
 
 
 def _clone_plane_basis(c: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Two-copy targets plus an orthonormal real frame (e1, e2, e3) of the symmetric subspace.
-
-    Returns (aa, bb, e1, e2, e3) with e1 along aa+bb and e2 = (|01> + |10>)/sqrt(2),
-    which for c < 1 points exactly along aa-bb; span{e1, e2} is a plane for
-    every c in [0, 1], the targets' coincidence at c = 1 included.  e3 is
-    the third symmetric direction, orthogonal to both.
-    """
-    ket_a, ket_b = make_input_pair(c)
-    aa = np.kron(ket_a.amplitudes, ket_a.amplitudes).real
-    bb = np.kron(ket_b.amplitudes, ket_b.amplitudes).real
-    e1 = (aa + bb) / math.sqrt(2.0 + 2.0 * c)
-    e2 = np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2.0)
-    e3 = np.array([e1[3], 0.0, 0.0, -e1[0]])
-    return aa, bb, e1, e2, e3
+    """:func:`clonectx.cloner.plane_basis` as arrays: the targets aa, bb and the frame e1, e2, e3."""
+    return tuple(np.array(x) for x in plane_basis(c))
 
 
 def _quarter_turn(e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
@@ -192,88 +179,15 @@ class CloneSearchResult:
     grid_fidelity: float
 
 
-def _clone_objective(c: float, alphas: np.ndarray, aa: np.ndarray, bb: np.ndarray) -> np.ndarray:
-    # Average pass probability of each unit vector alpha in ``alphas`` and its best beta:
-    # with <alpha|beta> = sqrt(c) eliminated in closed form (beta = sqrt(c) alpha +
-    # sqrt(1-c) w, w unit, w _|_ alpha), the best |<bb|beta>| follows from <bb|alpha>.
-    t_aa, t_bb = alphas @ aa, alphas @ bb
-    rc = math.sqrt(c)
-    best_bb = rc * np.abs(t_bb) + math.sqrt(1.0 - c) * np.sqrt(np.clip(1.0 - t_bb**2, 0.0, None))
-    return 0.5 * t_aa**2 + 0.5 * best_bb**2
-
-
 def construct_optimal_clones(c_ab: float) -> CloneSearchResult:
-    """Maximize the average two-copy pass probability over valid clone outputs.
-
-    Searches pure output pairs (alpha, beta) in the real span of the two
-    two-copy targets plus one orthogonal direction, subject to the
-    unitarity constraint <alpha|beta> = <a|b>.  The constraint is
-    eliminated analytically (for fixed alpha the best beta is closed-form),
-    leaving alpha on a sphere: a 100 x 100 grid of its two angles (reported
-    as ``grid_fidelity``), then CLONE_ZOOM_ROUNDS rounds that re-grid the
-    cells around the best point, each ten times finer.  Deliberately
-    independent of the closed-form fidelity expression, which it cross-checks.
-    """
-    c = _check_unit("c_ab", c_ab)
-    if c <= 0.0 or c >= 1.0:
-        # Endpoints clone perfectly: orthogonal inputs copy exactly, identical
-        # inputs need no information gain.
-        ket_a, ket_b = make_input_pair(c)
-        aa = PureState(np.kron(ket_a.amplitudes, ket_a.amplitudes))
-        bb = PureState(np.kron(ket_b.amplitudes, ket_b.amplitudes))
-        return CloneSearchResult(alpha=aa, beta=bb, fidelity=1.0, overlap_error=0.0, grid_fidelity=1.0)
-
-    aa, bb, e1, e2, e3 = _clone_plane_basis(c)
-
-    # Round 1: a 100 x 100 angle grid; the objective is even in the e3
-    # component, so p covers [0, pi].
-    ts = np.linspace(0.0, math.pi, 100)
-    ps = np.linspace(0.0, math.pi, 100)
-    tg, pg = np.meshgrid(ts, ps, indexing="ij")
-    alphas = (
-        np.cos(tg)[..., None] * e1
-        + (np.sin(tg) * np.cos(pg))[..., None] * e2
-        + (np.sin(tg) * np.sin(pg))[..., None] * e3
-    )
-    f_grid = _clone_objective(c, alphas, aa, bb)
-    i_best = np.unravel_index(np.argmax(f_grid), f_grid.shape)
-    grid_fidelity = float(f_grid[i_best])
-
-    # Zoom rounds re-grid the cells around the best point in its tangent plane
-    # (u along t, w along p), a chart that stays regular at the poles t = 0, pi.
-    alpha0 = alphas[i_best]
-    t, p = tg[i_best], pg[i_best]
-    u = -math.sin(t) * e1 + math.cos(t) * (math.cos(p) * e2 + math.sin(p) * e3)
-    w = -math.sin(p) * e2 + math.cos(p) * e3
-    offsets = np.linspace(-1.0, 1.0, CLONE_ZOOM_POINTS)
-    x = y = 0.0
-    half = ts[1] - ts[0]
-    for _ in range(CLONE_ZOOM_ROUNDS):
-        xg, yg = np.meshgrid(x + half * offsets, y + half * offsets, indexing="ij")
-        cand = alpha0 + xg[..., None] * u + yg[..., None] * w
-        cand /= np.linalg.norm(cand, axis=-1, keepdims=True)
-        k = np.unravel_index(np.argmax(_clone_objective(c, cand, aa, bb)), xg.shape)
-        x, y = xg[k], yg[k]
-        half *= 2.0 / (CLONE_ZOOM_POINTS - 1)
-    alpha = cand[k]
-    t_bb = float(alpha @ bb)
-    rc = math.sqrt(c)
-    r = math.sqrt(max(0.0, 1.0 - t_bb * t_bb))
-    if r > 1e-12:
-        w = (bb - t_bb * alpha) / r
-        if t_bb < 0.0:
-            w = -w
-    else:
-        w = e3  # alpha parallel to bb: any orthogonal completion ties
-    beta = rc * alpha + math.sqrt(1.0 - c) * w
-    fidelity = 0.5 * float(alpha @ aa) ** 2 + 0.5 * float(beta @ bb) ** 2
-    overlap_error = abs(float(alpha @ beta) - rc)
+    """:func:`clonectx.cloner.search_clones`, with the clone outputs as states."""
+    found = search_clones(c_ab)
     return CloneSearchResult(
-        alpha=PureState(alpha.astype(complex)),
-        beta=PureState(beta.astype(complex)),
-        fidelity=fidelity,
-        overlap_error=overlap_error,
-        grid_fidelity=grid_fidelity,
+        alpha=PureState(np.array(found.alpha, dtype=complex)),
+        beta=PureState(np.array(found.beta, dtype=complex)),
+        fidelity=found.fidelity,
+        overlap_error=found.overlap_error,
+        grid_fidelity=found.grid_fidelity,
     )
 
 

@@ -70,16 +70,16 @@ class TestExitCodes:
         assert code == 2
 
     def test_verdict_failure_exits_one(self, capsys, monkeypatch):
-        from clonectx import quantum
+        from clonectx import cloner
 
-        real = quantum.construct_optimal_clones
+        real = cloner.search_clones
 
         def sabotaged(c):
             result = real(c)
             object.__setattr__(result, "fidelity", result.fidelity - 1e-3)
             return result
 
-        monkeypatch.setattr(quantum, "construct_optimal_clones", sabotaged)
+        monkeypatch.setattr(cloner, "search_clones", sabotaged)
         code, out, _ = run_cli(capsys, "clones", "--c", "0.5")
         assert code == 1
         assert "result: FAIL" in out
@@ -116,13 +116,14 @@ CLOSED_FORM_ONLY = ("clonectx.ontic", "clonectx.quantum", "numpy")
         (("critical-noise", "--c", "0.5"), CLOSED_FORM_ONLY),
         (("curves", "--out", "OUT", "--points", "20"), CLOSED_FORM_ONLY),
         (("noise", "--v", "0.015", "--c", "0.5"), ("clonectx.ontic",)),
-        (("clones", "--c", "0.5"), ("clonectx.ontic",)),
+        (("clones", "--c", "0.5"), CLOSED_FORM_ONLY),
     ],
     ids=["bounds", "region", "critical-noise", "curves", "noise", "clones"],
 )
 def test_subcommand_leaves_the_simulations_it_does_not_use_unloaded(tmp_path, argv, unloaded):
-    # The closed-form and scan subcommands need neither quantum nor ontic, nor
-    # numpy, which only those two import; the quantum ones never need ontic.
+    # The closed-form, clone-search and scan subcommands need neither quantum
+    # nor ontic, nor numpy, which only those two import; the quantum ones
+    # never need ontic.
     # A fresh interpreter shows every module of the package and of numpy that
     # the import and the subcommand load.
     probe = ("import sys; from clonectx import cli; code = cli.run(sys.argv[1:]); "
@@ -136,12 +137,11 @@ def test_subcommand_leaves_the_simulations_it_does_not_use_unloaded(tmp_path, ar
 @pytest.mark.parametrize(
     "argv, module",
     [
-        (("clones", "--c", "0.5"), "clonectx.quantum"),
         (("noise", "--v", "0.015", "--c", "0.5"), "clonectx.quantum"),
         (("verify-quantum", "--v", "0.015", "--c", "0.5"), "clonectx.quantum"),
         (("verify-ontic", "--c", "0.5", "--resolution", "20"), "clonectx.ontic"),
     ],
-    ids=["clones", "noise", "verify-quantum", "verify-ontic"],
+    ids=["noise", "verify-quantum", "verify-ontic"],
 )
 def test_simulation_loads_before_the_clock_starts(argv, module):
     # elapsed: times the computation only: the simulation module, and numpy

@@ -1,5 +1,5 @@
 """Quantum-simulation tests: geometry, Born rule, the depolarized ensemble and
-the independent clone optimizer against the closed forms."""
+the independent clone search against the closed forms."""
 
 import warnings
 
@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clonectx import bounds
+from clonectx import bounds, cloner
 from clonectx.quantum import (
     DensityOperator,
     PureState,
@@ -129,6 +129,32 @@ class TestCloneOptimizer:
         f = 0.5 * abs(np.vdot(aa, alpha.amplitudes)) ** 2 + 0.5 * abs(np.vdot(bb, beta.amplitudes)) ** 2
         assert f == pytest.approx(bounds.quantum_optimal_fidelity(c), abs=1e-13)
         assert np.vdot(alpha.amplitudes, beta.amplitudes).real == pytest.approx(np.sqrt(c), abs=1e-13)
+
+    @pytest.mark.parametrize("c", [0.0, 1e-9, 0.1, 0.5, 0.9, 1.0 - 1e-9, 1.0])
+    def test_plane_basis_is_the_kron_of_the_inputs(self, c):
+        # noisy_ensemble builds its two-copy states from this frame, so it must
+        # be exactly the Kronecker products of make_input_pair's kets.
+        ket_a, ket_b = make_input_pair(c)
+        aa, bb, e1, e2, e3 = (np.array(x) for x in cloner.plane_basis(c))
+        assert np.array_equal(aa, np.kron(ket_a.amplitudes, ket_a.amplitudes).real)
+        assert np.array_equal(bb, np.kron(ket_b.amplitudes, ket_b.amplitudes).real)
+        frame = np.array([e1, e2, e3])
+        np.testing.assert_allclose(frame @ frame.T, np.eye(3), atol=1e-15)
+
+    @settings(derandomize=True, database=None, max_examples=60)
+    @given(c=st.one_of(st.floats(1e-6, 1.0 - 1e-6), st.floats(1e-6, 0.05), st.floats(0.95, 1.0 - 1e-6)))
+    def test_search_reaches_the_closed_form_to_rounding(self, c):
+        found = cloner.search_clones(c)
+        assert abs(found.fidelity - bounds.quantum_optimal_fidelity(c)) <= 1e-14
+        assert found.overlap_error <= 1e-14
+        assert found.grid_fidelity <= found.fidelity + 1e-15
+
+    def test_states_wrap_the_search(self):
+        found, result = cloner.search_clones(0.3), construct_optimal_clones(0.3)
+        assert np.array_equal(result.alpha.amplitudes, np.array(found.alpha, dtype=complex))
+        assert np.array_equal(result.beta.amplitudes, np.array(found.beta, dtype=complex))
+        assert (result.fidelity, result.overlap_error, result.grid_fidelity) == (
+            found.fidelity, found.overlap_error, found.grid_fidelity)
 
 
 class TestNoisyEnsemble:
