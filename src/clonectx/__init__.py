@@ -2,8 +2,8 @@
 
 Modules by concern; ``cloner``, ``ontic`` and ``scan`` import only ``bounds``,
 ``quantum`` only ``bounds`` and ``cloner``.  ``bounds``, ``cloner`` and
-``scan`` compute on Python floats with :mod:`math`; only ``quantum`` and
-``ontic`` import numpy:
+``scan`` compute on Python floats and ``quantum`` on Python complex numbers,
+with :mod:`math`; only ``ontic`` imports numpy:
 
 * :mod:`clonectx.bounds`  -- closed-form fidelities, noncontextual ceilings,
   depolarizing-noise error budgets and observed confusabilities, and the

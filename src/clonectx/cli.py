@@ -9,11 +9,14 @@ standard error so that identical invocations produce byte-identical
 reports.  Exit status: 0 when every verdict passes, 1 when any fails,
 2 for argument errors.  ``bounds``, ``cloner`` and ``scan`` compute on
 Python floats, so importing this module does not load numpy.  Only the
-subcommands that simulate states and tests load :mod:`clonectx.quantum` or
-:mod:`clonectx.ontic`, and numpy with them; ``_HANDLERS`` names that module
-for each, and :func:`run` imports it before the clock starts, so
-``elapsed:`` times the computation alone.  ``bounds``, ``clones``,
-``region``, ``critical-noise`` and ``curves`` load neither.
+subcommands that simulate states and tests load :mod:`clonectx.quantum`
+(``noise``, ``verify-quantum``) or :mod:`clonectx.ontic` (``verify-ontic``);
+``_HANDLERS`` names that module for each, and :func:`run` imports it before
+the clock starts, so ``elapsed:`` times the computation alone.  ``quantum``
+computes on Python complex numbers, so ``ontic`` is the only module that
+loads numpy, and ``verify-ontic`` the only subcommand that needs it.
+``bounds``, ``clones``, ``region``, ``critical-noise`` and ``curves`` load
+neither simulation module.
 """
 
 from __future__ import annotations
@@ -408,7 +411,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     handler, module = _HANDLERS[args.command]
-    # The module, and numpy with it, loads before the clock starts: elapsed: is compute only.
+    # The module (and numpy, for ontic) loads before the clock starts: elapsed: is compute only.
     modules = (importlib.import_module(f"{__package__}.{module}"),) if module else ()
     start = time.perf_counter()
     report = handler(args, *modules)

@@ -1,4 +1,4 @@
-"""Finite-dimensional simulation of the noisy cloning experiment.
+"""Finite-dimensional simulation of the noisy cloning experiment, on Python complex numbers.
 
 Builds the full set of preparations and two-outcome test measurements of a
 cloning run in which every stage (input preparation, cloning unitary,
@@ -11,8 +11,11 @@ oracle for the closed-form optimal fidelity, live in :mod:`clonectx.cloner`.
 
 The two input states live in a real two-dimensional span; the clone
 outputs live in the corresponding two-qubit tensor space (dimension 4).
-Complex storage is kept throughout, with imaginary parts asserted to be
-negligible where real geometry is expected.
+No matrix is larger than 4 x 4, so states are tuples of complex amplitudes
+and operators tuples of rows, computed with :mod:`math` alone: ``clonectx
+noise`` and ``verify-quantum`` run without numpy.  Every operator is
+validated on construction (shape, Hermitian, spectrum, trace), and every
+tolerance test is written so that NaN fails it.
 """
 
 from __future__ import annotations
@@ -20,100 +23,145 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .bounds import EQUIVALENCE_PAIRS, STATE_NAMES, TEST_NAMES, ErrorBudget, OverlapParams, _check_unit
 from .cloner import plane_basis, search_clones
 
 HERMITIAN_TOL = 1e-12
 BORN_CLIP_TOL = 1e-10
 
+Vector = tuple  # complex amplitudes, dimension 2 or 4
+Matrix = tuple  # rows of complex entries, 2 x 2 or 4 x 4
+
+
+def _square(m, what: str) -> Matrix:
+    """``m`` as a 2 x 2 or 4 x 4 tuple of rows of complex numbers; any other shape raises ValueError."""
+    try:
+        rows = tuple(tuple(complex(x) for x in row) for row in m)
+    except TypeError:
+        raise ValueError(f"{what} must be a 2x2 or 4x4 matrix of numbers") from None
+    if len(rows) not in (2, 4) or any(len(row) != len(rows) for row in rows):
+        raise ValueError(f"{what} must be 2x2 or 4x4, got rows of lengths {[len(row) for row in rows]}")
+    return rows
+
+
+def _hermitian(m: Matrix) -> bool:
+    """Whether every entry of ``m`` is within HERMITIAN_TOL of its conjugate transpose's."""
+    d = len(m)
+    return all(abs(m[i][j] - m[j][i].conjugate()) <= HERMITIAN_TOL for i in range(d) for j in range(i, d))
+
+
+def _spectrum_above(m: Matrix, floor: float) -> bool:
+    """Whether every eigenvalue of the Hermitian ``m`` exceeds ``floor``.
+
+    That holds exactly when m - floor * I is positive definite, that is when
+    its Cholesky factorisation m - floor * I = L L^H runs with every pivot
+    positive; a NaN pivot fails too.
+    """
+    low: list[list[complex]] = []
+    for i, m_row in enumerate(m):
+        row: list = []
+        for j in range(i):
+            row.append((m_row[j] - sum(row[k] * low[j][k].conjugate() for k in range(j))) / low[j][j])
+        pivot = m_row[i].real - floor - sum(x.real * x.real + x.imag * x.imag for x in row)
+        if not pivot > 0.0:
+            return False
+        row.append(math.sqrt(pivot))
+        low.append(row)
+    return True
+
+
+def _ketbra(psi: Vector) -> "DensityOperator":
+    return DensityOperator(tuple(tuple(x * y.conjugate() for y in psi) for x in psi))
+
+
+def _apply(m: Matrix, psi: Vector) -> Vector:
+    return tuple(sum(a * x for a, x in zip(row, psi)) for row in m)
+
 
 @dataclass(frozen=True)
 class PureState:
-    """Unit vector in dimension 2 or 4."""
+    """Unit vector in dimension 2 or 4, stored as a tuple of complex amplitudes."""
 
-    amplitudes: np.ndarray
+    amplitudes: Vector
 
     def __post_init__(self) -> None:
-        amp = np.asarray(self.amplitudes, dtype=complex)
-        if amp.ndim != 1 or amp.shape[0] not in (2, 4):
-            raise ValueError(f"state must be a vector of dimension 2 or 4, got shape {amp.shape}")
-        norm = np.linalg.norm(amp)
-        if abs(norm - 1.0) > HERMITIAN_TOL:
-            raise ValueError(f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
-        amp.setflags(write=False)
+        try:
+            amp = tuple(complex(a) for a in self.amplitudes)
+        except TypeError:
+            raise ValueError("state must be a vector of numbers") from None
+        if len(amp) not in (2, 4):
+            raise ValueError(f"state must be a vector of dimension 2 or 4, got {len(amp)} entries")
+        deviation = abs(math.sqrt(sum(a.real * a.real + a.imag * a.imag for a in amp)) - 1.0)
+        if not deviation <= HERMITIAN_TOL:
+            raise ValueError(f"state norm deviates from 1 by {deviation:.3e}")
         object.__setattr__(self, "amplitudes", amp)
 
     @property
     def dim(self) -> int:
-        return self.amplitudes.shape[0]
+        return len(self.amplitudes)
 
     def density(self) -> "DensityOperator":
-        return DensityOperator(np.outer(self.amplitudes, self.amplitudes.conj()))
+        return _ketbra(self.amplitudes)
 
     def overlap2(self, other: "PureState") -> float:
         """Squared inner product |<self|other>|**2."""
-        return float(abs(np.vdot(self.amplitudes, other.amplitudes)) ** 2)
+        if self.dim != other.dim:
+            raise ValueError(f"dimension mismatch: {self.dim} and {other.dim}")
+        return abs(sum(x.conjugate() * y for x, y in zip(self.amplitudes, other.amplitudes))) ** 2
 
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Hermitian, positive-semidefinite, unit-trace matrix (dimension 2 or 4)."""
+    """Hermitian, positive-semidefinite, unit-trace matrix (dimension 2 or 4), stored as a tuple of rows."""
 
-    matrix: np.ndarray
+    matrix: Matrix
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in (2, 4):
-            raise ValueError(f"density operator must be 2x2 or 4x4, got shape {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
+        m = _square(self.matrix, "density operator")
+        if not _hermitian(m):
             raise ValueError("density operator is not Hermitian within tolerance")
-        eigs = np.linalg.eigvalsh(m)
-        if eigs.min() < -HERMITIAN_TOL:
-            raise ValueError(f"density operator has negative eigenvalue {eigs.min():.3e}")
-        if abs(np.trace(m).real - 1.0) > HERMITIAN_TOL:
-            raise ValueError(f"density operator trace deviates from 1 by {abs(np.trace(m).real - 1.0):.3e}")
-        m.setflags(write=False)
+        if not _spectrum_above(m, -HERMITIAN_TOL):
+            raise ValueError(f"density operator has an eigenvalue below -{HERMITIAN_TOL}")
+        deviation = abs(sum(m[i][i].real for i in range(len(m))) - 1.0)
+        if not deviation <= HERMITIAN_TOL:
+            raise ValueError(f"density operator trace deviates from 1 by {deviation:.3e}")
         object.__setattr__(self, "matrix", m)
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return len(self.matrix)
 
 
 @dataclass(frozen=True)
 class TwoOutcomeMeasurement:
-    """Two-outcome test; stores the pass effect, the fail effect being identity minus it."""
+    """Two-outcome test; stores the pass effect as a tuple of rows, the fail effect being identity minus it."""
 
-    effect: np.ndarray
+    effect: Matrix
 
     def __post_init__(self) -> None:
-        e = np.asarray(self.effect, dtype=complex)
-        if e.ndim != 2 or e.shape[0] != e.shape[1] or e.shape[0] not in (2, 4):
-            raise ValueError(f"effect must be 2x2 or 4x4, got shape {e.shape}")
-        if np.max(np.abs(e - e.conj().T)) > HERMITIAN_TOL:
+        e = _square(self.effect, "effect")
+        if not _hermitian(e):
             raise ValueError("effect is not Hermitian within tolerance")
-        eigs = np.linalg.eigvalsh(e)
-        if eigs.min() < -HERMITIAN_TOL or eigs.max() > 1.0 + HERMITIAN_TOL:
-            raise ValueError(f"effect spectrum [{eigs.min():.3e}, {eigs.max():.3e}] escapes [0, 1]")
-        e.setflags(write=False)
+        # The spectrum of E lies in [0, 1] when both E and I - E have none below 0.
+        negated = tuple(tuple(-x for x in row) for row in e)
+        if not (_spectrum_above(e, -HERMITIAN_TOL) and _spectrum_above(negated, -1.0 - HERMITIAN_TOL)):
+            raise ValueError(f"effect spectrum escapes [0, 1] by more than {HERMITIAN_TOL}")
         object.__setattr__(self, "effect", e)
 
     @property
     def dim(self) -> int:
-        return self.effect.shape[0]
+        return len(self.effect)
 
 
 def born(rho: DensityOperator, m: TwoOutcomeMeasurement) -> float:
-    """Pass probability Tr[rho * effect], clipped only within a tight tolerance."""
+    """Pass probability Tr[rho * effect], the sum of rho_ij * effect_ji, clipped only within a tight tolerance."""
     if rho.dim != m.dim:
         raise ValueError(f"dimension mismatch: state {rho.dim}, effect {m.dim}")
-    p = np.trace(rho.matrix @ m.effect)
-    if abs(p.imag) > BORN_CLIP_TOL:
+    p = sum(sum(r * e for r, e in zip(row, col)) for row, col in zip(rho.matrix, zip(*m.effect)))
+    if not abs(p.imag) <= BORN_CLIP_TOL:
         raise ValueError(f"Born probability has imaginary part {p.imag:.3e}")
     val = p.real
-    if val < -BORN_CLIP_TOL or val > 1.0 + BORN_CLIP_TOL:
+    if not -BORN_CLIP_TOL <= val <= 1.0 + BORN_CLIP_TOL:
         raise ValueError(f"Born probability {val!r} outside [0, 1] beyond tolerance")
     return min(max(val, 0.0), 1.0)
 
@@ -126,29 +174,21 @@ def make_input_pair(c_ab: float) -> tuple[PureState, PureState]:
     """
     c = _check_unit("c_ab", c_ab)
     theta = 0.5 * math.acos(math.sqrt(c))
-    ket_a = np.array([math.cos(theta), math.sin(theta)], dtype=complex)
-    ket_b = np.array([math.cos(theta), -math.sin(theta)], dtype=complex)
-    return PureState(ket_a), PureState(ket_b)
+    return PureState((math.cos(theta), math.sin(theta))), PureState((math.cos(theta), -math.sin(theta)))
 
 
 def depolarize(rho: DensityOperator, v: float) -> DensityOperator:
     """Depolarizing channel in the state's own dimension d: (1-v) rho + v I/d."""
     v = _check_unit("v", v)
-    return DensityOperator((1.0 - v) * rho.matrix + v * np.eye(rho.dim) / rho.dim)
+    keep, mixed = 1.0 - v, v / rho.dim
+    return DensityOperator(tuple(
+        tuple(keep * x + (mixed if i == j else 0.0) for j, x in enumerate(row)) for i, row in enumerate(rho.matrix)
+    ))
 
 
-def _ketbra(psi: np.ndarray) -> DensityOperator:
-    return DensityOperator(np.outer(psi, psi.conj()))
-
-
-def _clone_plane_basis(c: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`clonectx.cloner.plane_basis` as arrays: the targets aa, bb and the frame e1, e2, e3."""
-    return tuple(np.array(x) for x in plane_basis(c))
-
-
-def _quarter_turn(e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
+def _quarter_turn(e1: Vector, e2: Vector) -> Matrix:
     """The 90-degree rotation of the real plane span{e1, e2} (e1 -> e2 -> -e1), zero off the plane."""
-    return np.outer(e2, e1) - np.outer(e1, e2)
+    return tuple(tuple(y_i * x_j - x_i * y_j for x_j, y_j in zip(e1, e2)) for x_i, y_i in zip(e1, e2))
 
 
 def optimal_clone_pair(c_ab: float) -> tuple[PureState, PureState]:
@@ -159,13 +199,13 @@ def optimal_clone_pair(c_ab: float) -> tuple[PureState, PureState]:
     must preserve from the inputs).
     """
     c = _check_unit("c_ab", c_ab)
-    _, _, e1, e2, _ = _clone_plane_basis(c)
+    _, _, e1, e2, _ = plane_basis(c)
     rc = math.sqrt(c)
     cos_psi = math.sqrt((1.0 + rc) / 2.0)
     sin_psi = math.sqrt((1.0 - rc) / 2.0)
-    alpha = cos_psi * e1 + sin_psi * e2
-    beta = cos_psi * e1 - sin_psi * e2
-    return PureState(alpha.astype(complex)), PureState(beta.astype(complex))
+    alpha = tuple(cos_psi * x + sin_psi * y for x, y in zip(e1, e2))
+    beta = tuple(cos_psi * x - sin_psi * y for x, y in zip(e1, e2))
+    return PureState(alpha), PureState(beta)
 
 
 @dataclass(frozen=True)
@@ -183,8 +223,8 @@ def construct_optimal_clones(c_ab: float) -> CloneSearchResult:
     """:func:`clonectx.cloner.search_clones`, with the clone outputs as states."""
     found = search_clones(c_ab)
     return CloneSearchResult(
-        alpha=PureState(np.array(found.alpha, dtype=complex)),
-        beta=PureState(np.array(found.beta, dtype=complex)),
+        alpha=PureState(found.alpha),
+        beta=PureState(found.beta),
         fidelity=found.fidelity,
         overlap_error=found.overlap_error,
         grid_fidelity=found.grid_fidelity,
@@ -220,11 +260,12 @@ class NoisyEnsemble:
     def equivalence_residuals(self) -> dict[str, float]:
         """Max-entry residual of each of the four mixing equivalences."""
 
-        def mixture(s: str) -> np.ndarray:
-            return 0.5 * (self.states[s].matrix + self.states[f"{s}_perp"].matrix)
+        def mixture(s: str) -> list[complex]:
+            rows = zip(self.states[s].matrix, self.states[f"{s}_perp"].matrix)
+            return [0.5 * (x + y) for row, row_perp in rows for x, y in zip(row, row_perp)]
 
         return {
-            f"{s}~{s2}": float(np.max(np.abs(mixture(s) - mixture(s2))))
+            f"{s}~{s2}": max(abs(x - y) for x, y in zip(mixture(s), mixture(s2)))
             for s, s2 in EQUIVALENCE_PAIRS + (("aa", "bb"),)
         }
 
@@ -260,7 +301,7 @@ def noisy_ensemble(v: float, c_ab: float) -> NoisyEnsemble:
     deliberate second round so the mixing equivalences close).  Tests are
     projectors depolarized once.  Every orthogonal partner is its
     preparation turned by 90 degrees inside its layer's real plane: the
-    qubit plane, or span{e1, e2} of :func:`_clone_plane_basis`, which holds
+    qubit plane, or span{e1, e2} of :func:`clonectx.cloner.plane_basis`, which holds
     alpha, beta, aa and bb for every ``c_ab`` in [0, 1].  Each equal mixture
     of a state and its partner is then half the plane's projector, so all
     four mixing equivalences hold as matrix identities.
@@ -270,18 +311,18 @@ def noisy_ensemble(v: float, c_ab: float) -> NoisyEnsemble:
 
     ket_a, ket_b = make_input_pair(c)
     ket_alpha, ket_beta = optimal_clone_pair(c)
-    aa, bb, e1, e2, _ = _clone_plane_basis(c)
+    aa, bb, e1, e2, _ = plane_basis(c)
     kets = {
         "a": ket_a.amplitudes, "b": ket_b.amplitudes,
         "alpha": ket_alpha.amplitudes, "beta": ket_beta.amplitudes,
         "aa": aa, "bb": bb,
     }
-    turn = {2: _quarter_turn(*np.eye(2)), 4: _quarter_turn(e1, e2)}
-    kets.update({f"{s}_perp": turn[psi.size] @ psi for s, psi in kets.items()})
+    turn = {2: _quarter_turn((1.0, 0.0), (0.0, 1.0)), 4: _quarter_turn(e1, e2)}
+    kets.update({f"{s}_perp": _apply(turn[len(psi)], psi) for s, psi in kets.items()})
 
-    def prepare(psi: np.ndarray) -> DensityOperator:
+    def prepare(psi: Vector) -> DensityOperator:
         rho = depolarize(_ketbra(psi), v)
-        return rho if psi.size == 2 else depolarize(rho, v)
+        return rho if len(psi) == 2 else depolarize(rho, v)
 
     return NoisyEnsemble(
         v=v,

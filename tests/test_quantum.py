@@ -1,6 +1,8 @@
 """Quantum-simulation tests: geometry, Born rule, the depolarized ensemble and
-the independent clone search against the closed forms."""
+the independent clone search against the closed forms, and the pure-Python
+operators against numpy references built here."""
 
+import math
 import warnings
 
 import numpy as np
@@ -8,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clonectx import bounds, cloner
+from clonectx import bounds, cloner, quantum
 from clonectx.quantum import (
+    HERMITIAN_TOL,
     DensityOperator,
     PureState,
     TwoOutcomeMeasurement,
@@ -24,6 +27,57 @@ from clonectx.quantum import (
 
 V_GRID = (0.015, 0.1, 0.3)
 C_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
+NAN = float("nan")
+# The whole (v, c) domain, with c's edges and the doubles nearest 1 - 10**-e.
+V_DOMAIN = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1e-9, 1.0 - 1e-10, 1.0]))
+C_DOMAIN = st.one_of(
+    st.floats(0.0, 1.0),
+    st.integers(1, 16).map(lambda e: float("0." + "9" * e)),
+    st.sampled_from([0.0, 1e-9, 1.0 - 1e-10, 1.0]),
+)
+
+
+def numpy_ensemble(v, c):
+    """Every preparation and test matrix of the noisy experiment, built with np.outer and np.eye."""
+    theta = 0.5 * math.acos(math.sqrt(c))
+    a = np.array([math.cos(theta), math.sin(theta)], dtype=complex)
+    b = np.array([math.cos(theta), -math.sin(theta)], dtype=complex)
+    aa, bb = np.kron(a, a), np.kron(b, b)
+    e1 = (aa + bb) / math.sqrt(2.0 + 2.0 * c)
+    e2 = np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2.0)
+    rc = math.sqrt(c)
+    cos_psi, sin_psi = math.sqrt((1.0 + rc) / 2.0), math.sqrt((1.0 - rc) / 2.0)
+    kets = {"a": a, "b": b, "alpha": cos_psi * e1 + sin_psi * e2, "beta": cos_psi * e1 - sin_psi * e2,
+            "aa": aa, "bb": bb}
+    x, y = np.eye(2)
+    turn = {2: np.outer(y, x) - np.outer(x, y), 4: np.outer(e2, e1) - np.outer(e1, e2)}
+    kets.update({f"{s}_perp": turn[psi.size] @ psi for s, psi in kets.items()})
+
+    def depolarize_np(rho):
+        return (1.0 - v) * rho + v * np.eye(len(rho)) / len(rho)
+
+    def prepare(psi):
+        rho = depolarize_np(np.outer(psi, psi.conj()))
+        return rho if psi.size == 2 else depolarize_np(rho)
+
+    states = {name: prepare(kets[name]) for name in bounds.STATE_NAMES}
+    tests = {s: depolarize_np(np.outer(kets[s], kets[s].conj())) for s in bounds.TEST_NAMES}
+    return states, tests
+
+
+@st.composite
+def hermitian_spectra(draw, d):
+    """A random unitary (QR of a complex matrix) and a spectrum in [0, 1] of dimension ``d``."""
+    entries = draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * d * d, max_size=2 * d * d))
+    z = np.array(entries[: d * d]).reshape(d, d) + 1j * np.array(entries[d * d:]).reshape(d, d)
+    q, _ = np.linalg.qr(z + np.eye(d))
+    spectrum = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=d, max_size=d)))
+    return q, spectrum
+
+
+def hermitian(q, spectrum):
+    m = (q * spectrum) @ q.conj().T
+    return 0.5 * (m + m.conj().T)
 
 
 class TestInputPair:
@@ -59,11 +113,71 @@ class TestOperators:
         with pytest.raises(ValueError):
             TwoOutcomeMeasurement(np.eye(2) * 1.5)
 
+    def test_effect_rejects_spectrum_below_zero(self):
+        with pytest.raises(ValueError, match="escapes"):
+            TwoOutcomeMeasurement(np.diag([1.0, -1e-9]))
+
+    def test_effect_rejects_non_hermitian(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            TwoOutcomeMeasurement(np.array([[0.5, 0.3], [0.0, 0.5]]))
+
+    def test_density_rejects_trace_off_one(self):
+        with pytest.raises(ValueError, match="trace"):
+            DensityOperator(np.eye(2) * (0.5 + 1e-9))
+
+    @pytest.mark.parametrize("make", [
+        lambda: PureState([1.0, 0.0, 0.0]),
+        lambda: PureState([[1.0, 0.0], [0.0, 0.0]]),
+        lambda: DensityOperator([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+        lambda: DensityOperator([1.0, 0.0]),
+        lambda: DensityOperator(np.eye(3) / 3.0),
+        lambda: TwoOutcomeMeasurement([[1.0, 0.0], [0.0]]),
+    ], ids=["state-3", "state-2x2", "density-2x3", "density-vector", "density-3x3", "effect-ragged"])
+    def test_shapes_other_than_2_or_4_are_rejected(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+    @pytest.mark.parametrize("make", [
+        lambda: PureState([NAN, 0.0]),
+        lambda: PureState([1.0, NAN]),
+        lambda: DensityOperator([[NAN, 0.0], [0.0, 0.5]]),
+        lambda: DensityOperator([[0.5, NAN], [NAN, 0.5]]),
+        lambda: DensityOperator(np.diag([0.5, complex(0.5, NAN)])),
+        lambda: TwoOutcomeMeasurement([[NAN, 0.0], [0.0, 0.5]]),
+        lambda: TwoOutcomeMeasurement([[0.5, 0.0], [0.0, NAN]]),
+        lambda: DensityOperator(np.diag([math.inf, 0.5])),
+    ], ids=["state-first", "state-second", "density-diagonal", "density-off-diagonal", "density-imaginary",
+            "effect-first", "effect-last", "density-inf"])
+    def test_nan_entries_are_rejected(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+    def test_spectrum_check_fails_on_nan(self):
+        # The constructors' Hermitian check meets a NaN first; the Cholesky
+        # check on its own must still fail one rather than pass it.
+        assert not quantum._spectrum_above(((complex(NAN), 0j), (0j, 1 + 0j)), -HERMITIAN_TOL)
+        assert not quantum._spectrum_above(((1 + 0j, complex(NAN)), (complex(NAN), 1 + 0j)), -HERMITIAN_TOL)
+
+    def test_born_rejects_nan_that_bypassed_the_constructor(self):
+        rho = DensityOperator(np.eye(2) / 2.0)
+        object.__setattr__(rho, "matrix", ((complex(NAN), 0j), (0j, 0.5 + 0j)))
+        with pytest.raises(ValueError):
+            born(rho, TwoOutcomeMeasurement(np.eye(2)))
+
+    def test_born_clips_within_tolerance_and_rejects_beyond(self):
+        rho = DensityOperator(np.diag([1.0 + 5e-13, -5e-13]))
+        assert born(rho, TwoOutcomeMeasurement(np.diag([0.0, 1.0]))) == 0.0
+        assert born(rho, TwoOutcomeMeasurement(np.diag([1.0, 0.0]))) == 1.0
+        object.__setattr__(rho, "matrix", ((1.0 + 1e-9 + 0j, 0j), (0j, -1e-9 + 0j)))
+        with pytest.raises(ValueError, match="outside"):
+            born(rho, TwoOutcomeMeasurement(np.diag([0.0, 1.0])))
+
     def test_born_trivials(self):
         ket_a, _ = make_input_pair(0.5)
         rho = ket_a.density()
-        proj = TwoOutcomeMeasurement(np.outer(ket_a.amplitudes, ket_a.amplitudes.conj()))
-        anti = TwoOutcomeMeasurement(np.eye(2) - proj.effect)
+        ket = np.array(ket_a.amplitudes)
+        proj = TwoOutcomeMeasurement(np.outer(ket, ket.conj()))
+        anti = TwoOutcomeMeasurement(np.eye(2) - np.array(proj.effect))
         assert born(rho, proj) == pytest.approx(1.0, abs=1e-12)
         assert born(rho, anti) == pytest.approx(0.0, abs=1e-12)
 
@@ -84,7 +198,7 @@ class TestOperators:
             psi[0], psi[-1] = 0.6, 0.8j
             rho = PureState(psi).density()
             for v in V_GRID:
-                want = (1.0 - v) * rho.matrix + v * np.eye(d) / d
+                want = (1.0 - v) * np.array(rho.matrix) + v * np.eye(d) / d
                 np.testing.assert_allclose(depolarize(rho, v).matrix, want, atol=1e-15)
 
     @pytest.mark.parametrize("v", V_GRID)
@@ -93,9 +207,80 @@ class TestOperators:
         # an ancilla |0> and tracing the ancilla out.
         ket_a, _ = make_input_pair(0.3)
         joint = PureState(np.kron(ket_a.amplitudes, np.array([1.0, 0.0], dtype=complex))).density()
-        traced = np.einsum("ikjk->ij", depolarize(joint, v).matrix.reshape(2, 2, 2, 2))
+        traced = np.einsum("ikjk->ij", np.array(depolarize(joint, v).matrix).reshape(2, 2, 2, 2))
         got = depolarize(ket_a.density(), v)
         np.testing.assert_allclose(got.matrix, traced, atol=1e-14)
+
+
+class TestAgainstNumpy:
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(v=V_DOMAIN, c=C_DOMAIN)
+    def test_ensemble_matches_the_numpy_construction(self, v, c):
+        ens = noisy_ensemble(v, c)
+        states, tests = numpy_ensemble(v, c)
+        for got, want in [(ens.states, states), (ens.tests, tests)]:
+            for name, op in got.items():
+                matrix = op.matrix if isinstance(op, DensityOperator) else op.effect
+                assert np.max(np.abs(np.array(matrix) - want[name])) <= 1e-15, name
+
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(v=V_DOMAIN, c=C_DOMAIN)
+    def test_born_matches_the_numpy_trace(self, v, c):
+        ens = noisy_ensemble(v, c)
+        for rho in ens.states.values():
+            for test in ens.tests.values():
+                if rho.dim == test.dim:
+                    want = np.trace(np.array(rho.matrix) @ np.array(test.effect)).real
+                    assert abs(born(rho, test) - min(max(want, 0.0), 1.0)) <= 1e-15
+
+    # The Cholesky test against the spectrum, on operators in the domain it
+    # guards (spectra within a unit interval), at random and 1e-3 * tol
+    # either side of the threshold.
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(d=st.sampled_from([2, 4]), data=st.data(),
+           floor=st.sampled_from([None, 1.0 + 1e-3, 1.0 - 1e-3]))
+    def test_density_spectrum_check_agrees_with_eigvalsh(self, d, data, floor):
+        q, spectrum = data.draw(hermitian_spectra(d))
+        if spectrum.sum() == 0.0:
+            spectrum[0] = 1.0
+        spectrum = spectrum / spectrum.sum()
+        if floor is not None:
+            i = int(np.argmin(spectrum))
+            spectrum[i] = -floor * HERMITIAN_TOL
+            spectrum[(i + 1) % d] += 1.0 - spectrum.sum()  # the trace stays 1
+        m = hermitian(q, spectrum)
+        rejected = np.linalg.eigvalsh(m).min() < -HERMITIAN_TOL
+        try:
+            DensityOperator(m)
+        except ValueError as exc:
+            assert rejected, exc
+        else:
+            assert not rejected
+
+    # The upper edge is judged 1e-2 * tol either side: 1 + tol is itself
+    # rounded to the 2.2e-16 spacing of doubles near 1, so 1e-3 * tol there is
+    # within five units in the last place of both routes.
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(d=st.sampled_from([2, 4]), data=st.data(),
+           edge=st.sampled_from([None, ("low", 1.0 + 1e-3), ("low", 1.0 - 1e-3),
+                                 ("high", 1.0 + 1e-2), ("high", 1.0 - 1e-2)]))
+    def test_effect_spectrum_check_agrees_with_eigvalsh(self, d, data, edge):
+        q, spectrum = data.draw(hermitian_spectra(d))
+        if edge is not None:
+            side, scale = edge
+            if side == "low":
+                spectrum = spectrum - spectrum.min() - scale * HERMITIAN_TOL
+            else:
+                spectrum = spectrum - spectrum.max() + 1.0 + scale * HERMITIAN_TOL
+        m = hermitian(q, spectrum)
+        eigs = np.linalg.eigvalsh(m)
+        rejected = eigs.min() < -HERMITIAN_TOL or eigs.max() > 1.0 + HERMITIAN_TOL
+        try:
+            TwoOutcomeMeasurement(m)
+        except ValueError as exc:
+            assert rejected, exc
+        else:
+            assert not rejected
 
 
 class TestCloneOptimizer:
@@ -166,9 +351,9 @@ class TestNoisyEnsemble:
 
     def test_input_pair_mixture_is_maximally_mixed(self):
         ens = noisy_ensemble(0.1, 0.5)
-        mix = 0.5 * (ens.states["a"].matrix + ens.states["a_perp"].matrix)
+        mix = 0.5 * (np.array(ens.states["a"].matrix) + np.array(ens.states["a_perp"].matrix))
         np.testing.assert_allclose(mix, np.eye(2) / 2.0, atol=1e-14)
-        mix_b = 0.5 * (ens.states["b"].matrix + ens.states["b_perp"].matrix)
+        mix_b = 0.5 * (np.array(ens.states["b"].matrix) + np.array(ens.states["b_perp"].matrix))
         np.testing.assert_allclose(mix_b, np.eye(2) / 2.0, atol=1e-14)
 
     def test_noiseless_ensemble_is_ideal(self):
