@@ -1,9 +1,9 @@
 """Workbench for the contextuality analysis of state-dependent quantum cloning.
 
 Modules by concern; ``cloner``, ``ontic`` and ``scan`` import only ``bounds``,
-``quantum`` only ``bounds`` and ``cloner``.  ``bounds``, ``cloner`` and
-``scan`` compute on Python floats and ``quantum`` on Python complex numbers,
-with :mod:`math`; only ``ontic`` imports numpy:
+``quantum`` only ``bounds`` and ``cloner``.  ``bounds``, ``cloner``,
+``ontic`` and ``scan`` compute on Python floats and ``quantum`` on Python
+complex numbers, with :mod:`math`; no module imports numpy:
 
 * :mod:`clonectx.bounds`  -- closed-form fidelities, noncontextual ceilings,
   depolarizing-noise error budgets and observed confusabilities, and the
@@ -12,7 +12,7 @@ with :mod:`math`; only ``ontic`` imports numpy:
   for the optimal clone outputs.
 * :mod:`clonectx.quantum` -- finite-dimensional simulation of the noisy
   cloning experiment (states, channels, Born rule, clone outputs as states).
-* :mod:`clonectx.ontic`   -- discretized ontological models on a cell grid,
+* :mod:`clonectx.ontic`   -- ontological models on a partition into cells,
   with operational-equivalence checkers and the bound-saturating model.
 * :mod:`clonectx.scan`    -- parameter sweeps, violation intervals and
   figure-data series writers.

@@ -13,20 +13,19 @@ subcommands that simulate states and tests load :mod:`clonectx.quantum`
 (``noise``, ``verify-quantum``) or :mod:`clonectx.ontic` (``verify-ontic``);
 ``_HANDLERS`` names that module for each, and :func:`run` imports it before
 the clock starts, so ``elapsed:`` times the computation alone.  ``quantum``
-computes on Python complex numbers, so ``ontic`` is the only module that
-loads numpy, and ``verify-ontic`` the only subcommand that needs it.
-``bounds``, ``clones``, ``region``, ``critical-noise`` and ``curves`` load
-neither simulation module.
+computes on Python complex numbers and ``ontic`` on Python floats, so no
+subcommand loads numpy.  ``bounds``, ``clones``, ``region``,
+``critical-noise`` and ``curves`` load neither simulation module.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib
+import itertools
 import json
 import sys
 import time
-import warnings
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
@@ -37,11 +36,10 @@ from . import bounds, cloner, scan
 ACCEPT_EXACT = 1e-12
 CLONE_TOL = 1e-7
 OVERLAP_TOL = 1e-9
-# verify-ontic keeps a dozen densities and responses on the n x n output grid
-# (the row-sparse clone kernel adds 8*n^2 bytes of weights and columns); its
-# measured peak RSS is about 105 bytes per output cell, 0.42 GB at n = 2000.
-MAX_RESOLUTION = 2000
-BYTES_PER_OUTPUT_CELL = 105
+# verify-ontic --resolution n snaps c to round(c*m)/m, m = n/2, in floats.  Up
+# to 2**53, m converts to a float exactly; beyond it the snap rounds, and
+# past about 1e308 the product c*m overflows.
+MAX_RESOLUTION = 2**53
 # curves keeps the c grid, its four series and their formatted lines in memory;
 # its measured peak RSS grows by about 580 bytes per point, 0.26 GB at 4e5 points.
 MAX_POINTS = 1_000_000
@@ -141,9 +139,8 @@ def _resolution(text: str) -> int:
     if x < 4 or x % 2:
         raise argparse.ArgumentTypeError(f"value {x} must be an even number >= 4")
     if x > MAX_RESOLUTION:
-        raise argparse.ArgumentTypeError(f"value {x} must be at most {MAX_RESOLUTION}: the ontic model takes about "
-                                         f"{BYTES_PER_OUTPUT_CELL}*n^2 bytes, "
-                                         f"{BYTES_PER_OUTPUT_CELL * x**2 / 1e9:.2f} GB at n = {x}")
+        raise argparse.ArgumentTypeError(f"value {x} must be at most 2**53 = {MAX_RESOLUTION}, "
+                                         "so that c snaps exactly to k/(n/2)")
     return x
 
 
@@ -188,8 +185,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-ontic", parents=[common], help="build the saturating model and run every check")
     p.add_argument("--c", type=_probability, required=True)
     p.add_argument("--resolution", type=_resolution, default=200,
-                   help=f"even number of grid cells per axis, 4 to {MAX_RESOLUTION} "
-                   f"(about {BYTES_PER_OUTPUT_CELL}*n^2 bytes of memory)")
+                   help="snap c first to the nearest k/(n/2), the overlaps a grid of n cells per axis "
+                   "can hold; n is even, 4 to 2**53")
 
     p = sub.add_parser("verify-quantum", parents=[common], help="verify the noisy experiment against closed forms")
     p.add_argument("--v", type=_probability, required=True)
@@ -346,15 +343,14 @@ def _cmd_curves(args: argparse.Namespace) -> RunReport:
 
 def _cmd_verify_ontic(args: argparse.Namespace, ontic) -> RunReport:
     report = RunReport("verify-ontic", inputs={"c": args.c, "resolution": args.resolution})
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        model = ontic.build_saturating_model(args.c, args.resolution)
-    for w in caught:
-        report.outputs.setdefault("warnings", []).append(str(w.message))
-
-    c = model.c_ab
-    tol = ontic.STRUCTURAL_TOL
+    m = args.resolution // 2
+    k = round(args.c * m)
+    c = k / m
+    if abs(c - args.c) > 1e-12:
+        report.outputs["warnings"] = [f"snapping overlap {args.c} to {c} (= {k}/{m}) so supports align with the grid"]
     report.outputs["c_snapped"] = c
+    model = ontic.build_saturating_model(c)
+    tol = ontic.STRUCTURAL_TOL
 
     o1 = ontic.check_O1(model)
     report.add_verdict("perfect-correlations", o1.passed, f"max residual = {o1.max_residual:.3e} <= {o1.tol}")
@@ -378,8 +374,10 @@ def _cmd_verify_ontic(args: argparse.Namespace, ontic) -> RunReport:
             f"residual = {rep.residual:.3e} <= {rep.tol}",
         )
 
-    product = model.states["b"].density[:, None] * model.states["b"].density[None, :]
-    beta_resid = float(abs(model.states["beta"].density - product.ravel()).max())
+    # The output grid is the input grid squared, row-major: the product density is b(x) b(y) cell by cell.
+    b = model.states["b"].density
+    cells = zip(model.states["beta"].density, itertools.product(b, b), strict=True)
+    beta_resid = max(abs(beta - x * y) for beta, (x, y) in cells)
     report.add_verdict("clone-of-b-is-product-density", beta_resid <= tol, f"max residual = {beta_resid:.3e} <= {tol}")
 
     c_model = ontic.confusability(model.states["a"], model.responses["b"])
@@ -411,7 +409,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     handler, module = _HANDLERS[args.command]
-    # The module (and numpy, for ontic) loads before the clock starts: elapsed: is compute only.
+    # The module loads before the clock starts: elapsed: is compute only.
     modules = (importlib.import_module(f"{__package__}.{module}"),) if module else ()
     start = time.perf_counter()
     report = handler(args, *modules)

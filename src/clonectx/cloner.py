@@ -4,7 +4,7 @@ The two-copy targets ``aa`` and ``bb`` and every clone output the search
 visits are real vectors in the symmetric subspace of two qubits, so the
 search needs no matrices: it works on 4-tuples with :mod:`math`, and
 ``clonectx clones`` runs without numpy.  :mod:`clonectx.quantum` builds its
-numpy states from :func:`plane_basis` and wraps :func:`search_clones` as
+states from :func:`plane_basis` and wraps :func:`search_clones` as
 ``construct_optimal_clones``.  Deliberately independent of the closed-form
 fidelity in :mod:`clonectx.bounds`, which it cross-checks.
 """

@@ -1,15 +1,18 @@
-"""Discretized ontological models over a cell grid.
+"""Ontological models that are piecewise constant on a partition into cells.
 
 States of knowledge (probability densities over a hidden-state domain),
 two-outcome response functions and stochastic transition kernels are all
-piecewise constant on a uniform grid over [0, 2] (inputs) or [0, 2]^2
-(clone outputs).  Expectation values are computed by exact cell sums, so
-the structural identities of a well-built model hold to machine precision
-rather than discretization order.
+piecewise constant on a :class:`LambdaGrid`: a partition of [0, 2]
+(inputs) or [0, 2]^2 (clone outputs) into cells given by their edges on
+each axis, so cells may differ in size.  Expectation values are exact sums
+of density times cell volume, so the structural identities of a well-built
+model hold to rounding.  Everything computes on Python floats; importing
+this module does not load numpy.
 
 The centrepiece is :func:`build_saturating_model`: the explicit
 preparation-noncontextual model whose cloning strategy reaches the
-noncontextual fidelity ceiling exactly.  Checkers for the perfect-test
+noncontextual fidelity ceiling exactly, at any overlap in [0, 1], on the
+coarsest partition its supports allow.  Checkers for the perfect-test
 correlations (O1), the mixing equivalences (O2), the distance/confusability
 sandwich relations and the data-processing inequality operate on any model
 built from these parts, all at the one tolerance ``STRUCTURAL_TOL``.
@@ -17,14 +20,13 @@ built from these parts, all at the one tolerance ``STRUCTURAL_TOL``.
 
 from __future__ import annotations
 
+import itertools
 import math
-import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
-import numpy as np
-
-from .bounds import EQUIVALENCE_PAIRS, STATE_NAMES, TEST_NAMES
+from .bounds import EQUIVALENCE_PAIRS, STATE_NAMES, TEST_NAMES, _check_unit
 
 DOMAIN_LENGTH = 2.0
 STRUCTURAL_TOL = 1e-9
@@ -32,67 +34,100 @@ STRUCTURAL_TOL = 1e-9
 
 @dataclass(frozen=True)
 class LambdaGrid:
-    """Uniform cell grid over [0, 2] (dimension 1) or [0, 2]^2 (dimension 2)."""
+    """Partition of [0, 2] (one axis) or [0, 2]^2 (two axes) into cells.
 
-    dimension: int
-    n: int  # cells per axis
+    ``edges`` holds, for each axis, the cell edges rising strictly from 0
+    to 2.  Cells are numbered row-major: the last axis varies fastest.
+    """
+
+    edges: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.dimension not in (1, 2):
-            raise ValueError(f"grid dimension must be 1 or 2, got {self.dimension}")
-        if self.n < 4:
-            raise ValueError(f"grid needs at least 4 cells per axis, got {self.n}")
+        edges = tuple(tuple(float(x) for x in axis) for axis in self.edges)
+        if len(edges) not in (1, 2):
+            raise ValueError(f"grid dimension must be 1 or 2, got {len(edges)}")
+        for axis in edges:
+            if axis[:1] != (0.0,) or axis[-1:] != (DOMAIN_LENGTH,) or not all(x < y for x, y in zip(axis, axis[1:])):
+                raise ValueError(f"cell edges must rise strictly from 0 to {DOMAIN_LENGTH}, got {axis}")
+        object.__setattr__(self, "edges", edges)
+
+    @classmethod
+    def uniform(cls, dimension: int, n: int) -> "LambdaGrid":
+        """``n`` equal cells per axis: edges at k * 2/n."""
+        if n < 1:
+            raise ValueError(f"grid needs at least 1 cell per axis, got {n}")
+        return cls((tuple(DOMAIN_LENGTH * k / n for k in range(n + 1)),) * dimension)
 
     @property
-    def h(self) -> float:
-        return DOMAIN_LENGTH / self.n
+    def dimension(self) -> int:
+        return len(self.edges)
 
-    @property
-    def cell_volume(self) -> float:
-        return self.h if self.dimension == 1 else self.h * self.h
+    @cached_property
+    def cells(self) -> tuple[tuple[tuple[float, float], ...], ...]:
+        """Each cell as its (low, high) bounds per axis."""
+        return tuple(itertools.product(*(tuple(zip(axis, axis[1:])) for axis in self.edges)))
+
+    @cached_property
+    def volumes(self) -> tuple[float, ...]:
+        return tuple(math.prod(hi - lo for lo, hi in cell) for cell in self.cells)
 
     @property
     def num_cells(self) -> int:
-        return self.n if self.dimension == 1 else self.n * self.n
+        return len(self.cells)
 
-    def rect(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Flat indices of a row-set x column-set rectangle (2D grids only)."""
-        if self.dimension != 2:
-            raise ValueError("rect() applies to 2-dimensional grids")
-        return (np.asarray(rows, dtype=np.intp)[:, None] * self.n + np.asarray(cols, dtype=np.intp)[None, :]).ravel()
+    @property
+    def cell_volume(self) -> float:
+        """The volume every cell of a uniform grid has."""
+        v = DOMAIN_LENGTH**self.dimension / self.num_cells
+        if any(abs(x - v) > STRUCTURAL_TOL * v for x in self.volumes):
+            raise ValueError("the cells of this grid differ in volume")
+        return v
+
+
+def _indicator(grid: LambdaGrid, rects) -> tuple[float, ...]:
+    """1 on the cells inside one of ``rects``, 0 elsewhere.
+
+    A rectangle is a (low, high) interval per axis; its bounds are cell edges.
+    """
+    return tuple(
+        float(any(all(lo <= c_lo and c_hi <= hi for (c_lo, c_hi), (lo, hi) in zip(cell, rect)) for rect in rects))
+        for cell in grid.cells
+    )
+
+
+def _integral(grid: LambdaGrid, values) -> float:
+    """Sum of value times cell volume over the grid."""
+    return math.fsum(x * v for x, v in zip(values, grid.volumes))
 
 
 @dataclass(frozen=True)
 class EpistemicState:
-    """Nonnegative density per cell, normalized so that sum * cell volume = 1."""
+    """Nonnegative density per cell, normalized so that its integral is 1."""
 
     grid: LambdaGrid
-    density: np.ndarray
+    density: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        d = np.asarray(self.density, dtype=float)
-        if d.shape != (self.grid.num_cells,):
-            raise ValueError(f"density must have {self.grid.num_cells} cells, got shape {d.shape}")
-        if d.min() < 0.0:
-            raise ValueError(f"density has negative cell {d.min():.3e}")
-        mass = float(d.sum() * self.grid.cell_volume)
-        if abs(mass - 1.0) > STRUCTURAL_TOL:
+        d = tuple(float(x) for x in self.density)
+        if len(d) != self.grid.num_cells:
+            raise ValueError(f"density must have {self.grid.num_cells} cells, got {len(d)}")
+        bad = [x for x in d if not x >= 0.0]
+        if bad:
+            raise ValueError(f"density has negative or NaN cell {bad[0]:.3e}")
+        mass = _integral(self.grid, d)
+        if not abs(mass - 1.0) <= STRUCTURAL_TOL:
             raise ValueError(f"density mass deviates from 1 by {abs(mass - 1.0):.3e}")
-        d.setflags(write=False)
         object.__setattr__(self, "density", d)
 
     @classmethod
-    def uniform_on(cls, grid: LambdaGrid, cells: np.ndarray) -> "EpistemicState":
-        """Unit-height density on the given cell set (whose measure must be 1)."""
-        d = np.zeros(grid.num_cells)
-        d[np.asarray(cells, dtype=np.intp)] = 1.0
-        return cls(grid, d)
+    def uniform_on(cls, grid: LambdaGrid, rects) -> "EpistemicState":
+        """Unit-height density on a union of rectangles (whose measure must be 1)."""
+        return cls(grid, _indicator(grid, rects))
 
     @classmethod
     def uniform(cls, grid: LambdaGrid) -> "EpistemicState":
         """Flat density over the whole domain."""
-        d = np.full(grid.num_cells, 1.0 / DOMAIN_LENGTH**grid.dimension)
-        return cls(grid, d)
+        return cls(grid, (1.0 / DOMAIN_LENGTH**grid.dimension,) * grid.num_cells)
 
 
 @dataclass(frozen=True)
@@ -100,84 +135,72 @@ class ResponseFunction:
     """Per-cell probability of the pass outcome of a two-outcome test."""
 
     grid: LambdaGrid
-    values: np.ndarray
+    values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        x = np.asarray(self.values, dtype=float)
-        if x.shape != (self.grid.num_cells,):
-            raise ValueError(f"response must have {self.grid.num_cells} cells, got shape {x.shape}")
-        if x.min() < 0.0 or x.max() > 1.0:
+        x = tuple(float(v) for v in self.values)
+        if len(x) != self.grid.num_cells:
+            raise ValueError(f"response must have {self.grid.num_cells} cells, got {len(x)}")
+        if not all(0.0 <= v <= 1.0 for v in x):
             raise ValueError("response values escape [0, 1]")
-        x.setflags(write=False)
         object.__setattr__(self, "values", x)
 
     @classmethod
-    def indicator(cls, grid: LambdaGrid, cells: np.ndarray) -> "ResponseFunction":
-        x = np.zeros(grid.num_cells)
-        x[np.asarray(cells, dtype=np.intp)] = 1.0
-        return cls(grid, x)
+    def indicator(cls, grid: LambdaGrid, rects) -> "ResponseFunction":
+        """Pass with certainty on a union of rectangles, fail elsewhere."""
+        return cls(grid, _indicator(grid, rects))
+
+
+class _Table(tuple):
+    """Rows of floats; ``nbytes``, their size as 8-byte floats, is what perfbench reports as kernel bytes."""
+
+    @property
+    def nbytes(self) -> int:
+        return 8 * sum(len(row) for row in self)
 
 
 @dataclass(frozen=True)
 class StochasticMap:
-    """Transition kernel between grids, stored row by row.
-
-    Row i moves source cell i to the target cells ``cols[i]`` with the
-    probabilities ``kernel[i]``.  Without ``cols`` the kernel is the dense
-    matrix over every target cell.
-    """
+    """Transition kernel between grids: ``kernel[i][j]`` moves source cell i to target cell j."""
 
     source: LambdaGrid
     target: LambdaGrid
-    kernel: np.ndarray
-    cols: np.ndarray | None = None
+    kernel: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
-        k = np.asarray(self.kernel, dtype=float)
-        if self.cols is None:
-            cols = np.broadcast_to(np.arange(self.target.num_cells), (self.source.num_cells, self.target.num_cells))
-        else:
-            cols = np.asarray(self.cols, dtype=np.intp)
-        expected = (self.source.num_cells, *cols.shape[-1:])
-        if k.shape != expected:
-            raise ValueError(f"kernel must have shape {expected}, got {k.shape}")
-        if cols.shape != k.shape:
-            raise ValueError(f"cols must have the kernel's shape {k.shape}, got {cols.shape}")
-        if cols.min() < 0 or cols.max() >= self.target.num_cells:
-            raise ValueError(f"cols must index the {self.target.num_cells} target cells")
-        if k.min() < 0.0:
-            raise ValueError(f"kernel has negative entry {k.min():.3e}")
-        rows = k.sum(axis=1)
-        worst = float(np.max(np.abs(rows - 1.0)))
-        if worst > STRUCTURAL_TOL:
+        k = _Table(tuple(float(p) for p in row) for row in self.kernel)
+        shape = (self.source.num_cells, self.target.num_cells)
+        if len(k) != shape[0] or any(len(row) != shape[1] for row in k):
+            raise ValueError(f"kernel must have shape {shape}")
+        if not all(p >= 0.0 for row in k for p in row):
+            raise ValueError("kernel has a negative or NaN entry")
+        worst = max(abs(math.fsum(row) - 1.0) for row in k)
+        if not worst <= STRUCTURAL_TOL:
             raise ValueError(f"kernel row sums deviate from 1 by up to {worst:.3e}")
-        k.setflags(write=False)
-        cols.setflags(write=False)
         object.__setattr__(self, "kernel", k)
-        object.__setattr__(self, "cols", cols)
 
 
 def l1_distance(mu: EpistemicState, nu: EpistemicState) -> float:
     """Integrated absolute difference of two densities on the same grid (range [0, 2])."""
     if mu.grid != nu.grid:
         raise ValueError("l1_distance requires states on the same grid")
-    return float(np.abs(mu.density - nu.density).sum() * mu.grid.cell_volume)
+    return _integral(mu.grid, (abs(x - y) for x, y in zip(mu.density, nu.density)))
 
 
 def confusability(mu: EpistemicState, xi: ResponseFunction) -> float:
     """Pass probability of test ``xi`` on preparation ``mu``: integral of density * response."""
     if mu.grid != xi.grid:
         raise ValueError("confusability requires state and response on the same grid")
-    return float((mu.density * xi.values).sum() * mu.grid.cell_volume)
+    return _integral(mu.grid, (d * x for d, x in zip(mu.density, xi.values)))
 
 
 def apply_map(t: StochasticMap, mu: EpistemicState) -> EpistemicState:
     """Push a density through a stochastic kernel; total mass is preserved."""
     if mu.grid != t.source:
         raise ValueError("state grid does not match the kernel's source grid")
-    mass = mu.density * t.source.cell_volume
-    out_mass = np.bincount(t.cols.ravel(), weights=(mass[:, None] * t.kernel).ravel(), minlength=t.target.num_cells)
-    return EpistemicState(t.target, out_mass / t.target.cell_volume)
+    mass = [d * v for d, v in zip(mu.density, t.source.volumes)]
+    out = [math.fsum(m * row[j] for m, row in zip(mass, t.kernel)) / v for j, v in enumerate(t.target.volumes)]
+    return EpistemicState(t.target, out)
 
 
 def dpi_check(t: StochasticMap, mu: EpistemicState, nu: EpistemicState) -> bool:
@@ -187,7 +210,7 @@ def dpi_check(t: StochasticMap, mu: EpistemicState, nu: EpistemicState) -> bool:
 
 @dataclass(frozen=True)
 class OnticModel:
-    """A full ontological model of the cloning experiment on a discretized domain.
+    """A full ontological model of the cloning experiment on a partition of its domain.
 
     Twelve preparation densities (six tests and their orthogonal partners),
     indicator-style response functions for the six tests, the cloning
@@ -255,9 +278,9 @@ def check_O2(model: OnticModel, tol: float = STRUCTURAL_TOL) -> O2Report:
     """Check half/half mixtures of each pair and its partners agree cell by cell."""
     residuals: dict[str, float] = {}
     for s, s2 in model.pairs:
-        lhs = 0.5 * (model.states[s].density + model.states[f"{s}_perp"].density)
-        rhs = 0.5 * (model.states[s2].density + model.states[f"{s2}_perp"].density)
-        residuals[f"{s}~{s2}"] = float(np.max(np.abs(lhs - rhs)))
+        cells = zip(model.states[s].density, model.states[f"{s}_perp"].density,
+                    model.states[s2].density, model.states[f"{s2}_perp"].density)
+        residuals[f"{s}~{s2}"] = max(abs(0.5 * (x + x_perp) - 0.5 * (y + y_perp)) for x, x_perp, y, y_perp in cells)
     worst = max(residuals.values())
     return O2Report(pair_residuals=residuals, max_residual=worst, tol=tol, passed=worst <= tol)
 
@@ -283,62 +306,51 @@ def measured_epsilons(model: OnticModel) -> dict[str, float]:
     }
 
 
-def _saturating_supports(n: int, k: int) -> dict[str, np.ndarray]:
-    """Cell supports of the bound-saturating model at overlap k cells (of m = n/2)."""
-    m = n // 2
-    grid2 = LambdaGrid(2, n)
+def _saturating_supports(c: float) -> dict[str, list]:
+    """Supports of the bound-saturating model at overlap ``c``, as unions of rectangles.
 
-    s_a = np.arange(0, m)
-    s_b = np.arange(m - k, 2 * m - k)
-    s_a_perp = np.arange(m, 2 * m)
-    s_b_perp = np.concatenate([np.arange(0, m - k), np.arange(2 * m - k, 2 * m)])
+    Every bound is one of 0, 1 - c, 1, 2 - c and 2, so each rectangle is a
+    union of cells of the partition at these edges.
+    """
+    a, b = (0.0, 1.0), (1.0 - c, 2.0 - c)
+    a_only, overlap, b_only, neither = (0.0, 1.0 - c), (1.0 - c, 1.0), (1.0, 2.0 - c), (2.0 - c, DOMAIN_LENGTH)
 
-    a_only = np.arange(0, m - k)          # input cells cloned with the a-branch
-    overlap = np.arange(m - k, m)         # shared input cells
-
-    s_aa = grid2.rect(s_a, s_a)
-    s_bb = grid2.rect(s_b, s_b)
-    s_alpha = np.concatenate([grid2.rect(a_only, s_a), grid2.rect(overlap, s_b)])
-
-    # Complements for the clone/target pair (alpha, aa): the two small
-    # rectangles where alpha and aa disagree, plus a shared filler region Q
-    # of the remaining measure placed in the half of the domain untouched by
-    # either state.
-    n_q = m * m - k * m + k * k
-    free_rows = np.arange(m, 2 * m)
-    q_flat = grid2.rect(free_rows, np.arange(0, n))[:n_q]
-    s_aa_perp = np.concatenate([grid2.rect(overlap, np.arange(m, 2 * m - k)), q_flat])
-    s_alpha_perp = np.concatenate([grid2.rect(overlap, np.arange(0, m - k)), q_flat])
+    # Complements for the clone/target pair (alpha, aa): the two strips
+    # where alpha and aa disagree, plus a shared filler region Q of the
+    # remaining measure 1 - c + c^2, in the half x >= 1 that neither touches.
+    filler = [(b_only, a), (neither, overlap)]
+    aa_perp = [(overlap, b_only), *filler]
+    alpha_perp = [(overlap, a_only), *filler]
 
     # The beta output coincides with the bb target, so their complements
-    # must coincide too; any unit-measure region disjoint from bb works.
-    shifted_rows = (s_b + m) % n
-    s_bb_perp = grid2.rect(shifted_rows, s_b)
+    # must coincide too; b_perp x b has unit measure and is disjoint from bb.
+    bb_perp = [(a_only, b), (neither, b)]
 
     return {
-        "a": s_a, "b": s_b, "a_perp": s_a_perp, "b_perp": s_b_perp,
-        "aa": s_aa, "bb": s_bb, "alpha": s_alpha, "beta": s_bb,
-        "aa_perp": s_aa_perp, "alpha_perp": s_alpha_perp,
-        "bb_perp": s_bb_perp, "beta_perp": s_bb_perp,
+        "a": [(a,)], "b": [(b,)], "a_perp": [((1.0, DOMAIN_LENGTH),)], "b_perp": [(a_only,), (neither,)],
+        "aa": [(a, a)], "bb": [(b, b)], "alpha": [(a_only, a), (overlap, b)], "beta": [(b, b)],
+        "aa_perp": aa_perp, "alpha_perp": alpha_perp, "bb_perp": bb_perp, "beta_perp": bb_perp,
     }
 
 
-def _saturating_kernel(grid_in: LambdaGrid, grid_out: LambdaGrid, k: int) -> StochasticMap:
+def _saturating_kernel(a: EpistemicState, b: EpistemicState, grid_out: LambdaGrid, c: float) -> StochasticMap:
     """Cloning kernel: keep the input cell, append a sample from the branch density.
 
     Inputs outside the shared region draw the appended coordinate from the
-    first input's density; everything else (shared region included) draws
-    from the second input's density.
+    first input's density ``a``; everything else (shared region included)
+    draws from the second input's density ``b``.  The output grid is the
+    input grid squared, so input cell i feeds output row i.
     """
-    n = grid_in.n
-    m = n // 2
-    rows = np.arange(n)
-    start = np.where(rows < m - k, 0, m - k)
-    cols = rows[:, None] * n + start[:, None] + np.arange(m)
-    return StochasticMap(grid_in, grid_out, np.full((n, m), 1.0 / m), cols)
+    n = a.grid.num_cells
+    kernel = []
+    for i, ((_, hi),) in enumerate(a.grid.cells):
+        branch = a if hi <= 1.0 - c else b
+        draw = [d * v for d, v in zip(branch.density, a.grid.volumes)]
+        kernel.append([p if row == i else 0.0 for row in range(n) for p in draw])
+    return StochasticMap(a.grid, grid_out, kernel)
 
 
-def build_saturating_model(c_ab: float, n: int = 200) -> OnticModel:
+def build_saturating_model(c_ab: float) -> OnticModel:
     """Explicit noncontextual model meeting the cloning-fidelity ceiling exactly.
 
     Input layer on [0, 2]: the first input is flat on [0, 1], the second on
@@ -349,34 +361,22 @@ def build_saturating_model(c_ab: float, n: int = 200) -> OnticModel:
     the branch density, and the orthogonal partners are unit-height regions
     chosen so every mixing equivalence holds cell by cell.
 
-    ``c_ab`` is snapped to the nearest representable overlap (a multiple of
-    the cell width) with a warning; ``n`` must be even so the unit interval
-    is representable.
+    Every support is a union of rectangles with edges in {0, 1-c, 1, 2-c, 2},
+    so the model is built on that partition, exactly at ``c_ab``: at most
+    4 input cells and 16 output cells.  Coinciding edges (at c = 0 or 1)
+    merge, so every cell has positive size.
     """
-    if not 0.0 <= c_ab <= 1.0:
-        raise ValueError(f"c_ab must lie in [0, 1], got {c_ab!r}")
-    if n < 4 or n % 2:
-        raise ValueError(f"resolution must be an even number >= 4, got {n}")
-
-    m = n // 2
-    k = round(c_ab * m)
-    c_snap = k / m
-    if abs(c_snap - c_ab) > 1e-12:
-        warnings.warn(
-            f"snapping overlap {c_ab} to {c_snap} (= {k}/{m}) so supports align with the grid",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-
-    grid_in = LambdaGrid(1, n)
-    grid_out = LambdaGrid(2, n)
-    supports = _saturating_supports(n, k)
+    c = _check_unit("c_ab", c_ab)
+    axis = tuple(sorted({0.0, 1.0 - c, 1.0, 2.0 - c, DOMAIN_LENGTH}))
+    grid_in = LambdaGrid((axis,))
+    grid_out = LambdaGrid((axis, axis))
+    supports = _saturating_supports(c)
 
     states = {
-        name: EpistemicState.uniform_on(grid_in if name in ("a", "b", "a_perp", "b_perp") else grid_out, cells)
-        for name, cells in supports.items() if name not in ("alpha", "beta")
+        name: EpistemicState.uniform_on(grid_in if len(rects[0]) == 1 else grid_out, rects)
+        for name, rects in supports.items() if name not in ("alpha", "beta")
     }
-    clone_map = _saturating_kernel(grid_in, grid_out, k)
+    clone_map = _saturating_kernel(states["a"], states["b"], grid_out, c)
     # The clone outputs are derived, not placed by hand: push the inputs
     # through the kernel (this reproduces their unit-height supports).
     states["alpha"] = apply_map(clone_map, states["a"])
@@ -386,7 +386,7 @@ def build_saturating_model(c_ab: float, n: int = 200) -> OnticModel:
     return OnticModel(
         grid_in=grid_in,
         grid_out=grid_out,
-        c_ab=c_snap,
+        c_ab=c,
         states=states,
         responses=responses,
         clone_map=clone_map,
@@ -404,7 +404,7 @@ def mix_with_uniform(model: OnticModel, w: float) -> OnticModel:
     mixed = {}
     for name, state in model.states.items():
         flat = EpistemicState.uniform(state.grid)
-        mixed[name] = EpistemicState(state.grid, (1.0 - w) * state.density + w * flat.density)
+        mixed[name] = EpistemicState(state.grid, [(1.0 - w) * d + w * f for d, f in zip(state.density, flat.density)])
     return replace(model, states=mixed)
 
 

@@ -39,7 +39,7 @@ def test_criterion_2_saturating_model_reaches_the_ceiling():
     start = time.perf_counter()
     worst_f, worst_o1, worst_o2 = 0.0, 0.0, 0.0
     for c in (0.1, 0.25, 0.5, 0.75):
-        model = ontic.build_saturating_model(c, 200)
+        model = ontic.build_saturating_model(c)
         target = 1.0 - c / 2.0 + c * c / 2.0
         worst_f = max(worst_f, abs(ontic.global_fidelity(model) - target))
         worst_o1 = max(worst_o1, ontic.check_O1(model).max_residual)
@@ -54,11 +54,11 @@ def test_criterion_2_saturating_model_reaches_the_ceiling():
 
 
 def test_criterion_3_sandwich_relations():
-    model = ontic.build_saturating_model(0.5, 200)
+    model = ontic.build_saturating_model(0.5)
     worst_ideal = max(
         rep.residual for rep in ontic.verify_sandwich_ideal(model, model.pairs)
     )
-    ideal_ok = worst_ideal <= 4.0 * model.grid_in.h
+    ideal_ok = worst_ideal <= 4.0 * (2.0 / 200)
 
     noisy_ok = True
     for w in (0.01, 0.05, 0.1):
@@ -71,7 +71,7 @@ def test_criterion_3_sandwich_relations():
     # Lower bound without the mixing equivalences: arbitrary densities and
     # responses, allowance measured from the response itself.
     rng = np.random.default_rng(SEED)
-    grid = ontic.LambdaGrid(1, 50)
+    grid = ontic.LambdaGrid.uniform(1, 50)
     lower_ok = True
     for _ in range(200):
         d1 = rng.random(grid.num_cells) + 1e-3
@@ -100,7 +100,7 @@ def test_criterion_3_sandwich_relations():
     report(
         3,
         ideal_ok and noisy_ok and lower_ok,
-        f"ideal identity residual = {worst_ideal:.3e} <= {4.0 * model.grid_in.h}, noisy bounds hold at "
+        f"ideal identity residual = {worst_ideal:.3e} <= {4.0 * (2.0 / 200)}, noisy bounds hold at "
         f"w in (0.01, 0.05, 0.1), lower bound survives broken equivalences",
     )
 
@@ -177,7 +177,7 @@ def test_criterion_7_strict_quantum_advantage():
 def test_criterion_8_stochastic_property_suite():
     start = time.perf_counter()
     rng = np.random.default_rng(SEED)
-    src, tgt = ontic.LambdaGrid(1, 16), ontic.LambdaGrid(1, 20)
+    src, tgt = ontic.LambdaGrid.uniform(1, 16), ontic.LambdaGrid.uniform(1, 20)
 
     def rand_state(grid):
         d = rng.random(grid.num_cells) + 1e-3

@@ -46,7 +46,8 @@ class TestExitCodes:
             (("verify-ontic", "--c", "0.5", "--resolution", "2"), "even number >= 4"),
             (("critical-noise", "--c", "0"), "strictly inside (0, 1)"),
             (("critical-noise", "--c", "1"), "strictly inside (0, 1)"),
-            (("verify-ontic", "--c", "0.5", "--resolution", "2002"), "at most 2000"),
+            (("verify-ontic", "--c", "0.5", "--resolution", str(2**53 + 2)), "at most 2**53"),
+            (("verify-ontic", "--c", "0.5", "--resolution", "1" + "0" * 399), "at most 2**53"),
             (("curves", "--out", "OUT", "--points", "1000001"), "at most 1000000"),
         ],
     )
@@ -107,6 +108,7 @@ def test_import_does_not_load_scipy():
 
 CLOSED_FORM_ONLY = ("clonectx.ontic", "clonectx.quantum", "numpy")
 QUANTUM_ONLY = ("clonectx.ontic", "numpy")
+ONTIC_ONLY = ("clonectx.quantum", "numpy")
 
 
 @pytest.mark.parametrize(
@@ -119,13 +121,14 @@ QUANTUM_ONLY = ("clonectx.ontic", "numpy")
         (("noise", "--v", "0.015", "--c", "0.5"), QUANTUM_ONLY),
         (("verify-quantum", "--v", "0.015", "--c", "0.5"), QUANTUM_ONLY),
         (("clones", "--c", "0.5"), CLOSED_FORM_ONLY),
+        (("verify-ontic", "--c", "0.37", "--resolution", "100"), ONTIC_ONLY),
     ],
-    ids=["bounds", "region", "critical-noise", "curves", "noise", "verify-quantum", "clones"],
+    ids=["bounds", "region", "critical-noise", "curves", "noise", "verify-quantum", "clones", "verify-ontic"],
 )
 def test_subcommand_leaves_the_simulations_it_does_not_use_unloaded(tmp_path, argv, unloaded):
     # The closed-form, clone-search and scan subcommands need neither quantum
-    # nor ontic; the quantum ones never need ontic.  Only ontic imports numpy,
-    # so none of these loads it.
+    # nor ontic; the quantum ones never need ontic, nor verify-ontic quantum.
+    # No module imports numpy, so none of these loads it.
     # A fresh interpreter shows every module of the package and of numpy that
     # the import and the subcommand load.
     probe = ("import sys; from clonectx import cli; code = cli.run(sys.argv[1:]); "
@@ -146,23 +149,20 @@ def test_subcommand_leaves_the_simulations_it_does_not_use_unloaded(tmp_path, ar
     ids=["noise", "verify-quantum", "verify-ontic"],
 )
 def test_simulation_loads_before_the_clock_starts(argv, module):
-    # elapsed: times the computation only: the simulation module, and numpy
-    # with it for ontic, is already loaded when run() first reads the clock.
+    # elapsed: times the computation only: the simulation module is already
+    # loaded when run() first reads the clock, and numpy is not.
     probe = ("import sys, time, types; from clonectx import cli; seen = []; "
              "cli.time = types.SimpleNamespace(perf_counter=lambda: seen.append(sorted(sys.modules)) or time.perf_counter()); "
              "cli.run(sys.argv[1:]); print(*seen[0])")
     loaded = run_fresh(probe, *argv)
     assert module in loaded
-    if module == "clonectx.ontic":
-        assert "numpy" in loaded
+    assert not [m for m in loaded if m.split(".")[0] == "numpy"]
 
 
-def test_verify_ontic_peak_memory_at_resolution_640(tmp_path):
-    # The child's own peak RSS, from os.wait4; a dense n x n^2 clone kernel
-    # alone would take 2.1 GB at this resolution.
+def peak_rss_mb(tmp_path, *argv):
+    """Peak RSS (MB) of a fresh ``clonectx`` process, from os.wait4; its report must pass."""
     out = tmp_path / "report.json"
-    argv = [sys.executable, "-c", "from clonectx.cli import main; main()",
-            "verify-ontic", "--c", "0.37", "--resolution", "640", "--json"]
+    argv = [sys.executable, "-c", "from clonectx.cli import main; main()", *argv, "--json"]
     actions = [
         (os.POSIX_SPAWN_OPEN, 1, str(out), os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644),
         (os.POSIX_SPAWN_OPEN, 2, os.devnull, os.O_WRONLY, 0),
@@ -176,17 +176,27 @@ def test_verify_ontic_peak_memory_at_resolution_640(tmp_path):
         if time.monotonic() > deadline:
             os.kill(pid, signal.SIGKILL)
             os.wait4(pid, 0)
-            pytest.fail("verify-ontic --resolution 640 did not finish within 120 s")
+            pytest.fail(f"{argv[3:]} did not finish within 120 s")
         time.sleep(0.05)
     assert os.waitstatus_to_exitcode(status) == 0
     assert json.loads(out.read_text())["result"] == "pass"
-    assert usage.ru_maxrss / 1024 < 150  # Linux reports kilobytes
+    return usage.ru_maxrss / 1024  # Linux reports kilobytes
+
+
+def test_verify_ontic_peak_memory_does_not_grow_with_resolution(tmp_path):
+    # The model lives on at most 16 output cells whatever --resolution is, so
+    # verify-ontic starts and peaks like the closed-form bounds subcommand.
+    baseline = peak_rss_mb(tmp_path, "bounds", "--c", "0.37", "--v", "0.015")
+    ontic_rss = peak_rss_mb(tmp_path, "verify-ontic", "--c", "0.37", "--resolution", "2000")
+    assert ontic_rss - baseline <= 2.0, (ontic_rss, baseline)
 
 
 class TestReports:
-    def test_reports_are_byte_identical(self, capsys):
-        _, out1, _ = run_cli(capsys, "bounds", "--c", "0.5", "--v", "0.015")
-        _, out2, _ = run_cli(capsys, "bounds", "--c", "0.5", "--v", "0.015")
+    @pytest.mark.parametrize("argv", [("bounds", "--c", "0.5", "--v", "0.015"),
+                                      ("verify-ontic", "--c", "0.318", "--json")], ids=["bounds", "verify-ontic"])
+    def test_reports_are_byte_identical(self, capsys, argv):
+        _, out1, _ = run_cli(capsys, *argv)
+        _, out2, _ = run_cli(capsys, *argv)
         assert out1 == out2
 
     def test_wall_time_goes_to_stderr(self, capsys):
@@ -254,7 +264,7 @@ class TestSubcommands:
         assert "f_global = 0.875" in out
         assert "result: PASS" in out
 
-    @pytest.mark.parametrize("c, n", [(0.0, 4), (0.37, 100), (0.318, 200), (1.0, 64)])
+    @pytest.mark.parametrize("c, n", [(0.0, 4), (0.37, 100), (0.318, 200), (1.0, 64), (1e-9, 2**53), (0.37, 2**53)])
     def test_verify_ontic_judges_every_verdict_at_the_structural_tolerance(self, capsys, c, n):
         code, out, _ = run_cli(capsys, "verify-ontic", "--c", str(c), "--resolution", str(n), "--json")
         assert code == 0
@@ -294,6 +304,14 @@ class TestSubcommands:
         code, out, _ = run_cli(capsys, "verify-ontic", "--c", "0.318", "--resolution", "200")
         assert code == 0
         assert "c_snapped = 0.32" in out
+        assert "snapping overlap 0.318 to 0.32 (= 32/100) so supports align with the grid" in out
+
+    @pytest.mark.parametrize("n", ["200", str(2**53)])
+    def test_verify_ontic_on_the_grid_needs_no_note(self, capsys, n):
+        code, out, _ = run_cli(capsys, "verify-ontic", "--c", "0.37", "--resolution", n)
+        assert code == 0
+        assert "warnings" not in out
+        assert float(out.split("c_snapped = ")[1].splitlines()[0]) == pytest.approx(0.37, rel=0, abs=1e-15)
 
     def test_clones(self, capsys):
         code, out, _ = run_cli(capsys, "clones", "--c", "0.5")

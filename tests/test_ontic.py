@@ -1,18 +1,23 @@
 """Ontological-model engine tests.
 
 Every quantity of the bound-saturating model is expected at machine
-precision: its supports are grid-aligned by construction, so at the
-snapped overlap each one equals its closed form to rounding.  Randomized
-property checks use a fixed seed throughout.
+precision: its supports are unions of cells of its partition, so at any
+overlap each one equals its closed form to rounding.  Randomized property
+checks use a fixed seed throughout.  numpy serves here only as a reference
+route and as a source of random inputs; ``ontic`` computes on floats.
 """
+
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clonectx import bounds
+from clonectx.bounds import STATE_NAMES, TEST_NAMES
 from clonectx.ontic import (
+    STRUCTURAL_TOL,
     EpistemicState,
     LambdaGrid,
     OnticModel,
@@ -52,75 +57,100 @@ def random_kernel(rng, source, target):
 
 
 class TestGridAndStates:
-    def test_grid_validation(self):
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: LambdaGrid.uniform(3, 10),
+            lambda: LambdaGrid.uniform(1, 0),
+            lambda: LambdaGrid(()),
+            lambda: LambdaGrid(((0.0, 1.0, 1.0, 2.0),)),
+            lambda: LambdaGrid(((0.0, 1.5, 1.0, 2.0),)),
+            lambda: LambdaGrid(((0.0, 1.0),)),
+            lambda: LambdaGrid(((0.5, 2.0),)),
+            lambda: LambdaGrid(((0.0, math.nan, 2.0),)),
+        ],
+        ids=["dimension-3", "no-cells", "no-axes", "empty-cell", "falling", "short", "late-start", "nan-edge"],
+    )
+    def test_grid_validation(self, make):
         with pytest.raises(ValueError):
-            LambdaGrid(3, 10)
-        with pytest.raises(ValueError):
-            LambdaGrid(1, 3)
+            make()
 
     def test_cell_volume(self):
-        assert LambdaGrid(1, 10).cell_volume == pytest.approx(0.2)
-        assert LambdaGrid(2, 10).cell_volume == pytest.approx(0.04)
+        assert LambdaGrid.uniform(1, 10).cell_volume == pytest.approx(0.2)
+        assert LambdaGrid.uniform(2, 10).cell_volume == pytest.approx(0.04)
+
+    def test_uneven_partition(self):
+        grid = LambdaGrid(((0.0, 0.5, 2.0), (0, 1.5, 2)))
+        assert grid.cells == (((0.0, 0.5), (0.0, 1.5)), ((0.0, 0.5), (1.5, 2.0)),
+                              ((0.5, 2.0), (0.0, 1.5)), ((0.5, 2.0), (1.5, 2.0)))
+        assert grid.volumes == (0.75, 0.25, 2.25, 0.75)
+        with pytest.raises(ValueError, match="differ in volume"):
+            grid.cell_volume
+        mu = EpistemicState.uniform_on(grid, [((0.0, 0.5), (0.0, 2.0))])
+        assert mu.density == (1.0, 1.0, 0.0, 0.0)
 
     def test_state_rejects_negative_density(self):
-        grid = LambdaGrid(1, 10)
+        grid = LambdaGrid.uniform(1, 10)
         density = np.full(10, 0.5)
         density[0] = -0.1
         with pytest.raises(ValueError):
             EpistemicState(grid, density)
 
     def test_state_rejects_bad_mass(self):
-        grid = LambdaGrid(1, 10)
+        grid = LambdaGrid.uniform(1, 10)
         with pytest.raises(ValueError):
             EpistemicState(grid, np.full(10, 1.0))
 
     def test_response_range(self):
-        grid = LambdaGrid(1, 10)
+        grid = LambdaGrid.uniform(1, 10)
         with pytest.raises(ValueError):
             ResponseFunction(grid, np.full(10, 1.5))
 
     def test_kernel_row_sums_checked(self):
-        grid = LambdaGrid(1, 4)
+        grid = LambdaGrid.uniform(1, 4)
         with pytest.raises(ValueError):
             StochasticMap(grid, grid, np.full((4, 4), 0.3))
 
-    @pytest.mark.parametrize("bad", [-1, 4])
-    def test_cols_outside_the_target_grid_rejected(self, bad):
-        grid = LambdaGrid(1, 4)
-        cols = np.tile([0, 1], (4, 1))
-        cols[2, 1] = bad
-        with pytest.raises(ValueError, match="target cells"):
-            StochasticMap(grid, grid, np.full((4, 2), 0.5), cols)
-
-    @pytest.mark.parametrize("shape", [(4, 3), (5, 2), (8,)])
-    def test_cols_must_have_the_kernel_shape(self, shape):
-        grid = LambdaGrid(1, 4)
+    @pytest.mark.parametrize("shape", [(4, 3), (3, 4), (5, 4)])
+    def test_kernel_shape_checked(self, shape):
+        grid = LambdaGrid.uniform(1, 4)
         with pytest.raises(ValueError, match="shape"):
-            StochasticMap(grid, grid, np.full((4, 2), 0.5), np.zeros(shape, dtype=int))
+            StochasticMap(grid, grid, np.full(shape, 1.0 / shape[1]))
+
+    def test_nan_rejected(self):
+        grid = LambdaGrid.uniform(1, 4)
+        with pytest.raises(ValueError, match="NaN"):
+            EpistemicState(grid, [math.nan, 0.5, 0.5, 0.0])
+        with pytest.raises(ValueError, match="escape"):
+            ResponseFunction(grid, [math.nan, 0.5, 0.5, 0.0])
+        kernel = np.eye(4)
+        kernel[1, 2] = math.nan
+        with pytest.raises(ValueError, match="NaN"):
+            StochasticMap(grid, grid, kernel)
 
 
 class TestDistanceAndConfusability:
     def test_distance_to_self_is_zero(self):
         rng = np.random.default_rng(SEED)
-        mu = random_state(rng, LambdaGrid(1, 32))
+        mu = random_state(rng, LambdaGrid.uniform(1, 32))
         assert l1_distance(mu, mu) == 0.0
 
     def test_disjoint_supports_reach_two(self):
-        grid = LambdaGrid(1, 32)
-        mu = EpistemicState.uniform_on(grid, np.arange(0, 16))
-        nu = EpistemicState.uniform_on(grid, np.arange(16, 32))
+        grid = LambdaGrid.uniform(1, 32)
+        mu = EpistemicState.uniform_on(grid, [((0.0, 1.0),)])
+        nu = EpistemicState.uniform_on(grid, [((1.0, 2.0),)])
         assert l1_distance(mu, nu) == pytest.approx(2.0, abs=1e-12)
 
     def test_grid_mismatch_raises(self):
         rng = np.random.default_rng(SEED)
-        mu = random_state(rng, LambdaGrid(1, 16))
-        nu = random_state(rng, LambdaGrid(1, 32))
+        mu = random_state(rng, LambdaGrid.uniform(1, 16))
+        nu = random_state(rng, LambdaGrid.uniform(1, 32))
         with pytest.raises(ValueError):
             l1_distance(mu, nu)
 
     def test_confusability_of_trivial_tests(self):
         rng = np.random.default_rng(SEED)
-        grid = LambdaGrid(1, 32)
+        grid = LambdaGrid.uniform(1, 32)
         mu = random_state(rng, grid)
         always = ResponseFunction(grid, np.ones(grid.num_cells))
         never = ResponseFunction(grid, np.zeros(grid.num_cells))
@@ -129,7 +159,7 @@ class TestDistanceAndConfusability:
 
     def test_triangle_inequality_random_triples(self):
         rng = np.random.default_rng(SEED)
-        grid = LambdaGrid(1, 24)
+        grid = LambdaGrid.uniform(1, 24)
         for _ in range(200):
             mu, nu, pi = (random_state(rng, grid) for _ in range(3))
             assert l1_distance(mu, pi) <= l1_distance(mu, nu) + l1_distance(nu, pi) + 1e-12
@@ -138,21 +168,21 @@ class TestDistanceAndConfusability:
 class TestStochasticMaps:
     def test_identity_kernel_is_identity(self):
         rng = np.random.default_rng(SEED)
-        grid = LambdaGrid(1, 16)
+        grid = LambdaGrid.uniform(1, 16)
         mu = random_state(rng, grid)
         ident = StochasticMap(grid, grid, np.eye(16))
         np.testing.assert_allclose(apply_map(ident, mu).density, mu.density, atol=1e-15)
 
     def test_pushforward_stays_normalized(self):
         rng = np.random.default_rng(SEED)
-        src, tgt = LambdaGrid(1, 12), LambdaGrid(2, 8)
+        src, tgt = LambdaGrid.uniform(1, 12), LambdaGrid.uniform(2, 8)
         for _ in range(20):
             out = apply_map(random_kernel(rng, src, tgt), random_state(rng, src))
-            assert out.density.sum() * tgt.cell_volume == pytest.approx(1.0, abs=1e-9)
+            assert sum(out.density) * tgt.cell_volume == pytest.approx(1.0, abs=1e-9)
 
     def test_collapse_kernel_erases_distance(self):
         rng = np.random.default_rng(SEED)
-        grid = LambdaGrid(1, 16)
+        grid = LambdaGrid.uniform(1, 16)
         k = np.zeros((16, 16))
         k[:, 3] = 1.0
         collapse = StochasticMap(grid, grid, k)
@@ -161,7 +191,7 @@ class TestStochasticMaps:
 
     def test_data_processing_inequality_random_cases(self):
         rng = np.random.default_rng(SEED)
-        src, tgt = LambdaGrid(1, 16), LambdaGrid(1, 20)
+        src, tgt = LambdaGrid.uniform(1, 16), LambdaGrid.uniform(1, 20)
         for _ in range(200):
             t = random_kernel(rng, src, tgt)
             mu, nu = random_state(rng, src), random_state(rng, src)
@@ -169,7 +199,7 @@ class TestStochasticMaps:
 
     def test_dpi_with_identity_is_equality(self):
         rng = np.random.default_rng(SEED)
-        grid = LambdaGrid(1, 16)
+        grid = LambdaGrid.uniform(1, 16)
         ident = StochasticMap(grid, grid, np.eye(16))
         mu, nu = random_state(rng, grid), random_state(rng, grid)
         assert l1_distance(apply_map(ident, mu), apply_map(ident, nu)) == pytest.approx(
@@ -180,65 +210,75 @@ class TestStochasticMaps:
 class TestSaturatingModel:
     @pytest.mark.parametrize("c", [0.0, 0.1, 0.25, 0.5, 0.75, 1.0])
     def test_perfect_correlations(self, c):
-        model = build_saturating_model(c, 200)
+        model = build_saturating_model(c)
         report = check_O1(model)
         assert report.passed, report
         assert report.max_residual <= 1e-9
 
     @pytest.mark.parametrize("c", [0.0, 0.1, 0.25, 0.5, 0.75, 1.0])
     def test_mixing_equivalences(self, c):
-        model = build_saturating_model(c, 200)
+        model = build_saturating_model(c)
         report = check_O2(model)
         assert report.passed, report
 
     @pytest.mark.parametrize("c", [0.0, 0.1, 0.25, 0.5, 0.75, 1.0])
     def test_fidelity_saturates_the_ceiling(self, c):
-        model = build_saturating_model(c, 200)
+        model = build_saturating_model(c)
         target = bounds.nc_bound_ideal(model.c_ab, model.c_ab**2)
         assert global_fidelity(model) == pytest.approx(target, abs=1e-12)
 
     def test_half_overlap_by_hand(self):
-        model = build_saturating_model(0.5, 200)
+        model = build_saturating_model(0.5)
         c_alpha_aa = confusability(model.states["alpha"], model.responses["aa"])
         assert c_alpha_aa == pytest.approx(0.75, abs=1e-12)
         assert confusability(model.states["beta"], model.responses["bb"]) == pytest.approx(1.0, abs=1e-12)
         assert global_fidelity(model) == pytest.approx(0.875, abs=1e-12)
 
     def test_input_mixtures_flatten_to_uniform(self):
-        model = build_saturating_model(0.5, 100)
-        total = 0.5 * (model.states["a"].density + model.states["a_perp"].density)
-        np.testing.assert_allclose(total, 0.5 * np.ones_like(total) * 1.0, atol=1e-12)
+        model = build_saturating_model(0.5)
+        total = 0.5 * (np.array(model.states["a"].density) + model.states["a_perp"].density)
+        np.testing.assert_allclose(total, 0.5, rtol=0, atol=1e-12)
 
     def test_clone_of_b_is_the_product_density(self):
-        model = build_saturating_model(0.4, 100)
+        model = build_saturating_model(0.4)
         b = model.states["b"].density
         product = np.outer(b, b).ravel()
         assert np.abs(model.states["beta"].density - product).max() <= 1e-9
 
     def test_maximal_overlap_of_inputs(self):
-        model = build_saturating_model(0.5, 200)
+        model = build_saturating_model(0.5)
         mass_on_other_support = confusability(model.states["a"], model.responses["b"])
         assert mass_on_other_support == pytest.approx(model.c_ab, abs=1e-12)
 
     def test_discrimination_ceiling_from_the_model_distance(self):
         # The best discrimination probability 1/2 + |mu_a - mu_b|/4 of the
         # saturating model meets the closed-form noncontextual ceiling.
-        model = build_saturating_model(0.5, 200)
+        model = build_saturating_model(0.5)
         from_distance = 0.5 + 0.25 * l1_distance(model.states["a"], model.states["b"])
         assert from_distance == pytest.approx(bounds.nc_discrimination_bound(0.5), abs=1e-12)
         assert from_distance == pytest.approx(0.75, abs=1e-12)
 
-    def test_snapping_warns(self):
-        with pytest.warns(RuntimeWarning, match="snapping"):
-            model = build_saturating_model(0.318, 200)
-        assert model.c_ab == pytest.approx(0.32, abs=1e-12)
+    @pytest.mark.parametrize("c", [0.318, 1 / 3, 0.7071])
+    def test_built_at_the_given_overlap(self, c):
+        model = build_saturating_model(c)
+        assert model.c_ab == c
+        assert confusability(model.states["a"], model.responses["b"]) == pytest.approx(c, rel=0, abs=1e-15)
 
-    def test_odd_resolution_rejected(self):
-        with pytest.raises(ValueError):
-            build_saturating_model(0.5, 201)
+    @pytest.mark.parametrize("c", [-0.1, 1.5, math.nan, math.inf])
+    def test_overlap_outside_the_unit_interval_rejected(self, c):
+        with pytest.raises(ValueError, match="c_ab must lie in"):
+            build_saturating_model(c)
+
+    @pytest.mark.parametrize("c, cells", [(0.0, 2), (0.5, 4), (0.37, 4), (1.0, 2)])
+    def test_partition_size_does_not_depend_on_any_resolution(self, c, cells):
+        model = build_saturating_model(c)
+        assert model.grid_in.num_cells == cells
+        assert model.grid_out.edges == model.grid_in.edges * 2
+        assert len(model.clone_map.kernel) == cells
+        assert all(len(row) == cells * cells for row in model.clone_map.kernel)
 
     def test_deliberate_o1_violation_is_flagged(self):
-        model = build_saturating_model(0.5, 100)
+        model = build_saturating_model(0.5)
         broken_responses = dict(model.responses)
         broken_responses["a"] = ResponseFunction(model.grid_in, np.ones(model.grid_in.num_cells))
         broken = OnticModel(
@@ -254,7 +294,7 @@ class TestSaturatingModel:
         assert report.leak_probs["a"] == pytest.approx(1.0, abs=1e-12)
 
     def test_deliberate_o2_violation_is_flagged(self):
-        model = build_saturating_model(0.5, 100)
+        model = build_saturating_model(0.5)
         shifted = np.roll(model.states["a_perp"].density, 7)
         states = dict(model.states)
         states["a_perp"] = EpistemicState(model.grid_in, shifted)
@@ -269,82 +309,148 @@ class TestSaturatingModel:
         assert not check_O2(broken).passed
 
 
-class TestExactAtTheSnappedOverlap:
-    """Every quantity verify-ontic reports against its closed form at c = k/m."""
+def uniform_grid_model(n, k):
+    """The saturating model at c = k/m, m = n/2, on the uniform grid of n cells per axis, in numpy.
 
-    @settings(derandomize=True, database=None, deadline=None)
-    @given(m=st.integers(2, 32))
-    def test_every_overlap_matches_the_closed_forms(self, m):
-        for k in range(m + 1):
-            model = build_saturating_model(k / m, 2 * m)
-            c = model.c_ab
-            assert c == k / m
-            assert global_fidelity(model) == pytest.approx(bounds.nc_bound_ideal(c, c * c), rel=0, abs=1e-14)
-            assert check_O1(model).max_residual <= 1e-14
-            assert check_O2(model).max_residual <= 1e-14
-            # (l1 distance, confusability) of each pair the identities run on.
-            expected = {
-                ("a", "b"): (2.0 * (1.0 - c), c),
-                ("alpha", "aa"): (2.0 * (c - c * c), 1.0 - c + c * c),
-                ("beta", "bb"): (0.0, 1.0),
-                ("aa", "bb"): (2.0 * (1.0 - c * c), c * c),
-            }
-            for rep in verify_sandwich_ideal(model, list(expected)):
-                assert (rep.l1, rep.confus) == pytest.approx(expected[rep.pair], rel=0, abs=1e-14), rep
-                assert rep.residual <= 1e-14, rep
-            assert confusability(model.states["a"], model.responses["b"]) == pytest.approx(c, rel=0, abs=1e-14)
-            b = model.states["b"].density
-            assert np.abs(model.states["beta"].density - np.outer(b, b).ravel()).max() <= 1e-14
+    The construction ``build_saturating_model`` used before it moved to the
+    coarsest partition: n input cells, n x n output cells (row-major), and
+    the filler region Q as the first cells of the rows x >= 1.  Returns the
+    densities and the responses by name.
+    """
+    m, h = n // 2, 2.0 / n
+
+    def rect(rows, cols):
+        return (np.asarray(rows)[:, None] * n + np.asarray(cols)[None, :]).ravel()
+
+    s_a, s_b = np.arange(0, m), np.arange(m - k, 2 * m - k)
+    a_only, overlap = np.arange(0, m - k), np.arange(m - k, m)
+    q = rect(np.arange(m, 2 * m), np.arange(n))[: m * m - k * m + k * k]
+    supports = {
+        "a": s_a, "b": s_b, "a_perp": np.arange(m, 2 * m), "b_perp": np.r_[0 : m - k, 2 * m - k : 2 * m],
+        "aa": rect(s_a, s_a), "bb": rect(s_b, s_b), "beta": rect(s_b, s_b),
+        "alpha": np.r_[rect(a_only, s_a), rect(overlap, s_b)],
+        "aa_perp": np.r_[rect(overlap, np.arange(m, 2 * m - k)), q],
+        "alpha_perp": np.r_[rect(overlap, a_only), q],
+        "bb_perp": rect((s_b + m) % n, s_b), "beta_perp": rect((s_b + m) % n, s_b),
+    }
+
+    def indicator(name):
+        x = np.zeros(n if name in ("a", "b", "a_perp", "b_perp") else n * n)
+        x[supports[name]] = 1.0
+        return x
+
+    densities = {name: indicator(name) for name in supports if name not in ("alpha", "beta")}
+    # The clone kernel keeps the input cell and spreads its mass h * d over
+    # the m output cells (of area h^2) of its branch.
+    for clone, source in (("alpha", "a"), ("beta", "b")):
+        out = np.zeros((n, n))
+        for i in range(n):
+            out[i, s_a if i < m - k else s_b] += densities[source][i] / (m * h)
+        densities[clone] = out.ravel()
+    return densities, {name: indicator(name) for name in TEST_NAMES}
 
 
-class TestStructuredKernel:
-    """The row-sparse kernel of build_saturating_model against the dense matrix it stands for."""
+# (l1 distance, confusability) of each pair the ideal identities run on, at overlap c.
+def sandwich_closed_forms(c):
+    return {
+        ("a", "b"): (2.0 * (1.0 - c), c),
+        ("alpha", "aa"): (2.0 * (c - c * c), 1.0 - c + c * c),
+        ("beta", "bb"): (0.0, 1.0),
+        ("aa", "bb"): (2.0 * (1.0 - c * c), c * c),
+    }
 
-    @settings(derandomize=True, database=None, deadline=None)
-    @given(m=st.integers(2, 32), seed=st.integers(0, 2**32 - 1))
-    def test_structured_matches_dense(self, m, seed):
-        # Every overlap k at the drawn even resolution n = 2m.
-        n = 2 * m
-        rng = np.random.default_rng(seed)
-        for k in range(m + 1):
-            model = build_saturating_model(k / m, n)
-            t = model.clone_map
-            assert t.kernel.size == n * n // 2
-            for i in range(n):
-                branch = np.arange(0, m) if i < m - k else np.arange(m - k, 2 * m - k)
-                np.testing.assert_array_equal(t.cols[i], i * n + branch)
-            dense = np.zeros((n, n * n))
-            np.put_along_axis(dense, t.cols, t.kernel, axis=1)
-            dense_map = StochasticMap(t.source, t.target, dense)
-            for mu in (model.states["a"], model.states["b"], random_state(rng, t.source)):
-                np.testing.assert_allclose(
-                    apply_map(t, mu).density, apply_map(dense_map, mu).density, rtol=0, atol=1e-15
-                )
+
+class TestExactAtEveryOverlap:
+    """Every quantity verify-ontic reports against its closed form, over the whole of [0, 1]."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=500)
+    @given(c=st.floats(0.0, 1.0))
+    @example(c=0.0)
+    @example(c=1.0)
+    @example(c=1e-9)
+    @example(c=1.0 - 1e-10)
+    def test_every_quantity_matches_its_closed_form(self, c):
+        model = build_saturating_model(c)
+        assert model.c_ab == c
+        for name, state in model.states.items():
+            mass = math.fsum(d * v for d, v in zip(state.density, state.grid.volumes))
+            assert mass == pytest.approx(1.0, rel=0, abs=1e-14), name
+        assert global_fidelity(model) == pytest.approx(1.0 - c / 2.0 + c * c / 2.0, rel=0, abs=1e-14)
+        o1, o2 = check_O1(model), check_O2(model)
+        assert o1.passed and o1.tol == STRUCTURAL_TOL and o1.max_residual <= 1e-14, o1
+        assert o2.passed and o2.tol == STRUCTURAL_TOL and o2.max_residual <= 1e-14, o2
+        expected = sandwich_closed_forms(c)
+        for rep in verify_sandwich_ideal(model, list(expected), o1, o2):
+            assert rep.passed and rep.tol == STRUCTURAL_TOL and rep.residual <= 1e-14, rep
+            assert (rep.l1, rep.confus) == pytest.approx(expected[rep.pair], rel=0, abs=1e-14), rep
+        assert confusability(model.states["a"], model.responses["b"]) == pytest.approx(c, rel=0, abs=1e-14)
+        b = model.states["b"].density
+        assert np.abs(np.array(model.states["beta"].density) - np.outer(b, b).ravel()).max() <= 1e-14
+
+
+class TestAgainstTheUniformGrid:
+    """The partition model against the uniform-grid construction, at overlaps that grid holds."""
+
+    @pytest.mark.parametrize("n, k", [(4, 0), (4, 1), (4, 2), (20, 3), (20, 10), (64, 13), (100, 37), (100, 50)])
+    def test_same_quantities_and_densities(self, n, k):
+        m, h = n // 2, 2.0 / n
+        densities, responses = uniform_grid_model(n, k)
+
+        def integral(x):
+            return float(x.sum()) * (h if x.size == n else h * h)
+
+        def conf(s, t):
+            return integral(densities[s] * responses[t])
+
+        model = build_saturating_model(k / m)
+        assert global_fidelity(model) == pytest.approx(0.5 * conf("alpha", "aa") + 0.5 * conf("beta", "bb"),
+                                                       rel=0, abs=1e-14)
+        o1 = check_O1(model)
+        for s in TEST_NAMES:
+            assert o1.match_probs[s] == pytest.approx(conf(s, s), rel=0, abs=1e-14), s
+            assert o1.leak_probs[s] == pytest.approx(conf(f"{s}_perp", s), rel=0, abs=1e-14), s
+        for rep in verify_sandwich_ideal(model, list(sandwich_closed_forms(k / m))):
+            s, t = rep.pair
+            assert rep.l1 == pytest.approx(integral(np.abs(densities[s] - densities[t])), rel=0, abs=1e-14), rep
+            assert rep.confus == pytest.approx(conf(s, t), rel=0, abs=1e-14), rep
+
+        # Cell by cell: each cell of the partition is a block of grid cells,
+        # and the model's density there is the grid density's mean over the
+        # block.  The two complements holding the filler Q place it apart.
+        axis = model.grid_in.edges[0]
+        blocks = [slice(round(lo * m), round(hi * m)) for lo, hi in zip(axis, axis[1:])]
+        for name in STATE_NAMES:
+            if name in ("aa_perp", "alpha_perp"):
+                continue
+            d = densities[name]
+            means = [d[i].mean() for i in blocks] if d.size == n else \
+                [d.reshape(n, n)[i, j].mean() for i in blocks for j in blocks]
+            assert model.states[name].density == pytest.approx(means, rel=0, abs=1e-14), name
 
 
 class TestSandwichRelations:
     @pytest.mark.parametrize("pair", [("a", "b"), ("alpha", "aa"), ("beta", "bb"), ("aa", "bb")])
     @pytest.mark.parametrize("c", [0.1, 0.5, 0.75])
     def test_ideal_identity_on_saturating_model(self, pair, c):
-        model = build_saturating_model(c, 200)
+        model = build_saturating_model(c)
         (report,) = verify_sandwich_ideal(model, [pair])
         assert report.passed, report
 
     def test_ideal_identity_values_at_half(self):
-        model = build_saturating_model(0.5, 200)
+        model = build_saturating_model(0.5)
         rep_ab, rep_tt = verify_sandwich_ideal(model, [("a", "b"), ("aa", "bb")])
         assert rep_ab.l1 == pytest.approx(1.0, abs=1e-12)
         assert rep_tt.l1 == pytest.approx(1.5, abs=1e-12)
         assert 2 * (1 - rep_tt.confus) == pytest.approx(1.5, abs=1e-12)
 
     def test_identical_inputs_give_zero_both_sides(self):
-        model = build_saturating_model(1.0, 100)
+        model = build_saturating_model(1.0)
         (report,) = verify_sandwich_ideal(model, [("a", "b")])
         assert report.l1 == pytest.approx(0.0, abs=1e-12)
         assert report.confus == pytest.approx(1.0, abs=1e-12)
 
     def test_ideal_check_requires_valid_model(self):
-        model = build_saturating_model(0.5, 100)
+        model = build_saturating_model(0.5)
         states = dict(model.states)
         states["a_perp"] = EpistemicState(model.grid_in, np.roll(states["a_perp"].density, 5))
         broken = OnticModel(
@@ -360,21 +466,21 @@ class TestSandwichRelations:
 
     @pytest.mark.parametrize("w", [0.01, 0.05, 0.1])
     def test_noisy_sandwich_on_mixed_models(self, w):
-        model = mix_with_uniform(build_saturating_model(0.5, 200), w)
+        model = mix_with_uniform(build_saturating_model(0.5), w)
         eps = measured_epsilons(model)
         for pair in model.pairs:
             report = verify_sandwich_noisy(model, pair, eps[pair[0]], eps[pair[1]])
             assert report.passed, (pair, report)
 
     def test_zero_mixing_reduces_to_equality(self):
-        model = build_saturating_model(0.5, 200)
+        model = build_saturating_model(0.5)
         report = verify_sandwich_noisy(model, ("a", "b"), 0.0, 0.0)
         assert report.passed
         assert abs(report.margin_lower) <= report.slack
         assert abs(report.margin_upper) <= report.slack
 
     def test_undersized_allowances_rejected(self):
-        model = mix_with_uniform(build_saturating_model(0.5, 100), 0.1)
+        model = mix_with_uniform(build_saturating_model(0.5), 0.1)
         with pytest.raises(ValueError):
             verify_sandwich_noisy(model, ("a", "b"), 0.0, 0.0)
 
@@ -383,7 +489,7 @@ class TestSandwichRelations:
         # pair of densities and any response, with eps the correlation
         # shortfall of nu itself; no model structure enters.
         rng = np.random.default_rng(SEED)
-        grid = LambdaGrid(1, 32)
+        grid = LambdaGrid.uniform(1, 32)
         for _ in range(200):
             mu, nu = random_state(rng, grid), random_state(rng, grid)
             xi = random_response(rng, grid)
@@ -392,7 +498,7 @@ class TestSandwichRelations:
             assert l1_distance(mu, nu) >= 2.0 * (1.0 - c_fwd - eps) - 1e-12
 
     def test_lower_bound_on_broken_model(self):
-        model = build_saturating_model(0.5, 100)
+        model = build_saturating_model(0.5)
         states = dict(model.states)
         states["a_perp"] = EpistemicState(model.grid_in, np.roll(states["a_perp"].density, 9))
         broken = OnticModel(
