@@ -14,7 +14,9 @@ Every closed form computes on Python floats with :mod:`math` alone, and
 every number it returns is a ``float``: importing this module does not
 load numpy.  Every
 validated probability goes through :func:`_check_unit`, which rejects NaN,
-±inf and anything outside [0, 1] with a ``ValueError``.
+±inf and anything outside [0, 1] with a ``ValueError``.  The package's
+records are named tuples; those that check their fields subclass
+:class:`_Checked`, which puts every construction through the check.
 
 Conventions: ``c_ab`` is the confusability of the two input preparations
 (squared overlap in the ideal quantum realisation), ``c_aabb`` the
@@ -25,7 +27,7 @@ worst-case deviation of each test measurement from perfect correlation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 STATE_NAMES = (
     "a", "b", "a_perp", "b_perp",
@@ -44,8 +46,32 @@ def _check_unit(name: str, x) -> float:
     return x
 
 
-@dataclass(frozen=True)
-class OverlapParams:
+class _Checked:
+    """Mixin, listed before its ``namedtuple`` base, for a record whose fields are checked on every construction.
+
+    The record's ``_check`` takes the unchecked record and returns its
+    fields, normalised, or raises ``ValueError``.  The constructor,
+    ``_make`` and ``_replace`` (and so copy and pickle) all go through it.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        return tuple.__new__(cls, cls._check(super().__new__(cls, *args, **kwargs)))
+
+    @classmethod
+    def _make(cls, iterable):
+        return tuple.__new__(cls, cls._check(super()._make(iterable)))
+
+
+def _check_units(record: tuple) -> tuple:
+    """A record whose every field is a probability, checked by :func:`_check_unit`."""
+    for name, x in zip(record._fields, record):
+        _check_unit(name, x)
+    return record
+
+
+class OverlapParams(_Checked, namedtuple("OverlapParams", "c_ab c_ba c_aabb c_bbaa")):
     """Observed confusabilities feeding the noncontextual bounds.
 
     ``c_ab``/``c_ba``: input pair, both directions.  ``c_aabb``/``c_bbaa``:
@@ -53,14 +79,8 @@ class OverlapParams:
     quantum experiment has ``c_ab == c_ba`` and ``c_aabb == c_bbaa == c_ab**2``.
     """
 
-    c_ab: float
-    c_ba: float
-    c_aabb: float
-    c_bbaa: float
-
-    def __post_init__(self) -> None:
-        for name in ("c_ab", "c_ba", "c_aabb", "c_bbaa"):
-            _check_unit(name, getattr(self, name))
+    __slots__ = ()
+    _check = staticmethod(_check_units)
 
     @classmethod
     def symmetric(cls, c: float) -> "OverlapParams":
@@ -69,24 +89,15 @@ class OverlapParams:
         return cls(c_ab=c, c_ba=c, c_aabb=c * c, c_bbaa=c * c)
 
 
-@dataclass(frozen=True)
-class ErrorBudget:
+class ErrorBudget(_Checked, namedtuple("ErrorBudget", "eps_a eps_b eps_alpha eps_beta eps_aa eps_bb")):
     """Per-preparation noise allowances eps_s for the six test measurements.
 
     eps_s bounds both the shortfall of p(pass | matching preparation) from 1
     and the leak p(pass | orthogonal preparation).
     """
 
-    eps_a: float
-    eps_b: float
-    eps_alpha: float
-    eps_beta: float
-    eps_aa: float
-    eps_bb: float
-
-    def __post_init__(self) -> None:
-        for name in self.__dataclass_fields__:
-            _check_unit(name, getattr(self, name))
+    __slots__ = ()
+    _check = staticmethod(_check_units)
 
     @classmethod
     def zero(cls) -> "ErrorBudget":
@@ -98,8 +109,7 @@ class ErrorBudget:
         return cls(eps, eps, eps, eps, eps, eps)
 
 
-@dataclass(frozen=True)
-class BoundValue:
+class BoundValue(namedtuple("BoundValue", "value clamped")):
     """A fidelity bound, kept raw even when it exceeds 1.
 
     ``clamped`` marks a vacuous bound (raw value above 1 for a generous
@@ -107,8 +117,7 @@ class BoundValue:
     budget remains visible.
     """
 
-    value: float
-    clamped: bool
+    __slots__ = ()
 
     @staticmethod
     def of(raw: float) -> "BoundValue":
@@ -206,8 +215,7 @@ def depolarizing_epsilons(v: float) -> ErrorBudget:
     )
 
 
-@dataclass(frozen=True)
-class ErrTerms:
+class ErrTerms(namedtuple("ErrTerms", "err_thm2 err_appendix err_prime eps_effective")):
     """Every published form of the depolarizing error term, side by side.
 
     The source material is internally inconsistent about which combination
@@ -223,10 +231,7 @@ class ErrTerms:
                         epsilon whose uniform budget gives ``err_prime``.
     """
 
-    err_thm2: float
-    err_appendix: float
-    err_prime: float
-    eps_effective: float
+    __slots__ = ()
 
 
 # Error term of the noisy ceiling under each published variant (``err_mode``),

@@ -8,7 +8,8 @@ as a single JSON document with ``--json``; elapsed wall time goes to
 standard error so that identical invocations produce byte-identical
 reports.  Exit status: 0 when every verdict passes, 1 when any fails,
 2 for argument errors.  ``bounds``, ``cloner`` and ``scan`` compute on
-Python floats, so importing this module does not load numpy.  Only the
+Python floats and keep their records in named tuples, so importing this
+module loads neither numpy nor :mod:`dataclasses`.  Only the
 subcommands that simulate states and tests load :mod:`clonectx.quantum`
 (``noise``, ``verify-quantum``) or :mod:`clonectx.ontic` (``verify-ontic``);
 ``_HANDLERS`` names that module for each, and :func:`run` imports it before
@@ -26,10 +27,9 @@ import itertools
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from collections.abc import Sequence
 from functools import partial
 from pathlib import Path
-from typing import Sequence
 
 from . import bounds, cloner, scan
 
@@ -46,13 +46,16 @@ MAX_POINTS = 1_000_000
 BYTES_PER_CURVE_POINT = 580
 
 
-@dataclass
 class RunReport:
-    command: str
-    inputs: dict
-    outputs: dict = field(default_factory=dict)
-    verdicts: list = field(default_factory=list)
-    wall_time_s: float = 0.0
+    """One subcommand's report: its inputs, outputs and verdicts, filled in as it runs."""
+
+    __slots__ = ("command", "inputs", "outputs", "verdicts", "wall_time_s")
+
+    def __init__(self, command: str, inputs: dict, outputs: dict | None = None) -> None:
+        self.command, self.inputs = command, inputs
+        self.outputs = {} if outputs is None else outputs
+        self.verdicts: list[dict] = []
+        self.wall_time_s = 0.0
 
     def add_verdict(self, name: str, ok: bool, detail: str = "") -> None:
         self.verdicts.append({"name": name, "status": "pass" if ok else "fail", "detail": detail})
@@ -252,15 +255,15 @@ def _cmd_quantum(args: argparse.Namespace, quantum, residuals: bool) -> RunRepor
     report = RunReport(args.command, inputs={"v": v, "c": c})
     ens = quantum.noisy_ensemble(v, c)
     rec = ens.record()
-    report.outputs.update({f"{k}_observed": x for k, x in asdict(rec.overlaps).items()})
-    report.outputs.update(asdict(rec.budget))
+    report.outputs.update({f"{k}_observed": x for k, x in rec.overlaps._asdict().items()})
+    report.outputs.update(rec.budget._asdict())
     report.outputs.update({"f_global": rec.f_global, "o2_residual": rec.o2_residual})
     if residuals:
         for pair, resid in ens.equivalence_residuals().items():
             report.outputs[f"equivalence_residual[{pair}]"] = resid
 
     eb = bounds.depolarizing_epsilons(v)
-    worst_eps = max(abs(getattr(rec.budget, f) - getattr(eb, f)) for f in eb.__dataclass_fields__)
+    worst_eps = max(abs(getattr(rec.budget, f) - getattr(eb, f)) for f in eb._fields)
     report.add_verdict("epsilons-match-closed-forms", worst_eps <= ACCEPT_EXACT, f"max |delta| = {worst_eps:.3e}")
 
     d_cab = abs(rec.overlaps.c_ab - bounds.observed_confusability(v, c))

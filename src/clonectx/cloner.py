@@ -4,15 +4,15 @@ The two-copy targets ``aa`` and ``bb`` and every clone output the search
 visits are real vectors in the symmetric subspace of two qubits, so the
 search needs no matrices: it works on 4-tuples with :mod:`math`, and
 ``clonectx clones`` runs without numpy.  :mod:`clonectx.quantum` builds its
-states from :func:`plane_basis` and wraps :func:`search_clones` as
-``construct_optimal_clones``.  Deliberately independent of the closed-form
-fidelity in :mod:`clonectx.bounds`, which it cross-checks.
+states from :func:`plane_basis`.  :func:`search_clones` is deliberately
+independent of the closed-form fidelity in :mod:`clonectx.bounds`, which it
+cross-checks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .bounds import _check_unit
 
@@ -58,15 +58,10 @@ def plane_basis(c: float) -> tuple[Vector, Vector, Vector, Vector, Vector]:
     return aa, bb, e1, e2, e3
 
 
-@dataclass(frozen=True)
-class CloneSearch:
+class CloneSearch(namedtuple("CloneSearch", "alpha beta fidelity overlap_error grid_fidelity")):
     """Outcome of the search: the clone outputs as real 4-tuples and their scores."""
 
-    alpha: Vector
-    beta: Vector
-    fidelity: float
-    overlap_error: float
-    grid_fidelity: float
+    __slots__ = ()
 
 
 def search_clones(c_ab: float) -> CloneSearch:

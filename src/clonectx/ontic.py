@@ -22,34 +22,37 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
-from functools import cached_property
-from typing import Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
-from .bounds import EQUIVALENCE_PAIRS, STATE_NAMES, TEST_NAMES, _check_unit
+from .bounds import EQUIVALENCE_PAIRS, STATE_NAMES, TEST_NAMES, _check_unit, _Checked
 
 DOMAIN_LENGTH = 2.0
 STRUCTURAL_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class LambdaGrid:
+class LambdaGrid(_Checked, namedtuple("LambdaGrid", "edges cells volumes", defaults=((), ()))):
     """Partition of [0, 2] (one axis) or [0, 2]^2 (two axes) into cells.
 
     ``edges`` holds, for each axis, the cell edges rising strictly from 0
     to 2.  Cells are numbered row-major: the last axis varies fastest.
+    ``cells`` (each cell's (low, high) bounds per axis) and ``volumes``
+    follow from the edges: construction, ``_replace`` included, derives them
+    and ignores any value passed for them.
     """
 
-    edges: tuple[tuple[float, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        edges = tuple(tuple(float(x) for x in axis) for axis in self.edges)
+    @staticmethod
+    def _check(grid: tuple) -> tuple:
+        edges = tuple(tuple(float(x) for x in axis) for axis in grid.edges)
         if len(edges) not in (1, 2):
             raise ValueError(f"grid dimension must be 1 or 2, got {len(edges)}")
         for axis in edges:
             if axis[:1] != (0.0,) or axis[-1:] != (DOMAIN_LENGTH,) or not all(x < y for x, y in zip(axis, axis[1:])):
                 raise ValueError(f"cell edges must rise strictly from 0 to {DOMAIN_LENGTH}, got {axis}")
-        object.__setattr__(self, "edges", edges)
+        cells = tuple(itertools.product(*(tuple(zip(axis, axis[1:])) for axis in edges)))
+        return edges, cells, tuple(math.prod(hi - lo for lo, hi in cell) for cell in cells)
 
     @classmethod
     def uniform(cls, dimension: int, n: int) -> "LambdaGrid":
@@ -61,15 +64,6 @@ class LambdaGrid:
     @property
     def dimension(self) -> int:
         return len(self.edges)
-
-    @cached_property
-    def cells(self) -> tuple[tuple[tuple[float, float], ...], ...]:
-        """Each cell as its (low, high) bounds per axis."""
-        return tuple(itertools.product(*(tuple(zip(axis, axis[1:])) for axis in self.edges)))
-
-    @cached_property
-    def volumes(self) -> tuple[float, ...]:
-        return tuple(math.prod(hi - lo for lo, hi in cell) for cell in self.cells)
 
     @property
     def num_cells(self) -> int:
@@ -100,24 +94,23 @@ def _integral(grid: LambdaGrid, values) -> float:
     return math.fsum(x * v for x, v in zip(values, grid.volumes))
 
 
-@dataclass(frozen=True)
-class EpistemicState:
-    """Nonnegative density per cell, normalized so that its integral is 1."""
+class EpistemicState(_Checked, namedtuple("EpistemicState", "grid density")):
+    """Nonnegative density per cell of a :class:`LambdaGrid`, normalized so that its integral is 1."""
 
-    grid: LambdaGrid
-    density: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        d = tuple(float(x) for x in self.density)
-        if len(d) != self.grid.num_cells:
-            raise ValueError(f"density must have {self.grid.num_cells} cells, got {len(d)}")
+    @staticmethod
+    def _check(state: tuple) -> tuple:
+        d = tuple(float(x) for x in state.density)
+        if len(d) != state.grid.num_cells:
+            raise ValueError(f"density must have {state.grid.num_cells} cells, got {len(d)}")
         bad = [x for x in d if not x >= 0.0]
         if bad:
             raise ValueError(f"density has negative or NaN cell {bad[0]:.3e}")
-        mass = _integral(self.grid, d)
+        mass = _integral(state.grid, d)
         if not abs(mass - 1.0) <= STRUCTURAL_TOL:
             raise ValueError(f"density mass deviates from 1 by {abs(mass - 1.0):.3e}")
-        object.__setattr__(self, "density", d)
+        return state.grid, d
 
     @classmethod
     def uniform_on(cls, grid: LambdaGrid, rects) -> "EpistemicState":
@@ -130,20 +123,19 @@ class EpistemicState:
         return cls(grid, (1.0 / DOMAIN_LENGTH**grid.dimension,) * grid.num_cells)
 
 
-@dataclass(frozen=True)
-class ResponseFunction:
+class ResponseFunction(_Checked, namedtuple("ResponseFunction", "grid values")):
     """Per-cell probability of the pass outcome of a two-outcome test."""
 
-    grid: LambdaGrid
-    values: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        x = tuple(float(v) for v in self.values)
-        if len(x) != self.grid.num_cells:
-            raise ValueError(f"response must have {self.grid.num_cells} cells, got {len(x)}")
+    @staticmethod
+    def _check(response: tuple) -> tuple:
+        x = tuple(float(v) for v in response.values)
+        if len(x) != response.grid.num_cells:
+            raise ValueError(f"response must have {response.grid.num_cells} cells, got {len(x)}")
         if not all(0.0 <= v <= 1.0 for v in x):
             raise ValueError("response values escape [0, 1]")
-        object.__setattr__(self, "values", x)
+        return response.grid, x
 
     @classmethod
     def indicator(cls, grid: LambdaGrid, rects) -> "ResponseFunction":
@@ -159,17 +151,15 @@ class _Table(tuple):
         return 8 * sum(len(row) for row in self)
 
 
-@dataclass(frozen=True)
-class StochasticMap:
+class StochasticMap(_Checked, namedtuple("StochasticMap", "source target kernel")):
     """Transition kernel between grids: ``kernel[i][j]`` moves source cell i to target cell j."""
 
-    source: LambdaGrid
-    target: LambdaGrid
-    kernel: tuple[tuple[float, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        k = _Table(tuple(float(p) for p in row) for row in self.kernel)
-        shape = (self.source.num_cells, self.target.num_cells)
+    @staticmethod
+    def _check(t: tuple) -> tuple:
+        k = _Table(tuple(float(p) for p in row) for row in t.kernel)
+        shape = (t.source.num_cells, t.target.num_cells)
         if len(k) != shape[0] or any(len(row) != shape[1] for row in k):
             raise ValueError(f"kernel must have shape {shape}")
         if not all(p >= 0.0 for row in k for p in row):
@@ -177,7 +167,7 @@ class StochasticMap:
         worst = max(abs(math.fsum(row) - 1.0) for row in k)
         if not worst <= STRUCTURAL_TOL:
             raise ValueError(f"kernel row sums deviate from 1 by up to {worst:.3e}")
-        object.__setattr__(self, "kernel", k)
+        return t.source, t.target, k
 
 
 def l1_distance(mu: EpistemicState, nu: EpistemicState) -> float:
@@ -208,45 +198,36 @@ def dpi_check(t: StochasticMap, mu: EpistemicState, nu: EpistemicState) -> bool:
     return l1_distance(apply_map(t, mu), apply_map(t, nu)) <= l1_distance(mu, nu) + STRUCTURAL_TOL
 
 
-@dataclass(frozen=True)
-class OnticModel:
+class OnticModel(_Checked, namedtuple("OnticModel", "grid_in grid_out c_ab states responses clone_map pairs",
+                                      defaults=(EQUIVALENCE_PAIRS,))):
     """A full ontological model of the cloning experiment on a partition of its domain.
 
     Twelve preparation densities (six tests and their orthogonal partners),
-    indicator-style response functions for the six tests, the cloning
-    kernel from the input grid to the output grid, and the list of mixing
-    equivalence pairs the model is expected to satisfy.
+    indicator-style response functions for the six tests (both dicts keyed
+    by name), the cloning kernel from the input grid to the output grid, and
+    the mixing equivalence pairs the model is expected to satisfy.
     """
 
-    grid_in: LambdaGrid
-    grid_out: LambdaGrid
-    c_ab: float
-    states: dict[str, EpistemicState]
-    responses: dict[str, ResponseFunction]
-    clone_map: StochasticMap
-    pairs: tuple[tuple[str, str], ...] = EQUIVALENCE_PAIRS
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        missing = [s for s in STATE_NAMES if s not in self.states]
+    @staticmethod
+    def _check(model: tuple) -> tuple:
+        missing = [s for s in STATE_NAMES if s not in model.states]
         if missing:
             raise ValueError(f"model is missing states: {missing}")
-        missing = [s for s in TEST_NAMES if s not in self.responses]
+        missing = [s for s in TEST_NAMES if s not in model.responses]
         if missing:
             raise ValueError(f"model is missing responses: {missing}")
-        for s, s2 in self.pairs:
-            if s not in self.states or s2 not in self.states:
+        for s, s2 in model.pairs:
+            if s not in model.states or s2 not in model.states:
                 raise ValueError(f"equivalence pair ({s}, {s2}) references unknown states")
+        return model
 
 
-@dataclass(frozen=True)
-class O1Report:
+class O1Report(namedtuple("O1Report", "match_probs leak_probs max_residual tol passed")):
     """Perfect-correlation check: pass probabilities on matching and orthogonal preparations."""
 
-    match_probs: dict[str, float]
-    leak_probs: dict[str, float]
-    max_residual: float
-    tol: float
-    passed: bool
+    __slots__ = ()
 
 
 def check_O1(model: OnticModel, tol: float = STRUCTURAL_TOL) -> O1Report:
@@ -264,14 +245,10 @@ def check_O1(model: OnticModel, tol: float = STRUCTURAL_TOL) -> O1Report:
     return O1Report(match_probs=match_probs, leak_probs=leak_probs, max_residual=worst, tol=tol, passed=worst <= tol)
 
 
-@dataclass(frozen=True)
-class O2Report:
+class O2Report(namedtuple("O2Report", "pair_residuals max_residual tol passed")):
     """Mixing-equivalence check: cellwise residual of the equal-mixture identity per pair."""
 
-    pair_residuals: dict[str, float]
-    max_residual: float
-    tol: float
-    passed: bool
+    __slots__ = ()
 
 
 def check_O2(model: OnticModel, tol: float = STRUCTURAL_TOL) -> O2Report:
@@ -405,19 +382,13 @@ def mix_with_uniform(model: OnticModel, w: float) -> OnticModel:
     for name, state in model.states.items():
         flat = EpistemicState.uniform(state.grid)
         mixed[name] = EpistemicState(state.grid, [(1.0 - w) * d + w * f for d, f in zip(state.density, flat.density)])
-    return replace(model, states=mixed)
+    return model._replace(states=mixed)
 
 
-@dataclass(frozen=True)
-class SandwichIdealReport:
+class SandwichIdealReport(namedtuple("SandwichIdealReport", "pair l1 confus residual tol passed")):
     """Distance/confusability identity for one pair: l1 distance vs 2(1 - confusability)."""
 
-    pair: tuple[str, str]
-    l1: float
-    confus: float
-    residual: float
-    tol: float
-    passed: bool
+    __slots__ = ()
 
 
 def verify_sandwich_ideal(
@@ -446,20 +417,10 @@ def verify_sandwich_ideal(
     return reports
 
 
-@dataclass(frozen=True)
-class SandwichNoisyReport:
+class SandwichNoisyReport(namedtuple("SandwichNoisyReport", "pair l1 lower upper margin_lower margin_upper slack lower_ok upper_ok passed")):
     """Two-sided distance/confusability bounds for one pair under an error budget."""
 
-    pair: tuple[str, str]
-    l1: float
-    lower: float
-    upper: float
-    margin_lower: float
-    margin_upper: float
-    slack: float
-    lower_ok: bool
-    upper_ok: bool
-    passed: bool
+    __slots__ = ()
 
 
 def verify_sandwich_noisy(

@@ -6,8 +6,7 @@ measurement) is degraded by a depolarizing channel, evaluates all observed
 probabilities through the Born rule, and verifies the mixing equivalences
 as matrix identities.  The closed forms it is checked against, and the
 names its preparations and tests are keyed by, live in :mod:`clonectx.bounds`;
-the two-copy frame and the independent clone-fidelity search, a numerical
-oracle for the closed-form optimal fidelity, live in :mod:`clonectx.cloner`.
+the two-copy frame lives in :mod:`clonectx.cloner`.
 
 The two input states live in a real two-dimensional span; the clone
 outputs live in the corresponding two-qubit tensor space (dimension 4).
@@ -21,10 +20,10 @@ tolerance test is written so that NaN fails it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .bounds import EQUIVALENCE_PAIRS, STATE_NAMES, TEST_NAMES, ErrorBudget, OverlapParams, _check_unit
-from .cloner import plane_basis, search_clones
+from .bounds import EQUIVALENCE_PAIRS, STATE_NAMES, TEST_NAMES, ErrorBudget, OverlapParams, _check_unit, _Checked
+from .cloner import plane_basis
 
 HERMITIAN_TOL = 1e-12
 BORN_CLIP_TOL = 1e-10
@@ -78,15 +77,15 @@ def _apply(m: Matrix, psi: Vector) -> Vector:
     return tuple(sum(a * x for a, x in zip(row, psi)) for row in m)
 
 
-@dataclass(frozen=True)
-class PureState:
+class PureState(_Checked, namedtuple("PureState", "amplitudes")):
     """Unit vector in dimension 2 or 4, stored as a tuple of complex amplitudes."""
 
-    amplitudes: Vector
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    @staticmethod
+    def _check(state: tuple) -> tuple:
         try:
-            amp = tuple(complex(a) for a in self.amplitudes)
+            amp = tuple(complex(a) for a in state.amplitudes)
         except TypeError:
             raise ValueError("state must be a vector of numbers") from None
         if len(amp) not in (2, 4):
@@ -94,7 +93,7 @@ class PureState:
         deviation = abs(math.sqrt(sum(a.real * a.real + a.imag * a.imag for a in amp)) - 1.0)
         if not deviation <= HERMITIAN_TOL:
             raise ValueError(f"state norm deviates from 1 by {deviation:.3e}")
-        object.__setattr__(self, "amplitudes", amp)
+        return (amp,)
 
     @property
     def dim(self) -> int:
@@ -110,14 +109,14 @@ class PureState:
         return abs(sum(x.conjugate() * y for x, y in zip(self.amplitudes, other.amplitudes))) ** 2
 
 
-@dataclass(frozen=True)
-class DensityOperator:
+class DensityOperator(_Checked, namedtuple("DensityOperator", "matrix")):
     """Hermitian, positive-semidefinite, unit-trace matrix (dimension 2 or 4), stored as a tuple of rows."""
 
-    matrix: Matrix
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        m = _square(self.matrix, "density operator")
+    @staticmethod
+    def _check(rho: tuple) -> tuple:
+        m = _square(rho.matrix, "density operator")
         if not _hermitian(m):
             raise ValueError("density operator is not Hermitian within tolerance")
         if not _spectrum_above(m, -HERMITIAN_TOL):
@@ -125,28 +124,28 @@ class DensityOperator:
         deviation = abs(sum(m[i][i].real for i in range(len(m))) - 1.0)
         if not deviation <= HERMITIAN_TOL:
             raise ValueError(f"density operator trace deviates from 1 by {deviation:.3e}")
-        object.__setattr__(self, "matrix", m)
+        return (m,)
 
     @property
     def dim(self) -> int:
         return len(self.matrix)
 
 
-@dataclass(frozen=True)
-class TwoOutcomeMeasurement:
+class TwoOutcomeMeasurement(_Checked, namedtuple("TwoOutcomeMeasurement", "effect")):
     """Two-outcome test; stores the pass effect as a tuple of rows, the fail effect being identity minus it."""
 
-    effect: Matrix
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        e = _square(self.effect, "effect")
+    @staticmethod
+    def _check(test: tuple) -> tuple:
+        e = _square(test.effect, "effect")
         if not _hermitian(e):
             raise ValueError("effect is not Hermitian within tolerance")
         # The spectrum of E lies in [0, 1] when both E and I - E have none below 0.
         negated = tuple(tuple(-x for x in row) for row in e)
         if not (_spectrum_above(e, -HERMITIAN_TOL) and _spectrum_above(negated, -1.0 - HERMITIAN_TOL)):
             raise ValueError(f"effect spectrum escapes [0, 1] by more than {HERMITIAN_TOL}")
-        object.__setattr__(self, "effect", e)
+        return (e,)
 
     @property
     def dim(self) -> int:
@@ -208,42 +207,14 @@ def optimal_clone_pair(c_ab: float) -> tuple[PureState, PureState]:
     return PureState(alpha), PureState(beta)
 
 
-@dataclass(frozen=True)
-class CloneSearchResult:
-    """Outcome of the independent clone-fidelity optimizer."""
+class ExperimentRecord(namedtuple("ExperimentRecord", "overlaps budget f_global o2_residual")):
+    """Born-rule summary of one noisy run: observed confusabilities (:class:`OverlapParams`),
+    measured error budget (:class:`ErrorBudget`), global fidelity and the worst mixing-equivalence residual."""
 
-    alpha: PureState
-    beta: PureState
-    fidelity: float
-    overlap_error: float
-    grid_fidelity: float
+    __slots__ = ()
 
 
-def construct_optimal_clones(c_ab: float) -> CloneSearchResult:
-    """:func:`clonectx.cloner.search_clones`, with the clone outputs as states."""
-    found = search_clones(c_ab)
-    return CloneSearchResult(
-        alpha=PureState(found.alpha),
-        beta=PureState(found.beta),
-        fidelity=found.fidelity,
-        overlap_error=found.overlap_error,
-        grid_fidelity=found.grid_fidelity,
-    )
-
-
-@dataclass(frozen=True)
-class ExperimentRecord:
-    """Born-rule summary of one noisy run: observed confusabilities, measured
-    error budget, global fidelity and the worst mixing-equivalence residual."""
-
-    overlaps: OverlapParams
-    budget: ErrorBudget
-    f_global: float
-    o2_residual: float
-
-
-@dataclass(frozen=True)
-class NoisyEnsemble:
+class NoisyEnsemble(namedtuple("NoisyEnsemble", "v c_ab states tests")):
     """All preparations and test measurements of the depolarized experiment.
 
     ``states`` maps each name of :data:`clonectx.bounds.STATE_NAMES` to its
@@ -252,10 +223,7 @@ class NoisyEnsemble:
     partner of preparation ``s`` is ``states[f"{s}_perp"]``.
     """
 
-    v: float
-    c_ab: float
-    states: dict[str, DensityOperator]
-    tests: dict[str, TwoOutcomeMeasurement]
+    __slots__ = ()
 
     def equivalence_residuals(self) -> dict[str, float]:
         """Max-entry residual of each of the four mixing equivalences."""
@@ -330,8 +298,3 @@ def noisy_ensemble(v: float, c_ab: float) -> NoisyEnsemble:
         states={name: prepare(kets[name]) for name in STATE_NAMES},
         tests={s: TwoOutcomeMeasurement(depolarize(_ketbra(kets[s]), v).matrix) for s in TEST_NAMES},
     )
-
-
-def simulate_confusabilities(v: float, c_ab: float) -> ExperimentRecord:
-    """Run the noisy experiment and collect every observed probability (:meth:`NoisyEnsemble.record`)."""
-    return noisy_ensemble(v, c_ab).record()

@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from pathlib import Path
-from typing import Sequence
 
 from . import bounds
-from .bounds import ERR_MODES, _check_unit
+from .bounds import ERR_MODES, _check_unit, _Checked
 
 # Confusabilities (c_ab, c_aabb) fed to the ceiling under each ``c_mode``,
 # as a function of the noise level v and the ideal overlap c.
@@ -47,37 +47,36 @@ def _lookup(table: dict, kind: str, mode: str):
         raise ValueError(f"{kind} must be one of {tuple(table)}, got {mode!r}") from None
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(_Checked, namedtuple("SweepSpec", "err_mode c_mode",
+                                       defaults=("thm2-direct", "observed-confusability"))):
     """Mode selectors for a sweep: the keys of ``ERR_MODES`` and ``C_MODES``."""
 
-    err_mode: str = "thm2-direct"
-    c_mode: str = "observed-confusability"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _lookup(ERR_MODES, "err_mode", self.err_mode)
-        _lookup(C_MODES, "c_mode", self.c_mode)
+    @staticmethod
+    def _check(spec: tuple) -> tuple:
+        _lookup(ERR_MODES, "err_mode", spec.err_mode)
+        _lookup(C_MODES, "c_mode", spec.c_mode)
+        return spec
 
 
-@dataclass(frozen=True)
-class CurveSeries:
-    """One plottable series with axis labels and the formula/mode it came from."""
+class CurveSeries(_Checked, namedtuple("CurveSeries", "x_label y_label points provenance")):
+    """One plottable series: axis labels, (x, y) points with x rising, and the formula/mode it came from."""
 
-    x_label: str
-    y_label: str
-    points: tuple[tuple[float, float], ...]
-    provenance: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        xs = [p[0] for p in self.points]
-        if any(not (math.isfinite(x) and math.isfinite(y)) for x, y in self.points):
+    @staticmethod
+    def _check(series: tuple) -> tuple:
+        xs = [p[0] for p in series.points]
+        if any(not (math.isfinite(x) and math.isfinite(y)) for x, y in series.points):
             raise ValueError("curve contains non-finite values")
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise ValueError("curve abscissa must be strictly increasing")
+        return series
 
 
-@dataclass(frozen=True)
-class ViolationRegion:
+class ViolationRegion(_Checked, namedtuple("ViolationRegion", "v c_lo c_hi err_mode c_mode anomalies",
+                                           defaults=((),))):
     """Confusability interval where the quantum fidelity beats the noncontextual ceiling.
 
     ``c_lo``/``c_hi`` are None when no violation exists at this noise level.
@@ -85,18 +84,15 @@ class ViolationRegion:
     more than the expected two.
     """
 
-    v: float
-    c_lo: float | None
-    c_hi: float | None
-    err_mode: str
-    c_mode: str
-    anomalies: tuple[float, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if (self.c_lo is None) != (self.c_hi is None):
+    @staticmethod
+    def _check(region: tuple) -> tuple:
+        if (region.c_lo is None) != (region.c_hi is None):
             raise ValueError("c_lo and c_hi must both be set or both be None")
-        if self.c_lo is not None and not 0.0 <= self.c_lo <= self.c_hi <= 1.0:
-            raise ValueError(f"invalid interval [{self.c_lo}, {self.c_hi}]")
+        if region.c_lo is not None and not 0.0 <= region.c_lo <= region.c_hi <= 1.0:
+            raise ValueError(f"invalid interval [{region.c_lo}, {region.c_hi}]")
+        return region
 
     @property
     def is_empty(self) -> bool:

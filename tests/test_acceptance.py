@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from clonectx import bounds, cli, ontic, quantum, scan
+from clonectx import bounds, cli, cloner, ontic, quantum, scan
 
 SEED = 20260810
 
@@ -25,7 +25,7 @@ def test_criterion_1_clone_optimizer_matches_closed_form():
     cs = [round(0.05 * i, 2) for i in range(1, 20)]
     worst = 0.0
     for c in cs:
-        got = quantum.construct_optimal_clones(c).fidelity
+        got = cloner.search_clones(c).fidelity
         worst = max(worst, abs(got - bounds.quantum_optimal_fidelity(c)))
     elapsed = time.perf_counter() - start
     report(
@@ -108,7 +108,7 @@ def test_criterion_3_sandwich_relations():
 def test_criterion_4_depolarizing_closed_forms():
     worst_eps, worst_o2 = 0.0, 0.0
     for v in (0.015, 0.1, 0.3):
-        rec = quantum.simulate_confusabilities(v, 0.5)
+        rec = quantum.noisy_ensemble(v, 0.5).record()
         worst_eps = max(
             worst_eps,
             abs(rec.budget.eps_a - (v - v * v / 2.0)),
@@ -131,7 +131,7 @@ def test_criterion_5_noisy_fidelity_identity():
     worst = 0.0
     for v in (0.0, 0.015, 0.1, 0.3, 0.6):
         for c in (0.1, 0.3, 0.5, 0.7, 0.9):
-            rec = quantum.simulate_confusabilities(v, c)
+            rec = quantum.noisy_ensemble(v, c).record()
             worst = max(worst, abs(rec.f_global - bounds.quantum_noisy_fidelity(v, c)))
     report(5, worst <= 1e-12, f"simulated vs closed-form noisy fidelity on 5x5 grid: max |delta| = {worst:.3e} <= 1e-12")
 

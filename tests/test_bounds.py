@@ -147,7 +147,7 @@ class TestDiscriminationBound:
 class TestDepolarizingEpsilons:
     def test_zero_noise(self):
         eb = bounds.depolarizing_epsilons(0.0)
-        assert all(getattr(eb, f) == 0.0 for f in eb.__dataclass_fields__)
+        assert all(getattr(eb, f) == 0.0 for f in eb._fields)
 
     def test_published_level(self):
         eb = bounds.depolarizing_epsilons(0.015)

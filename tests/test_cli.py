@@ -77,8 +77,7 @@ class TestExitCodes:
 
         def sabotaged(c):
             result = real(c)
-            object.__setattr__(result, "fidelity", result.fidelity - 1e-3)
-            return result
+            return result._replace(fidelity=result.fidelity - 1e-3)
 
         monkeypatch.setattr(cloner, "search_clones", sabotaged)
         code, out, _ = run_cli(capsys, "clones", "--c", "0.5")
@@ -106,9 +105,11 @@ def test_import_does_not_load_scipy():
     assert run_fresh(probe) == ["[]"]
 
 
-CLOSED_FORM_ONLY = ("clonectx.ontic", "clonectx.quantum", "numpy")
-QUANTUM_ONLY = ("clonectx.ontic", "numpy")
-ONTIC_ONLY = ("clonectx.quantum", "numpy")
+# No subcommand loads numpy, nor dataclasses and the inspect module it would pull in.
+NEVER_LOADED = ("numpy", "dataclasses", "inspect")
+CLOSED_FORM_ONLY = ("clonectx.ontic", "clonectx.quantum", *NEVER_LOADED)
+QUANTUM_ONLY = ("clonectx.ontic", *NEVER_LOADED)
+ONTIC_ONLY = ("clonectx.quantum", *NEVER_LOADED)
 
 
 @pytest.mark.parametrize(
@@ -128,11 +129,11 @@ ONTIC_ONLY = ("clonectx.quantum", "numpy")
 def test_subcommand_leaves_the_simulations_it_does_not_use_unloaded(tmp_path, argv, unloaded):
     # The closed-form, clone-search and scan subcommands need neither quantum
     # nor ontic; the quantum ones never need ontic, nor verify-ontic quantum.
-    # No module imports numpy, so none of these loads it.
-    # A fresh interpreter shows every module of the package and of numpy that
-    # the import and the subcommand load.
+    # No module imports numpy or dataclasses, so none of these loads them.
+    # A fresh interpreter shows every module of the package and of
+    # NEVER_LOADED that the import and the subcommand load.
     probe = ("import sys; from clonectx import cli; code = cli.run(sys.argv[1:]); "
-             "print(code, *sorted(m for m in sys.modules if m.split('.')[0] in ('clonectx', 'numpy')))")
+             f"print(code, *sorted(m for m in sys.modules if m.split('.')[0] in {('clonectx', *NEVER_LOADED)}))")
     code, *loaded = run_fresh(probe, *(str(tmp_path) if a == "OUT" else a for a in argv))
     assert code == "0"
     assert "clonectx.cli" in loaded
