@@ -3,8 +3,8 @@
 Modules by concern; ``cloner``, ``ontic`` and ``scan`` import only ``bounds``,
 ``quantum`` only ``bounds`` and ``cloner``.  ``bounds``, ``cloner``,
 ``ontic`` and ``scan`` compute on Python floats and ``quantum`` on Python
-complex numbers, with :mod:`math`; no module imports numpy, and records
-are named tuples, so none imports :mod:`dataclasses` either:
+complex numbers, with :mod:`math`; no module imports numpy, and every
+record is a named tuple:
 
 * :mod:`clonectx.bounds`  -- closed-form fidelities, noncontextual ceilings,
   depolarizing-noise error budgets and observed confusabilities, and the

@@ -9,7 +9,7 @@ standard error so that identical invocations produce byte-identical
 reports.  Exit status: 0 when every verdict passes, 1 when any fails,
 2 for argument errors.  ``bounds``, ``cloner`` and ``scan`` compute on
 Python floats and keep their records in named tuples, so importing this
-module loads neither numpy nor :mod:`dataclasses`.  Only the
+module loads neither numpy nor :mod:`inspect`.  Only the
 subcommands that simulate states and tests load :mod:`clonectx.quantum`
 (``noise``, ``verify-quantum``) or :mod:`clonectx.ontic` (``verify-ontic``);
 ``_HANDLERS`` names that module for each, and :func:`run` imports it before
