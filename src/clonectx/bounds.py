@@ -134,7 +134,11 @@ def quantum_optimal_fidelity(c_ab: float) -> float:
     two-copy tests.  Equals 1 at both endpoints (orthogonal or identical
     inputs clone perfectly) and stays within [1/2, 1] in between.
     """
-    c = _check_unit("c_ab", c_ab)
+    return _optimal_fidelity(_check_unit("c_ab", c_ab))
+
+
+def _optimal_fidelity(c: float) -> float:
+    """:func:`quantum_optimal_fidelity` of a ``c`` already checked to lie in [0, 1]."""
     rc = math.sqrt(c)
     bracket = math.sqrt((1.0 + c) * (1.0 + rc)) + math.sqrt((1.0 - c) * (1.0 - rc))
     return 0.25 * bracket * bracket
@@ -255,6 +259,23 @@ def err_terms(v: float) -> ErrTerms:
     )
 
 
+def _depolarizing_factors(v: float) -> tuple[float, float, float, float, float]:
+    """The v-only factors of the depolarized closed forms, for a checked ``v``.
+
+    (1-v)**3, v*(3 - 3v + v**2)/4, (1-v)**2, v*(1-v) and v**2/2: the weights
+    of the noiseless value and of the noise in :func:`quantum_noisy_fidelity`
+    and in both observed confusabilities.
+    """
+    one_mv = 1.0 - v
+    return one_mv**3, 0.25 * v * (3.0 - 3.0 * v + v * v), one_mv**2, v * one_mv, 0.5 * v * v
+
+
+def _observed_overlaps(c: float, factors: tuple) -> tuple[float, float]:
+    """Observed (c_ab, c_aabb) at a checked ``c``, given the noise level's :func:`_depolarizing_factors`."""
+    k3, q, k2, b, h = factors
+    return k2 * c + b + h, k3 * c * c + q
+
+
 def quantum_noisy_fidelity(v: float, c_ab: float) -> float:
     """Global fidelity of the noiseless-optimal cloner run at depolarizing level ``v``.
 
@@ -262,20 +283,17 @@ def quantum_noisy_fidelity(v: float, c_ab: float) -> float:
     Coincides with the optimal fidelity at v = 0 and collapses to 1/4 at
     v = 1 (a fully depolarized state tested with a trace-one effect).
     """
-    v = _check_unit("v", v)
-    one_mv = 1.0 - v
-    return one_mv**3 * quantum_optimal_fidelity(c_ab) + 0.25 * v * (3.0 - 3.0 * v + v * v)
+    k3, q = _depolarizing_factors(_check_unit("v", v))[:2]
+    return k3 * quantum_optimal_fidelity(c_ab) + q
 
 
 def observed_confusability(v: float, c_ab: float) -> float:
     """Noisy input-pair confusability at depolarizing level ``v``: (1-v)^2 c + v(1-v) + v^2/2."""
-    v = _check_unit("v", v)
-    c = _check_unit("c_ab", c_ab)
-    return (1.0 - v) ** 2 * c + v * (1.0 - v) + 0.5 * v * v
+    factors = _depolarizing_factors(_check_unit("v", v))
+    return _observed_overlaps(_check_unit("c_ab", c_ab), factors)[0]
 
 
 def observed_target_confusability(v: float, c_ab: float) -> float:
     """Noisy target-pair confusability at depolarizing level ``v``: (1-v)^3 c^2 + v(3-3v+v^2)/4."""
-    v = _check_unit("v", v)
-    c = _check_unit("c_ab", c_ab)
-    return (1.0 - v) ** 3 * c * c + 0.25 * v * (3.0 - 3.0 * v + v * v)
+    factors = _depolarizing_factors(_check_unit("v", v))
+    return _observed_overlaps(_check_unit("c_ab", c_ab), factors)[1]

@@ -127,16 +127,6 @@ def _curve_points(text: str) -> int:
     return x
 
 
-def _out_dir(text: str) -> Path:
-    """The output directory, made here if it does not exist yet."""
-    path = Path(text)
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise argparse.ArgumentTypeError(f"cannot create directory {text!r}: {exc.strerror}") from exc
-    return path
-
-
 def _resolution(text: str) -> int:
     x = _integer(text)
     if x < 4 or x % 2:
@@ -178,7 +168,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=_open_probability, required=True, help="input confusability in (0, 1)")
 
     p = sub.add_parser("curves", parents=[common], help="write figure data (fidelity tradeoff, noise resistance)")
-    p.add_argument("--out", type=_out_dir, required=True, help="output directory")
+    p.add_argument("--out", type=Path, required=True, help="output directory, made if it does not exist")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--points", type=_curve_points, default=500,
                    help=f"number of c grid points, 2 to {MAX_POINTS} "
@@ -313,16 +303,19 @@ def _cmd_critical_noise(args: argparse.Namespace) -> RunReport:
 
 def _cmd_curves(args: argparse.Namespace) -> RunReport:
     out = args.out
+    # Made here, not while the arguments convert, so that a bad argument after --out leaves no directory.
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(f"argument --out: cannot create directory {str(out)!r}: "
+                                         f"{exc.strerror}") from exc
     n = args.points
     c_grid = [i / (n - 1) for i in range(n)]
     q_series, nc_series = scan.fidelity_curves(c_grid)
 
     # The published error term is ambiguous, so both defensible noise
     #-resistance curves are emitted side by side.
-    resistance = {
-        mode: scan.noise_resistance_curve(c_grid, scan.SweepSpec(err_mode=mode, c_mode=args.c_mode))
-        for mode in ("thm2-direct", "err-prime")
-    }
+    resistance = scan.noise_resistance_curves(c_grid, args.c_mode, ("thm2-direct", "err-prime"))
 
     written = []
     ext = args.format
@@ -415,7 +408,12 @@ def run(argv: Sequence[str] | None = None) -> int:
     # The module loads before the clock starts: elapsed: is compute only.
     modules = (importlib.import_module(f"{__package__}.{module}"),) if module else ()
     start = time.perf_counter()
-    report = handler(args, *modules)
+    try:
+        report = handler(args, *modules)
+    except argparse.ArgumentTypeError as exc:  # an argument found bad only when used, as curves --out
+        parser.print_usage(sys.stderr)
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
     report.wall_time_s = time.perf_counter() - start
     print(report.render_json() if args.json else report.render_text())
     print(f"elapsed: {report.wall_time_s:.3f} s", file=sys.stderr)

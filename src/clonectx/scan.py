@@ -6,7 +6,11 @@ the noise resistance of the quantum advantage (the largest depolarizing
 level at which the quantum fidelity still beats the noncontextual ceiling,
 per confusability).  Every root is taken from a polynomial fitted exactly
 to the gap: a cubic in v for the critical levels, and one of degree 8 in
-t = sqrt(c) + sqrt(1 + c) for the violation window.  Like
+t = sqrt(c) + sqrt(1 + c) for the violation window.  The critical levels,
+of one point or of a whole curve, come from one pass over the confusabilities
+that evaluates the gap at the cubic's four nodes in v for every requested
+error-term mode at once: F(c) and the ceiling's c-terms are taken once per
+point, the v-only factors and error terms once per pass.  Like
 :mod:`clonectx.bounds`, this module computes on Python floats with
 :mod:`math` alone, so the subcommands built on it start without numpy.
 
@@ -28,14 +32,11 @@ from pathlib import Path
 from . import bounds
 from .bounds import ERR_MODES, _check_unit, _Checked
 
-# Confusabilities (c_ab, c_aabb) fed to the ceiling under each ``c_mode``,
-# as a function of the noise level v and the ideal overlap c.
+# Confusabilities (c_ab, c_aabb) fed to the ceiling under each ``c_mode``, as a
+# function of the ideal overlap c and the noise level's depolarizing factors.
 C_MODES = {
-    "ideal-overlap": lambda v, c: (c, c * c),
-    "observed-confusability": lambda v, c: (
-        bounds.observed_confusability(v, c),
-        bounds.observed_target_confusability(v, c),
-    ),
+    "ideal-overlap": lambda c, factors: (c, c * c),
+    "observed-confusability": bounds._observed_overlaps,
 }
 
 
@@ -102,9 +103,10 @@ class ViolationRegion(_Checked, namedtuple("ViolationRegion", "v c_lo c_hi err_m
 def _gap_in_c(v: float, spec: SweepSpec):
     """The gap at noise level ``v`` as a function of c alone; the error term is taken once."""
     err = ERR_MODES[spec.err_mode](v)
+    factors = bounds._depolarizing_factors(v)
     overlaps = C_MODES[spec.c_mode]
     noisy, ceiling = bounds.quantum_noisy_fidelity, bounds.nc_bound
-    return lambda c: noisy(v, c) - ceiling(*overlaps(v, c), err)
+    return lambda c: noisy(v, c) - ceiling(*overlaps(c, factors), err)
 
 
 def advantage_gap(v: float, c: float, err_mode: str, c_mode: str) -> float:
@@ -249,17 +251,41 @@ def _critical_level(g0: float, g1: float, g2: float, g3: float) -> float:
     a1 = g3 - 5.5 * g0 + 9.0 * g1 - 4.5 * g2
     a2 = 4.5 * (2.0 * g0 - 5.0 * g1 + 4.0 * g2 - g3)
     a3 = 4.5 * (g3 - g0 + 3.0 * (g1 - g2))
-    v = min(max(_cubic_root_nearest_half(g0, a1, a2, a3), 0.0), 1.0)
+    # Clamped to [0, 1] by comparisons, which cost a fraction of min(max(...)) calls here.
+    v = _cubic_root_nearest_half(g0, a1, a2, a3)
+    v = 0.0 if v < 0.0 else 1.0 if v > 1.0 else v
     slope = a1 + v * (2.0 * a2 + 3.0 * a3 * v)
     if slope:
-        v = min(max(v - (g0 + v * (a1 + v * (a2 + v * a3))) / slope, 0.0), 1.0)
+        v -= (g0 + v * (a1 + v * (a2 + v * a3))) / slope
+        v = 0.0 if v < 0.0 else 1.0 if v > 1.0 else v
     return v
 
 
-def _critical_levels(cs: Sequence[float], spec: SweepSpec) -> list[float]:
-    """Critical noise level at each confusability in ``cs``; the gap's v-only terms are taken once per node."""
-    g0, g1, g2, g3 = (_gap_in_c(v, spec) for v in (0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0))
-    return [_critical_level(g0(c), g1(c), g2(c), g3(c)) for c in cs]
+_NODES = (0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0)
+
+
+def _critical_levels(cs: Sequence[float], c_mode: str, err_modes: Sequence[str]) -> list[list[float]]:
+    """Critical noise level at each confusability in ``cs``, all inside (0, 1), one list per entry of ``err_modes``.
+
+    One pass over ``cs``: the depolarizing factors and every error term are
+    taken once per node v, F(c) and the ceiling's c-terms once per point for
+    all modes, and each mode's error term is added last, so each gap is the
+    one :func:`advantage_gap` returns, bit for bit.
+    """
+    overlaps = _lookup(C_MODES, "c_mode", c_mode)
+    errs = [[_lookup(ERR_MODES, "err_mode", mode)(v) for v in _NODES] for mode in err_modes]
+    d0, d1, d2, d3 = [bounds._depolarizing_factors(v) for v in _NODES]
+    fidelity, ceiling = bounds._optimal_fidelity, bounds.nc_bound
+    levels = [[] for _ in err_modes]
+    for c in cs:
+        f = fidelity(c)
+        # The noisy fidelity (1-v)**3 * F + v*(3 - 3v + v**2)/4 and the ceiling without its error term, at each node.
+        n0, n1, n2, n3 = d0[0] * f + d0[1], d1[0] * f + d1[1], d2[0] * f + d2[1], d3[0] * f + d3[1]
+        b0, b1, b2, b3 = (ceiling(*overlaps(c, d0)), ceiling(*overlaps(c, d1)),
+                          ceiling(*overlaps(c, d2)), ceiling(*overlaps(c, d3)))
+        for out, (e0, e1, e2, e3) in zip(levels, errs):
+            out.append(_critical_level(n0 - (b0 + e0), n1 - (b1 + e1), n2 - (b2 + e2), n3 - (b3 + e3)))
+    return levels
 
 
 def critical_noise(c_ab: float, spec: SweepSpec | None = None) -> float:
@@ -270,23 +296,38 @@ def critical_noise(c_ab: float, spec: SweepSpec | None = None) -> float:
     """
     if not 0.0 < c_ab < 1.0:
         raise ValueError(f"c_ab must lie strictly inside (0, 1), got {c_ab!r}")
-    return _critical_levels([float(c_ab)], spec or SweepSpec())[0]
+    spec = spec or SweepSpec()
+    return _critical_levels([float(c_ab)], spec.c_mode, [spec.err_mode])[0][0]
+
+
+def noise_resistance_curves(c_grid: Sequence[float], c_mode: str, err_modes: Sequence[str]) -> dict[str, CurveSeries]:
+    """Critical noise level as a function of confusability, one curve per entry of ``err_modes``.
+
+    Points outside (0, 1) are skipped.  Every curve comes from one pass over
+    the grid, and each of its points is the level :func:`critical_noise`
+    returns there under the same modes, bit for bit.
+    """
+    cs = [float(c) for c in c_grid if 0.0 < c < 1.0]
+    return {
+        mode: CurveSeries(
+            x_label="c_ab",
+            y_label="v_max",
+            points=tuple(zip(cs, levels)),
+            provenance=f"critical depolarizing level ({mode}, {c_mode})",
+        )
+        for mode, levels in zip(err_modes, _critical_levels(cs, c_mode, err_modes))
+    }
 
 
 def noise_resistance_curve(c_grid: Sequence[float], spec: SweepSpec | None = None) -> CurveSeries:
     """Critical noise level as a function of confusability, under the spec's modes.
 
-    Points outside (0, 1) are skipped; each of the rest is the same scalar
-    solve as :func:`critical_noise`, so a point and the curve agree bit for bit.
+    Points outside (0, 1) are skipped.  This is the spec's curve of
+    :func:`noise_resistance_curves`: the pass that also gives
+    :func:`critical_noise`, so a point and the curve agree bit for bit.
     """
     spec = spec or SweepSpec()
-    cs = [float(c) for c in c_grid if 0.0 < c < 1.0]
-    return CurveSeries(
-        x_label="c_ab",
-        y_label="v_max",
-        points=tuple(zip(cs, _critical_levels(cs, spec))),
-        provenance=f"critical depolarizing level ({spec.err_mode}, {spec.c_mode})",
-    )
+    return noise_resistance_curves(c_grid, spec.c_mode, [spec.err_mode])[spec.err_mode]
 
 
 def write_series_csv(series: CurveSeries, path: str | Path) -> None:

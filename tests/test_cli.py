@@ -66,6 +66,14 @@ class TestExitCodes:
         assert stdout == ""
         assert (tmp_path / "notes.txt").read_text() == "kept"
 
+    @pytest.mark.parametrize("later", [("--points", "1"), ("--format", "xml"), ("--bogus",)],
+                             ids=["points", "format", "unknown-flag"])
+    def test_argument_error_after_out_leaves_no_directory(self, capsys, tmp_path, later):
+        code, stdout, _ = run_cli(capsys, "curves", "--out", str(tmp_path / "none" / "figs"), *later)
+        assert code == 2
+        assert stdout == ""
+        assert not (tmp_path / "none").exists()
+
     def test_missing_subcommand_is_an_argument_error(self, capsys):
         code, _, _ = run_cli(capsys, )
         assert code == 2

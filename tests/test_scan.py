@@ -22,6 +22,7 @@ from clonectx.scan import (
     critical_noise,
     fidelity_curves,
     noise_resistance_curve,
+    noise_resistance_curves,
     violation_interval,
     write_series_csv,
     write_series_json,
@@ -226,11 +227,35 @@ class TestCriticalNoise:
         with pytest.raises(ValueError):
             critical_noise(0.0)
 
-    def test_curve_agrees_with_pointwise_roots(self):
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=SPEC_IDS)
+    def test_curve_agrees_with_pointwise_roots(self, spec):
         grid = np.linspace(0.05, 0.95, 19)
-        series = noise_resistance_curve(grid)
+        series = noise_resistance_curve(grid, spec)
         for c, v in series.points:
-            assert v == critical_noise(c)
+            assert v == critical_noise(c, spec)
+
+    @pytest.mark.parametrize("c_mode", list(C_MODES))
+    def test_one_pass_gives_each_single_mode_curve(self, c_mode):
+        grid = [0.0, 1e-300, *np.linspace(0.01, 0.99, 37), 1.0 - 2.0**-53, 1.0]
+        curves = noise_resistance_curves(grid, c_mode, list(ERR_MODES))
+        assert list(curves) == list(ERR_MODES)
+        for err_mode, series in curves.items():
+            assert series == noise_resistance_curve(grid, spec_of(err_mode, c_mode))
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=SPEC_IDS)
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(c=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_one_pass_equals_the_scalar_gap_route(self, spec, c):
+        # The pass shares F(c) and the ceiling's c-terms between nodes and modes;
+        # each gap must still be advantage_gap's to the last bit.
+        gaps = (advantage_gap(v, c, spec.err_mode, spec.c_mode) for v in (0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0))
+        assert critical_noise(c, spec) == scan._critical_level(*gaps)
+
+    def test_bad_modes_rejected(self):
+        with pytest.raises(ValueError, match="c_mode must be one of"):
+            noise_resistance_curves([0.5], "bogus", ["thm2-direct"])
+        with pytest.raises(ValueError, match="err_mode must be one of"):
+            noise_resistance_curves([0.5], "ideal-overlap", ["thm2-direct", "bogus"])
 
     def test_determinism(self):
         spec = SweepSpec()
