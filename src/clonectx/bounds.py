@@ -43,7 +43,7 @@ def _check_unit(name: str, x) -> float:
     x = float(x)
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {x!r}")
-    return x
+    return x + 0.0  # -0.0 as +0.0; every other float unchanged
 
 
 class _Checked:

@@ -99,7 +99,7 @@ def _probability(text: str) -> float:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
     if not 0.0 <= x <= 1.0:
         raise argparse.ArgumentTypeError(f"value {x} outside [0, 1]")
-    return x
+    return x + 0.0  # a typed -0.0 as +0.0; every other float unchanged
 
 
 def _open_probability(text: str) -> float:
@@ -145,8 +145,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit the report as JSON")
     modes = argparse.ArgumentParser(add_help=False)
-    modes.add_argument("--err-mode", choices=scan.ERR_MODES, default="thm2-direct")
-    modes.add_argument("--c-mode", choices=scan.C_MODES, default="observed-confusability")
+    modes.add_argument("--err-mode", choices=scan.ERR_MODES, default=scan.DEFAULT_ERR_MODE)
+    modes.add_argument("--c-mode", choices=scan.C_MODES, default=scan.DEFAULT_C_MODE)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -173,7 +173,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=_curve_points, default=500,
                    help=f"number of c grid points, 2 to {MAX_POINTS} "
                    f"(about {BYTES_PER_CURVE_POINT} bytes of memory per point)")
-    p.add_argument("--c-mode", choices=scan.C_MODES, default="observed-confusability")
+    p.add_argument("--c-mode", choices=scan.C_MODES, default=scan.DEFAULT_C_MODE)
 
     p = sub.add_parser("verify-ontic", parents=[common], help="build the saturating model and run every check")
     p.add_argument("--c", type=_probability, required=True)
@@ -276,9 +276,8 @@ def _cmd_quantum(args: argparse.Namespace, quantum, residuals: bool) -> RunRepor
 
 
 def _cmd_region(args: argparse.Namespace) -> RunReport:
-    spec = scan.SweepSpec(err_mode=args.err_mode, c_mode=args.c_mode)
-    region = scan.violation_interval(args.v, spec)
-    report = RunReport(
+    region = scan.violation_interval(args.v, args.err_mode, args.c_mode)
+    return RunReport(
         "region",
         inputs={"v": args.v, "err_mode": args.err_mode, "c_mode": args.c_mode},
         outputs={
@@ -288,16 +287,13 @@ def _cmd_region(args: argparse.Namespace) -> RunReport:
             "anomalous_roots": list(region.anomalies),
         },
     )
-    return report
 
 
 def _cmd_critical_noise(args: argparse.Namespace) -> RunReport:
-    spec = scan.SweepSpec(err_mode=args.err_mode, c_mode=args.c_mode)
-    vstar = scan.critical_noise(args.c, spec)
     return RunReport(
         "critical-noise",
         inputs={"c": args.c, "err_mode": args.err_mode, "c_mode": args.c_mode},
-        outputs={"v_max": vstar},
+        outputs={"v_max": scan.critical_noise(args.c, args.err_mode, args.c_mode)},
     )
 
 
@@ -320,12 +316,8 @@ def _cmd_curves(args: argparse.Namespace) -> RunReport:
     written = []
     ext = args.format
     emit = scan.write_series_csv if ext == "csv" else scan.write_series_json
-    for name, series in [
-        ("fidelity_quantum", q_series),
-        ("fidelity_noncontextual", nc_series),
-        ("noise_resistance_thm2-direct", resistance["thm2-direct"]),
-        ("noise_resistance_err-prime", resistance["err-prime"]),
-    ]:
+    for name, series in [("fidelity_quantum", q_series), ("fidelity_noncontextual", nc_series),
+                         *((f"noise_resistance_{mode}", s) for mode, s in resistance.items())]:
         path = out / f"{name}.{ext}"
         emit(series, path)
         written.append(str(path))

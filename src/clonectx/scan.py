@@ -15,10 +15,11 @@ point, the v-only factors and error terms once per pass.  Like
 :mod:`math` alone, so the subcommands built on it start without numpy.
 
 Because the published error term exists in mutually inconsistent variants,
-every sweep takes an explicit ``err_mode``; likewise an explicit ``c_mode``
-selects whether the noncontextual ceiling is fed the ideal overlap or the
-noise-degraded observed confusabilities.  Nothing is reconciled silently:
-reports carry the mode they were computed under.
+every sweep takes an ``err_mode``; likewise a ``c_mode`` selects whether the
+noncontextual ceiling is fed the ideal overlap or the noise-degraded observed
+confusabilities.  Both are plain strings, keys of ``ERR_MODES`` and
+``C_MODES``, checked only where :func:`_lookup` resolves them.  Nothing is
+reconciled silently: reports carry the mode they were computed under.
 """
 
 from __future__ import annotations
@@ -31,6 +32,10 @@ from pathlib import Path
 
 from . import bounds
 from .bounds import ERR_MODES, _check_unit, _Checked
+
+# The modes a sweep runs under when none is given; the CLI's defaults too.
+DEFAULT_ERR_MODE = "thm2-direct"
+DEFAULT_C_MODE = "observed-confusability"
 
 # Confusabilities (c_ab, c_aabb) fed to the ceiling under each ``c_mode``, as a
 # function of the ideal overlap c and the noise level's depolarizing factors.
@@ -46,19 +51,6 @@ def _lookup(table: dict, kind: str, mode: str):
         return table[mode]
     except (KeyError, TypeError):
         raise ValueError(f"{kind} must be one of {tuple(table)}, got {mode!r}") from None
-
-
-class SweepSpec(_Checked, namedtuple("SweepSpec", "err_mode c_mode",
-                                       defaults=("thm2-direct", "observed-confusability"))):
-    """Mode selectors for a sweep: the keys of ``ERR_MODES`` and ``C_MODES``."""
-
-    __slots__ = ()
-
-    @staticmethod
-    def _check(spec: tuple) -> tuple:
-        _lookup(ERR_MODES, "err_mode", spec.err_mode)
-        _lookup(C_MODES, "c_mode", spec.c_mode)
-        return spec
 
 
 class CurveSeries(_Checked, namedtuple("CurveSeries", "x_label y_label points provenance")):
@@ -100,18 +92,18 @@ class ViolationRegion(_Checked, namedtuple("ViolationRegion", "v c_lo c_hi err_m
         return self.c_lo is None
 
 
-def _gap_in_c(v: float, spec: SweepSpec):
+def _gap_in_c(v: float, err_mode: str, c_mode: str):
     """The gap at noise level ``v`` as a function of c alone; the error term is taken once."""
-    err = ERR_MODES[spec.err_mode](v)
+    err = _lookup(ERR_MODES, "err_mode", err_mode)(v)
     factors = bounds._depolarizing_factors(v)
-    overlaps = C_MODES[spec.c_mode]
+    overlaps = _lookup(C_MODES, "c_mode", c_mode)
     noisy, ceiling = bounds.quantum_noisy_fidelity, bounds.nc_bound
     return lambda c: noisy(v, c) - ceiling(*overlaps(c, factors), err)
 
 
 def advantage_gap(v: float, c: float, err_mode: str, c_mode: str) -> float:
     """Quantum noisy fidelity minus the (unclamped) noncontextual ceiling."""
-    return _gap_in_c(_check_unit("v", v), SweepSpec(err_mode, c_mode))(_check_unit("c", c))
+    return _gap_in_c(_check_unit("v", v), err_mode, c_mode)(_check_unit("c", c))
 
 
 def fidelity_curves(c_grid: Sequence[float]) -> tuple[CurveSeries, CurveSeries]:
@@ -186,7 +178,7 @@ def _real_roots(poly: Sequence[float]) -> list[float]:
     return _sign_changes(lambda x: _horner(poly, x), _real_roots(_derivative(poly)))
 
 
-def violation_interval(v: float, spec: SweepSpec | None = None) -> ViolationRegion:
+def violation_interval(v: float, err_mode: str = DEFAULT_ERR_MODE, c_mode: str = DEFAULT_C_MODE) -> ViolationRegion:
     """Confusability interval with a quantum advantage at noise level ``v``.
 
     (2t)**4 times the gap is a polynomial of degree 8 in t = sqrt(c) + sqrt(1 + c),
@@ -198,9 +190,8 @@ def violation_interval(v: float, spec: SweepSpec | None = None) -> ViolationRegi
     the domain edge, on each side of that top.  More than two sign changes in
     (0, 1) are all reported in ``anomalies``.
     """
-    spec = spec or SweepSpec()
     v = _check_unit("v", v)
-    gap_in_c = _gap_in_c(v, spec)
+    gap_in_c = _gap_in_c(v, err_mode, c_mode)
     gap = lambda x: gap_in_c(_t_and_c(x)[1])
     poly = _interpolate(_CHEBYSHEV_9, [gap(x) * (2.0 * _t_and_c(x)[0]) ** 4 for x in _CHEBYSHEV_9])
     critical = _real_roots(_derivative(poly))
@@ -208,12 +199,12 @@ def violation_interval(v: float, spec: SweepSpec | None = None) -> ViolationRegi
     top_gaps = [gap(x) for x in tops]
     best = max(range(len(tops)), key=top_gaps.__getitem__)
     if top_gaps[best] <= 0.0:
-        return ViolationRegion(v=v, c_lo=None, c_hi=None, err_mode=spec.err_mode, c_mode=spec.c_mode)
+        return ViolationRegion(v=v, c_lo=None, c_hi=None, err_mode=err_mode, c_mode=c_mode)
     top = _t_and_c(tops[best])[1]
     roots = [_t_and_c(x)[1] for x in _sign_changes(gap, critical) if -1.0 < x < 1.0]
     c_lo = max((c for c in roots if c < top), default=0.0)
     c_hi = min((c for c in roots if c > top), default=1.0)
-    return ViolationRegion(v=v, c_lo=c_lo, c_hi=c_hi, err_mode=spec.err_mode, c_mode=spec.c_mode,
+    return ViolationRegion(v=v, c_lo=c_lo, c_hi=c_hi, err_mode=err_mode, c_mode=c_mode,
                            anomalies=tuple(roots) if len(roots) > 2 else ())
 
 
@@ -288,16 +279,16 @@ def _critical_levels(cs: Sequence[float], c_mode: str, err_modes: Sequence[str])
     return levels
 
 
-def critical_noise(c_ab: float, spec: SweepSpec | None = None) -> float:
+def critical_noise(c_ab: float, err_mode: str = DEFAULT_ERR_MODE, c_mode: str = DEFAULT_C_MODE) -> float:
     """Largest depolarizing level at which the quantum advantage survives at ``c_ab``.
 
-    The gap's root in v on [0, 1], from its cubic in v polished by a Newton step.
-    Returns 0.0 when there is no advantage even noiselessly.
+    The root in v on [0, 1] of the gap under ``err_mode`` and ``c_mode``, from its
+    cubic in v polished by a Newton step.  Returns 0.0 when there is no advantage
+    even noiselessly.
     """
     if not 0.0 < c_ab < 1.0:
         raise ValueError(f"c_ab must lie strictly inside (0, 1), got {c_ab!r}")
-    spec = spec or SweepSpec()
-    return _critical_levels([float(c_ab)], spec.c_mode, [spec.err_mode])[0][0]
+    return _critical_levels([float(c_ab)], c_mode, [err_mode])[0][0]
 
 
 def noise_resistance_curves(c_grid: Sequence[float], c_mode: str, err_modes: Sequence[str]) -> dict[str, CurveSeries]:
@@ -317,17 +308,6 @@ def noise_resistance_curves(c_grid: Sequence[float], c_mode: str, err_modes: Seq
         )
         for mode, levels in zip(err_modes, _critical_levels(cs, c_mode, err_modes))
     }
-
-
-def noise_resistance_curve(c_grid: Sequence[float], spec: SweepSpec | None = None) -> CurveSeries:
-    """Critical noise level as a function of confusability, under the spec's modes.
-
-    Points outside (0, 1) are skipped.  This is the spec's curve of
-    :func:`noise_resistance_curves`: the pass that also gives
-    :func:`critical_noise`, so a point and the curve agree bit for bit.
-    """
-    spec = spec or SweepSpec()
-    return noise_resistance_curves(c_grid, spec.c_mode, [spec.err_mode])[spec.err_mode]
 
 
 def write_series_csv(series: CurveSeries, path: str | Path) -> None:

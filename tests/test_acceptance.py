@@ -139,7 +139,7 @@ def test_criterion_5_noisy_fidelity_identity():
 def test_criterion_6_published_violation_interval(capsys):
     best = None
     for err_mode, c_mode in itertools.product(scan.ERR_MODES, scan.C_MODES):
-        region = scan.violation_interval(0.015, scan.SweepSpec(err_mode=err_mode, c_mode=c_mode))
+        region = scan.violation_interval(0.015, err_mode, c_mode)
         if region.is_empty:
             continue
         err = max(abs(region.c_lo - 0.318), abs(region.c_hi - 0.718))

@@ -256,6 +256,10 @@ class TestScalarContract:
         got = bounds._check_unit("c", np.float64(0.25))
         assert type(got) is float and got == 0.25
 
+    def test_negative_zero_comes_back_positive(self):
+        # -0.0 passes 0 <= x, but would print as "-0.0" in every report that echoes it.
+        assert math.copysign(1.0, bounds._check_unit("v", -0.0)) == 1.0
+
     @pytest.mark.parametrize("name", list(SCALAR_FORMS))
     def test_returns_a_python_float(self, name):
         for x in (0.0, 0.25, np.float64(0.5), 1):

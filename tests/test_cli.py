@@ -252,6 +252,19 @@ class TestSubcommands:
         vstar = float(out.split("v_max = ")[1].splitlines()[0])
         assert vstar >= 0.015
 
+    @pytest.mark.parametrize("argv", [("region", "--v", "0.015"), ("region", "--v", "0.015", "--json"),
+                                      ("critical-noise", "--c", "0.5")], ids=["region", "region-json", "critical-noise"])
+    def test_mode_flags_default_to_the_documented_modes(self, capsys, argv):
+        _, implicit, _ = run_cli(capsys, *argv)
+        _, explicit, _ = run_cli(capsys, *argv, "--err-mode", "thm2-direct", "--c-mode", "observed-confusability")
+        assert implicit == explicit
+
+    @pytest.mark.parametrize("fmt", [(), ("--json",)], ids=["text", "json"])
+    def test_negative_zero_is_reported_as_zero(self, capsys, fmt):
+        code, out, _ = run_cli(capsys, "bounds", "--c", "-0.0", "--v", "-0.0", *fmt)
+        assert code == 0
+        assert "-0.0" not in out
+
     def test_noise_verdicts_pass(self, capsys):
         code, out, _ = run_cli(capsys, "noise", "--v", "0.1", "--c", "0.3")
         assert code == 0

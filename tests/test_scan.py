@@ -15,13 +15,13 @@ from clonectx import bounds, scan
 from clonectx.scan import (
     C_MODES,
     ERR_MODES,
+    DEFAULT_C_MODE,
+    DEFAULT_ERR_MODE,
     CurveSeries,
-    SweepSpec,
     ViolationRegion,
     advantage_gap,
     critical_noise,
     fidelity_curves,
-    noise_resistance_curve,
     noise_resistance_curves,
     violation_interval,
     write_series_csv,
@@ -35,32 +35,39 @@ PAPER_INTERVAL = (0.318, 0.718)
 V_PEAK_DEFAULT = 0.0181623369
 
 
-def spec_of(err_mode, c_mode):
-    return SweepSpec(err_mode=err_mode, c_mode=c_mode)
-
-
-ALL_SPECS = [SweepSpec(err_mode=e, c_mode=c) for e in ERR_MODES for c in C_MODES]
-SPEC_IDS = [f"{s.err_mode}+{s.c_mode}" for s in ALL_SPECS]
+ALL_SPECS = [(e, c) for e in ERR_MODES for c in C_MODES]
+for_all_specs = pytest.mark.parametrize("err_mode, c_mode", ALL_SPECS, ids=[f"{e}+{c}" for e, c in ALL_SPECS])
 
 
 @functools.cache
-def peak(spec):
+def peak(err_mode, c_mode):
     """Largest critical noise level over c and the c of that top, from the noise-resistance curve zoomed around it."""
     cs = np.linspace(0.0, 1.0, 1001)[1:-1]
     for _ in range(4):
-        levels = [v for _, v in noise_resistance_curve(cs, spec).points]
+        levels = [v for _, v in noise_resistance_curves(cs, c_mode, [err_mode])[err_mode].points]
         i = int(np.argmax(levels))
         top = cs[i]
         cs = np.linspace(cs[max(i - 1, 0)], cs[min(i + 1, cs.size - 1)], 101)
     return max(levels), float(top)
 
 
+# Every public entry that takes modes, called with (err_mode, c_mode) at a valid point.
+MODE_ENTRIES = {
+    "advantage_gap": lambda err_mode, c_mode: advantage_gap(PAPER_V, 0.5, err_mode, c_mode),
+    "violation_interval": lambda err_mode, c_mode: violation_interval(PAPER_V, err_mode, c_mode),
+    "critical_noise": lambda err_mode, c_mode: critical_noise(0.5, err_mode, c_mode),
+    "noise_resistance_curves": lambda err_mode, c_mode: noise_resistance_curves([0.5], c_mode, [err_mode]),
+}
+
+
 class TestSpecsAndTypes:
-    def test_mode_validation(self):
-        with pytest.raises(ValueError):
-            SweepSpec(err_mode="nope")
-        with pytest.raises(ValueError):
-            SweepSpec(c_mode="nope")
+    @pytest.mark.parametrize("entry", MODE_ENTRIES.values(), ids=MODE_ENTRIES)
+    @pytest.mark.parametrize("err_mode, c_mode, kind", [("nope", DEFAULT_C_MODE, "err_mode"),
+                                                        (DEFAULT_ERR_MODE, "nope", "c_mode")],
+                             ids=["err_mode", "c_mode"])
+    def test_unknown_mode_rejected(self, entry, err_mode, c_mode, kind):
+        with pytest.raises(ValueError, match=f"{kind} must be one of"):
+            entry(err_mode, c_mode)
 
     def test_curve_requires_increasing_abscissa(self):
         with pytest.raises(ValueError):
@@ -109,11 +116,11 @@ class TestViolationInterval:
     def test_appendix_err_mode_never_violates(self):
         # The summed-epsilon error term is so large that no violation
         # survives even at the published noise level.
-        region = violation_interval(PAPER_V, spec_of("appendix-err", "ideal-overlap"))
+        region = violation_interval(PAPER_V, "appendix-err", "ideal-overlap")
         assert region.is_empty
 
     def test_published_interval_best_mode(self):
-        region = violation_interval(PAPER_V, spec_of("thm2-direct", "ideal-overlap"))
+        region = violation_interval(PAPER_V, "thm2-direct", "ideal-overlap")
         assert region.c_lo == pytest.approx(PAPER_INTERVAL[0], abs=0.05)
         assert region.c_hi == pytest.approx(PAPER_INTERVAL[1], abs=0.05)
         # The exact endpoints, from an independent root computation of this gap.
@@ -127,8 +134,8 @@ class TestViolationInterval:
         assert region.c_hi == pytest.approx(PAPER_INTERVAL[1], abs=0.05)
 
     def test_antitone_in_noise(self):
-        for mode in (spec_of("thm2-direct", "ideal-overlap"), SweepSpec()):
-            regions = [violation_interval(v, mode) for v in (0.0, 0.005, 0.01, 0.015, 0.018)]
+        for modes in (("thm2-direct", "ideal-overlap"), (DEFAULT_ERR_MODE, DEFAULT_C_MODE)):
+            regions = [violation_interval(v, *modes) for v in (0.0, 0.005, 0.01, 0.015, 0.018)]
             for weaker, stronger in zip(regions, regions[1:]):
                 if stronger.is_empty:
                     continue
@@ -136,9 +143,9 @@ class TestViolationInterval:
                 assert weaker.c_hi >= stronger.c_hi - 1e-9
 
     def test_no_anomalous_roots_in_standard_modes(self):
-        for spec in ALL_SPECS:
+        for modes in ALL_SPECS:
             for v in (0.0, 0.01, 0.015):
-                assert violation_interval(v, spec).anomalies == (), (spec, v)
+                assert violation_interval(v, *modes).anomalies == (), (modes, v)
 
     def test_window_narrower_than_the_prescan_step(self):
         # 1e-8 below the default modes' critical level the window is ~7e-4
@@ -149,14 +156,14 @@ class TestViolationInterval:
         assert region.c_hi - region.c_lo < 1e-3
         # In every mode pair the window still holds the hump's top as it closes
         # like the square root of the distance to the level, and is gone 1e-12 above.
-        for spec in ALL_SPECS:
-            level, top = peak(spec)
+        for modes in ALL_SPECS:
+            level, top = peak(*modes)
             for below in (1e-8, 1e-10, 1e-12):
-                region = violation_interval(level - below, spec)
-                assert not region.is_empty, (spec, below)
+                region = violation_interval(level - below, *modes)
+                assert not region.is_empty, (modes, below)
                 assert region.c_lo < top < region.c_hi
                 assert region.c_hi - region.c_lo < 2e-3 * math.sqrt(below / 1e-8)
-            assert violation_interval(level + 1e-12, spec).is_empty, spec
+            assert violation_interval(level + 1e-12, *modes).is_empty, modes
 
 
 # Relative offsets from the peak: spread over the whole range, and close in.
@@ -169,21 +176,21 @@ NEAR_PEAK = st.one_of(
 
 class TestRootProperties:
     def test_default_peak_is_the_known_level(self):
-        assert peak(SweepSpec())[0] == pytest.approx(V_PEAK_DEFAULT, abs=1e-9)
+        assert peak(DEFAULT_ERR_MODE, DEFAULT_C_MODE)[0] == pytest.approx(V_PEAK_DEFAULT, abs=1e-9)
 
-    @pytest.mark.parametrize("spec", ALL_SPECS, ids=SPEC_IDS)
+    @for_all_specs
     @settings(derandomize=True, database=None)
     @given(offset=NEAR_PEAK)
-    def test_window_exists_below_the_peak_level(self, spec, offset):
-        level = peak(spec)[0]
+    def test_window_exists_below_the_peak_level(self, err_mode, c_mode, offset):
+        level = peak(err_mode, c_mode)[0]
         if abs(offset) < 1e-12:
             return
         v = level * (1.0 + offset)
-        region = violation_interval(v, spec)
+        region = violation_interval(v, err_mode, c_mode)
         assert region.is_empty == (v > level)
         if region.is_empty:
             return
-        g = lambda c: advantage_gap(v, c, spec.err_mode, spec.c_mode)
+        g = lambda c: advantage_gap(v, c, err_mode, c_mode)
         lo, hi = region.c_lo, region.c_hi
         assert g(0.5 * (lo + hi)) > 0.0
         # Each interior endpoint is a root of the gap to rounding at the gap's
@@ -196,15 +203,15 @@ class TestRootProperties:
             assert abs(g(hi)) <= 1e-14
             assert g(min(hi + width, 1.0)) <= 0.0
 
-    @pytest.mark.parametrize("spec", ALL_SPECS, ids=SPEC_IDS)
+    @for_all_specs
     @settings(derandomize=True, database=None)
     @given(c=st.floats(0.0, 1.0), v1=st.floats(0.0, 1.0), v2=st.floats(0.0, 1.0))
-    def test_gap_is_nonincreasing_in_noise(self, spec, c, v1, v2):
+    def test_gap_is_nonincreasing_in_noise(self, err_mode, c_mode, c, v1, v2):
         # The fact behind taking each critical level as the one root in [0, 1]
         # of the gap's cubic in v: the gap changes sign at most once along v.
         # 1e-14 is rounding at the gap's scale (|gap| <= 6.2).
         lo, hi = sorted((v1, v2))
-        g = lambda v: advantage_gap(v, c, spec.err_mode, spec.c_mode)
+        g = lambda v: advantage_gap(v, c, err_mode, c_mode)
         assert g(lo) >= g(hi) - 1e-14
 
 
@@ -227,12 +234,12 @@ class TestCriticalNoise:
         with pytest.raises(ValueError):
             critical_noise(0.0)
 
-    @pytest.mark.parametrize("spec", ALL_SPECS, ids=SPEC_IDS)
-    def test_curve_agrees_with_pointwise_roots(self, spec):
+    @for_all_specs
+    def test_curve_agrees_with_pointwise_roots(self, err_mode, c_mode):
         grid = np.linspace(0.05, 0.95, 19)
-        series = noise_resistance_curve(grid, spec)
+        series = noise_resistance_curves(grid, c_mode, [err_mode])[err_mode]
         for c, v in series.points:
-            assert v == critical_noise(c, spec)
+            assert v == critical_noise(c, err_mode, c_mode)
 
     @pytest.mark.parametrize("c_mode", list(C_MODES))
     def test_one_pass_gives_each_single_mode_curve(self, c_mode):
@@ -240,16 +247,16 @@ class TestCriticalNoise:
         curves = noise_resistance_curves(grid, c_mode, list(ERR_MODES))
         assert list(curves) == list(ERR_MODES)
         for err_mode, series in curves.items():
-            assert series == noise_resistance_curve(grid, spec_of(err_mode, c_mode))
+            assert series == noise_resistance_curves(grid, c_mode, [err_mode])[err_mode]
 
-    @pytest.mark.parametrize("spec", ALL_SPECS, ids=SPEC_IDS)
+    @for_all_specs
     @settings(derandomize=True, database=None, deadline=None)
     @given(c=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
-    def test_one_pass_equals_the_scalar_gap_route(self, spec, c):
+    def test_one_pass_equals_the_scalar_gap_route(self, err_mode, c_mode, c):
         # The pass shares F(c) and the ceiling's c-terms between nodes and modes;
         # each gap must still be advantage_gap's to the last bit.
-        gaps = (advantage_gap(v, c, spec.err_mode, spec.c_mode) for v in (0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0))
-        assert critical_noise(c, spec) == scan._critical_level(*gaps)
+        gaps = (advantage_gap(v, c, err_mode, c_mode) for v in (0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0))
+        assert critical_noise(c, err_mode, c_mode) == scan._critical_level(*gaps)
 
     def test_bad_modes_rejected(self):
         with pytest.raises(ValueError, match="c_mode must be one of"):
@@ -258,11 +265,10 @@ class TestCriticalNoise:
             noise_resistance_curves([0.5], "ideal-overlap", ["thm2-direct", "bogus"])
 
     def test_determinism(self):
-        spec = SweepSpec()
-        r1 = violation_interval(PAPER_V, spec)
-        r2 = violation_interval(PAPER_V, spec)
+        r1 = violation_interval(PAPER_V)
+        r2 = violation_interval(PAPER_V)
         assert (r1.c_lo, r1.c_hi) == (r2.c_lo, r2.c_hi)
-        assert critical_noise(0.5, spec) == critical_noise(0.5, spec)
+        assert critical_noise(0.5) == critical_noise(0.5)
 
 
 def ceiling_at(v, c, err_mode, c_mode):
@@ -313,32 +319,32 @@ def closed_form_gap(v, c, err_mode, c_mode, sqrt=math.sqrt):
 class TestHighPrecisionRoots:
     """Every root against mpmath's root of the hand-written gap at 40 digits, found by bracketing."""
 
-    @pytest.mark.parametrize("spec", ALL_SPECS, ids=SPEC_IDS)
-    def test_critical_levels(self, spec):
+    @for_all_specs
+    def test_critical_levels(self, err_mode, c_mode):
         from mpmath import mp
 
         with mp.workdps(40):
             for c in (0.01, 0.2, 0.5, 0.8, 0.99):
-                gap = lambda v: closed_form_gap(v, mp.mpf(c), spec.err_mode, spec.c_mode, sqrt=mp.sqrt)
+                gap = lambda v: closed_form_gap(v, mp.mpf(c), err_mode, c_mode, sqrt=mp.sqrt)
                 exact = mp.findroot(gap, (mp.mpf(0), mp.mpf(1)), solver="anderson")
-                assert abs(critical_noise(c, spec) - exact) <= 1e-14, c
+                assert abs(critical_noise(c, err_mode, c_mode) - exact) <= 1e-14, c
 
-    @pytest.mark.parametrize("spec", ALL_SPECS, ids=SPEC_IDS)
-    def test_window_ends(self, spec):
+    @for_all_specs
+    def test_window_ends(self, err_mode, c_mode):
         from mpmath import mp
 
         with mp.workdps(40):
             for v in (0.001, 0.005, 0.015):
-                region = violation_interval(v, spec)
-                gap = lambda c: closed_form_gap(mp.mpf(v), c, spec.err_mode, spec.c_mode, sqrt=mp.sqrt)
+                region = violation_interval(v, err_mode, c_mode)
+                gap = lambda c: closed_form_gap(mp.mpf(v), c, err_mode, c_mode, sqrt=mp.sqrt)
                 for end in () if region.is_empty else (region.c_lo, region.c_hi):
                     exact = mp.findroot(gap, (mp.mpf(end) - 1e-6, mp.mpf(end) + 1e-6), solver="anderson")
                     assert abs(end - exact) <= 1e-13, (v, end)
 
 
-def numpy_window(v, spec):
+def numpy_window(v, err_mode, c_mode):
     """Window ends by a Vandermonde solve and ``np.roots``, or None when the window is empty."""
-    gap = np.vectorize(lambda c: advantage_gap(v, c, spec.err_mode, spec.c_mode))
+    gap = np.vectorize(lambda c: advantage_gap(v, c, err_mode, c_mode))
     t_of = lambda x: 1.0 + (1.0 + x) / np.sqrt(2.0)
     c_of = lambda x: np.clip(((t_of(x) ** 2 - 1.0) / (2.0 * t_of(x))) ** 2, 0.0, 1.0)
     nodes = np.cos(np.pi * (np.arange(9) + 0.5) / 9.0)
@@ -353,9 +359,9 @@ def numpy_window(v, spec):
     return max((c for c in roots if c < top), default=0.0), min((c for c in roots if c > top), default=1.0)
 
 
-def numpy_critical_level(c, spec):
+def numpy_critical_level(c, err_mode, c_mode):
     """The critical level by Cardano on numpy arrays, then two Newton steps on the gap itself."""
-    g = lambda v: advantage_gap(v, c, spec.err_mode, spec.c_mode)
+    g = lambda v: advantage_gap(v, c, err_mode, c_mode)
     g0, g1, g2, g3 = (g(v) for v in (0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0))
     if g3 > 0.0:
         return 1.0
@@ -375,26 +381,26 @@ def numpy_critical_level(c, spec):
 class TestAgainstTheNumpyRoute:
     """The pure-Python roots against the same fits solved with numpy's linear algebra and np.roots."""
 
-    @pytest.mark.parametrize("spec", ALL_SPECS, ids=SPEC_IDS)
+    @for_all_specs
     @settings(derandomize=True, database=None, deadline=None)
     @given(u=st.floats(0.0, 2.0))
-    def test_window_ends(self, spec, u):
+    def test_window_ends(self, err_mode, c_mode, u):
         # v = u times the critical level.  Within 1e-4 of the level the ends
         # straddle a near-double root, where a gap error of one rounding moves
         # them by more than 1e-12 in either route.
         assume(abs(u - 1.0) > 1e-4)
-        v = peak(spec)[0] * u
-        region = violation_interval(v, spec)
-        want = numpy_window(v, spec)
+        v = peak(err_mode, c_mode)[0] * u
+        region = violation_interval(v, err_mode, c_mode)
+        want = numpy_window(v, err_mode, c_mode)
         assert region.is_empty == (want is None)
         if want is not None:
             assert abs(region.c_lo - want[0]) <= 1e-12 and abs(region.c_hi - want[1]) <= 1e-12
 
-    @pytest.mark.parametrize("spec", ALL_SPECS, ids=SPEC_IDS)
+    @for_all_specs
     @settings(derandomize=True, database=None, deadline=None)
     @given(c=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
-    def test_critical_levels(self, spec, c):
-        assert abs(critical_noise(c, spec) - numpy_critical_level(c, spec)) <= 1e-12
+    def test_critical_levels(self, err_mode, c_mode, c):
+        assert abs(critical_noise(c, err_mode, c_mode) - numpy_critical_level(c, err_mode, c_mode)) <= 1e-12
 
 
 class TestRootHelpers:
