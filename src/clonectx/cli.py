@@ -40,10 +40,10 @@ OVERLAP_TOL = 1e-9
 # to 2**53, m converts to a float exactly; beyond it the snap rounds, and
 # past about 1e308 the product c*m overflows.
 MAX_RESOLUTION = 2**53
-# curves keeps the c grid, its four series and their formatted lines in memory;
-# its measured peak RSS grows by about 580 bytes per point, 0.26 GB at 4e5 points.
+# curves keeps the c grid, its four series' columns and the grid's text in memory;
+# its measured peak RSS grows by about 350 bytes per point, 0.15 GB at 4e5 points.
 MAX_POINTS = 1_000_000
-BYTES_PER_CURVE_POINT = 580
+BYTES_PER_CURVE_POINT = 350
 
 
 class RunReport:
@@ -306,21 +306,15 @@ def _cmd_curves(args: argparse.Namespace) -> RunReport:
         raise argparse.ArgumentTypeError(f"argument --out: cannot create directory {str(out)!r}: "
                                          f"{exc.strerror}") from exc
     n = args.points
-    c_grid = [i / (n - 1) for i in range(n)]
-    q_series, nc_series = scan.fidelity_curves(c_grid)
-
     # The published error term is ambiguous, so both defensible noise
     #-resistance curves are emitted side by side.
-    resistance = scan.noise_resistance_curves(c_grid, args.c_mode, ("thm2-direct", "err-prime"))
-
-    written = []
+    curves = scan.figure_curves([i / (n - 1) for i in range(n)], args.c_mode, ("thm2-direct", "err-prime"))
     ext = args.format
-    emit = scan.write_series_csv if ext == "csv" else scan.write_series_json
-    for name, series in [("fidelity_quantum", q_series), ("fidelity_noncontextual", nc_series),
-                         *((f"noise_resistance_{mode}", s) for mode, s in resistance.items())]:
-        path = out / f"{name}.{ext}"
-        emit(series, path)
-        written.append(str(path))
+    try:
+        written = scan.write_curves(curves, out, ext)
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(f"argument --out: cannot write {str(exc.filename or out)!r}: "
+                                         f"{exc.strerror}") from exc
 
     return RunReport(
         "curves",

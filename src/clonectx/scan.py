@@ -10,7 +10,10 @@ t = sqrt(c) + sqrt(1 + c) for the violation window.  The critical levels,
 of one point or of a whole curve, come from one pass over the confusabilities
 that evaluates the gap at the cubic's four nodes in v for every requested
 error-term mode at once: F(c) and the ceiling's c-terms are taken once per
-point, the v-only factors and error terms once per pass.  Like
+point, the v-only factors and error terms once per pass.  Both figures come
+from that pass (:func:`figure_curves`): the tradeoff is its node at v = 0,
+without the error term.  Each series holds its x and y columns, and
+:func:`write_curves` formats the shared c column once for every file.  Like
 :mod:`clonectx.bounds`, this module computes on Python floats with
 :mod:`math` alone, so the subcommands built on it start without numpy.
 
@@ -53,19 +56,33 @@ def _lookup(table: dict, kind: str, mode: str):
         raise ValueError(f"{kind} must be one of {tuple(table)}, got {mode!r}") from None
 
 
-class CurveSeries(_Checked, namedtuple("CurveSeries", "x_label y_label points provenance")):
-    """One plottable series: axis labels, (x, y) points with x rising, and the formula/mode it came from."""
+class CurveSeries(_Checked, namedtuple("CurveSeries", "x_label y_label x y provenance")):
+    """One plottable series: axis labels, its x and y columns with x rising, and the formula/mode it came from.
+
+    Both columns are stored as tuples of floats, and an abscissa -0.0 as 0.0,
+    so that equal abscissae print alike.
+    """
 
     __slots__ = ()
 
     @staticmethod
     def _check(series: tuple) -> tuple:
-        xs = [p[0] for p in series.points]
-        if any(not (math.isfinite(x) and math.isfinite(y)) for x, y in series.points):
+        x, y = tuple(map(float, series.x)), tuple(map(float, series.y))
+        if len(x) != len(y):
+            raise ValueError(f"curve has {len(x)} abscissae but {len(y)} ordinates")
+        if not (all(map(math.isfinite, x)) and all(map(math.isfinite, y))):
             raise ValueError("curve contains non-finite values")
-        if any(b <= a for a, b in zip(xs, xs[1:])):
+        if not all(map(float.__lt__, x, x[1:])):
             raise ValueError("curve abscissa must be strictly increasing")
-        return series
+        if 0.0 in x:
+            i = x.index(0.0)
+            x = (*x[:i], 0.0, *x[i + 1:])
+        return series.x_label, series.y_label, x, y, series.provenance
+
+    @property
+    def points(self) -> tuple:
+        """The (x, y) pairs, x rising."""
+        return tuple(zip(self.x, self.y))
 
 
 class ViolationRegion(_Checked, namedtuple("ViolationRegion", "v c_lo c_hi err_mode c_mode anomalies",
@@ -104,17 +121,6 @@ def _gap_in_c(v: float, err_mode: str, c_mode: str):
 def advantage_gap(v: float, c: float, err_mode: str, c_mode: str) -> float:
     """Quantum noisy fidelity minus the (unclamped) noncontextual ceiling."""
     return _gap_in_c(_check_unit("v", v), err_mode, c_mode)(_check_unit("c", c))
-
-
-def fidelity_curves(c_grid: Sequence[float]) -> tuple[CurveSeries, CurveSeries]:
-    """Ideal fidelity/confusability tradeoff: quantum optimum vs noncontextual ceiling."""
-    cs = [float(c) for c in c_grid]
-    q_points = tuple((c, bounds.quantum_optimal_fidelity(c)) for c in cs)
-    nc_points = tuple((c, bounds.nc_bound_ideal(c, c * c)) for c in cs)
-    return (
-        CurveSeries("c_ab", "F_g", q_points, provenance="optimal quantum cloning fidelity"),
-        CurveSeries("c_ab", "F_g", nc_points, provenance="noncontextual ceiling at c_aabb = c_ab^2"),
-    )
 
 
 # Chebyshev nodes of x in [-1, 1] for the degree-8 fit of the violation window.
@@ -255,28 +261,38 @@ def _critical_level(g0: float, g1: float, g2: float, g3: float) -> float:
 _NODES = (0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0)
 
 
-def _critical_levels(cs: Sequence[float], c_mode: str, err_modes: Sequence[str]) -> list[list[float]]:
-    """Critical noise level at each confusability in ``cs``, all inside (0, 1), one list per entry of ``err_modes``.
+def _critical_levels(cs: Sequence[float], c_mode: str, err_modes: Sequence[str]):
+    """One pass over confusabilities ``cs`` in [0, 1]: F(c) and the ideal ceiling at
+    each, the points inside (0, 1), and the critical noise level at each of those,
+    one list per entry of ``err_modes``.
 
-    One pass over ``cs``: the depolarizing factors and every error term are
-    taken once per node v, F(c) and the ceiling's c-terms once per point for
-    all modes, and each mode's error term is added last, so each gap is the
-    one :func:`advantage_gap` returns, bit for bit.
+    F(c) and the ideal ceiling are the nodes at v = 0 without the error term:
+    the depolarizing factors there are (1, 0, 1, 0, 0), so in either ``c_mode``
+    they are :func:`bounds.quantum_optimal_fidelity` and
+    :func:`bounds.nc_bound_ideal` at c_aabb = c*c, bit for bit.  The
+    depolarizing factors and every error term are taken once per node v, F(c)
+    and the ceiling's c-terms once per point for all modes, and each mode's
+    error term is added last, so each gap is the one :func:`advantage_gap`
+    returns, bit for bit.
     """
     overlaps = _lookup(C_MODES, "c_mode", c_mode)
     errs = [[_lookup(ERR_MODES, "err_mode", mode)(v) for v in _NODES] for mode in err_modes]
     d0, d1, d2, d3 = [bounds._depolarizing_factors(v) for v in _NODES]
     fidelity, ceiling = bounds._optimal_fidelity, bounds.nc_bound
-    levels = [[] for _ in err_modes]
+    fidelities, ceilings, inside, levels = [], [], [], [[] for _ in err_modes]
     for c in cs:
         f = fidelity(c)
         # The noisy fidelity (1-v)**3 * F + v*(3 - 3v + v**2)/4 and the ceiling without its error term, at each node.
         n0, n1, n2, n3 = d0[0] * f + d0[1], d1[0] * f + d1[1], d2[0] * f + d2[1], d3[0] * f + d3[1]
         b0, b1, b2, b3 = (ceiling(*overlaps(c, d0)), ceiling(*overlaps(c, d1)),
                           ceiling(*overlaps(c, d2)), ceiling(*overlaps(c, d3)))
-        for out, (e0, e1, e2, e3) in zip(levels, errs):
-            out.append(_critical_level(n0 - (b0 + e0), n1 - (b1 + e1), n2 - (b2 + e2), n3 - (b3 + e3)))
-    return levels
+        fidelities.append(n0)
+        ceilings.append(b0)
+        if 0.0 < c < 1.0:
+            inside.append(c)
+            for out, (e0, e1, e2, e3) in zip(levels, errs):
+                out.append(_critical_level(n0 - (b0 + e0), n1 - (b1 + e1), n2 - (b2 + e2), n3 - (b3 + e3)))
+    return fidelities, ceilings, inside, levels
 
 
 def critical_noise(c_ab: float, err_mode: str = DEFAULT_ERR_MODE, c_mode: str = DEFAULT_C_MODE) -> float:
@@ -288,39 +304,73 @@ def critical_noise(c_ab: float, err_mode: str = DEFAULT_ERR_MODE, c_mode: str = 
     """
     if not 0.0 < c_ab < 1.0:
         raise ValueError(f"c_ab must lie strictly inside (0, 1), got {c_ab!r}")
-    return _critical_levels([float(c_ab)], c_mode, [err_mode])[0][0]
+    *_, (levels,) = _critical_levels([float(c_ab)], c_mode, [err_mode])
+    return levels[0]
 
 
-def noise_resistance_curves(c_grid: Sequence[float], c_mode: str, err_modes: Sequence[str]) -> dict[str, CurveSeries]:
-    """Critical noise level as a function of confusability, one curve per entry of ``err_modes``.
+def figure_curves(c_grid: Sequence[float], c_mode: str, err_modes: Sequence[str]) -> dict[str, CurveSeries]:
+    """The figure data on a rising grid of confusabilities in [0, 1], from one pass over it.
 
-    Points outside (0, 1) are skipped.  Every curve comes from one pass over
-    the grid, and each of its points is the level :func:`critical_noise`
-    returns there under the same modes, bit for bit.
+    The fidelity tradeoff, ``fidelity_quantum`` and ``fidelity_noncontextual``,
+    runs over the whole grid.  The noise resistance, ``noise_resistance_<mode>``
+    for each entry of ``err_modes``, skips c = 0 and 1, and each of its points
+    is the level :func:`critical_noise` returns there under the same modes,
+    bit for bit.  The keys are in that order.
     """
-    cs = [float(c) for c in c_grid if 0.0 < c < 1.0]
-    return {
-        mode: CurveSeries(
-            x_label="c_ab",
-            y_label="v_max",
-            points=tuple(zip(cs, levels)),
-            provenance=f"critical depolarizing level ({mode}, {c_mode})",
-        )
-        for mode, levels in zip(err_modes, _critical_levels(cs, c_mode, err_modes))
+    cs = [float(c) for c in c_grid]
+    bad = next((c for c in cs if not 0.0 <= c <= 1.0), None)
+    if bad is not None:
+        raise ValueError(f"c must lie in [0, 1], got {bad!r}")
+    fidelities, ceilings, inside, levels = _critical_levels(cs, c_mode, err_modes)
+    curves = {
+        "fidelity_quantum": CurveSeries("c_ab", "F_g", cs, fidelities, "optimal quantum cloning fidelity"),
+        "fidelity_noncontextual": CurveSeries("c_ab", "F_g", cs, ceilings, "noncontextual ceiling at c_aabb = c_ab^2"),
     }
+    for mode, ys in zip(err_modes, levels):
+        curves[f"noise_resistance_{mode}"] = CurveSeries("c_ab", "v_max", inside, ys,
+                                                         f"critical depolarizing level ({mode}, {c_mode})")
+    return curves
 
 
-def write_series_csv(series: CurveSeries, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("x,y\r\n")
-        fh.writelines(f"{x!r},{y!r}\r\n" for x, y in series.points)
+# Points per write: enough to amortise the call, few enough that no file's text is held whole.
+_CHUNK = 4096
 
 
-def write_series_json(series: CurveSeries, path: str | Path) -> None:
-    """The layout of ``json.dump(doc, indent=1)``, streamed point by point."""
-    label = json.dumps(f"{series.y_label} vs {series.x_label}")
-    mode = json.dumps(series.provenance)
-    with open(path, "w") as fh:
-        fh.write(f'{{\n "label": {label},\n "mode": {mode},\n "points": [')
-        fh.writelines(f"{',' if i else ''}\n  [\n   {x!r},\n   {y!r}\n  ]" for i, (x, y) in enumerate(series.points))
-        fh.write("\n ]\n}\n" if series.points else "]\n}\n")
+def _x_text(x: tuple, grid: tuple, grid_text: list[str]) -> list[str]:
+    """Column ``x`` as text: the matching run of ``grid_text`` if ``x`` is a run of ``grid``, else formatted here."""
+    if x and x[0] in grid:
+        start = grid.index(x[0])
+        if grid[start:start + len(x)] == x:
+            return grid_text[start:start + len(x)]
+    return list(map(float.__repr__, x))
+
+
+def write_curves(curves: dict[str, CurveSeries], out: Path, ext: str) -> list[str]:
+    """Write each series to ``out/<name>.<ext>``, ``ext`` "csv" or "json"; the paths written, in order.
+
+    A CSV file holds an ``x,y`` header and one row per point, a JSON file the
+    layout of ``json.dump({"label", "mode", "points"}, indent=1)``.  Every float
+    is written as its repr, so a file reads back to the same doubles.  The
+    longest x column is formatted once, and every series whose x column is a
+    run of it takes that run's text; a file is written in chunks of joined lines.
+    """
+    grid = max((s.x for s in curves.values()), key=len, default=())
+    grid_text = list(map(float.__repr__, grid))
+    written = []
+    for name, series in curves.items():
+        path = out / f"{name}.{ext}"
+        xs, ys = _x_text(series.x, grid, grid_text), series.y
+        with open(path, "w", newline="" if ext == "csv" else None) as fh:
+            if ext == "csv":
+                fh.write("x,y\r\n")
+                for i in range(0, len(xs), _CHUNK):
+                    fh.write("".join([f"{x},{y!r}\r\n" for x, y in zip(xs[i:i + _CHUNK], ys[i:i + _CHUNK])]))
+            else:
+                label, mode = json.dumps(f"{series.y_label} vs {series.x_label}"), json.dumps(series.provenance)
+                fh.write(f'{{\n "label": {label},\n "mode": {mode},\n "points": [')
+                for i in range(0, len(xs), _CHUNK):
+                    fh.write(("," if i else "") + ",".join([f"\n  [\n   {x},\n   {y!r}\n  ]"
+                                                             for x, y in zip(xs[i:i + _CHUNK], ys[i:i + _CHUNK])]))
+                fh.write("\n ]\n}\n" if xs else "]\n}\n")
+        written.append(str(path))
+    return written

@@ -161,7 +161,7 @@ def test_criterion_6_published_violation_interval(capsys):
 
 def test_criterion_7_strict_quantum_advantage():
     grid = np.linspace(0.0, 1.0, 1000)
-    q, nc = scan.fidelity_curves(grid)
+    q, nc = list(scan.figure_curves(grid, scan.DEFAULT_C_MODE, ()).values())
     strict = sum(1 for (c, fq), (_, fnc) in list(zip(q.points, nc.points))[1:-1] if fq > fnc)
     end_err = max(
         abs(q.points[0][1] - nc.points[0][1]),

@@ -2,6 +2,7 @@
 and file emission."""
 
 import csv
+import hashlib
 import json
 import os
 import signal
@@ -65,6 +66,13 @@ class TestExitCodes:
         assert "argument --out: cannot create directory" in err
         assert stdout == ""
         assert (tmp_path / "notes.txt").read_text() == "kept"
+
+    def test_unwritable_output_file_is_an_argument_error(self, capsys, tmp_path):
+        (tmp_path / "fidelity_quantum.csv").mkdir()
+        code, stdout, err = run_cli(capsys, "curves", "--out", str(tmp_path), "--points", "5")
+        assert code == 2
+        assert f"argument --out: cannot write {str(tmp_path / 'fidelity_quantum.csv')!r}: Is a directory" in err
+        assert stdout == ""
 
     @pytest.mark.parametrize("later", [("--points", "1"), ("--format", "xml"), ("--bogus",)],
                              ids=["points", "format", "unknown-flag"])
@@ -376,3 +384,91 @@ class TestCurves:
         run_cli(capsys, "curves", "--out", str(b), "--format", "csv", "--points", "25")
         for name in ("fidelity_quantum.csv", "noise_resistance_thm2-direct.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    # sha256 of the four files, in CURVE_FILES order, pinned from the per-series writers that came before
+    # the shared c column, so that any formatting slip in the writer shows.
+    # --points 2 holds only c = 0 and 1, so both noise-resistance series are empty.
+    GOLDEN = {
+        (2, "csv", "observed-confusability"): (
+            "a4b1cd420d1377e039cd0b0780c59812005c8950287102a2ff434db015313e15",
+            "a4b1cd420d1377e039cd0b0780c59812005c8950287102a2ff434db015313e15",
+            "d08fbaff2000cf9c077907245f8be025556e20249e5bc3e7d2f904b49c82c10d",
+            "d08fbaff2000cf9c077907245f8be025556e20249e5bc3e7d2f904b49c82c10d",
+        ),
+        (2, "csv", "ideal-overlap"): (
+            "a4b1cd420d1377e039cd0b0780c59812005c8950287102a2ff434db015313e15",
+            "a4b1cd420d1377e039cd0b0780c59812005c8950287102a2ff434db015313e15",
+            "d08fbaff2000cf9c077907245f8be025556e20249e5bc3e7d2f904b49c82c10d",
+            "d08fbaff2000cf9c077907245f8be025556e20249e5bc3e7d2f904b49c82c10d",
+        ),
+        (2, "json", "observed-confusability"): (
+            "0dc37ce2d8cdc66c3fa4f0fabce8c579bb52dfc072de47c7206fba48712016ef",
+            "bc8d76cf138f8aa49ae4751d8067751f3fc6821d9c09dfbbf9c72f71b4ade2d9",
+            "63c5ff5c37dbee1873ba450e4f3e0eee26ae851017a82b1cdd27481d6609dfc3",
+            "ba5245d6633038ab813b0ae850d7c11b2dc5ced60efe1f4cf38b12f07bc90436",
+        ),
+        (2, "json", "ideal-overlap"): (
+            "0dc37ce2d8cdc66c3fa4f0fabce8c579bb52dfc072de47c7206fba48712016ef",
+            "bc8d76cf138f8aa49ae4751d8067751f3fc6821d9c09dfbbf9c72f71b4ade2d9",
+            "6cd05afe1b2f5634f88f20b929fde852532990ad4427521514895280fc321523",
+            "eaabce2e0026d5a3850adb6788b52a6b9f47b483144cf2b0382015aabf35a16d",
+        ),
+        (7, "csv", "observed-confusability"): (
+            "b26a482d8137a46e8f1d05cca53fe86bb2a9ccc3f62c0c2cd5d1fb505e8f74b7",
+            "23ec0b8f06bd7dc3f31e7aba526f433d9d71104989362c5c00895e01cee3808e",
+            "2dff8b79bbc860117d9b1e09c7a378b4b400125f08b67be41b2b0f5ecfd873ec",
+            "f493c698ab7bce43c5edf8f7cc62ae1f139ca3cc916afea0f8dc4eb765cf9262",
+        ),
+        (7, "csv", "ideal-overlap"): (
+            "b26a482d8137a46e8f1d05cca53fe86bb2a9ccc3f62c0c2cd5d1fb505e8f74b7",
+            "23ec0b8f06bd7dc3f31e7aba526f433d9d71104989362c5c00895e01cee3808e",
+            "7bb9593b83739378e3bd914007844f4d249660aec48d7e1402ff012dd667aee8",
+            "f6df5e548b99a293c4a4db282b4e2468a1d2db81172dab0e9e75aa042afae6d5",
+        ),
+        (7, "json", "observed-confusability"): (
+            "d5162e1ee9d6c1961e833a705d0423afafcbb5b883891bd81e7d55ac428d0d97",
+            "78c34aaeed583a04a25665286de927fab2869ff5ef6e0ad3ac4f3d1f431a0c4d",
+            "4c9649a24ed88e70670c438cec082b1dc6a16ec0dbc8d83b4c9a2bc4be1e78e6",
+            "ad9b14f247b924f04ae6f788f438f4c6877138bd1d7424fca6a3024974fee6ee",
+        ),
+        (7, "json", "ideal-overlap"): (
+            "d5162e1ee9d6c1961e833a705d0423afafcbb5b883891bd81e7d55ac428d0d97",
+            "78c34aaeed583a04a25665286de927fab2869ff5ef6e0ad3ac4f3d1f431a0c4d",
+            "ac85598f081b763fac7567b770398d064f2049d2b1eb0d6496b5f1a9ebcce830",
+            "629505e6bc387561ad4dc096141f954d6487092f652678f4c5a110463a71eb46",
+        ),
+        (777, "csv", "observed-confusability"): (
+            "1fc9d331b4b2316bf450cd0110a03a26d953c57eacacb028493d628c1452b058",
+            "64521ca1e00b38467e8bc0e793b34a290aa31d34a216bf068ff0f612fd64c9da",
+            "d52d91d6bfa03abfac6236b808da5a033619ab92612745941cebcfd08fad699e",
+            "6a2c064dc9a5514690ac41a1925613979f3dc8cf8ea316363923717809b6a2d0",
+        ),
+        (777, "csv", "ideal-overlap"): (
+            "1fc9d331b4b2316bf450cd0110a03a26d953c57eacacb028493d628c1452b058",
+            "64521ca1e00b38467e8bc0e793b34a290aa31d34a216bf068ff0f612fd64c9da",
+            "dd5d75ff42e386a03609053e951206b332ca6a1177904783561fa0d06d22773f",
+            "ff4cb35a9b2db30c8f8d369d80d2f9fca570df4334c1526b9ae94af829ca2473",
+        ),
+        (777, "json", "observed-confusability"): (
+            "55fa5921a79843c726329033821619a8f857aed4022fc24e70432bf5da11de3d",
+            "54a2a70c203d9d69ea5df9602c7421e2e2dcbe1c61fa4457e0d69b50c066bb70",
+            "68b8d7510b9e5aac21ca71d29e6f0fd6a0dee1cab3795d72db2cfd72efcfd14e",
+            "74d9f9bcd570e77d19a720dd66f877b1cdf73e576f8a863595a0f03a427e9d20",
+        ),
+        (777, "json", "ideal-overlap"): (
+            "55fa5921a79843c726329033821619a8f857aed4022fc24e70432bf5da11de3d",
+            "54a2a70c203d9d69ea5df9602c7421e2e2dcbe1c61fa4457e0d69b50c066bb70",
+            "c918ce0dfc5d18a908b35408a88315049cedebcd16b91725a05acc6f010a930b",
+            "6c6e66ecfab2f3b22125b9af4a26a76264fbede55110c752d2b7f5b54e458547",
+        ),
+    }
+    CURVE_FILES = ("fidelity_quantum", "fidelity_noncontextual", "noise_resistance_thm2-direct",
+                   "noise_resistance_err-prime")
+
+    @pytest.mark.parametrize("n, fmt, c_mode", GOLDEN, ids=[f"{n}-{fmt}-{m}" for n, fmt, m in GOLDEN])
+    def test_files_are_byte_identical_to_the_golden_hashes(self, capsys, tmp_path, n, fmt, c_mode):
+        code, _, _ = run_cli(capsys, "curves", "--out", str(tmp_path), "--points", str(n), "--format", fmt,
+                             "--c-mode", c_mode)
+        assert code == 0
+        got = tuple(hashlib.sha256((tmp_path / f"{name}.{fmt}").read_bytes()).hexdigest() for name in self.CURVE_FILES)
+        assert got == self.GOLDEN[n, fmt, c_mode]

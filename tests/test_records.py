@@ -20,8 +20,7 @@ IDENTITY = tuple(tuple(float(i == j) for j in range(4)) for i in range(4))
 RECORDS = {
     "OverlapParams": (lambda: bounds.OverlapParams.symmetric(0.3), "c_ab", math.nan),
     "ErrorBudget": (lambda: bounds.ErrorBudget.uniform(0.1), "eps_bb", 1.5),
-    "CurveSeries": (lambda: scan.CurveSeries("c", "F", ((0.0, 1.0), (0.5, 0.9)), "p"),
-                    "points", ((0.5, 0.9), (0.0, 1.0))),
+    "CurveSeries": (lambda: scan.CurveSeries("c", "F", (0.0, 0.5), (1.0, 0.9), "p"), "x", (0.5, 0.0)),
     "ViolationRegion": (lambda: scan.ViolationRegion(0.015, 0.3, 0.7, "thm2-direct", "ideal-overlap"),
                         "c_hi", None),
     "PureState": (lambda: quantum.PureState((1.0, 0.0)), "amplitudes", (1.0, 1.0)),

@@ -1,5 +1,5 @@
 """Sweep and root-finding tests: figure curves, violation intervals, critical noise,
-and the CSV/JSON series writers."""
+and the CSV/JSON curve writer."""
 
 import csv
 import functools
@@ -21,11 +21,9 @@ from clonectx.scan import (
     ViolationRegion,
     advantage_gap,
     critical_noise,
-    fidelity_curves,
-    noise_resistance_curves,
+    figure_curves,
     violation_interval,
-    write_series_csv,
-    write_series_json,
+    write_curves,
 )
 
 PAPER_V = 0.015
@@ -44,7 +42,7 @@ def peak(err_mode, c_mode):
     """Largest critical noise level over c and the c of that top, from the noise-resistance curve zoomed around it."""
     cs = np.linspace(0.0, 1.0, 1001)[1:-1]
     for _ in range(4):
-        levels = [v for _, v in noise_resistance_curves(cs, c_mode, [err_mode])[err_mode].points]
+        levels = figure_curves(cs, c_mode, [err_mode])[f"noise_resistance_{err_mode}"].y
         i = int(np.argmax(levels))
         top = cs[i]
         cs = np.linspace(cs[max(i - 1, 0)], cs[min(i + 1, cs.size - 1)], 101)
@@ -56,7 +54,7 @@ MODE_ENTRIES = {
     "advantage_gap": lambda err_mode, c_mode: advantage_gap(PAPER_V, 0.5, err_mode, c_mode),
     "violation_interval": lambda err_mode, c_mode: violation_interval(PAPER_V, err_mode, c_mode),
     "critical_noise": lambda err_mode, c_mode: critical_noise(0.5, err_mode, c_mode),
-    "noise_resistance_curves": lambda err_mode, c_mode: noise_resistance_curves([0.5], c_mode, [err_mode]),
+    "figure_curves": lambda err_mode, c_mode: figure_curves([0.5], c_mode, [err_mode]),
 }
 
 
@@ -71,13 +69,19 @@ class TestSpecsAndTypes:
 
     def test_curve_requires_increasing_abscissa(self):
         with pytest.raises(ValueError):
-            CurveSeries("x", "y", ((0.2, 1.0), (0.1, 1.0)), "test")
+            CurveSeries("x", "y", (0.2, 0.1), (1.0, 1.0), "test")
 
     def test_region_validation(self):
         with pytest.raises(ValueError):
             ViolationRegion(v=0.1, c_lo=0.5, c_hi=None, err_mode="thm2-direct", c_mode="ideal-overlap")
         with pytest.raises(ValueError):
             ViolationRegion(v=0.1, c_lo=0.7, c_hi=0.3, err_mode="thm2-direct", c_mode="ideal-overlap")
+
+
+def fidelity_curves(grid):
+    """The two fidelity tradeoff series of :func:`figure_curves`, which need no error-term mode."""
+    curves = figure_curves(grid, DEFAULT_C_MODE, ())
+    return curves["fidelity_quantum"], curves["fidelity_noncontextual"]
 
 
 class TestFidelityCurves:
@@ -237,17 +241,19 @@ class TestCriticalNoise:
     @for_all_specs
     def test_curve_agrees_with_pointwise_roots(self, err_mode, c_mode):
         grid = np.linspace(0.05, 0.95, 19)
-        series = noise_resistance_curves(grid, c_mode, [err_mode])[err_mode]
+        series = figure_curves(grid, c_mode, [err_mode])[f"noise_resistance_{err_mode}"]
         for c, v in series.points:
             assert v == critical_noise(c, err_mode, c_mode)
 
     @pytest.mark.parametrize("c_mode", list(C_MODES))
     def test_one_pass_gives_each_single_mode_curve(self, c_mode):
         grid = [0.0, 1e-300, *np.linspace(0.01, 0.99, 37), 1.0 - 2.0**-53, 1.0]
-        curves = noise_resistance_curves(grid, c_mode, list(ERR_MODES))
-        assert list(curves) == list(ERR_MODES)
-        for err_mode, series in curves.items():
-            assert series == noise_resistance_curves(grid, c_mode, [err_mode])[err_mode]
+        curves = figure_curves(grid, c_mode, list(ERR_MODES))
+        assert list(curves) == ["fidelity_quantum", "fidelity_noncontextual",
+                                *(f"noise_resistance_{err_mode}" for err_mode in ERR_MODES)]
+        for err_mode in ERR_MODES:
+            name = f"noise_resistance_{err_mode}"
+            assert curves[name] == figure_curves(grid, c_mode, [err_mode])[name]
 
     @for_all_specs
     @settings(derandomize=True, database=None, deadline=None)
@@ -260,9 +266,9 @@ class TestCriticalNoise:
 
     def test_bad_modes_rejected(self):
         with pytest.raises(ValueError, match="c_mode must be one of"):
-            noise_resistance_curves([0.5], "bogus", ["thm2-direct"])
+            figure_curves([0.5], "bogus", ["thm2-direct"])
         with pytest.raises(ValueError, match="err_mode must be one of"):
-            noise_resistance_curves([0.5], "ideal-overlap", ["thm2-direct", "bogus"])
+            figure_curves([0.5], "ideal-overlap", ["thm2-direct", "bogus"])
 
     def test_determinism(self):
         r1 = violation_interval(PAPER_V)
@@ -452,12 +458,56 @@ class TestModeTables:
         assert got == pytest.approx(closed_form_gap(v, c, err_mode, c_mode), rel=1e-15, abs=1e-15)
 
 
+def bits(column):
+    """A column as the hex of each float, so that equality is bit for bit (0.0 and -0.0 differ)."""
+    return [float.hex(v) for v in column]
+
+
+class TestFigureCurves:
+    @pytest.mark.parametrize("c_mode", list(C_MODES))
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(draws=st.lists(st.floats(0.0, 1.0), max_size=12))
+    def test_one_pass_equals_the_pointwise_routes(self, c_mode, draws):
+        # The fidelity series are the pass's nodes at v = 0; they must be the closed forms' values exactly.
+        grid = sorted({0.0, 5e-324, 1.0, *draws})
+        curves = figure_curves(grid, c_mode, list(ERR_MODES))
+        q, nc = curves["fidelity_quantum"], curves["fidelity_noncontextual"]
+        assert bits(q.x) == bits(nc.x) == bits(grid)
+        assert bits(q.y) == bits(bounds.quantum_optimal_fidelity(c) for c in grid)
+        assert bits(nc.y) == bits(bounds.nc_bound_ideal(c, c * c) for c in grid)
+        inside = [c for c in grid if 0.0 < c < 1.0]
+        for err_mode in ERR_MODES:
+            series = curves[f"noise_resistance_{err_mode}"]
+            assert bits(series.x) == bits(inside)
+            assert bits(series.y) == bits(critical_noise(c, err_mode, c_mode) for c in inside)
+
+    @pytest.mark.parametrize("grid", [[0.1, math.nan], [-0.1, 0.5], [0.5, 1.5], [0.5, math.inf], [-math.inf]],
+                             ids=["nan", "below", "above", "inf", "-inf"])
+    def test_points_outside_the_unit_interval_rejected(self, grid):
+        with pytest.raises(ValueError, match=r"c must lie in \[0, 1\]"):
+            figure_curves(grid, DEFAULT_C_MODE, [DEFAULT_ERR_MODE])
+
+    @pytest.mark.parametrize("grid", [[0.5, 0.2], [0.2, 0.2], [0.0, -0.0]], ids=["falling", "repeated", "signed-zeros"])
+    def test_grid_must_rise(self, grid):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            figure_curves(grid, DEFAULT_C_MODE, [DEFAULT_ERR_MODE])
+
+    def test_columns_are_float_tuples_with_zero_unsigned(self):
+        series = CurveSeries("x", "y", np.array([-0.0, 0.5]), [1, 2], "test")
+        assert bits(series.x) == bits((0.0, 0.5)) and series.y == (1.0, 2.0)
+        assert all(type(v) is float for v in series.x + series.y)
+        assert series.points == ((0.0, 1.0), (0.5, 2.0))
+
+    def test_columns_must_match_in_length(self):
+        with pytest.raises(ValueError, match="2 abscissae but 1 ordinates"):
+            CurveSeries("x", "y", (0.1, 0.2), (1.0,), "test")
+
+
 class TestEmitters:
     def test_series_csv_round_trip(self, tmp_path):
         series, _ = fidelity_curves(np.linspace(0.0, 1.0, 11))
-        path = tmp_path / "curve.csv"
-        write_series_csv(series, path)
-        with open(path) as fh:
+        assert write_curves({"curve": series}, tmp_path, "csv") == [str(tmp_path / "curve.csv")]
+        with open(tmp_path / "curve.csv") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["x", "y"]
         parsed = [(float(x), float(y)) for x, y in rows[1:]]
@@ -465,22 +515,42 @@ class TestEmitters:
 
     def test_series_json_schema(self, tmp_path):
         series, _ = fidelity_curves(np.linspace(0.0, 1.0, 5))
-        path = tmp_path / "curve.json"
-        write_series_json(series, path)
-        doc = json.loads(path.read_text())
+        assert write_curves({"curve": series}, tmp_path, "json") == [str(tmp_path / "curve.json")]
+        doc = json.loads((tmp_path / "curve.json").read_text())
         assert set(doc) == {"label", "mode", "points"}
         assert doc["mode"] == series.provenance
         assert [tuple(p) for p in doc["points"]] == list(series.points)
 
     @pytest.mark.parametrize("size", [0, 1, 7])
-    def test_series_files_match_the_library_writers(self, tmp_path, size):
-        # The writers format by hand; csv.writer and json.dump(indent=1) are the reference layout.
+    def test_series_files_match_the_library_writers(self, tmp_path, monkeypatch, size):
+        # The writer formats by hand, in chunks (of 3 points here, so that 7 points span three);
+        # csv.writer and json.dump(indent=1) are the reference layout.
+        monkeypatch.setattr(scan, "_CHUNK", 3)
         points = tuple((i / 7, 1e-05 * i - 0.5) for i in range(size))
-        series = CurveSeries("c_ab", "v_max", points, provenance='mode "é"')
-        write_series_csv(series, tmp_path / "s.csv")
+        series = CurveSeries("c_ab", "v_max", [x for x, _ in points], [y for _, y in points], provenance='mode "é"')
+        write_curves({"s": series}, tmp_path, "csv")
         with open(tmp_path / "ref.csv", "w", newline="") as fh:
             csv.writer(fh).writerows([["x", "y"], *([repr(x), repr(y)] for x, y in points)])
         assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-        write_series_json(series, tmp_path / "s.json")
+        write_curves({"s": series}, tmp_path, "json")
         doc = {"label": "v_max vs c_ab", "mode": series.provenance, "points": [list(p) for p in points]}
         assert (tmp_path / "s.json").read_text() == json.dumps(doc, indent=1) + "\n"
+
+    @pytest.mark.parametrize("ext", ["csv", "json"])
+    def test_shared_x_text_prints_each_series_as_alone(self, tmp_path, ext):
+        # Runs of the longest x column take its text; other columns are formatted on their own.
+        grid = (0.0, 0.1, 0.25, 1.0 / 3.0, 0.5, 1.0)
+        curves = {
+            "grid": CurveSeries("c", "y", grid, [0.5] * 6, "p"),
+            "run": CurveSeries("c", "y", grid[1:4], [0.1, 0.2, 0.3], "p"),
+            "tail": CurveSeries("c", "y", grid[4:], [0.4, 0.6], "p"),
+            "off-grid": CurveSeries("c", "y", (0.1, 0.2), [0.7, 0.8], "p"),
+            "gapped": CurveSeries("c", "y", (0.1, 0.5), [0.7, 0.8], "p"),
+            "empty": CurveSeries("c", "y", (), (), "p"),
+        }
+        (tmp_path / "all").mkdir()
+        write_curves(curves, tmp_path / "all", ext)
+        for name, series in curves.items():
+            (tmp_path / name).mkdir()
+            write_curves({name: series}, tmp_path / name, ext)
+            assert (tmp_path / "all" / f"{name}.{ext}").read_bytes() == (tmp_path / name / f"{name}.{ext}").read_bytes()
