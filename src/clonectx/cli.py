@@ -7,31 +7,33 @@ and quantum simulation).  Reports go to standard output as plain text, or
 as a single JSON document with ``--json``; elapsed wall time goes to
 standard error so that identical invocations produce byte-identical
 reports.  Exit status: 0 when every verdict passes, 1 when any fails,
-2 for argument errors.  ``bounds``, ``cloner`` and ``scan`` compute on
-Python floats and keep their records in named tuples, so importing this
-module loads neither numpy nor :mod:`inspect`.  Only the
-subcommands that simulate states and tests load :mod:`clonectx.quantum`
-(``noise``, ``verify-quantum``) or :mod:`clonectx.ontic` (``verify-ontic``);
-``_HANDLERS`` names that module for each, and :func:`run` imports it before
-the clock starts, so ``elapsed:`` times the computation alone.  ``quantum``
-computes on Python complex numbers and ``ontic`` on Python floats, so no
-subcommand loads numpy.  ``bounds``, ``clones``, ``region``,
-``critical-noise`` and ``curves`` load neither simulation module.
+2 for argument errors.  ``bounds`` and ``scan`` compute on Python floats
+and keep their records in named tuples, so importing this module loads
+neither numpy, :mod:`inspect` nor :mod:`pathlib`.  The other modules load
+only for the subcommands that use them: :mod:`clonectx.cloner` for
+``clones``, :mod:`clonectx.quantum` (which takes the cloner's basis) for
+``noise`` and ``verify-quantum``, and :mod:`clonectx.ontic` for
+``verify-ontic``.  ``_HANDLERS`` names that module for each, and :func:`run`
+imports it before the clock starts, so ``elapsed:`` times the computation
+alone.  ``quantum`` computes on Python complex numbers and ``ontic`` and
+``cloner`` on Python floats, so no subcommand loads numpy.  ``bounds``,
+``region``, ``critical-noise`` and ``curves`` load none of the three.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import itertools
 import json
+import os
 import sys
 import time
 from collections.abc import Sequence
 from functools import partial
-from pathlib import Path
 
-from . import bounds, cloner, scan
+from . import bounds, scan
 
 ACCEPT_EXACT = 1e-12
 CLONE_TOL = 1e-7
@@ -127,6 +129,13 @@ def _curve_points(text: str) -> int:
     return x
 
 
+def _directory(text: str) -> str:
+    """``text`` spelled as ``str(pathlib.Path(text))`` spells it on POSIX: without empty or
+    "." parts, a leading "//" kept (a leading "/" or "///" becomes "/"), and "." if nothing is left."""
+    root = "//" if text[:2] == "//" and text[2:3] != "/" else "/" if text[:1] == "/" else ""
+    return root + "/".join(part for part in text.split("/") if part not in ("", ".")) or "."
+
+
 def _resolution(text: str) -> int:
     x = _integer(text)
     if x < 4 or x % 2:
@@ -168,7 +177,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=_open_probability, required=True, help="input confusability in (0, 1)")
 
     p = sub.add_parser("curves", parents=[common], help="write figure data (fidelity tradeoff, noise resistance)")
-    p.add_argument("--out", type=Path, required=True, help="output directory, made if it does not exist")
+    p.add_argument("--out", type=_directory, required=True, help="output directory, made if it does not exist")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--points", type=_curve_points, default=500,
                    help=f"number of c grid points, 2 to {MAX_POINTS} "
@@ -177,9 +186,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-ontic", parents=[common], help="build the saturating model and run every check")
     p.add_argument("--c", type=_probability, required=True)
-    p.add_argument("--resolution", type=_resolution, default=200,
+    p.add_argument("--resolution", type=_resolution, default=None,
                    help="snap c first to the nearest k/(n/2), the overlaps a grid of n cells per axis "
-                   "can hold; n is even, 4 to 2**53")
+                   "can hold; n is even, 4 to 2**53 (default: no snapping, the model is built at c)")
 
     p = sub.add_parser("verify-quantum", parents=[common], help="verify the noisy experiment against closed forms")
     p.add_argument("--v", type=_probability, required=True)
@@ -217,7 +226,7 @@ def _cmd_bounds(args: argparse.Namespace) -> RunReport:
     return report
 
 
-def _cmd_clones(args: argparse.Namespace) -> RunReport:
+def _cmd_clones(args: argparse.Namespace, cloner) -> RunReport:
     c = args.c
     report = RunReport("clones", inputs={"c": c})
     result = cloner.search_clones(c)
@@ -301,9 +310,9 @@ def _cmd_curves(args: argparse.Namespace) -> RunReport:
     out = args.out
     # Made here, not while the arguments convert, so that a bad argument after --out leaves no directory.
     try:
-        out.mkdir(parents=True, exist_ok=True)
+        os.makedirs(out, exist_ok=True)
     except OSError as exc:
-        raise argparse.ArgumentTypeError(f"argument --out: cannot create directory {str(out)!r}: "
+        raise argparse.ArgumentTypeError(f"argument --out: cannot create directory {out!r}: "
                                          f"{exc.strerror}") from exc
     n = args.points
     # The published error term is ambiguous, so both defensible noise
@@ -318,18 +327,21 @@ def _cmd_curves(args: argparse.Namespace) -> RunReport:
 
     return RunReport(
         "curves",
-        inputs={"out": str(out), "format": ext, "points": n, "c_mode": args.c_mode},
+        inputs={"out": out, "format": ext, "points": n, "c_mode": args.c_mode},
         outputs={"files": written},
     )
 
 
 def _cmd_verify_ontic(args: argparse.Namespace, ontic) -> RunReport:
     report = RunReport("verify-ontic", inputs={"c": args.c, "resolution": args.resolution})
-    m = args.resolution // 2
-    k = round(args.c * m)
-    c = k / m
-    if abs(c - args.c) > 1e-12:
-        report.outputs["warnings"] = [f"snapping overlap {args.c} to {c} (= {k}/{m}) so supports align with the grid"]
+    c = args.c
+    if args.resolution is not None:
+        m = args.resolution // 2
+        k = round(args.c * m)
+        c = k / m
+        if abs(c - args.c) > 1e-12:
+            report.outputs["warnings"] = [
+                f"snapping overlap {args.c} to {c} (= {k}/{m}) so supports align with the grid"]
     report.outputs["c_snapped"] = c
     model = ontic.build_saturating_model(c)
     tol = ontic.STRUCTURAL_TOL
@@ -371,10 +383,10 @@ def _cmd_verify_ontic(args: argparse.Namespace, ontic) -> RunReport:
     return report
 
 
-# Each subcommand's handler, and the simulation module it takes (None: it needs none).
+# Each subcommand's handler, and the module it takes beyond bounds and scan (None: it needs none).
 _HANDLERS = {
     "bounds": (_cmd_bounds, None),
-    "clones": (_cmd_clones, None),
+    "clones": (_cmd_clones, "cloner"),
     "noise": (partial(_cmd_quantum, residuals=False), "quantum"),
     "region": (_cmd_region, None),
     "critical-noise": (_cmd_critical_noise, None),
@@ -407,7 +419,23 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    """The console script: :func:`run` on ``sys.argv``, its code as the exit status.
+
+    A stdout closed early (``clonectx ... | head``) exits 1 without a
+    traceback.  Before exit every object alive is moved to the collector's
+    permanent generation, so the interpreter's exit-time collections do not
+    walk the cycles of every loaded module only to free memory the exit
+    frees anyway; atexit handlers and the flush of stdout and stderr still run.
+    """
+    try:
+        code = run()
+        sys.stdout.flush()  # a closed stdout raises here, not in the interpreter's flush at exit
+    except BrokenPipeError:
+        # Python's SIGPIPE recipe: the exit flush writes what is left to devnull instead of raising again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

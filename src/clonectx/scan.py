@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from collections import namedtuple
 from collections.abc import Sequence
-from pathlib import Path
 
 from . import bounds
 from .bounds import ERR_MODES, _check_unit, _Checked
@@ -345,8 +345,10 @@ def _x_text(x: tuple, grid: tuple, grid_text: list[str]) -> list[str]:
     return list(map(float.__repr__, x))
 
 
-def write_curves(curves: dict[str, CurveSeries], out: Path, ext: str) -> list[str]:
+def write_curves(curves: dict[str, CurveSeries], out: str, ext: str) -> list[str]:
     """Write each series to ``out/<name>.<ext>``, ``ext`` "csv" or "json"; the paths written, in order.
+
+    An ``out`` of "." writes bare ``<name>.<ext>``, as ``pathlib.Path(".") / name`` spells it.
 
     A CSV file holds an ``x,y`` header and one row per point, a JSON file the
     layout of ``json.dump({"label", "mode", "points"}, indent=1)``.  Every float
@@ -358,7 +360,7 @@ def write_curves(curves: dict[str, CurveSeries], out: Path, ext: str) -> list[st
     grid_text = list(map(float.__repr__, grid))
     written = []
     for name, series in curves.items():
-        path = out / f"{name}.{ext}"
+        path = f"{name}.{ext}" if out == "." else os.path.join(out, f"{name}.{ext}")
         xs, ys = _x_text(series.x, grid, grid_text), series.y
         with open(path, "w", newline="" if ext == "csv" else None) as fh:
             if ext == "csv":
@@ -372,5 +374,5 @@ def write_curves(curves: dict[str, CurveSeries], out: Path, ext: str) -> list[st
                     fh.write(("," if i else "") + ",".join([f"\n  [\n   {x},\n   {y!r}\n  ]"
                                                              for x, y in zip(xs[i:i + _CHUNK], ys[i:i + _CHUNK])]))
                 fh.write("\n ]\n}\n" if xs else "]\n}\n")
-        written.append(str(path))
+        written.append(path)
     return written

@@ -1,8 +1,11 @@
 """Command-line front-end tests: exit codes, report formats, determinism,
 and file emission."""
 
+import contextlib
 import csv
+import gc
 import hashlib
+import io
 import json
 import os
 import signal
@@ -12,6 +15,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from clonectx import cli
 
@@ -107,10 +112,17 @@ def fresh_env():
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
+def fresh(probe, *argv, **kwargs):
+    """Run ``probe`` in a fresh interpreter without ``site`` (``-S``), whose ``.pth`` files may
+    preload modules, ``pathlib`` among them, that the package itself must not load."""
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **kwargs}
+    return subprocess.run([sys.executable, "-S", "-c", probe, *argv], env=fresh_env(), text=True, timeout=60,
+                          **streams)
+
+
 def run_fresh(probe, *argv):
     """Run ``probe`` in a fresh interpreter; the last line it prints, split on whitespace."""
-    done = subprocess.run([sys.executable, "-c", probe, *argv], env=fresh_env(), capture_output=True, text=True,
-                          timeout=60)
+    done = fresh(probe, *argv)
     assert done.returncode == 0, done.stderr
     return done.stdout.splitlines()[-1].split()
 
@@ -121,11 +133,12 @@ def test_import_does_not_load_scipy():
     assert run_fresh(probe) == ["[]"]
 
 
-# No subcommand loads numpy, nor dataclasses and the inspect module it would pull in.
-NEVER_LOADED = ("numpy", "dataclasses", "inspect")
-CLOSED_FORM_ONLY = ("clonectx.ontic", "clonectx.quantum", *NEVER_LOADED)
+# No subcommand loads numpy, nor dataclasses and the inspect module it would pull in, nor pathlib.
+NEVER_LOADED = ("numpy", "dataclasses", "inspect", "pathlib")
+CLOSED_FORM_ONLY = ("clonectx.cloner", "clonectx.ontic", "clonectx.quantum", *NEVER_LOADED)
+CLONES_ONLY = ("clonectx.ontic", "clonectx.quantum", *NEVER_LOADED)
 QUANTUM_ONLY = ("clonectx.ontic", *NEVER_LOADED)
-ONTIC_ONLY = ("clonectx.quantum", *NEVER_LOADED)
+ONTIC_ONLY = ("clonectx.cloner", "clonectx.quantum", *NEVER_LOADED)
 
 
 @pytest.mark.parametrize(
@@ -137,15 +150,16 @@ ONTIC_ONLY = ("clonectx.quantum", *NEVER_LOADED)
         (("curves", "--out", "OUT", "--points", "20"), CLOSED_FORM_ONLY),
         (("noise", "--v", "0.015", "--c", "0.5"), QUANTUM_ONLY),
         (("verify-quantum", "--v", "0.015", "--c", "0.5"), QUANTUM_ONLY),
-        (("clones", "--c", "0.5"), CLOSED_FORM_ONLY),
+        (("clones", "--c", "0.5"), CLONES_ONLY),
         (("verify-ontic", "--c", "0.37", "--resolution", "100"), ONTIC_ONLY),
     ],
     ids=["bounds", "region", "critical-noise", "curves", "noise", "verify-quantum", "clones", "verify-ontic"],
 )
 def test_subcommand_leaves_the_simulations_it_does_not_use_unloaded(tmp_path, argv, unloaded):
-    # The closed-form, clone-search and scan subcommands need neither quantum
-    # nor ontic; the quantum ones never need ontic, nor verify-ontic quantum.
-    # No module imports numpy or dataclasses, so none of these loads them.
+    # The closed-form and scan subcommands need neither the clone search nor
+    # a simulation; clones needs no simulation, the quantum ones (through
+    # quantum) only the clone search's basis, and verify-ontic neither.  No
+    # module imports numpy, dataclasses or pathlib, so none of these loads them.
     # A fresh interpreter shows every module of the package and of
     # NEVER_LOADED that the import and the subcommand load.
     probe = ("import sys; from clonectx import cli; code = cli.run(sys.argv[1:]); "
@@ -174,6 +188,63 @@ def test_simulation_loads_before_the_clock_starts(argv, module):
     loaded = run_fresh(probe, *argv)
     assert module in loaded
     assert not [m for m in loaded if m.split(".")[0] == "numpy"]
+
+
+MAIN = "from clonectx.cli import main; main()"
+# Registered before main(): it runs at exit, and sees the objects main() moved out of the collector's reach.
+AT_EXIT = "import atexit, gc; atexit.register(lambda: print('frozen:', gc.get_freeze_count() > 0)); "
+# A clone search that misses the closed form, so clones fails a verdict.
+SABOTAGED = ("from clonectx import cloner; real = cloner.search_clones; "
+             "cloner.search_clones = lambda c: real(c)._replace(fidelity=real(c).fidelity - 1e-3); ")
+
+
+class TestMain:
+    """The console script in fresh interpreters: run()'s code and stdout, then a normal exit."""
+
+    @pytest.mark.parametrize(
+        "argv, sabotage, code",
+        [
+            (("bounds", "--c", "0.5", "--v", "0.015"), False, 0),
+            (("verify-ontic", "--c", "0.37", "--json"), False, 0),
+            (("clones", "--c", "0.5"), True, 1),
+            (("bounds", "--c", "1.5"), False, 2),
+            (("curves", "--out", "OUT", "--points", "1"), False, 2),
+        ],
+        ids=["pass", "pass-json", "fail", "domain-error", "curves-argument-error"],
+    )
+    def test_exit_code_and_stdout_are_those_of_run(self, capsys, monkeypatch, tmp_path, argv, sabotage, code):
+        argv = [str(tmp_path) if a == "OUT" else a for a in argv]
+        if sabotage:
+            from clonectx import cloner
+
+            real = cloner.search_clones
+            monkeypatch.setattr(cloner, "search_clones", lambda c: real(c)._replace(fidelity=real(c).fidelity - 1e-3))
+        assert cli.run(argv) == code
+        expected = capsys.readouterr().out
+        done = fresh(AT_EXIT + (SABOTAGED if sabotage else "") + MAIN, *argv)
+        assert done.returncode == code, done.stderr
+        assert done.stdout == expected + "frozen: True\n"
+        assert "Traceback" not in done.stderr
+
+    def test_run_leaves_the_collector_as_it_found_it(self, capsys):
+        before = gc.get_freeze_count()
+        assert cli.run(["bounds", "--c", "0.5"]) == 0
+        assert gc.get_freeze_count() == before
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("fmt", [(), ("--json",)], ids=["text", "json"])
+    def test_closed_stdout_exits_one_without_a_traceback(self, fmt):
+        # As with `clonectx bounds --c 0.5 | head -c 10`: the reader is gone before the report is written.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = fresh(AT_EXIT + MAIN, "bounds", "--c", "0.5", *fmt, stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert "Exception ignored" not in done.stderr
+        assert "BrokenPipeError" not in done.stderr
 
 
 def peak_rss_mb(tmp_path, *argv):
@@ -330,6 +401,21 @@ class TestSubcommands:
         assert out.count("distance-confusability-identity") == 4
         assert calls == {"check_O1": 1, "check_O2": 1}
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(c=st.floats(0.0, 1.0))
+    @example(c=0.123)
+    @example(c=5e-324)
+    @example(c=1.0 - 2**-53)
+    def test_verify_ontic_without_resolution_verifies_the_given_overlap(self, c):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = cli.run(["verify-ontic", "--c", repr(c), "--json"])
+        doc = json.loads(out.getvalue())
+        assert code == 0
+        assert doc["inputs"] == {"c": c, "resolution": None}
+        assert doc["outputs"]["c_snapped"] == c
+        assert "warnings" not in doc["outputs"]
+        assert all(v["status"] == "pass" for v in doc["verdicts"])
+
     def test_verify_ontic_snaps_with_note(self, capsys):
         code, out, _ = run_cli(capsys, "verify-ontic", "--c", "0.318", "--resolution", "200")
         assert code == 0
@@ -384,6 +470,19 @@ class TestCurves:
         run_cli(capsys, "curves", "--out", str(b), "--format", "csv", "--points", "25")
         for name in ("fidelity_quantum.csv", "noise_resistance_thm2-direct.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    @pytest.mark.parametrize("text", ["figs", "figs/", "./figs", "a//b", "a/./b", "a/../b", "/TMP/abs", "//TMP/x",
+                                      "///TMP/y", "", "."])
+    def test_out_is_reported_and_written_as_pathlib_spells_it(self, capsys, monkeypatch, tmp_path, text):
+        # TMP is the test's directory, so that "/abs" and "//x" write there too; "//" stays, as POSIX allows.
+        monkeypatch.chdir(tmp_path)
+        text = text.replace("TMP", str(tmp_path).lstrip("/"))
+        code, out, _ = run_cli(capsys, "curves", "--out", text, "--points", "2", "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["inputs"]["out"] == str(Path(text))
+        assert doc["outputs"]["files"] == [str(Path(text) / f"{name}.csv") for name in self.CURVE_FILES]
+        assert all(os.path.isfile(f) for f in doc["outputs"]["files"])
 
     # sha256 of the four files, in CURVE_FILES order, pinned from the per-series writers that came before
     # the shared c column, so that any formatting slip in the writer shows.

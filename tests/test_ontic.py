@@ -388,6 +388,30 @@ class TestExactAtEveryOverlap:
         assert np.abs(np.array(model.states["beta"].density) - np.outer(b, b).ravel()).max() <= 1e-14
 
 
+class TestNoisyModelRespectsTheNoisyCeilings:
+    """A noncontextual model mixed with noise stays below the noise-robust ceilings its own statistics give."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(c=st.floats(0.0, 1.0), w=st.floats(0.0, 1.0, exclude_min=True))
+    @example(c=0.5, w=5e-324)
+    @example(c=0.0, w=1.0)
+    @example(c=1.0, w=1e-9)
+    def test_global_fidelity_within_both_noisy_ceilings(self, c, w):
+        model = mix_with_uniform(build_saturating_model(c), w)
+        states, responses = model.states, model.responses
+        overlaps = bounds.OverlapParams(
+            c_ab=confusability(states["a"], responses["b"]),
+            c_ba=confusability(states["b"], responses["a"]),
+            c_aabb=confusability(states["aa"], responses["bb"]),
+            c_bbaa=confusability(states["bb"], responses["aa"]),
+        )
+        eps = measured_epsilons(model)
+        budget = bounds.ErrorBudget(**{f"eps_{s}": eps[s] for s in TEST_NAMES})
+        f_g = global_fidelity(model)
+        assert f_g <= bounds.nc_bound_noisy(overlaps, budget).value + STRUCTURAL_TOL
+        assert f_g <= bounds.nc_bound_noisy_symmetric(overlaps, budget).value + STRUCTURAL_TOL
+
+
 class TestAgainstTheUniformGrid:
     """The partition model against the uniform-grid construction, at overlaps that grid holds."""
 
