@@ -320,7 +320,8 @@ def _cmd_curves(args: argparse.Namespace) -> RunReport:
     curves = scan.figure_curves([i / (n - 1) for i in range(n)], args.c_mode, ("thm2-direct", "err-prime"))
     ext = args.format
     try:
-        written = scan.write_curves(curves, out, ext)
+        # "" rather than ".": the files are then named bare, as pathlib.Path(".") / name spells them.
+        written = scan.write_curves(curves, "" if out == "." else out, ext)
     except OSError as exc:
         raise argparse.ArgumentTypeError(f"argument --out: cannot write {str(exc.filename or out)!r}: "
                                          f"{exc.strerror}") from exc

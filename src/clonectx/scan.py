@@ -348,8 +348,6 @@ def _x_text(x: tuple, grid: tuple, grid_text: list[str]) -> list[str]:
 def write_curves(curves: dict[str, CurveSeries], out: str, ext: str) -> list[str]:
     """Write each series to ``out/<name>.<ext>``, ``ext`` "csv" or "json"; the paths written, in order.
 
-    An ``out`` of "." writes bare ``<name>.<ext>``, as ``pathlib.Path(".") / name`` spells it.
-
     A CSV file holds an ``x,y`` header and one row per point, a JSON file the
     layout of ``json.dump({"label", "mode", "points"}, indent=1)``.  Every float
     is written as its repr, so a file reads back to the same doubles.  The
@@ -360,7 +358,7 @@ def write_curves(curves: dict[str, CurveSeries], out: str, ext: str) -> list[str
     grid_text = list(map(float.__repr__, grid))
     written = []
     for name, series in curves.items():
-        path = f"{name}.{ext}" if out == "." else os.path.join(out, f"{name}.{ext}")
+        path = os.path.join(out, f"{name}.{ext}")
         xs, ys = _x_text(series.x, grid, grid_text), series.y
         with open(path, "w", newline="" if ext == "csv" else None) as fh:
             if ext == "csv":

@@ -5,12 +5,14 @@ import contextlib
 import csv
 import gc
 import hashlib
+import importlib.util
 import io
 import json
 import os
 import signal
 import subprocess
 import sys
+import sysconfig
 import time
 from pathlib import Path
 
@@ -107,9 +109,14 @@ class TestExitCodes:
 
 
 def fresh_env():
-    """Environment in which a fresh interpreter imports ``clonectx`` from these sources."""
+    """Environment in which a fresh interpreter imports ``clonectx`` from these sources.
+
+    The installed packages follow on ``PYTHONPATH``, so that numpy and scipy can load under
+    ``-S`` as well; entries there are only searched, their ``.pth`` files are not run."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    paths = sysconfig.get_paths()
+    entries = [src, os.environ.get("PYTHONPATH"), paths["purelib"], paths["platlib"]]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(dict.fromkeys(filter(None, entries)))}
 
 
 def fresh(probe, *argv, **kwargs):
@@ -125,6 +132,12 @@ def run_fresh(probe, *argv):
     done = fresh(probe, *argv)
     assert done.returncode == 0, done.stderr
     return done.stdout.splitlines()[-1].split()
+
+
+def test_fresh_interpreter_can_load_the_installed_packages():
+    # The checks below that numpy and scipy stay unloaded can fail only if both could load.
+    probe = "import importlib.util, numpy; print(importlib.util.find_spec('scipy') is not None)"
+    assert run_fresh(probe) == [str(importlib.util.find_spec("scipy") is not None)]
 
 
 def test_import_does_not_load_scipy():
