@@ -8,7 +8,9 @@ noncontextual state-discrimination ceiling, the error budgets induced
 by a depolarizing channel acting on every stage of the experiment, and the
 confusabilities that channel leaves observable.  The names of the
 experiment's preparations, tests and mixing equivalences live here too, so
-that :mod:`clonectx.quantum` and :mod:`clonectx.ontic` share one spelling.
+that :mod:`clonectx.quantum` and :mod:`clonectx.ontic` share one spelling,
+and so do the sweep mode tables ``ERR_MODES`` and ``C_MODES`` with their
+defaults, which :mod:`clonectx.scan` computes with and the CLI offers.
 
 Every closed form computes on Python floats with :mod:`math` alone, and
 every number it returns is a ``float``: importing this module does not
@@ -219,6 +221,23 @@ def depolarizing_epsilons(v: float) -> ErrorBudget:
     )
 
 
+def _depolarizing_factors(v: float) -> tuple[float, float, float, float, float]:
+    """The v-only factors of the depolarized closed forms, for a checked ``v``.
+
+    (1-v)**3, v*(3 - 3v + v**2)/4, (1-v)**2, v*(1-v) and v**2/2: the weights
+    of the noiseless value and of the noise in :func:`quantum_noisy_fidelity`
+    and in both observed confusabilities.
+    """
+    one_mv = 1.0 - v
+    return one_mv**3, 0.25 * v * (3.0 - 3.0 * v + v * v), one_mv**2, v * one_mv, 0.5 * v * v
+
+
+def _observed_overlaps(c: float, factors: tuple) -> tuple[float, float]:
+    """Observed (c_ab, c_aabb) at a checked ``c``, given the noise level's :func:`_depolarizing_factors`."""
+    k3, q, k2, b, h = factors
+    return k2 * c + b + h, k3 * c * c + q
+
+
 class ErrTerms(namedtuple("ErrTerms", "err_thm2 err_appendix err_prime eps_effective")):
     """Every published form of the depolarizing error term, side by side.
 
@@ -246,6 +265,17 @@ ERR_MODES = {
     "err-prime": lambda v: 0.125 * v * (31.0 - 21.0 * v + 9.0 * v * v),
 }
 
+# Confusabilities (c_ab, c_aabb) fed to the ceiling under each ``c_mode``, as a
+# function of the ideal overlap c and the noise level's depolarizing factors.
+C_MODES = {
+    "ideal-overlap": lambda c, factors: (c, c * c),
+    "observed-confusability": _observed_overlaps,
+}
+
+# The modes a sweep runs under when none is given; the CLI's defaults too.
+DEFAULT_ERR_MODE = "thm2-direct"
+DEFAULT_C_MODE = "observed-confusability"
+
 
 def err_terms(v: float) -> ErrTerms:
     """All depolarizing-noise error-term variants at noise level ``v``."""
@@ -257,23 +287,6 @@ def err_terms(v: float) -> ErrTerms:
         err_prime=err_prime,
         eps_effective=0.5 * err_prime,
     )
-
-
-def _depolarizing_factors(v: float) -> tuple[float, float, float, float, float]:
-    """The v-only factors of the depolarized closed forms, for a checked ``v``.
-
-    (1-v)**3, v*(3 - 3v + v**2)/4, (1-v)**2, v*(1-v) and v**2/2: the weights
-    of the noiseless value and of the noise in :func:`quantum_noisy_fidelity`
-    and in both observed confusabilities.
-    """
-    one_mv = 1.0 - v
-    return one_mv**3, 0.25 * v * (3.0 - 3.0 * v + v * v), one_mv**2, v * one_mv, 0.5 * v * v
-
-
-def _observed_overlaps(c: float, factors: tuple) -> tuple[float, float]:
-    """Observed (c_ab, c_aabb) at a checked ``c``, given the noise level's :func:`_depolarizing_factors`."""
-    k3, q, k2, b, h = factors
-    return k2 * c + b + h, k3 * c * c + q
 
 
 def quantum_noisy_fidelity(v: float, c_ab: float) -> float:

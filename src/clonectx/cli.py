@@ -7,17 +7,18 @@ and quantum simulation).  Reports go to standard output as plain text, or
 as a single JSON document with ``--json``; elapsed wall time goes to
 standard error so that identical invocations produce byte-identical
 reports.  Exit status: 0 when every verdict passes, 1 when any fails,
-2 for argument errors.  ``bounds`` and ``scan`` compute on Python floats
-and keep their records in named tuples, so importing this module loads
-neither numpy, :mod:`inspect` nor :mod:`pathlib`.  The other modules load
-only for the subcommands that use them: :mod:`clonectx.cloner` for
-``clones``, :mod:`clonectx.quantum` (which takes the cloner's basis) for
-``noise`` and ``verify-quantum``, and :mod:`clonectx.ontic` for
-``verify-ontic``.  ``_HANDLERS`` names that module for each, and :func:`run`
-imports it before the clock starts, so ``elapsed:`` times the computation
-alone.  ``quantum`` computes on Python complex numbers and ``ontic`` and
-``cloner`` on Python floats, so no subcommand loads numpy.  ``bounds``,
-``region``, ``critical-noise`` and ``curves`` load none of the three.
+2 for argument errors.  This module imports :mod:`clonectx.bounds` alone,
+which computes on Python floats, keeps its records in named tuples and
+holds the sweep mode tables the parser offers, so importing it loads
+neither numpy, :mod:`inspect` nor :mod:`pathlib`.  Every other module loads
+only for the subcommands that use it, by one rule: ``_HANDLERS`` names the
+module each handler takes, and :func:`run` imports it before the clock
+starts, so ``elapsed:`` times the computation alone.  Those modules are
+:mod:`clonectx.scan` for ``region``, ``critical-noise`` and ``curves``,
+:mod:`clonectx.cloner` for ``clones``, :mod:`clonectx.quantum` (which takes
+the cloner's basis) for ``noise`` and ``verify-quantum``, and
+:mod:`clonectx.ontic` for ``verify-ontic``; ``bounds`` needs none.  Each
+computes on Python floats or complex numbers, so no subcommand loads numpy.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import time
 from collections.abc import Sequence
 from functools import partial
 
-from . import bounds, scan
+from . import bounds
 
 ACCEPT_EXACT = 1e-12
 CLONE_TOL = 1e-7
@@ -154,8 +155,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit the report as JSON")
     modes = argparse.ArgumentParser(add_help=False)
-    modes.add_argument("--err-mode", choices=scan.ERR_MODES, default=scan.DEFAULT_ERR_MODE)
-    modes.add_argument("--c-mode", choices=scan.C_MODES, default=scan.DEFAULT_C_MODE)
+    modes.add_argument("--err-mode", choices=bounds.ERR_MODES, default=bounds.DEFAULT_ERR_MODE)
+    modes.add_argument("--c-mode", choices=bounds.C_MODES, default=bounds.DEFAULT_C_MODE)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -182,7 +183,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=_curve_points, default=500,
                    help=f"number of c grid points, 2 to {MAX_POINTS} "
                    f"(about {BYTES_PER_CURVE_POINT} bytes of memory per point)")
-    p.add_argument("--c-mode", choices=scan.C_MODES, default=scan.DEFAULT_C_MODE)
+    p.add_argument("--c-mode", choices=bounds.C_MODES, default=bounds.DEFAULT_C_MODE)
 
     p = sub.add_parser("verify-ontic", parents=[common], help="build the saturating model and run every check")
     p.add_argument("--c", type=_probability, required=True)
@@ -284,7 +285,7 @@ def _cmd_quantum(args: argparse.Namespace, quantum, residuals: bool) -> RunRepor
     return report
 
 
-def _cmd_region(args: argparse.Namespace) -> RunReport:
+def _cmd_region(args: argparse.Namespace, scan) -> RunReport:
     region = scan.violation_interval(args.v, args.err_mode, args.c_mode)
     return RunReport(
         "region",
@@ -298,7 +299,7 @@ def _cmd_region(args: argparse.Namespace) -> RunReport:
     )
 
 
-def _cmd_critical_noise(args: argparse.Namespace) -> RunReport:
+def _cmd_critical_noise(args: argparse.Namespace, scan) -> RunReport:
     return RunReport(
         "critical-noise",
         inputs={"c": args.c, "err_mode": args.err_mode, "c_mode": args.c_mode},
@@ -306,7 +307,7 @@ def _cmd_critical_noise(args: argparse.Namespace) -> RunReport:
     )
 
 
-def _cmd_curves(args: argparse.Namespace) -> RunReport:
+def _cmd_curves(args: argparse.Namespace, scan) -> RunReport:
     out = args.out
     # Made here, not while the arguments convert, so that a bad argument after --out leaves no directory.
     try:
@@ -348,9 +349,9 @@ def _cmd_verify_ontic(args: argparse.Namespace, ontic) -> RunReport:
     tol = ontic.STRUCTURAL_TOL
 
     o1 = ontic.check_O1(model)
-    report.add_verdict("perfect-correlations", o1.passed, f"max residual = {o1.max_residual:.3e} <= {o1.tol}")
+    report.add_verdict("perfect-correlations", o1.passed, f"max residual = {o1.max_residual:.3e} <= {tol}")
     o2 = ontic.check_O2(model)
-    report.add_verdict("mixing-equivalences", o2.passed, f"max residual = {o2.max_residual:.3e} <= {o2.tol}")
+    report.add_verdict("mixing-equivalences", o2.passed, f"max residual = {o2.max_residual:.3e} <= {tol}")
 
     f_g = ontic.global_fidelity(model)
     target = bounds.nc_bound_ideal(c, c * c)
@@ -366,7 +367,7 @@ def _cmd_verify_ontic(args: argparse.Namespace, ontic) -> RunReport:
         report.add_verdict(
             f"distance-confusability-identity[{rep.pair[0]}~{rep.pair[1]}]",
             rep.passed,
-            f"residual = {rep.residual:.3e} <= {rep.tol}",
+            f"residual = {rep.residual:.3e} <= {tol}",
         )
 
     # The output grid is the input grid squared, row-major: the product density is b(x) b(y) cell by cell.
@@ -384,14 +385,14 @@ def _cmd_verify_ontic(args: argparse.Namespace, ontic) -> RunReport:
     return report
 
 
-# Each subcommand's handler, and the module it takes beyond bounds and scan (None: it needs none).
+# Each subcommand's handler, and the module it takes beyond bounds (None: it needs none).
 _HANDLERS = {
     "bounds": (_cmd_bounds, None),
     "clones": (_cmd_clones, "cloner"),
     "noise": (partial(_cmd_quantum, residuals=False), "quantum"),
-    "region": (_cmd_region, None),
-    "critical-noise": (_cmd_critical_noise, None),
-    "curves": (_cmd_curves, None),
+    "region": (_cmd_region, "scan"),
+    "critical-noise": (_cmd_critical_noise, "scan"),
+    "curves": (_cmd_curves, "scan"),
     "verify-ontic": (_cmd_verify_ontic, "ontic"),
     "verify-quantum": (partial(_cmd_quantum, residuals=True), "quantum"),
 }

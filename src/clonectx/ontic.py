@@ -15,7 +15,8 @@ noncontextual fidelity ceiling exactly, at any overlap in [0, 1], on the
 coarsest partition its supports allow.  Checkers for the perfect-test
 correlations (O1), the mixing equivalences (O2), the distance/confusability
 sandwich relations and the data-processing inequality operate on any model
-built from these parts, all at the one tolerance ``STRUCTURAL_TOL``.
+built from these parts, all at the one tolerance ``STRUCTURAL_TOL``, which
+no checker takes as a parameter and no report carries as a field.
 """
 
 from __future__ import annotations
@@ -224,34 +225,27 @@ class OnticModel(_Checked, namedtuple("OnticModel", "grid_in grid_out c_ab state
         return model
 
 
-class O1Report(namedtuple("O1Report", "match_probs leak_probs max_residual tol passed")):
+class O1Report(namedtuple("O1Report", "match_probs leak_probs max_residual passed")):
     """Perfect-correlation check: pass probabilities on matching and orthogonal preparations."""
 
     __slots__ = ()
 
 
-def check_O1(model: OnticModel, tol: float = STRUCTURAL_TOL) -> O1Report:
+def check_O1(model: OnticModel) -> O1Report:
     """Check p(pass | matching) = 1 and p(pass | orthogonal) = 0 for every test."""
-    match_probs: dict[str, float] = {}
-    leak_probs: dict[str, float] = {}
-    worst = 0.0
-    for s in TEST_NAMES:
-        xi = model.responses[s]
-        p_match = confusability(model.states[s], xi)
-        p_leak = confusability(model.states[f"{s}_perp"], xi)
-        match_probs[s] = p_match
-        leak_probs[s] = p_leak
-        worst = max(worst, abs(1.0 - p_match), p_leak)
-    return O1Report(match_probs=match_probs, leak_probs=leak_probs, max_residual=worst, tol=tol, passed=worst <= tol)
+    match_probs = {s: confusability(model.states[s], model.responses[s]) for s in TEST_NAMES}
+    leak_probs = {s: confusability(model.states[f"{s}_perp"], model.responses[s]) for s in TEST_NAMES}
+    worst = max(0.0, *(abs(1.0 - p) for p in match_probs.values()), *leak_probs.values())
+    return O1Report(match_probs=match_probs, leak_probs=leak_probs, max_residual=worst, passed=worst <= STRUCTURAL_TOL)
 
 
-class O2Report(namedtuple("O2Report", "pair_residuals max_residual tol passed")):
+class O2Report(namedtuple("O2Report", "pair_residuals max_residual passed")):
     """Mixing-equivalence check: cellwise residual of the equal-mixture identity per pair."""
 
     __slots__ = ()
 
 
-def check_O2(model: OnticModel, tol: float = STRUCTURAL_TOL) -> O2Report:
+def check_O2(model: OnticModel) -> O2Report:
     """Check half/half mixtures of each pair and its partners agree cell by cell."""
     residuals: dict[str, float] = {}
     for s, s2 in model.pairs:
@@ -259,7 +253,7 @@ def check_O2(model: OnticModel, tol: float = STRUCTURAL_TOL) -> O2Report:
                     model.states[s2].density, model.states[f"{s2}_perp"].density)
         residuals[f"{s}~{s2}"] = max(abs(0.5 * (x + x_perp) - 0.5 * (y + y_perp)) for x, x_perp, y, y_perp in cells)
     worst = max(residuals.values())
-    return O2Report(pair_residuals=residuals, max_residual=worst, tol=tol, passed=worst <= tol)
+    return O2Report(pair_residuals=residuals, max_residual=worst, passed=worst <= STRUCTURAL_TOL)
 
 
 def global_fidelity(model: OnticModel) -> float:
@@ -276,11 +270,8 @@ def measured_epsilons(model: OnticModel) -> dict[str, float]:
     orthogonal leak p(pass | orthogonal); this is the tightest budget under
     which the model satisfies the noisy correlation requirements.
     """
-    report = check_O1(model, tol=math.inf)
-    return {
-        s: max(1.0 - report.match_probs[s], report.leak_probs[s])
-        for s in TEST_NAMES
-    }
+    report = check_O1(model)
+    return {s: max(1.0 - report.match_probs[s], report.leak_probs[s]) for s in TEST_NAMES}
 
 
 def _saturating_supports(c: float) -> dict[str, list]:
@@ -385,7 +376,7 @@ def mix_with_uniform(model: OnticModel, w: float) -> OnticModel:
     return model._replace(states=mixed)
 
 
-class SandwichIdealReport(namedtuple("SandwichIdealReport", "pair l1 confus residual tol passed")):
+class SandwichIdealReport(namedtuple("SandwichIdealReport", "pair l1 confus residual passed")):
     """Distance/confusability identity for one pair: l1 distance vs 2(1 - confusability)."""
 
     __slots__ = ()
@@ -413,11 +404,11 @@ def verify_sandwich_ideal(
         conf = confusability(model.states[s], model.responses[s2])
         residual = abs(dist - 2.0 * (1.0 - conf))
         reports.append(SandwichIdealReport(pair=(s, s2), l1=dist, confus=conf, residual=residual,
-                                           tol=STRUCTURAL_TOL, passed=residual <= STRUCTURAL_TOL))
+                                           passed=residual <= STRUCTURAL_TOL))
     return reports
 
 
-class SandwichNoisyReport(namedtuple("SandwichNoisyReport", "pair l1 lower upper margin_lower margin_upper slack lower_ok upper_ok passed")):
+class SandwichNoisyReport(namedtuple("SandwichNoisyReport", "pair l1 lower upper margin_lower margin_upper lower_ok upper_ok passed")):
     """Two-sided distance/confusability bounds for one pair under an error budget."""
 
     __slots__ = ()
@@ -464,7 +455,6 @@ def verify_sandwich_noisy(
         upper=upper,
         margin_lower=margin_lower,
         margin_upper=margin_upper,
-        slack=STRUCTURAL_TOL,
         lower_ok=lower_ok,
         upper_ok=upper_ok,
         passed=lower_ok and upper_ok,

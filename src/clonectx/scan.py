@@ -20,9 +20,12 @@ without the error term.  Each series holds its x and y columns, and
 Because the published error term exists in mutually inconsistent variants,
 every sweep takes an ``err_mode``; likewise a ``c_mode`` selects whether the
 noncontextual ceiling is fed the ideal overlap or the noise-degraded observed
-confusabilities.  Both are plain strings, keys of ``ERR_MODES`` and
-``C_MODES``, checked only where :func:`_lookup` resolves them.  Nothing is
-reconciled silently: reports carry the mode they were computed under.
+confusabilities.  Both are plain strings, keys of the mode tables
+``ERR_MODES`` and ``C_MODES``, which :mod:`clonectx.bounds` defines beside
+the defaults ``DEFAULT_ERR_MODE`` and ``DEFAULT_C_MODE`` (this module
+re-exports all four); a mode is checked only where :func:`_lookup` resolves
+it.  Nothing is reconciled silently: reports carry the mode they were
+computed under.
 """
 
 from __future__ import annotations
@@ -34,18 +37,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 
 from . import bounds
-from .bounds import ERR_MODES, _check_unit, _Checked
-
-# The modes a sweep runs under when none is given; the CLI's defaults too.
-DEFAULT_ERR_MODE = "thm2-direct"
-DEFAULT_C_MODE = "observed-confusability"
-
-# Confusabilities (c_ab, c_aabb) fed to the ceiling under each ``c_mode``, as a
-# function of the ideal overlap c and the noise level's depolarizing factors.
-C_MODES = {
-    "ideal-overlap": lambda c, factors: (c, c * c),
-    "observed-confusability": bounds._observed_overlaps,
-}
+from .bounds import C_MODES, DEFAULT_C_MODE, DEFAULT_ERR_MODE, ERR_MODES, _check_unit, _Checked
 
 
 def _lookup(table: dict, kind: str, mode: str):

@@ -98,6 +98,22 @@ class TestNoisyBounds:
         got = bounds.nc_bound_noisy(OverlapParams.symmetric(0.5), ErrorBudget.uniform(0.01))
         assert got.value == pytest.approx(0.895, abs=1e-15)
 
+    # Every entry differs, so a weight moved from one epsilon to another changes the error term.
+    DISTINCT = ErrorBudget(eps_a=0.011, eps_b=0.013, eps_alpha=0.017, eps_beta=0.019, eps_aa=0.023, eps_bb=0.029)
+
+    def test_error_term_weighs_each_epsilon(self):
+        ov = OverlapParams(c_ab=0.4, c_ba=0.5, c_aabb=0.16, c_bbaa=0.25)
+        eb = self.DISTINCT
+        err = bounds.nc_bound_noisy(ov, eb).value - bounds.nc_bound_ideal(ov.c_ab, ov.c_aabb)
+        assert err == pytest.approx((eb.eps_b + 2.0 * eb.eps_bb + eb.eps_aa) / 2.0, rel=0, abs=1e-15)
+        assert err == pytest.approx(0.047, rel=0, abs=1e-15)
+
+    @pytest.mark.parametrize("field", ["eps_a", "eps_alpha", "eps_beta"])
+    def test_error_term_ignores_the_other_epsilons(self, field):
+        ov = OverlapParams.symmetric(0.37)
+        moved = self.DISTINCT._replace(**{field: 0.5})
+        assert bounds.nc_bound_noisy(ov, moved) == bounds.nc_bound_noisy(ov, self.DISTINCT)
+
     def test_clamped_flag_keeps_raw_value(self):
         got = bounds.nc_bound_noisy(OverlapParams.symmetric(0.0), ErrorBudget.uniform(0.9))
         assert got.clamped and got.value > 1.0

@@ -57,6 +57,8 @@ class TestExitCodes:
             (("verify-ontic", "--c", "0.5", "--resolution", str(2**53 + 2)), "at most 2**53"),
             (("verify-ontic", "--c", "0.5", "--resolution", "1" + "0" * 399), "at most 2**53"),
             (("curves", "--out", "OUT", "--points", "1000001"), "at most 1000000"),
+            (("bounds", "--c", "abc"), "not a number: 'abc'"),
+            (("curves", "--out", "OUT", "--points", "2.5"), "not an integer: '2.5'"),
         ],
     )
     def test_domain_error_is_an_argument_error(self, capsys, tmp_path, argv, message):
@@ -148,19 +150,20 @@ def test_import_does_not_load_scipy():
 
 # No subcommand loads numpy, nor dataclasses and the inspect module it would pull in, nor pathlib.
 NEVER_LOADED = ("numpy", "dataclasses", "inspect", "pathlib")
-CLOSED_FORM_ONLY = ("clonectx.cloner", "clonectx.ontic", "clonectx.quantum", *NEVER_LOADED)
-CLONES_ONLY = ("clonectx.ontic", "clonectx.quantum", *NEVER_LOADED)
-QUANTUM_ONLY = ("clonectx.ontic", *NEVER_LOADED)
-ONTIC_ONLY = ("clonectx.cloner", "clonectx.quantum", *NEVER_LOADED)
+SCAN_ONLY = ("clonectx.cloner", "clonectx.ontic", "clonectx.quantum", *NEVER_LOADED)
+CLOSED_FORM_ONLY = ("clonectx.scan", *SCAN_ONLY)
+CLONES_ONLY = ("clonectx.scan", "clonectx.ontic", "clonectx.quantum", *NEVER_LOADED)
+QUANTUM_ONLY = ("clonectx.scan", "clonectx.ontic", *NEVER_LOADED)
+ONTIC_ONLY = ("clonectx.scan", "clonectx.cloner", "clonectx.quantum", *NEVER_LOADED)
 
 
 @pytest.mark.parametrize(
     "argv, unloaded",
     [
         (("bounds", "--c", "0.5", "--v", "0.015"), CLOSED_FORM_ONLY),
-        (("region", "--v", "0.015"), CLOSED_FORM_ONLY),
-        (("critical-noise", "--c", "0.5"), CLOSED_FORM_ONLY),
-        (("curves", "--out", "OUT", "--points", "20"), CLOSED_FORM_ONLY),
+        (("region", "--v", "0.015"), SCAN_ONLY),
+        (("critical-noise", "--c", "0.5"), SCAN_ONLY),
+        (("curves", "--out", "OUT", "--points", "20"), SCAN_ONLY),
         (("noise", "--v", "0.015", "--c", "0.5"), QUANTUM_ONLY),
         (("verify-quantum", "--v", "0.015", "--c", "0.5"), QUANTUM_ONLY),
         (("clones", "--c", "0.5"), CLONES_ONLY),
@@ -169,10 +172,11 @@ ONTIC_ONLY = ("clonectx.cloner", "clonectx.quantum", *NEVER_LOADED)
     ids=["bounds", "region", "critical-noise", "curves", "noise", "verify-quantum", "clones", "verify-ontic"],
 )
 def test_subcommand_leaves_the_simulations_it_does_not_use_unloaded(tmp_path, argv, unloaded):
-    # The closed-form and scan subcommands need neither the clone search nor
-    # a simulation; clones needs no simulation, the quantum ones (through
-    # quantum) only the clone search's basis, and verify-ontic neither.  No
-    # module imports numpy, dataclasses or pathlib, so none of these loads them.
+    # bounds needs bounds alone, and the sweep subcommands only scan: neither
+    # the clone search nor a simulation.  clones needs no simulation, the
+    # quantum ones (through quantum) only the clone search's basis, and
+    # verify-ontic neither; none of these five needs the sweeps.  No module
+    # imports numpy, dataclasses or pathlib, so none of these loads them.
     # A fresh interpreter shows every module of the package and of
     # NEVER_LOADED that the import and the subcommand load.
     probe = ("import sys; from clonectx import cli; code = cli.run(sys.argv[1:]); "
@@ -186,19 +190,22 @@ def test_subcommand_leaves_the_simulations_it_does_not_use_unloaded(tmp_path, ar
 @pytest.mark.parametrize(
     "argv, module",
     [
+        (("region", "--v", "0.015"), "clonectx.scan"),
+        (("critical-noise", "--c", "0.5"), "clonectx.scan"),
+        (("curves", "--out", "OUT", "--points", "20"), "clonectx.scan"),
         (("noise", "--v", "0.015", "--c", "0.5"), "clonectx.quantum"),
         (("verify-quantum", "--v", "0.015", "--c", "0.5"), "clonectx.quantum"),
         (("verify-ontic", "--c", "0.5", "--resolution", "20"), "clonectx.ontic"),
     ],
-    ids=["noise", "verify-quantum", "verify-ontic"],
+    ids=["region", "critical-noise", "curves", "noise", "verify-quantum", "verify-ontic"],
 )
-def test_simulation_loads_before_the_clock_starts(argv, module):
-    # elapsed: times the computation only: the simulation module is already
-    # loaded when run() first reads the clock, and numpy is not.
+def test_simulation_loads_before_the_clock_starts(tmp_path, argv, module):
+    # elapsed: times the computation only: the module a subcommand takes
+    # beyond bounds is already loaded when run() first reads the clock, and numpy is not.
     probe = ("import sys, time, types; from clonectx import cli; seen = []; "
              "cli.time = types.SimpleNamespace(perf_counter=lambda: seen.append(sorted(sys.modules)) or time.perf_counter()); "
              "cli.run(sys.argv[1:]); print(*seen[0])")
-    loaded = run_fresh(probe, *argv)
+    loaded = run_fresh(probe, *(str(tmp_path) if a == "OUT" else a for a in argv))
     assert module in loaded
     assert not [m for m in loaded if m.split(".")[0] == "numpy"]
 
@@ -222,8 +229,10 @@ class TestMain:
             (("clones", "--c", "0.5"), True, 1),
             (("bounds", "--c", "1.5"), False, 2),
             (("curves", "--out", "OUT", "--points", "1"), False, 2),
+            (("bounds", "--c", "abc"), False, 2),
+            (("curves", "--out", "OUT", "--points", "2.5"), False, 2),
         ],
-        ids=["pass", "pass-json", "fail", "domain-error", "curves-argument-error"],
+        ids=["pass", "pass-json", "fail", "domain-error", "curves-argument-error", "not-a-number", "not-an-integer"],
     )
     def test_exit_code_and_stdout_are_those_of_run(self, capsys, monkeypatch, tmp_path, argv, sabotage, code):
         argv = [str(tmp_path) if a == "OUT" else a for a in argv]

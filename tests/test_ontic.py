@@ -165,6 +165,51 @@ class TestDistanceAndConfusability:
             assert l1_distance(mu, pi) <= l1_distance(mu, nu) + l1_distance(nu, pi) + 1e-12
 
 
+class TestValidationErrors:
+    """Each argument the engine rejects, with the message of the check that rejects it."""
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda g: EpistemicState(g, (0.5, 0.5, 0.0)), "density must have 4 cells, got 3"),
+            (lambda g: ResponseFunction(g, (1.0,) * 5), "response must have 4 cells, got 5"),
+            (lambda g: confusability(EpistemicState.uniform(g), ResponseFunction(LambdaGrid.uniform(1, 2), (1.0, 0.0))),
+             "same grid"),
+            (lambda g: apply_map(StochasticMap(g, g, np.eye(4)), EpistemicState.uniform(LambdaGrid.uniform(1, 2))),
+             "source grid"),
+        ],
+        ids=["density-length", "response-length", "confusability-grids", "apply-map-grid"],
+    )
+    def test_mismatched_grid_or_length(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make(LambdaGrid.uniform(1, 4))
+
+    def test_model_missing_a_response(self):
+        model = build_saturating_model(0.5)
+        responses = {k: r for k, r in model.responses.items() if k != "bb"}
+        with pytest.raises(ValueError, match=r"missing responses: \['bb'\]"):
+            model._replace(responses=responses)
+
+    def test_pair_naming_an_unknown_state(self):
+        with pytest.raises(ValueError, match=r"pair \(a, gamma\) references unknown states"):
+            build_saturating_model(0.5)._replace(pairs=(("a", "b"), ("a", "gamma")))
+
+    @pytest.mark.parametrize("w", [-0.1, 1.5, math.nan])
+    def test_mixing_weight_outside_the_unit_interval(self, w):
+        with pytest.raises(ValueError, match="mixing weight must lie in"):
+            mix_with_uniform(build_saturating_model(0.5), w)
+
+    def test_sandwich_checks_reject_a_model_without_the_mixing_equivalences(self):
+        # The partner of a squeezed onto [1, 1.5]: still disjoint from a, so O1 holds, but a ~ b mixes unevenly.
+        model = build_saturating_model(0.5)
+        broken = model._replace(states={**model.states, "a_perp": EpistemicState(model.grid_in, (0.0, 0.0, 2.0, 0.0))})
+        assert check_O1(broken).passed and not check_O2(broken).passed
+        with pytest.raises(ValueError, match="mixing-equivalence check; the ideal sandwich"):
+            verify_sandwich_ideal(broken, [("a", "b")])
+        with pytest.raises(ValueError, match="fails the mixing-equivalence check$"):
+            verify_sandwich_noisy(broken, ("a", "b"), 0.0, 0.0)
+
+
 class TestStochasticMaps:
     def test_identity_kernel_is_identity(self):
         rng = np.random.default_rng(SEED)
@@ -377,11 +422,11 @@ class TestExactAtEveryOverlap:
             assert mass == pytest.approx(1.0, rel=0, abs=1e-14), name
         assert global_fidelity(model) == pytest.approx(1.0 - c / 2.0 + c * c / 2.0, rel=0, abs=1e-14)
         o1, o2 = check_O1(model), check_O2(model)
-        assert o1.passed and o1.tol == STRUCTURAL_TOL and o1.max_residual <= 1e-14, o1
-        assert o2.passed and o2.tol == STRUCTURAL_TOL and o2.max_residual <= 1e-14, o2
+        assert o1.passed and o1.max_residual <= 1e-14, o1
+        assert o2.passed and o2.max_residual <= 1e-14, o2
         expected = sandwich_closed_forms(c)
         for rep in verify_sandwich_ideal(model, list(expected), o1, o2):
-            assert rep.passed and rep.tol == STRUCTURAL_TOL and rep.residual <= 1e-14, rep
+            assert rep.passed and rep.residual <= 1e-14, rep
             assert (rep.l1, rep.confus) == pytest.approx(expected[rep.pair], rel=0, abs=1e-14), rep
         assert confusability(model.states["a"], model.responses["b"]) == pytest.approx(c, rel=0, abs=1e-14)
         b = model.states["b"].density
@@ -500,8 +545,8 @@ class TestSandwichRelations:
         model = build_saturating_model(0.5)
         report = verify_sandwich_noisy(model, ("a", "b"), 0.0, 0.0)
         assert report.passed
-        assert abs(report.margin_lower) <= report.slack
-        assert abs(report.margin_upper) <= report.slack
+        assert abs(report.margin_lower) <= STRUCTURAL_TOL
+        assert abs(report.margin_upper) <= STRUCTURAL_TOL
 
     def test_undersized_allowances_rejected(self):
         model = mix_with_uniform(build_saturating_model(0.5), 0.1)

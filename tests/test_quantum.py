@@ -119,6 +119,10 @@ class TestOperators:
         with pytest.raises(ValueError, match="Hermitian"):
             TwoOutcomeMeasurement(np.array([[0.5, 0.3], [0.0, 0.5]]))
 
+    def test_overlap_rejects_states_of_different_dimension(self):
+        with pytest.raises(ValueError, match="dimension mismatch: 2 and 4"):
+            PureState([1.0, 0.0]).overlap2(PureState([1.0, 0.0, 0.0, 0.0]))
+
     def test_density_rejects_trace_off_one(self):
         with pytest.raises(ValueError, match="trace"):
             DensityOperator(np.eye(2) * (0.5 + 1e-9))

@@ -71,6 +71,11 @@ class TestSpecsAndTypes:
         with pytest.raises(ValueError):
             CurveSeries("x", "y", (0.2, 0.1), (1.0, 1.0), "test")
 
+    @pytest.mark.parametrize("x, y", [((0.1, math.inf), (1.0, 1.0)), ((0.1, 0.2), (math.nan, 1.0))], ids=["x-inf", "y-nan"])
+    def test_curve_rejects_non_finite_values(self, x, y):
+        with pytest.raises(ValueError, match="non-finite"):
+            CurveSeries("x", "y", x, y, "test")
+
     def test_region_validation(self):
         with pytest.raises(ValueError):
             ViolationRegion(v=0.1, c_lo=0.5, c_hi=None, err_mode="thm2-direct", c_mode="ideal-overlap")
@@ -441,11 +446,30 @@ class TestRootHelpers:
         assert got == pytest.approx(root, rel=1e-15, abs=0.0)
         assert math.copysign(1.0, got) == math.copysign(1.0, root)
 
+    @pytest.mark.parametrize(
+        "roots, scale, nearest",
+        [((0.2, 0.5, 0.9), 1.0, 0.5), ((-3.0, 0.3, 4.0), -2.5, 0.3), ((0.4, complex(2.0, 1.0), complex(2.0, -1.0)), 0.7, 0.4)],
+        ids=["three-real-inside", "three-real-spread", "one-real"],
+    )
+    def test_cubic_root_nearest_half(self, roots, scale, nearest):
+        # Three distinct real roots take the trigonometric branch, one real root Cardano's.
+        a0, a1, a2, a3 = (scale * np.polynomial.polynomial.polyfromroots(roots).real).tolist()
+        assert scan._cubic_root_nearest_half(a0, a1, a2, a3) == pytest.approx(nearest, rel=0, abs=1e-14)
+
+    def test_advantage_surviving_full_noise_gives_level_one(self):
+        # The cubic through these nodes crosses zero near v = 0.2, but the gap is still positive at v = 1.
+        assert scan._critical_level(0.3, -0.1, -0.1, 0.05) == 1.0
+
 
 class TestModeTables:
     def test_tables_cover_exactly_the_closed_forms(self):
         assert list(ERR_MODES) == list(CLOSED_ERR)
         assert list(C_MODES) == list(CLOSED_C)
+
+    @pytest.mark.parametrize("name", ["ERR_MODES", "C_MODES", "DEFAULT_ERR_MODE", "DEFAULT_C_MODE"])
+    def test_tables_and_defaults_are_those_of_bounds(self, name):
+        # Defined once, in bounds, where the CLI's parser reads them without loading scan.
+        assert getattr(scan, name) is getattr(bounds, name)
 
     @pytest.mark.parametrize("err_mode", list(CLOSED_ERR))
     @pytest.mark.parametrize("c_mode", list(CLOSED_C))
