@@ -10,7 +10,8 @@ confusabilities that channel leaves observable.  The names of the
 experiment's preparations, tests and mixing equivalences live here too, so
 that :mod:`clonectx.quantum` and :mod:`clonectx.ontic` share one spelling,
 and so do the sweep mode tables ``ERR_MODES`` and ``C_MODES`` with their
-defaults, which :mod:`clonectx.scan` computes with and the CLI offers.
+defaults, which :mod:`clonectx.scan` computes with and the CLI offers, and
+the figure-data file formats ``CURVE_FORMATS``.
 
 Every closed form computes on Python floats with :mod:`math` alone, and
 every number it returns is a ``float``: importing this module does not
@@ -275,6 +276,9 @@ C_MODES = {
 # The modes a sweep runs under when none is given; the CLI's defaults too.
 DEFAULT_ERR_MODE = "thm2-direct"
 DEFAULT_C_MODE = "observed-confusability"
+
+# The file formats of the figure data: what scan.write_curves writes and curves --format offers.
+CURVE_FORMATS = ("csv", "json")
 
 
 def err_terms(v: float) -> ErrTerms:

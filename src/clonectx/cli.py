@@ -7,10 +7,13 @@ and quantum simulation).  Reports go to standard output as plain text, or
 as a single JSON document with ``--json``; elapsed wall time goes to
 standard error so that identical invocations produce byte-identical
 reports.  Exit status: 0 when every verdict passes, 1 when any fails,
-2 for argument errors.  This module imports :mod:`clonectx.bounds` alone,
-which computes on Python floats, keeps its records in named tuples and
-holds the sweep mode tables the parser offers, so importing it loads
-neither numpy, :mod:`inspect` nor :mod:`pathlib`.  Every other module loads
+2 for argument errors.  :func:`run` makes every report, its inputs the
+parsed arguments in the order ``-h`` lists them; the subcommand's handler
+only computes, and fills the report with outputs and verdicts.  This
+module imports :mod:`clonectx.bounds` alone, which computes on Python
+floats, keeps its records in named tuples and holds the sweep modes and
+curve formats the parser offers, so importing it loads neither numpy,
+:mod:`inspect` nor :mod:`pathlib`.  Every other module loads
 only for the subcommands that use it, by one rule: ``_HANDLERS`` names the
 module each handler takes, and :func:`run` imports it before the clock
 starts, so ``elapsed:`` times the computation alone.  Those modules are
@@ -50,15 +53,14 @@ BYTES_PER_CURVE_POINT = 350
 
 
 class RunReport:
-    """One subcommand's report: its inputs, outputs and verdicts, filled in as it runs."""
+    """One subcommand's report: its inputs, and the outputs and verdicts its handler adds as it runs."""
 
-    __slots__ = ("command", "inputs", "outputs", "verdicts", "wall_time_s")
+    __slots__ = ("command", "inputs", "outputs", "verdicts")
 
-    def __init__(self, command: str, inputs: dict, outputs: dict | None = None) -> None:
+    def __init__(self, command: str, inputs: dict) -> None:
         self.command, self.inputs = command, inputs
-        self.outputs = {} if outputs is None else outputs
+        self.outputs: dict = {}
         self.verdicts: list[dict] = []
-        self.wall_time_s = 0.0
 
     def add_verdict(self, name: str, ok: bool, detail: str = "") -> None:
         self.verdicts.append({"name": name, "status": "pass" if ok else "fail", "detail": detail})
@@ -154,9 +156,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit the report as JSON")
-    modes = argparse.ArgumentParser(add_help=False)
-    modes.add_argument("--err-mode", choices=bounds.ERR_MODES, default=bounds.DEFAULT_ERR_MODE)
-    modes.add_argument("--c-mode", choices=bounds.C_MODES, default=bounds.DEFAULT_C_MODE)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -171,15 +170,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v", type=_probability, required=True)
     p.add_argument("--c", type=_probability, required=True)
 
-    p = sub.add_parser("region", parents=[common, modes], help="confusability interval with a quantum advantage")
-    p.add_argument("--v", type=_probability, required=True)
+    region = sub.add_parser("region", parents=[common], help="confusability interval with a quantum advantage")
+    region.add_argument("--v", type=_probability, required=True)
 
-    p = sub.add_parser("critical-noise", parents=[common, modes], help="largest noise level keeping the advantage")
-    p.add_argument("--c", type=_open_probability, required=True, help="input confusability in (0, 1)")
+    critical = sub.add_parser("critical-noise", parents=[common], help="largest noise level keeping the advantage")
+    critical.add_argument("--c", type=_open_probability, required=True, help="input confusability in (0, 1)")
+    for p in (region, critical):  # after the point, so -h and the inputs list the modes after it
+        p.add_argument("--err-mode", choices=bounds.ERR_MODES, default=bounds.DEFAULT_ERR_MODE)
+        p.add_argument("--c-mode", choices=bounds.C_MODES, default=bounds.DEFAULT_C_MODE)
 
     p = sub.add_parser("curves", parents=[common], help="write figure data (fidelity tradeoff, noise resistance)")
     p.add_argument("--out", type=_directory, required=True, help="output directory, made if it does not exist")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--format", choices=bounds.CURVE_FORMATS, default="csv")
     p.add_argument("--points", type=_curve_points, default=500,
                    help=f"number of c grid points, 2 to {MAX_POINTS} "
                    f"(about {BYTES_PER_CURVE_POINT} bytes of memory per point)")
@@ -198,9 +200,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_bounds(args: argparse.Namespace) -> RunReport:
+def _cmd_bounds(report: RunReport, args: argparse.Namespace) -> None:
     c = args.c
-    report = RunReport("bounds", inputs={"c": c, "v": args.v})
     report.outputs["quantum_optimal_fidelity"] = bounds.quantum_optimal_fidelity(c)
     report.outputs["nc_bound_ideal"] = bounds.nc_bound_ideal(c, c * c)
     report.outputs["nc_discrimination_bound"] = bounds.nc_discrimination_bound(c)
@@ -224,12 +225,10 @@ def _cmd_bounds(args: argparse.Namespace) -> RunReport:
                 "quantum_noisy_fidelity": bounds.quantum_noisy_fidelity(v, c),
             }
         )
-    return report
 
 
-def _cmd_clones(args: argparse.Namespace, cloner) -> RunReport:
+def _cmd_clones(report: RunReport, args: argparse.Namespace, cloner) -> None:
     c = args.c
-    report = RunReport("clones", inputs={"c": c})
     result = cloner.search_clones(c)
     formula = bounds.quantum_optimal_fidelity(c)
     delta = abs(result.fidelity - formula)
@@ -245,14 +244,12 @@ def _cmd_clones(args: argparse.Namespace, cloner) -> RunReport:
     report.add_verdict("optimizer-matches-closed-form", delta <= CLONE_TOL, f"|delta| = {delta:.3e} <= {CLONE_TOL}")
     report.add_verdict("overlap-constraint", result.overlap_error <= OVERLAP_TOL,
                        f"residual = {result.overlap_error:.3e} <= {OVERLAP_TOL}")
-    return report
 
 
-def _cmd_quantum(args: argparse.Namespace, quantum, residuals: bool) -> RunReport:
+def _cmd_quantum(report: RunReport, args: argparse.Namespace, quantum, residuals: bool) -> None:
     """``noise`` and ``verify-quantum``: Born-rule outputs of the noisy experiment
     checked against the closed forms, with each equivalence residual if ``residuals``."""
     v, c = args.v, args.c
-    report = RunReport(args.command, inputs={"v": v, "c": c})
     ens = quantum.noisy_ensemble(v, c)
     rec = ens.record()
     report.outputs.update({f"{k}_observed": x for k, x in rec.overlaps._asdict().items()})
@@ -282,32 +279,19 @@ def _cmd_quantum(args: argparse.Namespace, quantum, residuals: bool) -> RunRepor
         rec.o2_residual <= ACCEPT_EXACT,
         f"max residual = {rec.o2_residual:.3e}",
     )
-    return report
 
 
-def _cmd_region(args: argparse.Namespace, scan) -> RunReport:
+def _cmd_region(report: RunReport, args: argparse.Namespace, scan) -> None:
     region = scan.violation_interval(args.v, args.err_mode, args.c_mode)
-    return RunReport(
-        "region",
-        inputs={"v": args.v, "err_mode": args.err_mode, "c_mode": args.c_mode},
-        outputs={
-            "empty": region.is_empty,
-            "c_lo": region.c_lo,
-            "c_hi": region.c_hi,
-            "anomalous_roots": list(region.anomalies),
-        },
-    )
+    report.outputs.update({"empty": region.is_empty, "c_lo": region.c_lo, "c_hi": region.c_hi,
+                           "anomalous_roots": list(region.anomalies)})
 
 
-def _cmd_critical_noise(args: argparse.Namespace, scan) -> RunReport:
-    return RunReport(
-        "critical-noise",
-        inputs={"c": args.c, "err_mode": args.err_mode, "c_mode": args.c_mode},
-        outputs={"v_max": scan.critical_noise(args.c, args.err_mode, args.c_mode)},
-    )
+def _cmd_critical_noise(report: RunReport, args: argparse.Namespace, scan) -> None:
+    report.outputs["v_max"] = scan.critical_noise(args.c, args.err_mode, args.c_mode)
 
 
-def _cmd_curves(args: argparse.Namespace, scan) -> RunReport:
+def _cmd_curves(report: RunReport, args: argparse.Namespace, scan) -> None:
     out = args.out
     # Made here, not while the arguments convert, so that a bad argument after --out leaves no directory.
     try:
@@ -319,23 +303,15 @@ def _cmd_curves(args: argparse.Namespace, scan) -> RunReport:
     # The published error term is ambiguous, so both defensible noise
     #-resistance curves are emitted side by side.
     curves = scan.figure_curves([i / (n - 1) for i in range(n)], args.c_mode, ("thm2-direct", "err-prime"))
-    ext = args.format
     try:
         # "" rather than ".": the files are then named bare, as pathlib.Path(".") / name spells them.
-        written = scan.write_curves(curves, "" if out == "." else out, ext)
+        report.outputs["files"] = scan.write_curves(curves, "" if out == "." else out, args.format)
     except OSError as exc:
         raise argparse.ArgumentTypeError(f"argument --out: cannot write {str(exc.filename or out)!r}: "
                                          f"{exc.strerror}") from exc
 
-    return RunReport(
-        "curves",
-        inputs={"out": out, "format": ext, "points": n, "c_mode": args.c_mode},
-        outputs={"files": written},
-    )
 
-
-def _cmd_verify_ontic(args: argparse.Namespace, ontic) -> RunReport:
-    report = RunReport("verify-ontic", inputs={"c": args.c, "resolution": args.resolution})
+def _cmd_verify_ontic(report: RunReport, args: argparse.Namespace, ontic) -> None:
     c = args.c
     if args.resolution is not None:
         m = args.resolution // 2
@@ -382,7 +358,6 @@ def _cmd_verify_ontic(args: argparse.Namespace, ontic) -> RunReport:
         abs(c_model - c) <= tol,
         f"|{c_model:.6f} - {c}| = {abs(c_model - c):.3e} <= {tol}",
     )
-    return report
 
 
 # Each subcommand's handler, and the module it takes beyond bounds (None: it needs none).
@@ -407,16 +382,18 @@ def run(argv: Sequence[str] | None = None) -> int:
     handler, module = _HANDLERS[args.command]
     # The module loads before the clock starts: elapsed: is compute only.
     modules = (importlib.import_module(f"{__package__}.{module}"),) if module else ()
+    # A report's inputs are its parsed arguments, in the order -h lists them.
+    report = RunReport(args.command, {k: v for k, v in vars(args).items() if k not in ("command", "json")})
     start = time.perf_counter()
     try:
-        report = handler(args, *modules)
+        handler(report, args, *modules)
     except argparse.ArgumentTypeError as exc:  # an argument found bad only when used, as curves --out
         parser.print_usage(sys.stderr)
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
-    report.wall_time_s = time.perf_counter() - start
+    elapsed = time.perf_counter() - start
     print(report.render_json() if args.json else report.render_text())
-    print(f"elapsed: {report.wall_time_s:.3f} s", file=sys.stderr)
+    print(f"elapsed: {elapsed:.3f} s", file=sys.stderr)
     return 1 if report.failed else 0
 
 

@@ -23,9 +23,9 @@ noncontextual ceiling is fed the ideal overlap or the noise-degraded observed
 confusabilities.  Both are plain strings, keys of the mode tables
 ``ERR_MODES`` and ``C_MODES``, which :mod:`clonectx.bounds` defines beside
 the defaults ``DEFAULT_ERR_MODE`` and ``DEFAULT_C_MODE`` (this module
-re-exports all four); a mode is checked only where :func:`_lookup` resolves
-it.  Nothing is reconciled silently: reports carry the mode they were
-computed under.
+re-exports all four, and the ``CURVE_FORMATS`` of :func:`write_curves`); a
+mode is checked only where :func:`_lookup` resolves it.  Nothing is
+reconciled silently: reports carry the mode they were computed under.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 
 from . import bounds
-from .bounds import C_MODES, DEFAULT_C_MODE, DEFAULT_ERR_MODE, ERR_MODES, _check_unit, _Checked
+from .bounds import C_MODES, CURVE_FORMATS, DEFAULT_C_MODE, DEFAULT_ERR_MODE, ERR_MODES, _check_unit, _Checked
 
 
 def _lookup(table: dict, kind: str, mode: str):
@@ -338,14 +338,17 @@ def _x_text(x: tuple, grid: tuple, grid_text: list[str]) -> list[str]:
 
 
 def write_curves(curves: dict[str, CurveSeries], out: str, ext: str) -> list[str]:
-    """Write each series to ``out/<name>.<ext>``, ``ext`` "csv" or "json"; the paths written, in order.
+    """Write each series to ``out/<name>.<ext>``, ``ext`` one of ``CURVE_FORMATS``; the paths written, in order.
 
     A CSV file holds an ``x,y`` header and one row per point, a JSON file the
     layout of ``json.dump({"label", "mode", "points"}, indent=1)``.  Every float
     is written as its repr, so a file reads back to the same doubles.  The
     longest x column is formatted once, and every series whose x column is a
     run of it takes that run's text; a file is written in chunks of joined lines.
+    Any other ``ext`` raises a ``ValueError`` before a file is made.
     """
+    if ext not in CURVE_FORMATS:
+        raise ValueError(f"ext must be one of {CURVE_FORMATS}, got {ext!r}")
     grid = max((s.x for s in curves.values()), key=len, default=())
     grid_text = list(map(float.__repr__, grid))
     written = []

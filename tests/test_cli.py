@@ -314,6 +314,28 @@ class TestReports:
         assert "elapsed" not in out
         assert "elapsed" in err
 
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    @pytest.mark.parametrize("argv", [
+        ("bounds", "--v", "0.015", "--c", "0.5"),
+        ("clones", "--c", "0.25"),
+        ("noise", "--c", "0.5", "--v", "0.015"),
+        ("region", "--c-mode", "ideal-overlap", "--v", "0.015", "--err-mode", "err-prime"),
+        ("critical-noise", "--err-mode", "appendix-err", "--c", "0.5"),
+        ("curves", "--format", "json", "--points", "3", "--out", "{tmp}"),
+        ("verify-ontic", "--resolution", "100", "--c", "0.37"),
+        ("verify-quantum", "--c", "0.5", "--v", "0.015"),
+    ], ids=lambda argv: argv[0])
+    def test_inputs_are_the_parsed_arguments_in_parser_order(self, capsys, tmp_path, argv, as_json):
+        argv = [a.format(tmp=tmp_path / "figs") for a in argv] + ["--json"] * as_json
+        parsed = vars(cli._build_parser().parse_args(argv))
+        expected = [(k, v) for k, v in parsed.items() if k not in ("command", "json")]
+        _, out, _ = run_cli(capsys, *argv)
+        if as_json:
+            assert list(json.loads(out)["inputs"].items()) == expected
+        else:
+            block = out.split("inputs:\n")[1].split("\noutputs:")[0].splitlines()
+            assert block == [f"  {k} = {v}" for k, v in expected]
+
     def test_json_report_round_trips(self, capsys):
         code, out, _ = run_cli(capsys, "verify-quantum", "--v", "0.015", "--c", "0.5", "--json")
         assert code == 0
@@ -474,7 +496,8 @@ class TestCurves:
             "noise_resistance_thm2-direct.csv",
             "noise_resistance_err-prime.csv",
         }
-        rows = list(csv.reader(open(out_dir / "fidelity_quantum.csv")))
+        with open(out_dir / "fidelity_quantum.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ["x", "y"]
         assert len(rows) == 41
 

@@ -322,6 +322,13 @@ class TestSaturatingModel:
         assert len(model.clone_map.kernel) == cells
         assert all(len(row) == cells * cells for row in model.clone_map.kernel)
 
+    @pytest.mark.parametrize("c, nbytes", [(0.0, 64), (0.37, 512), (1.0, 64)])
+    def test_kernel_nbytes_counts_8_bytes_per_entry(self, c, nbytes):
+        # The benchmark's memory pass reads clone_map.kernel.nbytes as the kernel's size.
+        model = build_saturating_model(c)
+        expected = 8 * model.grid_in.num_cells * model.grid_out.num_cells
+        assert model.clone_map.kernel.nbytes == expected == nbytes
+
     def test_deliberate_o1_violation_is_flagged(self):
         model = build_saturating_model(0.5)
         broken_responses = dict(model.responses)

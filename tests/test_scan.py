@@ -560,6 +560,16 @@ class TestEmitters:
         doc = {"label": "v_max vs c_ab", "mode": series.provenance, "points": [list(p) for p in points]}
         assert (tmp_path / "s.json").read_text() == json.dumps(doc, indent=1) + "\n"
 
+    @pytest.mark.parametrize("ext", ["CSV", "txt", "", None])
+    def test_unknown_format_rejected_before_any_file(self, tmp_path, ext):
+        series, _ = fidelity_curves(np.linspace(0.0, 1.0, 3))
+        with pytest.raises(ValueError, match=r"ext must be one of \('csv', 'json'\)"):
+            write_curves({"curve": series}, tmp_path, ext)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_formats_are_named_once(self):
+        assert scan.CURVE_FORMATS is bounds.CURVE_FORMATS == ("csv", "json")
+
     @pytest.mark.parametrize("ext", ["csv", "json"])
     def test_shared_x_text_prints_each_series_as_alone(self, tmp_path, ext):
         # Runs of the longest x column take its text; other columns are formatted on their own.
