@@ -6,10 +6,13 @@ figure-data emission, and the two verification suites (ontological model
 and quantum simulation).  Reports go to standard output as plain text, or
 as a single JSON document with ``--json``; elapsed wall time goes to
 standard error so that identical invocations produce byte-identical
-reports.  Exit status: 0 when every verdict passes, 1 when any fails,
-2 for argument errors.  :func:`run` makes every report, its inputs the
-parsed arguments in the order ``-h`` lists them; the subcommand's handler
-only computes, and fills the report with outputs and verdicts.  This
+reports; a stderr that cannot be written loses that line alone, not the
+exit status.  Every verdict is one residual judged at one tolerance by
+:meth:`RunReport.check`.  Exit status: 0 when every verdict passes, 1 when
+any fails, 2 for argument errors.  :func:`run` makes every report, its
+inputs the parsed arguments in the order ``-h`` lists them; the
+subcommand's handler only computes, and fills the report with outputs and
+verdicts.  This
 module imports :mod:`clonectx.bounds` alone, which computes on Python
 floats, keeps its records in named tuples and holds the sweep modes and
 curve formats the parser offers, so importing it loads neither numpy,
@@ -62,8 +65,10 @@ class RunReport:
         self.outputs: dict = {}
         self.verdicts: list[dict] = []
 
-    def add_verdict(self, name: str, ok: bool, detail: str = "") -> None:
-        self.verdicts.append({"name": name, "status": "pass" if ok else "fail", "detail": detail})
+    def check(self, name: str, what: str, residual: float, tol: float) -> None:
+        """The verdict ``name``: pass exactly when ``residual <= tol`` (so NaN fails), the detail saying both."""
+        self.verdicts.append({"name": name, "status": "pass" if residual <= tol else "fail",
+                              "detail": f"{what} = {residual:.3e} <= {tol}"})
 
     @property
     def failed(self) -> bool:
@@ -79,10 +84,7 @@ class RunReport:
             lines += [f"  {k} = {v}" for k, v in self.outputs.items()]
         if self.verdicts:
             lines.append("verdicts:")
-            for v in self.verdicts:
-                tag = v["status"].upper()
-                detail = f"  ({v['detail']})" if v["detail"] else ""
-                lines.append(f"  [{tag}] {v['name']}{detail}")
+            lines += [f"  [{v['status'].upper()}] {v['name']}  ({v['detail']})" for v in self.verdicts]
             lines.append(f"result: {'FAIL' if self.failed else 'PASS'}")
         return "\n".join(lines)
 
@@ -241,9 +243,8 @@ def _cmd_clones(report: RunReport, args: argparse.Namespace, cloner) -> None:
             "grid_fidelity": result.grid_fidelity,
         }
     )
-    report.add_verdict("optimizer-matches-closed-form", delta <= CLONE_TOL, f"|delta| = {delta:.3e} <= {CLONE_TOL}")
-    report.add_verdict("overlap-constraint", result.overlap_error <= OVERLAP_TOL,
-                       f"residual = {result.overlap_error:.3e} <= {OVERLAP_TOL}")
+    report.check("optimizer-matches-closed-form", "|delta|", delta, CLONE_TOL)
+    report.check("overlap-constraint", "residual", result.overlap_error, OVERLAP_TOL)
 
 
 def _cmd_quantum(report: RunReport, args: argparse.Namespace, quantum, residuals: bool) -> None:
@@ -260,25 +261,14 @@ def _cmd_quantum(report: RunReport, args: argparse.Namespace, quantum, residuals
             report.outputs[f"equivalence_residual[{pair}]"] = resid
 
     eb = bounds.depolarizing_epsilons(v)
-    worst_eps = max(abs(getattr(rec.budget, f) - getattr(eb, f)) for f in eb._fields)
-    report.add_verdict("epsilons-match-closed-forms", worst_eps <= ACCEPT_EXACT, f"max |delta| = {worst_eps:.3e}")
-
+    report.check("epsilons-match-closed-forms", "max |delta|",
+                 max(abs(x - y) for x, y in zip(rec.budget, eb)), ACCEPT_EXACT)
     d_cab = abs(rec.overlaps.c_ab - bounds.observed_confusability(v, c))
     d_caabb = abs(rec.overlaps.c_aabb - bounds.observed_target_confusability(v, c))
-    report.add_verdict(
-        "observed-confusabilities-match-closed-forms",
-        max(d_cab, d_caabb) <= ACCEPT_EXACT,
-        f"max |delta| = {max(d_cab, d_caabb):.3e}",
-    )
-
-    d_fg = abs(rec.f_global - bounds.quantum_noisy_fidelity(v, c))
-    report.add_verdict("global-fidelity-matches-closed-form", d_fg <= ACCEPT_EXACT, f"|delta| = {d_fg:.3e}")
-
-    report.add_verdict(
-        "mixing-equivalences",
-        rec.o2_residual <= ACCEPT_EXACT,
-        f"max residual = {rec.o2_residual:.3e}",
-    )
+    report.check("observed-confusabilities-match-closed-forms", "max |delta|", max(d_cab, d_caabb), ACCEPT_EXACT)
+    report.check("global-fidelity-matches-closed-form", "|delta|",
+                 abs(rec.f_global - bounds.quantum_noisy_fidelity(v, c)), ACCEPT_EXACT)
+    report.check("mixing-equivalences", "max residual", rec.o2_residual, ACCEPT_EXACT)
 
 
 def _cmd_region(report: RunReport, args: argparse.Namespace, scan) -> None:
@@ -325,39 +315,27 @@ def _cmd_verify_ontic(report: RunReport, args: argparse.Namespace, ontic) -> Non
     tol = ontic.STRUCTURAL_TOL
 
     o1 = ontic.check_O1(model)
-    report.add_verdict("perfect-correlations", o1.passed, f"max residual = {o1.max_residual:.3e} <= {tol}")
+    report.check("perfect-correlations", "max residual", o1.max_residual, tol)
     o2 = ontic.check_O2(model)
-    report.add_verdict("mixing-equivalences", o2.passed, f"max residual = {o2.max_residual:.3e} <= {tol}")
+    report.check("mixing-equivalences", "max residual", o2.max_residual, tol)
 
     f_g = ontic.global_fidelity(model)
     target = bounds.nc_bound_ideal(c, c * c)
     report.outputs["f_global"] = f_g
     report.outputs["nc_bound_ideal"] = target
-    report.add_verdict(
-        "fidelity-saturates-nc-bound",
-        abs(f_g - target) <= tol,
-        f"|delta| = {abs(f_g - target):.3e} <= {tol}",
-    )
+    report.check("fidelity-saturates-nc-bound", "|delta|", abs(f_g - target), tol)
 
     for rep in ontic.verify_sandwich_ideal(model, model.pairs + (("aa", "bb"),), o1, o2):
-        report.add_verdict(
-            f"distance-confusability-identity[{rep.pair[0]}~{rep.pair[1]}]",
-            rep.passed,
-            f"residual = {rep.residual:.3e} <= {tol}",
-        )
+        report.check(f"distance-confusability-identity[{rep.pair[0]}~{rep.pair[1]}]", "residual", rep.residual, tol)
 
     # The output grid is the input grid squared, row-major: the product density is b(x) b(y) cell by cell.
     b = model.states["b"].density
     cells = zip(model.states["beta"].density, itertools.product(b, b), strict=True)
     beta_resid = max(abs(beta - x * y) for beta, (x, y) in cells)
-    report.add_verdict("clone-of-b-is-product-density", beta_resid <= tol, f"max residual = {beta_resid:.3e} <= {tol}")
+    report.check("clone-of-b-is-product-density", "max residual", beta_resid, tol)
 
     c_model = ontic.confusability(model.states["a"], model.responses["b"])
-    report.add_verdict(
-        "maximal-overlap-of-inputs",
-        abs(c_model - c) <= tol,
-        f"|{c_model:.6f} - {c}| = {abs(c_model - c):.3e} <= {tol}",
-    )
+    report.check("maximal-overlap-of-inputs", f"|{c_model:.6f} - {c}|", abs(c_model - c), tol)
 
 
 # Each subcommand's handler, and the module it takes beyond bounds (None: it needs none).
@@ -393,7 +371,10 @@ def run(argv: Sequence[str] | None = None) -> int:
         return 2
     elapsed = time.perf_counter() - start
     print(report.render_json() if args.json else report.render_text())
-    print(f"elapsed: {elapsed:.3f} s", file=sys.stderr)
+    try:  # as argparse writes its messages: a stderr closed (None) or broken loses this line alone
+        sys.stderr.write(f"elapsed: {elapsed:.3f} s\n")
+    except (AttributeError, OSError):
+        pass
     return 1 if report.failed else 0
 
 

@@ -4,9 +4,9 @@ The two-copy targets ``aa`` and ``bb`` and every clone output the search
 visits are real vectors in the symmetric subspace of two qubits, so the
 search needs no matrices: it works on 4-tuples with :mod:`math`, and
 ``clonectx clones`` runs without numpy.  :mod:`clonectx.quantum` builds its
-states from :func:`plane_basis`.  :func:`search_clones` is deliberately
-independent of the closed-form fidelity in :mod:`clonectx.bounds`, which it
-cross-checks.
+states from :func:`input_pair` and :func:`plane_basis`.  :func:`search_clones`
+is deliberately independent of the closed-form fidelity in
+:mod:`clonectx.bounds`, which it cross-checks.
 """
 
 from __future__ import annotations
@@ -38,19 +38,24 @@ def _linspace(lo: float, hi: float, n: int) -> list[float]:
     return [k * step + lo for k in range(n - 1)] + [hi]
 
 
+def input_pair(c: float) -> tuple[tuple[float, float], tuple[float, float]]:
+    """The real qubit inputs in their canonical gauge: |a> = (cos t, sin t) and
+    |b> = (cos t, -sin t) with cos 2t = sqrt(c), so <a|b> = sqrt(c) >= 0."""
+    theta = 0.5 * math.acos(math.sqrt(c))
+    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    return (cos_t, sin_t), (cos_t, -sin_t)
+
+
 def plane_basis(c: float) -> tuple[Vector, Vector, Vector, Vector, Vector]:
     """Two-copy targets plus an orthonormal real frame (e1, e2, e3) of the symmetric subspace.
 
-    Returns (aa, bb, e1, e2, e3) for the inputs |a> = (cos t, sin t) and
-    |b> = (cos t, -sin t) with cos 2t = sqrt(c): e1 along aa+bb and
+    Returns (aa, bb, e1, e2, e3): aa and bb are two copies of the inputs of
+    :func:`input_pair`, e1 lies along aa+bb and
     e2 = (|01> + |10>)/sqrt(2), which for c < 1 points exactly along aa-bb;
     span{e1, e2} is a plane for every c in [0, 1], the targets' coincidence
     at c = 1 included.  e3 is the third symmetric direction, orthogonal to both.
     """
-    theta = 0.5 * math.acos(math.sqrt(c))
-    cos_t, sin_t = math.cos(theta), math.sin(theta)
-    aa = (cos_t * cos_t, cos_t * sin_t, sin_t * cos_t, sin_t * sin_t)
-    bb = (cos_t * cos_t, cos_t * -sin_t, -sin_t * cos_t, -sin_t * -sin_t)
+    aa, bb = (tuple(x * y for x in ket for y in ket) for ket in input_pair(c))
     norm = math.sqrt(2.0 + 2.0 * c)
     e1 = tuple((x + y) / norm for x, y in zip(aa, bb))
     e2 = (0.0, 1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0), 0.0)

@@ -6,7 +6,7 @@ measurement) is degraded by a depolarizing channel, evaluates all observed
 probabilities through the Born rule, and verifies the mixing equivalences
 as matrix identities.  The closed forms it is checked against, and the
 names its preparations and tests are keyed by, live in :mod:`clonectx.bounds`;
-the two-copy frame lives in :mod:`clonectx.cloner`.
+the inputs' gauge and the two-copy frame live in :mod:`clonectx.cloner`.
 
 The two input states live in a real two-dimensional span; the clone
 outputs live in the corresponding two-qubit tensor space (dimension 4).
@@ -23,7 +23,7 @@ import math
 from collections import namedtuple
 
 from .bounds import EQUIVALENCE_PAIRS, STATE_NAMES, TEST_NAMES, ErrorBudget, OverlapParams, _check_unit, _Checked
-from .cloner import plane_basis
+from .cloner import input_pair, plane_basis
 
 HERMITIAN_TOL = 1e-12
 BORN_CLIP_TOL = 1e-10
@@ -166,14 +166,9 @@ def born(rho: DensityOperator, m: TwoOutcomeMeasurement) -> float:
 
 
 def make_input_pair(c_ab: float) -> tuple[PureState, PureState]:
-    """Real qubit pair with squared overlap ``c_ab``, symmetric about the first axis.
-
-    Canonical gauge: |a> = (cos t, sin t), |b> = (cos t, -sin t) with
-    cos 2t = sqrt(c_ab), so <a|b> = sqrt(c_ab) >= 0.
-    """
-    c = _check_unit("c_ab", c_ab)
-    theta = 0.5 * math.acos(math.sqrt(c))
-    return PureState((math.cos(theta), math.sin(theta))), PureState((math.cos(theta), -math.sin(theta)))
+    """Real qubit pair with squared overlap ``c_ab``, in the gauge of :func:`clonectx.cloner.input_pair`."""
+    ket_a, ket_b = input_pair(_check_unit("c_ab", c_ab))
+    return PureState(ket_a), PureState(ket_b)
 
 
 def depolarize(rho: DensityOperator, v: float) -> DensityOperator:

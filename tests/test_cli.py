@@ -9,6 +9,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -268,6 +269,27 @@ class TestMain:
         assert "Exception ignored" not in done.stderr
         assert "BrokenPipeError" not in done.stderr
 
+    @pytest.mark.parametrize("stderr", ["closed", "read-only", "broken-pipe"])
+    def test_unwritable_stderr_loses_only_the_elapsed_line(self, capsys, stderr):
+        # As with `clonectx verify-quantum ... 2>&-`: the interpreter starts with no fd 2 (sys.stderr is
+        # None), or, behind a wrapper script that opened itself there, with an fd 2 it cannot write.
+        # And as with a stderr piped to a reader that has gone.
+        argv = ("verify-quantum", "--v", "0.015", "--c", "0.5")
+        assert cli.run(list(argv)) == 0
+        expected = capsys.readouterr().out
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        read_only = os.open(os.devnull, os.O_RDONLY)
+        try:
+            streams = {"closed": {"stderr": subprocess.DEVNULL, "preexec_fn": lambda: os.close(2)},
+                       "read-only": {"stderr": read_only}, "broken-pipe": {"stderr": write_end}}[stderr]
+            done = fresh(MAIN, *argv, **streams)
+        finally:
+            os.close(write_end)
+            os.close(read_only)
+        assert done.returncode == 0
+        assert done.stdout == expected and expected.endswith("result: PASS\n")
+
 
 def peak_rss_mb(tmp_path, *argv):
     """Peak RSS (MB) of a fresh ``clonectx`` process, from os.wait4; its report must pass."""
@@ -335,6 +357,33 @@ class TestReports:
         else:
             block = out.split("inputs:\n")[1].split("\noutputs:")[0].splitlines()
             assert block == [f"  {k} = {v}" for k, v in expected]
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    @pytest.mark.parametrize("argv, count", [
+        (("clones", "--c", "0.5"), 2),
+        (("noise", "--v", "0.015", "--c", "0.5"), 4),
+        (("verify-quantum", "--v", "0.015", "--c", "0.5"), 4),
+        (("verify-ontic", "--c", "0.37"), 9),
+    ], ids=["clones", "noise", "verify-quantum", "verify-ontic"])
+    def test_every_verdict_detail_gives_its_residual_and_tolerance(self, capsys, argv, count, as_json):
+        code, out, _ = run_cli(capsys, *argv, *["--json"] * as_json)
+        assert code == 0
+        if as_json:
+            details = [v["detail"] for v in json.loads(out)["verdicts"]]
+        else:
+            details = re.findall(r"^  \[PASS\] \S+  \((.*)\)$", out, re.MULTILINE)
+        assert len(details) == count, out
+        assert all(re.fullmatch(r".+ = \d\.\d{3}e[+-]\d\d <= \S+", d) for d in details), details
+
+    def test_check_passes_a_residual_at_the_tolerance_and_fails_nan(self):
+        report = cli.RunReport("clones", {})
+        report.check("at-tolerance", "|delta|", 1e-9, 1e-9)
+        assert report.verdicts == [{"name": "at-tolerance", "status": "pass", "detail": "|delta| = 1.000e-09 <= 1e-09"}]
+        assert not report.failed
+        report.check("nan", "max residual", float("nan"), 1e-9)
+        assert report.verdicts[1] == {"name": "nan", "status": "fail", "detail": "max residual = nan <= 1e-09"}
+        assert report.render_text().endswith("\n  [FAIL] nan  (max residual = nan <= 1e-09)\nresult: FAIL")
+        assert json.loads(report.render_json())["result"] == "fail"
 
     def test_json_report_round_trips(self, capsys):
         code, out, _ = run_cli(capsys, "verify-quantum", "--v", "0.015", "--c", "0.5", "--json")

@@ -327,6 +327,16 @@ class TestCloneOptimizer:
         frame = np.array([e1, e2, e3])
         np.testing.assert_allclose(frame @ frame.T, np.eye(3), atol=1e-15)
 
+    @pytest.mark.parametrize("c", [0.0, 1e-9, 0.1, 0.37, 0.5, 0.9, 1.0 - 1e-9, 1.0])
+    def test_inputs_and_targets_take_the_one_gauge_bit_for_bit(self, c):
+        # repr tells every float apart, the sign of a zero included.
+        ket_a, ket_b = cloner.input_pair(c)
+        assert repr(make_input_pair(c)) == repr((PureState(ket_a), PureState(ket_b)))
+        (a0, a1), (b0, b1) = ket_a, ket_b
+        aa, bb = cloner.plane_basis(c)[:2]
+        assert repr(aa) == repr((a0 * a0, a0 * a1, a1 * a0, a1 * a1))
+        assert repr(bb) == repr((b0 * b0, b0 * b1, b1 * b0, b1 * b1))
+
     @settings(derandomize=True, database=None, max_examples=60)
     @given(c=st.one_of(st.floats(1e-6, 1.0 - 1e-6), st.floats(1e-6, 0.05), st.floats(0.95, 1.0 - 1e-6)))
     def test_search_reaches_the_closed_form_to_rounding(self, c):

@@ -97,5 +97,5 @@ def test_model_copy_with_mixed_states_is_checked():
 def test_run_reports_share_no_outputs_or_verdicts():
     first, second = cli.RunReport("bounds", {}), cli.RunReport("bounds", {})
     first.outputs["x"] = 1.0
-    first.add_verdict("check", True)
+    first.check("check", "residual", 0.0, 1.0)
     assert second.outputs == {} and second.verdicts == []
