@@ -355,20 +355,18 @@ def run(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+        handler, module = _HANDLERS[args.command]
+        # The module loads before the clock starts: elapsed: is compute only.
+        modules = (importlib.import_module(f"{__package__}.{module}"),) if module else ()
+        # A report's inputs are its parsed arguments, in the order -h lists them.
+        report = RunReport(args.command, {k: v for k, v in vars(args).items() if k not in ("command", "json")})
+        start = time.perf_counter()
+        try:
+            handler(report, args, *modules)
+        except argparse.ArgumentTypeError as exc:  # an argument found bad only when used, as curves --out
+            parser.error(str(exc))
+    except SystemExit as exc:  # argparse has written its usage or error message, and exits
         return int(exc.code or 0)
-    handler, module = _HANDLERS[args.command]
-    # The module loads before the clock starts: elapsed: is compute only.
-    modules = (importlib.import_module(f"{__package__}.{module}"),) if module else ()
-    # A report's inputs are its parsed arguments, in the order -h lists them.
-    report = RunReport(args.command, {k: v for k, v in vars(args).items() if k not in ("command", "json")})
-    start = time.perf_counter()
-    try:
-        handler(report, args, *modules)
-    except argparse.ArgumentTypeError as exc:  # an argument found bad only when used, as curves --out
-        parser.print_usage(sys.stderr)
-        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
-        return 2
     elapsed = time.perf_counter() - start
     print(report.render_json() if args.json else report.render_text())
     try:  # as argparse writes its messages: a stderr closed (None) or broken loses this line alone
@@ -382,10 +380,11 @@ def main() -> None:
     """The console script: :func:`run` on ``sys.argv``, its code as the exit status.
 
     A stdout closed early (``clonectx ... | head``) exits 1 without a
-    traceback.  Before exit every object alive is moved to the collector's
-    permanent generation, so the interpreter's exit-time collections do not
-    walk the cycles of every loaded module only to free memory the exit
-    frees anyway; atexit handlers and the flush of stdout and stderr still run.
+    traceback; a stderr that cannot be written changes no exit status.
+    Before exit every object alive is moved to the collector's permanent
+    generation, so the interpreter's exit-time collections do not walk the
+    cycles of every loaded module only to free memory the exit frees
+    anyway; atexit handlers and the flush of stdout and stderr still run.
     """
     try:
         code = run()
@@ -394,6 +393,12 @@ def main() -> None:
         # Python's SIGPIPE recipe: the exit flush writes what is left to devnull instead of raising again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1
+    try:  # a message that could not be written waits in stderr's buffer; the exit flush would fail on it again (120)
+        sys.stderr.flush()
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
+    except AttributeError:  # no fd 2 at start (2>&-): sys.stderr is None
+        pass
     gc.freeze()
     sys.exit(code)
 

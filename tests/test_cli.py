@@ -269,26 +269,48 @@ class TestMain:
         assert "Exception ignored" not in done.stderr
         assert "BrokenPipeError" not in done.stderr
 
-    @pytest.mark.parametrize("stderr", ["closed", "read-only", "broken-pipe"])
-    def test_unwritable_stderr_loses_only_the_elapsed_line(self, capsys, stderr):
+    @staticmethod
+    def run_with_unwritable_stderr(stderr, buffered, *argv):
         # As with `clonectx verify-quantum ... 2>&-`: the interpreter starts with no fd 2 (sys.stderr is
         # None), or, behind a wrapper script that opened itself there, with an fd 2 it cannot write.
-        # And as with a stderr piped to a reader that has gone.
-        argv = ("verify-quantum", "--v", "0.015", "--c", "0.5")
-        assert cli.run(list(argv)) == 0
-        expected = capsys.readouterr().out
+        # And as with a stderr piped to a reader that has gone. Without PYTHONUNBUFFERED, as in most
+        # shells, a failed write stays in stderr's buffer for the flush at exit.
         read_end, write_end = os.pipe()
         os.close(read_end)
         read_only = os.open(os.devnull, os.O_RDONLY)
+        env = {k: v for k, v in fresh_env().items() if k != "PYTHONUNBUFFERED"}
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
         try:
             streams = {"closed": {"stderr": subprocess.DEVNULL, "preexec_fn": lambda: os.close(2)},
                        "read-only": {"stderr": read_only}, "broken-pipe": {"stderr": write_end}}[stderr]
-            done = fresh(MAIN, *argv, **streams)
+            return subprocess.run([sys.executable, "-S", "-c", MAIN, *argv], env=env, text=True, timeout=60,
+                                  stdout=subprocess.PIPE, **streams)
         finally:
             os.close(write_end)
             os.close(read_only)
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("stderr", ["closed", "read-only", "broken-pipe"])
+    def test_unwritable_stderr_loses_only_the_elapsed_line(self, capsys, stderr, buffered):
+        argv = ("verify-quantum", "--v", "0.015", "--c", "0.5")
+        assert cli.run(list(argv)) == 0
+        expected = capsys.readouterr().out
+        done = self.run_with_unwritable_stderr(stderr, buffered, *argv)
         assert done.returncode == 0
         assert done.stdout == expected and expected.endswith("result: PASS\n")
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("stderr", ["closed", "read-only", "broken-pipe"])
+    def test_unwritable_stderr_keeps_argument_errors_at_two(self, tmp_path, stderr, buffered):
+        # argparse's own error, and one found only when used (curves --out through a directory).
+        # With no fd 2, argparse's print_usage falls back to stdout: a usage text, and nothing else, lands there.
+        (tmp_path / "fidelity_quantum.csv").mkdir()
+        for argv in (("region", "--v", "0.015", "--err-mode", "bogus"),
+                     ("curves", "--out", str(tmp_path), "--points", "5")):
+            done = self.run_with_unwritable_stderr(stderr, buffered, *argv)
+            assert done.returncode == 2, argv
+            assert done.stdout == "" or done.stdout.startswith("usage: ") and "error" not in done.stdout, argv
 
 
 def peak_rss_mb(tmp_path, *argv):
