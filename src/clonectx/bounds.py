@@ -17,9 +17,11 @@ Every closed form computes on Python floats with :mod:`math` alone, and
 every number it returns is a ``float``: importing this module does not
 load numpy.  Every
 validated probability goes through :func:`_check_unit`, which rejects NaN,
-±inf and anything outside [0, 1] with a ``ValueError``.  The package's
-records are named tuples; those that check their fields subclass
-:class:`_Checked`, which puts every construction through the check.
+±inf and anything outside [0, 1] with a ``ValueError``, and every residual
+that is the worst of several terms goes through :func:`_worst`, which keeps
+a NaN.  The package's records are named tuples; those that check their
+fields subclass :class:`_Checked`, which puts every construction through
+the check.
 
 Conventions: ``c_ab`` is the confusability of the two input preparations
 (squared overlap in the ideal quantum realisation), ``c_aabb`` the
@@ -65,6 +67,16 @@ class _Checked:
     @classmethod
     def _make(cls, iterable):
         return tuple.__new__(cls, cls._check(super()._make(iterable)))
+
+
+def _worst(terms) -> float:
+    """The largest of ``terms``, as ``max`` picks it, or NaN if any term is NaN.
+
+    The builtin keeps an earlier number over a later NaN (``max(0.0, nan)`` is
+    0.0), so a residual taken with it could pass a check that should fail.
+    """
+    terms = tuple(terms)
+    return math.nan if any(map(math.isnan, terms)) else max(terms)
 
 
 def _check_units(record: tuple) -> tuple:
@@ -266,11 +278,13 @@ ERR_MODES = {
     "err-prime": lambda v: 0.125 * v * (31.0 - 21.0 * v + 9.0 * v * v),
 }
 
-# Confusabilities (c_ab, c_aabb) fed to the ceiling under each ``c_mode``, as a
-# function of the ideal overlap c and the noise level's depolarizing factors.
+# The depolarizing factors that feed the ceiling's confusabilities (c_ab, c_aabb)
+# through _observed_overlaps under each ``c_mode``, as a function of the noise
+# level v.  The noiseless factors give (1.0*c + 0.0 + 0.0, 1.0*c*c + 0.0), which
+# is (c, c*c) exactly for c >= 0: the ideal overlaps.
 C_MODES = {
-    "ideal-overlap": lambda c, factors: (c, c * c),
-    "observed-confusability": _observed_overlaps,
+    "ideal-overlap": lambda v: (1.0, 0.0, 1.0, 0.0, 0.0),
+    "observed-confusability": _depolarizing_factors,
 }
 
 # The modes a sweep runs under when none is given; the CLI's defaults too.

@@ -262,10 +262,11 @@ def _cmd_quantum(report: RunReport, args: argparse.Namespace, quantum, residuals
 
     eb = bounds.depolarizing_epsilons(v)
     report.check("epsilons-match-closed-forms", "max |delta|",
-                 max(abs(x - y) for x, y in zip(rec.budget, eb)), ACCEPT_EXACT)
+                 bounds._worst(abs(x - y) for x, y in zip(rec.budget, eb)), ACCEPT_EXACT)
     d_cab = abs(rec.overlaps.c_ab - bounds.observed_confusability(v, c))
     d_caabb = abs(rec.overlaps.c_aabb - bounds.observed_target_confusability(v, c))
-    report.check("observed-confusabilities-match-closed-forms", "max |delta|", max(d_cab, d_caabb), ACCEPT_EXACT)
+    report.check("observed-confusabilities-match-closed-forms", "max |delta|",
+                 bounds._worst((d_cab, d_caabb)), ACCEPT_EXACT)
     report.check("global-fidelity-matches-closed-form", "|delta|",
                  abs(rec.f_global - bounds.quantum_noisy_fidelity(v, c)), ACCEPT_EXACT)
     report.check("mixing-equivalences", "max residual", rec.o2_residual, ACCEPT_EXACT)
@@ -331,7 +332,7 @@ def _cmd_verify_ontic(report: RunReport, args: argparse.Namespace, ontic) -> Non
     # The output grid is the input grid squared, row-major: the product density is b(x) b(y) cell by cell.
     b = model.states["b"].density
     cells = zip(model.states["beta"].density, itertools.product(b, b), strict=True)
-    beta_resid = max(abs(beta - x * y) for beta, (x, y) in cells)
+    beta_resid = bounds._worst(abs(beta - x * y) for beta, (x, y) in cells)
     report.check("clone-of-b-is-product-density", "max residual", beta_resid, tol)
 
     c_model = ontic.confusability(model.states["a"], model.responses["b"])

@@ -26,7 +26,7 @@ import math
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .bounds import EQUIVALENCE_PAIRS, STATE_NAMES, TEST_NAMES, _check_unit, _Checked
+from .bounds import EQUIVALENCE_PAIRS, STATE_NAMES, TEST_NAMES, _check_unit, _Checked, _worst
 
 DOMAIN_LENGTH = 2.0
 STRUCTURAL_TOL = 1e-9
@@ -235,7 +235,7 @@ def check_O1(model: OnticModel) -> O1Report:
     """Check p(pass | matching) = 1 and p(pass | orthogonal) = 0 for every test."""
     match_probs = {s: confusability(model.states[s], model.responses[s]) for s in TEST_NAMES}
     leak_probs = {s: confusability(model.states[f"{s}_perp"], model.responses[s]) for s in TEST_NAMES}
-    worst = max(0.0, *(abs(1.0 - p) for p in match_probs.values()), *leak_probs.values())
+    worst = _worst((0.0, *(abs(1.0 - p) for p in match_probs.values()), *leak_probs.values()))
     return O1Report(match_probs=match_probs, leak_probs=leak_probs, max_residual=worst, passed=worst <= STRUCTURAL_TOL)
 
 
@@ -251,8 +251,8 @@ def check_O2(model: OnticModel) -> O2Report:
     for s, s2 in model.pairs:
         cells = zip(model.states[s].density, model.states[f"{s}_perp"].density,
                     model.states[s2].density, model.states[f"{s2}_perp"].density)
-        residuals[f"{s}~{s2}"] = max(abs(0.5 * (x + x_perp) - 0.5 * (y + y_perp)) for x, x_perp, y, y_perp in cells)
-    worst = max(residuals.values())
+        residuals[f"{s}~{s2}"] = _worst(abs(0.5 * (x + x_perp) - 0.5 * (y + y_perp)) for x, x_perp, y, y_perp in cells)
+    worst = _worst(residuals.values())
     return O2Report(pair_residuals=residuals, max_residual=worst, passed=worst <= STRUCTURAL_TOL)
 
 

@@ -22,7 +22,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .bounds import EQUIVALENCE_PAIRS, STATE_NAMES, TEST_NAMES, ErrorBudget, OverlapParams, _check_unit, _Checked
+from .bounds import (EQUIVALENCE_PAIRS, STATE_NAMES, TEST_NAMES, ErrorBudget, OverlapParams, _check_unit, _Checked,
+                     _worst)
 from .cloner import input_pair, plane_basis
 
 HERMITIAN_TOL = 1e-12
@@ -228,7 +229,7 @@ class NoisyEnsemble(namedtuple("NoisyEnsemble", "v c_ab states tests")):
             return [0.5 * (x + y) for row, row_perp in rows for x, y in zip(row, row_perp)]
 
         return {
-            f"{s}~{s2}": max(abs(x - y) for x, y in zip(mixture(s), mixture(s2)))
+            f"{s}~{s2}": _worst(abs(x - y) for x, y in zip(mixture(s), mixture(s2)))
             for s, s2 in EQUIVALENCE_PAIRS + (("aa", "bb"),)
         }
 
@@ -251,7 +252,7 @@ class NoisyEnsemble(namedtuple("NoisyEnsemble", "v c_ab states tests")):
             for s in TEST_NAMES
         })
         f_global = 0.5 * born(states["alpha"], tests["aa"]) + 0.5 * born(states["beta"], tests["bb"])
-        o2_residual = max(self.equivalence_residuals().values())
+        o2_residual = _worst(self.equivalence_residuals().values())
         return ExperimentRecord(overlaps=overlaps, budget=budget, f_global=f_global, o2_residual=o2_residual)
 
 

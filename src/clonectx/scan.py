@@ -7,10 +7,11 @@ level at which the quantum fidelity still beats the noncontextual ceiling,
 per confusability).  Every root is taken from a polynomial fitted exactly
 to the gap: a cubic in v for the critical levels, and one of degree 8 in
 t = sqrt(c) + sqrt(1 + c) for the violation window.  The critical levels,
-of one point or of a whole curve, come from one pass over the confusabilities
-that evaluates the gap at the cubic's four nodes in v for every requested
-error-term mode at once: F(c) and the ceiling's c-terms are taken once per
-point, the v-only factors and error terms once per pass.  Both figures come
+of one point or of a whole curve, come from one flat loop over the
+confusabilities that evaluates the gap at the cubic's four nodes in v for
+every requested error-term mode at once and solves each cubic in place: its
+one call per point is F(c), and the v-only factors and error terms are taken
+once per pass.  Both figures come
 from that pass (:func:`figure_curves`): the tradeoff is its node at v = 0,
 without the error term.  Each series holds its x and y columns, and
 :func:`write_curves` formats the shared c column once for every file.  Like
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 from collections import namedtuple
 from collections.abc import Sequence
@@ -64,7 +66,7 @@ class CurveSeries(_Checked, namedtuple("CurveSeries", "x_label y_label x y prove
             raise ValueError(f"curve has {len(x)} abscissae but {len(y)} ordinates")
         if not (all(map(math.isfinite, x)) and all(map(math.isfinite, y))):
             raise ValueError("curve contains non-finite values")
-        if not all(map(float.__lt__, x, x[1:])):
+        if not all(map(operator.lt, x, x[1:])):
             raise ValueError("curve abscissa must be strictly increasing")
         if 0.0 in x:
             i = x.index(0.0)
@@ -104,9 +106,8 @@ class ViolationRegion(_Checked, namedtuple("ViolationRegion", "v c_lo c_hi err_m
 def _gap_in_c(v: float, err_mode: str, c_mode: str):
     """The gap at noise level ``v`` as a function of c alone; the error term is taken once."""
     err = _lookup(ERR_MODES, "err_mode", err_mode)(v)
-    factors = bounds._depolarizing_factors(v)
-    overlaps = _lookup(C_MODES, "c_mode", c_mode)
-    noisy, ceiling = bounds.quantum_noisy_fidelity, bounds.nc_bound
+    factors = _lookup(C_MODES, "c_mode", c_mode)(v)
+    noisy, ceiling, overlaps = bounds.quantum_noisy_fidelity, bounds.nc_bound, bounds._observed_overlaps
     return lambda c: noisy(v, c) - ceiling(*overlaps(c, factors), err)
 
 
@@ -206,48 +207,16 @@ def violation_interval(v: float, err_mode: str = DEFAULT_ERR_MODE, c_mode: str =
                            anomalies=tuple(roots) if len(roots) > 2 else ())
 
 
-def _cbrt(x: float) -> float:
-    """The real cube root, negative for negative x (``math.cbrt`` needs Python 3.11)."""
-    return math.copysign(abs(x) ** (1.0 / 3.0), x)
+def _trigonometric_root(p: float, q: float, shift: float) -> float:
+    """The root nearest 1/2 of y**3 + p*y + q at v = y - shift, when all three roots are real.
 
-
-def _cubic_root_nearest_half(a0: float, a1: float, a2: float, a3: float) -> float:
-    """The real root of a0 + a1*v + a2*v**2 + a3*v**3 nearest 1/2 (a3 != 0)."""
-    shift = a2 / (3.0 * a3)  # v = y - shift gives y**3 + p*y + q
-    p = a1 / a3 - 3.0 * shift * shift
-    q = a0 / a3 - shift * (p + shift * shift)
-    disc = 0.25 * q * q + p * p * p / 27.0
-    if disc > 0.0:  # one real root: Cardano, where nothing cancels
-        u = _cbrt(-0.5 * q - math.copysign(math.sqrt(disc), q))
-        return u - p / (3.0 * u) - shift
-    r = math.sqrt(-p / 3.0)  # three real roots: the trigonometric form
+    The trigonometric form of the depressed cubic, for a discriminant
+    q**2/4 + p**3/27 that is not positive.
+    """
+    r = math.sqrt(-p / 3.0)
     phi = math.acos(max(-1.0, min(1.0, -0.5 * q / (r * r * r)))) if r else 0.0
     roots = [2.0 * r * math.cos((phi - 2.0 * math.pi * k) / 3.0) - shift for k in range(3)]
     return min(roots, key=lambda y: abs(y - 0.5))
-
-
-def _critical_level(g0: float, g1: float, g2: float, g3: float) -> float:
-    """The root in [0, 1] of the cubic through the gap's values at v = 0, 1/3, 2/3 and 1.
-
-    0 when there is no advantage at v = 0, 1 when it survives v = 1.  The gap
-    is nonincreasing in v, so the root is the cubic's real root nearest 1/2,
-    polished by one Newton step on the cubic.
-    """
-    if g3 > 0.0:
-        return 1.0
-    if g0 <= 0.0:
-        return 0.0
-    a1 = g3 - 5.5 * g0 + 9.0 * g1 - 4.5 * g2
-    a2 = 4.5 * (2.0 * g0 - 5.0 * g1 + 4.0 * g2 - g3)
-    a3 = 4.5 * (g3 - g0 + 3.0 * (g1 - g2))
-    # Clamped to [0, 1] by comparisons, which cost a fraction of min(max(...)) calls here.
-    v = _cubic_root_nearest_half(g0, a1, a2, a3)
-    v = 0.0 if v < 0.0 else 1.0 if v > 1.0 else v
-    slope = a1 + v * (2.0 * a2 + 3.0 * a3 * v)
-    if slope:
-        v -= (g0 + v * (a1 + v * (a2 + v * a3))) / slope
-        v = 0.0 if v < 0.0 else 1.0 if v > 1.0 else v
-    return v
 
 
 _NODES = (0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0)
@@ -258,32 +227,77 @@ def _critical_levels(cs: Sequence[float], c_mode: str, err_modes: Sequence[str])
     each, the points inside (0, 1), and the critical noise level at each of those,
     one list per entry of ``err_modes``.
 
-    F(c) and the ideal ceiling are the nodes at v = 0 without the error term:
-    the depolarizing factors there are (1, 0, 1, 0, 0), so in either ``c_mode``
-    they are :func:`bounds.quantum_optimal_fidelity` and
-    :func:`bounds.nc_bound_ideal` at c_aabb = c*c, bit for bit.  The
-    depolarizing factors and every error term are taken once per node v, F(c)
-    and the ceiling's c-terms once per point for all modes, and each mode's
-    error term is added last, so each gap is the one :func:`advantage_gap`
-    returns, bit for bit.
+    The gap at v = 0, 1/3, 2/3 and 1 fixes a cubic in v.  Its level is 0 when
+    there is no advantage at v = 0 and 1 when it survives v = 1; otherwise the
+    gap is nonincreasing in v, so the level is the cubic's real root nearest
+    1/2, clamped to [0, 1] and polished by one Newton step on the cubic.
+    Cardano's formula gives that root, or :func:`_trigonometric_root` when
+    the cubic has three real roots.
+
+    The depolarizing factors, the ``c_mode``'s factors and every error term
+    are taken once per node; at each point F(c) is the one call, and the
+    noisy fidelity and the ceiling without its error term are taken once per
+    node for all modes, each mode's error term added last.  Every sum keeps
+    the order of :func:`advantage_gap`, so each gap is the one it returns,
+    bit for bit.  The factors at v = 0 are (1, 0, 1, 0, 0) in either
+    ``c_mode``, so there the noisy fidelity is F(c) and the ceiling
+    1 - c/2 + c*c/2: :func:`bounds.quantum_optimal_fidelity` and
+    :func:`bounds.nc_bound_ideal` at c_aabb = c*c, bit for bit.  Nothing is
+    kept per point but the returned lists.
     """
-    overlaps = _lookup(C_MODES, "c_mode", c_mode)
-    errs = [[_lookup(ERR_MODES, "err_mode", mode)(v) for v in _NODES] for mode in err_modes]
-    d0, d1, d2, d3 = [bounds._depolarizing_factors(v) for v in _NODES]
-    fidelity, ceiling = bounds._optimal_fidelity, bounds.nc_bound
-    fidelities, ceilings, inside, levels = [], [], [], [[] for _ in err_modes]
+    c_factors = _lookup(C_MODES, "c_mode", c_mode)
+    levels = [[] for _ in err_modes]
+    # Each mode's list to append its levels to, and its error term at each node.
+    modes = [(out.append, *map(_lookup(ERR_MODES, "err_mode", mode), _NODES)) for out, mode in zip(levels, err_modes)]
+    (k1, q1, *_), (k2, q2, *_), (k3, q3, *_) = [bounds._depolarizing_factors(v) for v in _NODES[1:]]
+    # The c_mode's factors (k3, q, k2, b, h) at each node, here (t, r, s, b, h): the ceiling
+    # without its error term is 1 - c_ab/2 + c_aabb/2 at c_ab = s*c + b + h and c_aabb = t*c*c + r.
+    (t1, r1, s1, b1, h1), (t2, r2, s2, b2, h2), (t3, r3, s3, b3, h3) = [c_factors(v) for v in _NODES[1:]]
+    fidelity, sqrt, copysign = bounds._optimal_fidelity, math.sqrt, math.copysign
+    fidelities, ceilings, inside = [], [], []
+    keep_f, keep_m0, keep_c = fidelities.append, ceilings.append, inside.append
     for c in cs:
         f = fidelity(c)
+        m0 = 1.0 - 0.5 * c + 0.5 * (c * c)
+        keep_f(f)
+        keep_m0(m0)
+        if not 0.0 < c < 1.0:
+            continue
+        keep_c(c)
         # The noisy fidelity (1-v)**3 * F + v*(3 - 3v + v**2)/4 and the ceiling without its error term, at each node.
-        n0, n1, n2, n3 = d0[0] * f + d0[1], d1[0] * f + d1[1], d2[0] * f + d2[1], d3[0] * f + d3[1]
-        b0, b1, b2, b3 = (ceiling(*overlaps(c, d0)), ceiling(*overlaps(c, d1)),
-                          ceiling(*overlaps(c, d2)), ceiling(*overlaps(c, d3)))
-        fidelities.append(n0)
-        ceilings.append(b0)
-        if 0.0 < c < 1.0:
-            inside.append(c)
-            for out, (e0, e1, e2, e3) in zip(levels, errs):
-                out.append(_critical_level(n0 - (b0 + e0), n1 - (b1 + e1), n2 - (b2 + e2), n3 - (b3 + e3)))
+        n1, n2, n3 = k1 * f + q1, k2 * f + q2, k3 * f + q3
+        m1 = 1.0 - 0.5 * (s1 * c + b1 + h1) + 0.5 * (t1 * c * c + r1)
+        m2 = 1.0 - 0.5 * (s2 * c + b2 + h2) + 0.5 * (t2 * c * c + r2)
+        m3 = 1.0 - 0.5 * (s3 * c + b3 + h3) + 0.5 * (t3 * c * c + r3)
+        for keep, e0, e1, e2, e3 in modes:
+            g0, g3 = f - (m0 + e0), n3 - (m3 + e3)
+            if g3 > 0.0:
+                keep(1.0)
+                continue
+            if g0 <= 0.0:
+                keep(0.0)
+                continue
+            g1, g2 = n1 - (m1 + e1), n2 - (m2 + e2)
+            a1 = g3 - 5.5 * g0 + 9.0 * g1 - 4.5 * g2
+            a2 = 4.5 * (2.0 * g0 - 5.0 * g1 + 4.0 * g2 - g3)
+            a3 = 4.5 * (g3 - g0 + 3.0 * (g1 - g2))
+            shift = a2 / (3.0 * a3)  # v = y - shift gives y**3 + p*y + q
+            p = a1 / a3 - 3.0 * shift * shift
+            q = g0 / a3 - shift * (p + shift * shift)
+            disc = 0.25 * q * q + p * p * p / 27.0
+            if disc > 0.0:  # one real root: Cardano, where nothing cancels, so x is never 0
+                x = -0.5 * q - copysign(sqrt(disc), q)
+                u = x ** (1.0 / 3.0) if x > 0.0 else -((-x) ** (1.0 / 3.0))  # the real cube root
+                v = u - p / (3.0 * u) - shift
+            else:
+                v = _trigonometric_root(p, q, shift)
+            # Clamped to [0, 1] by comparisons, which cost a fraction of min(max(...)) calls here.
+            v = 0.0 if v < 0.0 else 1.0 if v > 1.0 else v
+            slope = a1 + v * (2.0 * a2 + 3.0 * a3 * v)
+            if slope:
+                v -= (g0 + v * (a1 + v * (a2 + v * a3))) / slope
+                v = 0.0 if v < 0.0 else 1.0 if v > 1.0 else v
+            keep(v)
     return fidelities, ceilings, inside, levels
 
 

@@ -8,6 +8,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import math
 import os
 import re
 import signal
@@ -109,6 +110,60 @@ class TestExitCodes:
         code, out, _ = run_cli(capsys, "clones", "--c", "0.5")
         assert code == 1
         assert "result: FAIL" in out
+
+
+def nan_last_epsilon(monkeypatch):
+    from clonectx import bounds
+
+    real = bounds.depolarizing_epsilons
+    monkeypatch.setattr(bounds, "depolarizing_epsilons", lambda v: (*real(v)[:-1], math.nan))
+
+
+def nan_target_confusability(monkeypatch):
+    from clonectx import bounds
+
+    monkeypatch.setattr(bounds, "observed_target_confusability", lambda v, c: math.nan)
+
+
+def nan_last_equivalence(monkeypatch):
+    from clonectx import quantum
+
+    real = quantum.NoisyEnsemble.equivalence_residuals
+    monkeypatch.setattr(quantum.NoisyEnsemble, "equivalence_residuals", lambda ens: {**real(ens), "later": math.nan})
+
+
+def nan_last_product_cell(monkeypatch):
+    # Only the CLI's view of itertools: the model, and its other checks, stay as built.
+    import itertools
+    import types
+
+    def product(*factors):
+        *cells, _ = itertools.product(*factors)
+        return [*cells, (math.nan, math.nan)]
+
+    monkeypatch.setattr(cli, "itertools", types.SimpleNamespace(product=product))
+
+
+class TestNanTerms:
+    """A residual that is the worst of several terms fails its verdict when a term after the first is NaN."""
+
+    @pytest.mark.parametrize(
+        "argv, sabotage, verdict",
+        [
+            (("noise", "--v", "0.015", "--c", "0.5"), nan_last_epsilon, "epsilons-match-closed-forms"),
+            (("noise", "--v", "0.015", "--c", "0.5"), nan_target_confusability,
+             "observed-confusabilities-match-closed-forms"),
+            (("verify-quantum", "--v", "0.015", "--c", "0.5"), nan_last_equivalence, "mixing-equivalences"),
+            (("verify-ontic", "--c", "0.37"), nan_last_product_cell, "clone-of-b-is-product-density"),
+        ],
+        ids=["epsilons", "observed-confusabilities", "o2-residual", "beta-product-density"],
+    )
+    def test_verdict_fails_and_exits_one(self, capsys, monkeypatch, argv, sabotage, verdict):
+        sabotage(monkeypatch)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 1
+        assert re.search(rf"^  \[FAIL\] {verdict}  \(.* = nan <= \S+\)$", out, re.MULTILINE), out
+        assert out.endswith("result: FAIL\n")
 
 
 def fresh_env():

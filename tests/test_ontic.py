@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from clonectx import bounds
+from clonectx import bounds, ontic
 from clonectx.bounds import STATE_NAMES, TEST_NAMES
 from clonectx.ontic import (
     STRUCTURAL_TOL,
@@ -344,6 +344,26 @@ class TestSaturatingModel:
         report = check_O1(broken)
         assert not report.passed
         assert report.leak_probs["a"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_a_nan_after_the_first_term_fails_check_O1(self, monkeypatch):
+        # The last term is the leak of the last test, bb, on its orthogonal partner.
+        model = build_saturating_model(0.5)
+        last = model.states["bb_perp"]
+        monkeypatch.setattr(ontic, "confusability", lambda mu, xi: math.nan if mu is last else confusability(mu, xi))
+        report = check_O1(model)
+        assert math.isnan(report.leak_probs["bb"]) and math.isnan(report.max_residual)
+        assert not report.passed
+
+    def test_a_nan_in_a_later_cell_fails_check_O2(self):
+        # Past EpistemicState's own check, which would reject the NaN.
+        model = build_saturating_model(0.5)
+        s, s2 = model.pairs[-1]
+        state = model.states[f"{s2}_perp"]
+        broken = tuple.__new__(EpistemicState, (state.grid, (*state.density[:-1], math.nan)))
+        report = check_O2(model._replace(states={**model.states, f"{s2}_perp": broken}))
+        assert math.isnan(report.pair_residuals[f"{s}~{s2}"]) and math.isnan(report.max_residual)
+        assert report.pair_residuals[f"{model.pairs[0][0]}~{model.pairs[0][1]}"] <= STRUCTURAL_TOL
+        assert not report.passed
 
     def test_deliberate_o2_violation_is_flagged(self):
         model = build_saturating_model(0.5)

@@ -353,6 +353,21 @@ class TestNoisyEnsemble:
         residuals = noisy_ensemble(v, c).equivalence_residuals()
         assert max(residuals.values()) <= 1e-12, residuals
 
+    def test_a_nan_after_the_first_entry_is_the_equivalence_residual(self):
+        # Past DensityOperator's own check, which would reject the NaN.
+        ens = noisy_ensemble(0.015, 0.5)
+        *rows, last = ens.states["bb"].matrix
+        bb = tuple.__new__(DensityOperator, ((*rows, (*last[:-1], complex(NAN))),))
+        residuals = ens._replace(states={**ens.states, "bb": bb}).equivalence_residuals()
+        # bb's last entry is the last term of both equivalences that mix bb.
+        assert math.isnan(residuals["beta~bb"]) and math.isnan(residuals["aa~bb"])
+        assert residuals["a~b"] <= 1e-12 and residuals["alpha~aa"] <= 1e-12
+
+    def test_a_nan_pair_after_the_first_is_the_o2_residual(self, monkeypatch):
+        real = quantum.NoisyEnsemble.equivalence_residuals
+        monkeypatch.setattr(quantum.NoisyEnsemble, "equivalence_residuals", lambda ens: {**real(ens), "later": NAN})
+        assert math.isnan(noisy_ensemble(0.015, 0.5).record().o2_residual)
+
     def test_input_pair_mixture_is_maximally_mixed(self):
         ens = noisy_ensemble(0.1, 0.5)
         mix = 0.5 * (np.array(ens.states["a"].matrix) + np.array(ens.states["a_perp"].matrix))

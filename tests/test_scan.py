@@ -264,10 +264,11 @@ class TestCriticalNoise:
     @settings(derandomize=True, database=None, deadline=None)
     @given(c=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
     def test_one_pass_equals_the_scalar_gap_route(self, err_mode, c_mode, c):
-        # The pass shares F(c) and the ceiling's c-terms between nodes and modes;
-        # each gap must still be advantage_gap's to the last bit.
+        # The pass shares F(c) and the ceiling's c-terms between nodes and modes and solves
+        # the cubic in place; its level must still be the scalar route's from advantage_gap's
+        # own gaps, to the last bit.
         gaps = (advantage_gap(v, c, err_mode, c_mode) for v in (0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0))
-        assert critical_noise(c, err_mode, c_mode) == scan._critical_level(*gaps)
+        assert critical_noise(c, err_mode, c_mode) == reference_critical_level(*gaps)
 
     def test_bad_modes_rejected(self):
         with pytest.raises(ValueError, match="c_mode must be one of"):
@@ -370,6 +371,49 @@ def numpy_window(v, err_mode, c_mode):
     return max((c for c in roots if c < top), default=0.0), min((c for c in roots if c > top), default=1.0)
 
 
+def reference_cbrt(x):
+    """The real cube root, negative for negative x."""
+    return math.copysign(abs(x) ** (1.0 / 3.0), x)
+
+
+def reference_cubic_root_nearest_half(a0, a1, a2, a3):
+    """The real root of a0 + a1*v + a2*v**2 + a3*v**3 nearest 1/2 (a3 != 0): Cardano, or the trigonometric form."""
+    shift = a2 / (3.0 * a3)
+    p = a1 / a3 - 3.0 * shift * shift
+    q = a0 / a3 - shift * (p + shift * shift)
+    disc = 0.25 * q * q + p * p * p / 27.0
+    if disc > 0.0:
+        u = reference_cbrt(-0.5 * q - math.copysign(math.sqrt(disc), q))
+        return u - p / (3.0 * u) - shift
+    r = math.sqrt(-p / 3.0)
+    phi = math.acos(max(-1.0, min(1.0, -0.5 * q / (r * r * r)))) if r else 0.0
+    roots = [2.0 * r * math.cos((phi - 2.0 * math.pi * k) / 3.0) - shift for k in range(3)]
+    return min(roots, key=lambda y: abs(y - 0.5))
+
+
+def reference_critical_level(g0, g1, g2, g3):
+    """The root in [0, 1] of the cubic through the gap's values at v = 0, 1/3, 2/3 and 1, one call per step.
+
+    The scalar route that the fused pass replaced, kept as its reference: 0
+    without an advantage at v = 0, 1 when it survives v = 1, else the cubic's
+    real root nearest 1/2, clamped, polished by one Newton step and clamped.
+    """
+    if g3 > 0.0:
+        return 1.0
+    if g0 <= 0.0:
+        return 0.0
+    a1 = g3 - 5.5 * g0 + 9.0 * g1 - 4.5 * g2
+    a2 = 4.5 * (2.0 * g0 - 5.0 * g1 + 4.0 * g2 - g3)
+    a3 = 4.5 * (g3 - g0 + 3.0 * (g1 - g2))
+    v = reference_cubic_root_nearest_half(g0, a1, a2, a3)
+    v = 0.0 if v < 0.0 else 1.0 if v > 1.0 else v
+    slope = a1 + v * (2.0 * a2 + 3.0 * a3 * v)
+    if slope:
+        v -= (g0 + v * (a1 + v * (a2 + v * a3))) / slope
+        v = 0.0 if v < 0.0 else 1.0 if v > 1.0 else v
+    return v
+
+
 def numpy_critical_level(c, err_mode, c_mode):
     """The critical level by Cardano on numpy arrays, then two Newton steps on the gap itself."""
     g = lambda v: advantage_gap(v, c, err_mode, c_mode)
@@ -414,6 +458,24 @@ class TestAgainstTheNumpyRoute:
         assert abs(critical_noise(c, err_mode, c_mode) - numpy_critical_level(c, err_mode, c_mode)) <= 1e-12
 
 
+def planted_level(monkeypatch, gap):
+    """The pass's critical level at c = 1/2 under an error term planted so that the gap there is ``gap(v)``.
+
+    To rounding: the pass subtracts the planted term from the fidelity and ceiling it computes itself.
+    """
+    ceiling = bounds.nc_bound_ideal(0.5, 0.25)
+    monkeypatch.setitem(ERR_MODES, "planted", lambda v: bounds.quantum_noisy_fidelity(v, 0.5) - ceiling - float(gap(v)))
+    return critical_noise(0.5, "planted", "ideal-overlap")
+
+
+@pytest.fixture
+def trigonometric_calls(monkeypatch):
+    """The arguments of every call the pass makes to the trigonometric form of the cubic, in order."""
+    calls, solve = [], scan._trigonometric_root
+    monkeypatch.setattr(scan, "_trigonometric_root", lambda *args: calls.append(args) or solve(*args))
+    return calls
+
+
 class TestRootHelpers:
     @settings(derandomize=True, database=None, deadline=None)
     @given(
@@ -440,25 +502,36 @@ class TestRootHelpers:
         got = scan._interpolate(xs, [np.polynomial.polynomial.polyval(x, coeffs) for x in xs])
         assert np.allclose(got, coeffs, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("x, root", [(-27.0, -3.0), (-1e-9, -1e-3), (0.0, 0.0), (-0.0, -0.0), (0.125, 0.5), (8e9, 2e3)])
-    def test_real_cube_root_keeps_the_sign(self, x, root):
-        got = scan._cbrt(x)
-        assert got == pytest.approx(root, rel=1e-15, abs=0.0)
-        assert math.copysign(1.0, got) == math.copysign(1.0, root)
-
     @pytest.mark.parametrize(
-        "roots, scale, nearest",
-        [((0.2, 0.5, 0.9), 1.0, 0.5), ((-3.0, 0.3, 4.0), -2.5, 0.3), ((0.4, complex(2.0, 1.0), complex(2.0, -1.0)), 0.7, 0.4)],
-        ids=["three-real-inside", "three-real-spread", "one-real"],
+        "roots, scale, nearest, three_real",
+        [
+            ((0.2, 0.5, 0.9), -1.0, 0.5, True),
+            ((-3.0, 0.3, 4.0), 2.5, 0.3, True),
+            ((0.4, complex(2.0, 1.0), complex(2.0, -1.0)), -0.7, 0.4, False),
+            ((0.6, complex(-1.0, 1.0), complex(-1.0, -1.0)), -0.7, 0.6, False),
+        ],
+        ids=["three-real-inside", "three-real-spread", "one-real-negative-cube-root", "one-real-positive-cube-root"],
     )
-    def test_cubic_root_nearest_half(self, roots, scale, nearest):
-        # Three distinct real roots take the trigonometric branch, one real root Cardano's.
-        a0, a1, a2, a3 = (scale * np.polynomial.polynomial.polyfromroots(roots).real).tolist()
-        assert scan._cubic_root_nearest_half(a0, a1, a2, a3) == pytest.approx(nearest, rel=0, abs=1e-14)
+    def test_cubic_root_nearest_half(self, monkeypatch, trigonometric_calls, roots, scale, nearest, three_real):
+        # Three distinct real roots take the trigonometric branch, one real root Cardano's.  Cardano's
+        # radicand is negative when the complex pair lies right of the real root and positive when it
+        # lies left, so a cube root that lost its sign would miss the root in one of the two cases.
+        poly = scale * np.polynomial.polynomial.polyfromroots(roots).real
+        level = planted_level(monkeypatch, lambda v: np.polynomial.polynomial.polyval(v, poly))
+        assert level == pytest.approx(nearest, rel=0, abs=1e-14)
+        assert bool(trigonometric_calls) == three_real
 
-    def test_advantage_surviving_full_noise_gives_level_one(self):
+    def test_advantage_surviving_full_noise_gives_level_one(self, monkeypatch):
         # The cubic through these nodes crosses zero near v = 0.2, but the gap is still positive at v = 1.
-        assert scan._critical_level(0.3, -0.1, -0.1, 0.05) == 1.0
+        gaps = {0.0: 0.3, 1.0 / 3.0: -0.1, 2.0 / 3.0: -0.1, 1.0: 0.05}
+        assert planted_level(monkeypatch, gaps.__getitem__) == 1.0
+
+    @pytest.mark.parametrize("c_mode", list(C_MODES))
+    def test_every_root_on_the_grid_takes_cardano(self, trigonometric_calls, c_mode):
+        # The trigonometric form is a fallback: no gap of the six mode pairs has three real roots.
+        grid = [0.0, 5e-324, 1e-300, *(i / 20000 for i in range(1, 20000)), 1.0 - 2.0**-53, 1.0]
+        figure_curves(grid, c_mode, list(ERR_MODES))
+        assert trigonometric_calls == []
 
 
 class TestModeTables:
