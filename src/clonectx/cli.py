@@ -326,7 +326,7 @@ def _cmd_verify_ontic(report: RunReport, args: argparse.Namespace, ontic) -> Non
     report.outputs["nc_bound_ideal"] = target
     report.check("fidelity-saturates-nc-bound", "|delta|", abs(f_g - target), tol)
 
-    for rep in ontic.verify_sandwich_ideal(model, model.pairs + (("aa", "bb"),), o1, o2):
+    for rep in ontic.verify_sandwich_ideal(model, model.pairs + (("aa", "bb"),)):
         report.check(f"distance-confusability-identity[{rep.pair[0]}~{rep.pair[1]}]", "residual", rep.residual, tol)
 
     # The output grid is the input grid squared, row-major: the product density is b(x) b(y) cell by cell.

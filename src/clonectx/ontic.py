@@ -14,9 +14,10 @@ preparation-noncontextual model whose cloning strategy reaches the
 noncontextual fidelity ceiling exactly, at any overlap in [0, 1], on the
 coarsest partition its supports allow.  Checkers for the perfect-test
 correlations (O1), the mixing equivalences (O2), the distance/confusability
-sandwich relations and the data-processing inequality operate on any model
-built from these parts, all at the one tolerance ``STRUCTURAL_TOL``, which
-no checker takes as a parameter and no report carries as a field.
+sandwich relations measure any model built from these parts: their reports
+carry residuals and margins, never a verdict, and the caller compares them
+with the one tolerance ``STRUCTURAL_TOL``.  Only :func:`dpi_check` returns
+a verdict, judged at that tolerance.
 """
 
 from __future__ import annotations
@@ -225,35 +226,35 @@ class OnticModel(_Checked, namedtuple("OnticModel", "grid_in grid_out c_ab state
         return model
 
 
-class O1Report(namedtuple("O1Report", "match_probs leak_probs max_residual passed")):
+class O1Report(namedtuple("O1Report", "match_probs leak_probs max_residual")):
     """Perfect-correlation check: pass probabilities on matching and orthogonal preparations."""
 
     __slots__ = ()
 
 
 def check_O1(model: OnticModel) -> O1Report:
-    """Check p(pass | matching) = 1 and p(pass | orthogonal) = 0 for every test."""
+    """Measure how far p(pass | matching) is from 1 and p(pass | orthogonal) from 0, over every test."""
     match_probs = {s: confusability(model.states[s], model.responses[s]) for s in TEST_NAMES}
     leak_probs = {s: confusability(model.states[f"{s}_perp"], model.responses[s]) for s in TEST_NAMES}
     worst = _worst((0.0, *(abs(1.0 - p) for p in match_probs.values()), *leak_probs.values()))
-    return O1Report(match_probs=match_probs, leak_probs=leak_probs, max_residual=worst, passed=worst <= STRUCTURAL_TOL)
+    return O1Report(match_probs=match_probs, leak_probs=leak_probs, max_residual=worst)
 
 
-class O2Report(namedtuple("O2Report", "pair_residuals max_residual passed")):
+class O2Report(namedtuple("O2Report", "pair_residuals max_residual")):
     """Mixing-equivalence check: cellwise residual of the equal-mixture identity per pair."""
 
     __slots__ = ()
 
 
 def check_O2(model: OnticModel) -> O2Report:
-    """Check half/half mixtures of each pair and its partners agree cell by cell."""
+    """Measure, cell by cell, how far half/half mixtures of each pair and its partners disagree."""
     residuals: dict[str, float] = {}
     for s, s2 in model.pairs:
         cells = zip(model.states[s].density, model.states[f"{s}_perp"].density,
                     model.states[s2].density, model.states[f"{s2}_perp"].density)
         residuals[f"{s}~{s2}"] = _worst(abs(0.5 * (x + x_perp) - 0.5 * (y + y_perp)) for x, x_perp, y, y_perp in cells)
     worst = _worst(residuals.values())
-    return O2Report(pair_residuals=residuals, max_residual=worst, passed=worst <= STRUCTURAL_TOL)
+    return O2Report(pair_residuals=residuals, max_residual=worst)
 
 
 def global_fidelity(model: OnticModel) -> float:
@@ -271,7 +272,7 @@ def measured_epsilons(model: OnticModel) -> dict[str, float]:
     which the model satisfies the noisy correlation requirements.
     """
     report = check_O1(model)
-    return {s: max(1.0 - report.match_probs[s], report.leak_probs[s]) for s in TEST_NAMES}
+    return {s: _worst((1.0 - report.match_probs[s], report.leak_probs[s])) for s in TEST_NAMES}
 
 
 def _saturating_supports(c: float) -> dict[str, list]:
@@ -376,86 +377,48 @@ def mix_with_uniform(model: OnticModel, w: float) -> OnticModel:
     return model._replace(states=mixed)
 
 
-class SandwichIdealReport(namedtuple("SandwichIdealReport", "pair l1 confus residual passed")):
+class SandwichIdealReport(namedtuple("SandwichIdealReport", "pair l1 confus residual")):
     """Distance/confusability identity for one pair: l1 distance vs 2(1 - confusability)."""
 
     __slots__ = ()
 
 
-def verify_sandwich_ideal(
-    model: OnticModel,
-    pairs: Sequence[tuple[str, str]],
-    o1: O1Report | None = None,
-    o2: O2Report | None = None,
-) -> list[SandwichIdealReport]:
-    """Check the ideal relation |mu_s - mu_s'| = 2(1 - c_ss') for each pair, to ``STRUCTURAL_TOL``.
+def verify_sandwich_ideal(model: OnticModel, pairs: Sequence[tuple[str, str]]) -> list[SandwichIdealReport]:
+    """Residual of the ideal relation |mu_s - mu_s'| = 2(1 - c_ss') for each pair.
 
-    Requires the model to pass the perfect-correlation and mixing checks,
-    run once for all pairs (a caller that already holds this model's
-    reports passes them as ``o1``/``o2``); raises if either fails.
+    The relation holds on a model that passes the perfect-correlation (O1)
+    and mixing (O2) checks; on any other model the residuals are still
+    measured, and it is for the caller to read them beside O1 and O2.
     """
-    if not (o1 or check_O1(model)).passed:
-        raise ValueError("model fails the perfect-correlation check; the ideal sandwich does not apply")
-    if not (o2 or check_O2(model)).passed:
-        raise ValueError("model fails the mixing-equivalence check; the ideal sandwich does not apply")
     reports = []
     for s, s2 in pairs:
         dist = l1_distance(model.states[s], model.states[s2])
         conf = confusability(model.states[s], model.responses[s2])
         residual = abs(dist - 2.0 * (1.0 - conf))
-        reports.append(SandwichIdealReport(pair=(s, s2), l1=dist, confus=conf, residual=residual,
-                                           passed=residual <= STRUCTURAL_TOL))
+        reports.append(SandwichIdealReport(pair=(s, s2), l1=dist, confus=conf, residual=residual))
     return reports
 
 
-class SandwichNoisyReport(namedtuple("SandwichNoisyReport", "pair l1 lower upper margin_lower margin_upper lower_ok upper_ok passed")):
+class SandwichNoisyReport(namedtuple("SandwichNoisyReport", "pair l1 lower upper margin_lower margin_upper")):
     """Two-sided distance/confusability bounds for one pair under an error budget."""
 
     __slots__ = ()
 
 
-def verify_sandwich_noisy(
-    model: OnticModel,
-    pair: tuple[str, str],
-    eps_s: float,
-    eps_s2: float,
-    check_preconditions: bool = True,
-) -> SandwichNoisyReport:
-    """Check 2*max(...) <= |mu_s - mu_s'| <= 2*min(...) with the given allowances.
+def verify_sandwich_noisy(model: OnticModel, pair: tuple[str, str], eps_s: float, eps_s2: float) -> SandwichNoisyReport:
+    """Bounds 2*max(...) <= |mu_s - mu_s'| <= 2*min(...) with the given allowances, and the margins of both.
 
-    The bounds use both orientations of the pair's confusability.  With
-    ``check_preconditions`` the model must satisfy the mixing equivalences
-    and exhibit error allowances no larger than the ones supplied; the
-    lower bound alone needs neither, which callers probing broken models
-    can exploit by disabling the precondition check.
+    The bounds use both orientations of the pair's confusability.  The
+    margins are ``l1 - lower`` and ``upper - l1``, measured on any model.
+    Both hold on a model that satisfies the mixing equivalences and whose
+    :func:`measured_epsilons` are no larger than the allowances supplied;
+    the lower one needs neither.
     """
     s, s2 = pair
-    if check_preconditions:
-        if not check_O2(model).passed:
-            raise ValueError("model fails the mixing-equivalence check")
-        eps_measured = measured_epsilons(model)
-        if eps_measured[s] > eps_s + STRUCTURAL_TOL or eps_measured[s2] > eps_s2 + STRUCTURAL_TOL:
-            raise ValueError(
-                f"supplied allowances ({eps_s:.3e}, {eps_s2:.3e}) are smaller than the "
-                f"measured ones ({eps_measured[s]:.3e}, {eps_measured[s2]:.3e})"
-            )
     dist = l1_distance(model.states[s], model.states[s2])
     c_fwd = confusability(model.states[s], model.responses[s2])
     c_rev = confusability(model.states[s2], model.responses[s])
     lower = 2.0 * max(1.0 - c_fwd - eps_s2, 1.0 - c_rev - eps_s)
     upper = 2.0 * min(1.0 - c_fwd + eps_s2, 1.0 - c_rev + eps_s)
-    margin_lower = dist - lower
-    margin_upper = upper - dist
-    lower_ok = margin_lower >= -STRUCTURAL_TOL
-    upper_ok = margin_upper >= -STRUCTURAL_TOL
-    return SandwichNoisyReport(
-        pair=pair,
-        l1=dist,
-        lower=lower,
-        upper=upper,
-        margin_lower=margin_lower,
-        margin_upper=margin_upper,
-        lower_ok=lower_ok,
-        upper_ok=upper_ok,
-        passed=lower_ok and upper_ok,
-    )
+    return SandwichNoisyReport(pair=pair, l1=dist, lower=lower, upper=upper,
+                               margin_lower=dist - lower, margin_upper=upper - dist)

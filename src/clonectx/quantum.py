@@ -248,7 +248,7 @@ class NoisyEnsemble(namedtuple("NoisyEnsemble", "v c_ab states tests")):
             c_bbaa=born(states["bb"], tests["aa"]),
         )
         budget = ErrorBudget(**{
-            f"eps_{s}": max(1.0 - born(states[s], tests[s]), born(states[f"{s}_perp"], tests[s]))
+            f"eps_{s}": _worst((1.0 - born(states[s], tests[s]), born(states[f"{s}_perp"], tests[s])))
             for s in TEST_NAMES
         })
         f_global = 0.5 * born(states["alpha"], tests["aa"]) + 0.5 * born(states["beta"], tests["bb"])

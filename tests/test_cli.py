@@ -144,6 +144,21 @@ def nan_last_product_cell(monkeypatch):
     monkeypatch.setattr(cli, "itertools", types.SimpleNamespace(product=product))
 
 
+def nan_last_a_perp_cell(monkeypatch):
+    # Past EpistemicState's own check, which would reject the NaN: the model then fails O1 and O2.
+    from clonectx import ontic
+
+    real = ontic.build_saturating_model
+
+    def build(c):
+        model = real(c)
+        state = model.states["a_perp"]
+        broken = tuple.__new__(ontic.EpistemicState, (state.grid, (*state.density[:-1], math.nan)))
+        return model._replace(states={**model.states, "a_perp": broken})
+
+    monkeypatch.setattr(ontic, "build_saturating_model", build)
+
+
 class TestNanTerms:
     """A residual that is the worst of several terms fails its verdict when a term after the first is NaN."""
 
@@ -155,8 +170,9 @@ class TestNanTerms:
              "observed-confusabilities-match-closed-forms"),
             (("verify-quantum", "--v", "0.015", "--c", "0.5"), nan_last_equivalence, "mixing-equivalences"),
             (("verify-ontic", "--c", "0.37"), nan_last_product_cell, "clone-of-b-is-product-density"),
+            (("verify-ontic", "--c", "0.37"), nan_last_a_perp_cell, "mixing-equivalences"),
         ],
-        ids=["epsilons", "observed-confusabilities", "o2-residual", "beta-product-density"],
+        ids=["epsilons", "observed-confusabilities", "o2-residual", "beta-product-density", "a-perp-density"],
     )
     def test_verdict_fails_and_exits_one(self, capsys, monkeypatch, argv, sabotage, verdict):
         sabotage(monkeypatch)

@@ -368,6 +368,14 @@ class TestNoisyEnsemble:
         monkeypatch.setattr(quantum.NoisyEnsemble, "equivalence_residuals", lambda ens: {**real(ens), "later": NAN})
         assert math.isnan(noisy_ensemble(0.015, 0.5).record().o2_residual)
 
+    def test_a_nan_leak_fails_the_error_budget(self, monkeypatch):
+        # Past born's own check, which would reject the NaN; the leak is the later term of eps_bb.
+        ens = noisy_ensemble(0.015, 0.5)
+        leak, real = ens.states["bb_perp"], quantum.born
+        monkeypatch.setattr(quantum, "born", lambda rho, m: NAN if rho is leak else real(rho, m))
+        with pytest.raises(ValueError, match=r"^eps_bb must lie in \[0, 1\], got nan$"):
+            ens.record()
+
     def test_input_pair_mixture_is_maximally_mixed(self):
         ens = noisy_ensemble(0.1, 0.5)
         mix = 0.5 * (np.array(ens.states["a"].matrix) + np.array(ens.states["a_perp"].matrix))
