@@ -13,15 +13,15 @@ and so do the sweep mode tables ``ERR_MODES`` and ``C_MODES`` with their
 defaults, which :mod:`clonectx.scan` computes with and the CLI offers, and
 the figure-data file formats ``CURVE_FORMATS``.
 
-Every closed form computes on Python floats with :mod:`math` alone, and
-every number it returns is a ``float``: importing this module does not
-load numpy.  Every
-validated probability goes through :func:`_check_unit`, which rejects NaN,
-±inf and anything outside [0, 1] with a ``ValueError``, and every residual
-that is the worst of several terms goes through :func:`_worst`, which keeps
-a NaN.  The package's records are named tuples; those that check their
-fields subclass :class:`_Checked`, which puts every construction through
-the check.
+Every closed form computes on Python floats with :mod:`math` alone and
+returns a ``float``, with no exception: the noise-robust ceilings return
+theirs raw, above 1 for a generous budget.  Importing this module does not
+load numpy.  Every validated probability goes through :func:`_check_unit`,
+which rejects NaN, ±inf and anything outside [0, 1] with a ``ValueError``,
+and every residual that is the worst of several terms goes through
+:func:`_worst`, which keeps a NaN.  The package's records are named
+tuples; those that check their fields subclass :class:`_Checked`, which
+puts every construction through the check.
 
 Conventions: ``c_ab`` is the confusability of the two input preparations
 (squared overlap in the ideal quantum realisation), ``c_aabb`` the
@@ -124,23 +124,6 @@ class ErrorBudget(_Checked, namedtuple("ErrorBudget", "eps_a eps_b eps_alpha eps
         return cls(eps, eps, eps, eps, eps, eps)
 
 
-class BoundValue(namedtuple("BoundValue", "value clamped")):
-    """A fidelity bound, kept raw even when it exceeds 1.
-
-    ``clamped`` marks a vacuous bound (raw value above 1 for a generous
-    error budget).  The raw value is retained so that monotonicity in the
-    budget remains visible.
-    """
-
-    __slots__ = ()
-
-    @staticmethod
-    def of(raw: float) -> "BoundValue":
-        if not math.isfinite(raw):
-            raise ValueError(f"bound must be finite, got {raw!r}")
-        return BoundValue(value=raw, clamped=raw > 1.0)
-
-
 def quantum_optimal_fidelity(c_ab: float) -> float:
     """Best global cloning fidelity quantum mechanics allows for confusability ``c_ab``.
 
@@ -179,28 +162,29 @@ def _budget_err(eb: ErrorBudget) -> float:
     return 0.5 * (eb.eps_b + 2.0 * eb.eps_bb + eb.eps_aa)
 
 
-def nc_bound_noisy(ov: OverlapParams, eb: ErrorBudget) -> BoundValue:
+def nc_bound_noisy(ov: OverlapParams, eb: ErrorBudget) -> float:
     """Noise-robust noncontextual ceiling.
 
     Adds (eps_b + 2*eps_bb + eps_aa)/2 to the ideal bound; reduces to it
-    exactly for a zero budget.
+    exactly for a zero budget.  Unclamped: a generous budget gives a raw
+    value above 1 (a vacuous ceiling), so monotonicity in the budget stays
+    visible.
     """
-    return BoundValue.of(nc_bound(ov.c_ab, ov.c_aabb, _budget_err(eb)))
+    return nc_bound(ov.c_ab, ov.c_aabb, _budget_err(eb))
 
 
-def nc_bound_noisy_symmetric(ov: OverlapParams, eb: ErrorBudget) -> BoundValue:
+def nc_bound_noisy_symmetric(ov: OverlapParams, eb: ErrorBudget) -> float:
     """Stronger, exchange-symmetric form of the noise-robust ceiling.
 
     1 + min(eps_b - c_ab, eps_a - c_ba)/2
       + min(c_aabb + eps_bb, c_bbaa + eps_aa)/2
       + (eps_aa + eps_bb)/2
 
-    Never exceeds :func:`nc_bound_noisy` on the same inputs.
+    Never exceeds :func:`nc_bound_noisy` on the same inputs; unclamped too.
     """
     term_in = min(eb.eps_b - ov.c_ab, eb.eps_a - ov.c_ba)
     term_out = min(ov.c_aabb + eb.eps_bb, ov.c_bbaa + eb.eps_aa)
-    raw = 1.0 + 0.5 * term_in + 0.5 * term_out + 0.5 * (eb.eps_aa + eb.eps_bb)
-    return BoundValue.of(raw)
+    return 1.0 + 0.5 * term_in + 0.5 * term_out + 0.5 * (eb.eps_aa + eb.eps_bb)
 
 
 def nc_discrimination_bound(c_ab: float, eps_b: float = 0.0) -> float:

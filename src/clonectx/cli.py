@@ -221,9 +221,9 @@ def _cmd_bounds(report: RunReport, args: argparse.Namespace) -> None:
                 "err_appendix": terms.err_appendix,
                 "err_prime": terms.err_prime,
                 "eps_effective": terms.eps_effective,
-                "nc_bound_noisy": noisy.value,
-                "nc_bound_noisy_clamped": noisy.clamped,
-                "nc_bound_noisy_symmetric": symm.value,
+                "nc_bound_noisy": noisy,
+                "nc_bound_noisy_clamped": noisy > 1.0,
+                "nc_bound_noisy_symmetric": symm,
                 "quantum_noisy_fidelity": bounds.quantum_noisy_fidelity(v, c),
             }
         )

@@ -200,17 +200,20 @@ def dpi_check(t: StochasticMap, mu: EpistemicState, nu: EpistemicState) -> bool:
     return l1_distance(apply_map(t, mu), apply_map(t, nu)) <= l1_distance(mu, nu) + STRUCTURAL_TOL
 
 
-class OnticModel(_Checked, namedtuple("OnticModel", "grid_in grid_out c_ab states responses clone_map pairs",
-                                      defaults=(EQUIVALENCE_PAIRS,))):
+class OnticModel(_Checked, namedtuple("OnticModel", "states responses clone_map")):
     """A full ontological model of the cloning experiment on a partition of its domain.
 
-    Twelve preparation densities (six tests and their orthogonal partners),
-    indicator-style response functions for the six tests (both dicts keyed
-    by name), the cloning kernel from the input grid to the output grid, and
-    the mixing equivalence pairs the model is expected to satisfy.
+    Twelve preparation densities (six tests and their orthogonal partners)
+    and indicator-style response functions for the six tests, both dicts
+    keyed by name, and the cloning kernel.  The kernel's source and target
+    are the model's input and output grids, ``grid_in`` and ``grid_out``;
+    every state and response lies on one of them.  ``pairs`` names the
+    mixing equivalences the model is expected to satisfy: always
+    ``EQUIVALENCE_PAIRS``, a constant of the class.
     """
 
     __slots__ = ()
+    pairs = EQUIVALENCE_PAIRS
 
     @staticmethod
     def _check(model: tuple) -> tuple:
@@ -220,10 +223,20 @@ class OnticModel(_Checked, namedtuple("OnticModel", "grid_in grid_out c_ab state
         missing = [s for s in TEST_NAMES if s not in model.responses]
         if missing:
             raise ValueError(f"model is missing responses: {missing}")
-        for s, s2 in model.pairs:
-            if s not in model.states or s2 not in model.states:
-                raise ValueError(f"equivalence pair ({s}, {s2}) references unknown states")
+        grids = (model.clone_map.source, model.clone_map.target)
+        for kind, parts in (("state", model.states), ("response", model.responses)):
+            off = [name for name, part in parts.items() if part.grid not in grids]
+            if off:
+                raise ValueError(f"{kind} {off[0]} lies on neither grid of the clone map")
         return model
+
+    @property
+    def grid_in(self) -> LambdaGrid:
+        return self.clone_map.source
+
+    @property
+    def grid_out(self) -> LambdaGrid:
+        return self.clone_map.target
 
 
 class O1Report(namedtuple("O1Report", "match_probs leak_probs max_residual")):
@@ -352,14 +365,7 @@ def build_saturating_model(c_ab: float) -> OnticModel:
     states["beta"] = apply_map(clone_map, states["b"])
     responses = {name: ResponseFunction.indicator(states[name].grid, supports[name]) for name in TEST_NAMES}
 
-    return OnticModel(
-        grid_in=grid_in,
-        grid_out=grid_out,
-        c_ab=c,
-        states=states,
-        responses=responses,
-        clone_map=clone_map,
-    )
+    return OnticModel(states=states, responses=responses, clone_map=clone_map)
 
 
 def mix_with_uniform(model: OnticModel, w: float) -> OnticModel:
@@ -408,17 +414,18 @@ class SandwichNoisyReport(namedtuple("SandwichNoisyReport", "pair l1 lower upper
 def verify_sandwich_noisy(model: OnticModel, pair: tuple[str, str], eps_s: float, eps_s2: float) -> SandwichNoisyReport:
     """Bounds 2*max(...) <= |mu_s - mu_s'| <= 2*min(...) with the given allowances, and the margins of both.
 
-    The bounds use both orientations of the pair's confusability.  The
-    margins are ``l1 - lower`` and ``upper - l1``, measured on any model.
-    Both hold on a model that satisfies the mixing equivalences and whose
-    :func:`measured_epsilons` are no larger than the allowances supplied;
-    the lower one needs neither.
+    The bounds use both orientations of the pair's confusability, and a
+    NaN in either gives NaN bounds (the minimum is the negated
+    :func:`_worst` of the negated terms).  The margins are ``l1 - lower``
+    and ``upper - l1``, measured on any model.  Both hold on a model that
+    satisfies the mixing equivalences and whose :func:`measured_epsilons`
+    are no larger than the allowances supplied; the lower one needs neither.
     """
     s, s2 = pair
     dist = l1_distance(model.states[s], model.states[s2])
     c_fwd = confusability(model.states[s], model.responses[s2])
     c_rev = confusability(model.states[s2], model.responses[s])
-    lower = 2.0 * max(1.0 - c_fwd - eps_s2, 1.0 - c_rev - eps_s)
-    upper = 2.0 * min(1.0 - c_fwd + eps_s2, 1.0 - c_rev + eps_s)
+    lower = 2.0 * _worst((1.0 - c_fwd - eps_s2, 1.0 - c_rev - eps_s))
+    upper = -2.0 * _worst((-(1.0 - c_fwd + eps_s2), -(1.0 - c_rev + eps_s)))
     return SandwichNoisyReport(pair=pair, l1=dist, lower=lower, upper=upper,
                                margin_lower=dist - lower, margin_upper=upper - dist)

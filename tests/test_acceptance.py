@@ -87,10 +87,7 @@ def test_criterion_3_sandwich_relations():
     # ... and on a model with a deliberately broken equivalence.
     states = dict(model.states)
     states["a_perp"] = ontic.EpistemicState(model.grid_in, np.roll(states["a_perp"].density, 11))
-    broken = ontic.OnticModel(
-        grid_in=model.grid_in, grid_out=model.grid_out, c_ab=model.c_ab,
-        states=states, responses=model.responses, clone_map=model.clone_map,
-    )
+    broken = model._replace(states=states)
     assert ontic.check_O2(broken).max_residual > ontic.STRUCTURAL_TOL
     eps_b = ontic.measured_epsilons(broken)
     broken_rep = ontic.verify_sandwich_noisy(broken, ("a", "b"), eps_b["a"], eps_b["b"])

@@ -530,6 +530,16 @@ class TestSubcommands:
         assert code == 0
         assert "-0.0" not in out
 
+    @pytest.mark.parametrize("c, v, noisy, clamped", [("0", "0.9", 2.371375, True),
+                                                      ("0.5", "0.015", 0.932313171875, False)],
+                             ids=["vacuous", "binding"])
+    def test_bounds_flags_a_noisy_ceiling_above_one(self, capsys, c, v, noisy, clamped):
+        code, out, _ = run_cli(capsys, "bounds", "--c", c, "--v", v, "--json")
+        assert code == 0
+        outputs = json.loads(out)["outputs"]
+        assert outputs["nc_bound_noisy"] == noisy
+        assert outputs["nc_bound_noisy_clamped"] is clamped
+
     def test_noise_verdicts_pass(self, capsys):
         code, out, _ = run_cli(capsys, "noise", "--v", "0.1", "--c", "0.3")
         assert code == 0

@@ -190,9 +190,19 @@ class TestValidationErrors:
         with pytest.raises(ValueError, match=r"missing responses: \['bb'\]"):
             model._replace(responses=responses)
 
-    def test_pair_naming_an_unknown_state(self):
-        with pytest.raises(ValueError, match=r"pair \(a, gamma\) references unknown states"):
-            build_saturating_model(0.5)._replace(pairs=(("a", "b"), ("a", "gamma")))
+    @pytest.mark.parametrize("field, name", [("states", "a_perp"), ("responses", "a")])
+    @pytest.mark.parametrize("route", ["constructor", "replace"])
+    def test_a_part_on_a_grid_outside_the_clone_map(self, field, name, route):
+        # At c = 0.37 the input cells have edges 0, 0.63, 1, 1.63, 2; the same values on the uniform
+        # 4-cell partition still make a valid state or response, but on neither of the kernel's grids.
+        model = build_saturating_model(0.37)
+        part = getattr(model, field)[name]
+        moved = {**getattr(model, field), name: part._replace(grid=LambdaGrid.uniform(1, 4))}
+        with pytest.raises(ValueError, match=f"{name} lies on neither grid of the clone map"):
+            if route == "constructor":
+                OnticModel(**{**model._asdict(), field: moved})
+            else:
+                model._replace(**{field: moved})
 
     @pytest.mark.parametrize("w", [-0.1, 1.5, math.nan])
     def test_mixing_weight_outside_the_unit_interval(self, w):
@@ -272,7 +282,7 @@ class TestSaturatingModel:
     @pytest.mark.parametrize("c", [0.0, 0.1, 0.25, 0.5, 0.75, 1.0])
     def test_fidelity_saturates_the_ceiling(self, c):
         model = build_saturating_model(c)
-        target = bounds.nc_bound_ideal(model.c_ab, model.c_ab**2)
+        target = bounds.nc_bound_ideal(c, c**2)
         assert global_fidelity(model) == pytest.approx(target, abs=1e-12)
 
     def test_half_overlap_by_hand(self):
@@ -293,10 +303,20 @@ class TestSaturatingModel:
         product = np.outer(b, b).ravel()
         assert np.abs(model.states["beta"].density - product).max() <= 1e-9
 
+    def test_a_model_is_its_states_responses_and_kernel(self):
+        model = mix_with_uniform(build_saturating_model(0.37), 0.5)
+        assert OnticModel._fields == ("states", "responses", "clone_map")
+        assert model.grid_in is model.clone_map.source and model.grid_out is model.clone_map.target
+        assert model.pairs is bounds.EQUIVALENCE_PAIRS
+        with pytest.raises(AttributeError):
+            model.pairs = (("a", "b"),)
+        with pytest.raises(ValueError, match="unexpected field"):
+            model._replace(pairs=(("a", "b"),))
+
     def test_maximal_overlap_of_inputs(self):
         model = build_saturating_model(0.5)
         mass_on_other_support = confusability(model.states["a"], model.responses["b"])
-        assert mass_on_other_support == pytest.approx(model.c_ab, abs=1e-12)
+        assert mass_on_other_support == pytest.approx(0.5, abs=1e-12)
 
     def test_discrimination_ceiling_from_the_model_distance(self):
         # The best discrimination probability 1/2 + |mu_a - mu_b|/4 of the
@@ -309,7 +329,6 @@ class TestSaturatingModel:
     @pytest.mark.parametrize("c", [0.318, 1 / 3, 0.7071])
     def test_built_at_the_given_overlap(self, c):
         model = build_saturating_model(c)
-        assert model.c_ab == c
         assert confusability(model.states["a"], model.responses["b"]) == pytest.approx(c, rel=0, abs=1e-15)
 
     @pytest.mark.parametrize("c", [-0.1, 1.5, math.nan, math.inf])
@@ -336,14 +355,7 @@ class TestSaturatingModel:
         model = build_saturating_model(0.5)
         broken_responses = dict(model.responses)
         broken_responses["a"] = ResponseFunction(model.grid_in, np.ones(model.grid_in.num_cells))
-        broken = OnticModel(
-            grid_in=model.grid_in,
-            grid_out=model.grid_out,
-            c_ab=model.c_ab,
-            states=model.states,
-            responses=broken_responses,
-            clone_map=model.clone_map,
-        )
+        broken = model._replace(responses=broken_responses)
         report = check_O1(broken)
         assert report.max_residual > STRUCTURAL_TOL
         assert report.leak_probs["a"] == pytest.approx(1.0, abs=1e-12)
@@ -382,14 +394,7 @@ class TestSaturatingModel:
         shifted = np.roll(model.states["a_perp"].density, 7)
         states = dict(model.states)
         states["a_perp"] = EpistemicState(model.grid_in, shifted)
-        broken = OnticModel(
-            grid_in=model.grid_in,
-            grid_out=model.grid_out,
-            c_ab=model.c_ab,
-            states=states,
-            responses=model.responses,
-            clone_map=model.clone_map,
-        )
+        broken = model._replace(states=states)
         assert check_O2(broken).max_residual > STRUCTURAL_TOL
 
 
@@ -455,7 +460,6 @@ class TestExactAtEveryOverlap:
     @example(c=1.0 - 1e-10)
     def test_every_quantity_matches_its_closed_form(self, c):
         model = build_saturating_model(c)
-        assert model.c_ab == c
         for name, state in model.states.items():
             mass = math.fsum(d * v for d, v in zip(state.density, state.grid.volumes))
             assert mass == pytest.approx(1.0, rel=0, abs=1e-14), name
@@ -492,8 +496,8 @@ class TestNoisyModelRespectsTheNoisyCeilings:
         eps = measured_epsilons(model)
         budget = bounds.ErrorBudget(**{f"eps_{s}": eps[s] for s in TEST_NAMES})
         f_g = global_fidelity(model)
-        assert f_g <= bounds.nc_bound_noisy(overlaps, budget).value + STRUCTURAL_TOL
-        assert f_g <= bounds.nc_bound_noisy_symmetric(overlaps, budget).value + STRUCTURAL_TOL
+        assert f_g <= bounds.nc_bound_noisy(overlaps, budget) + STRUCTURAL_TOL
+        assert f_g <= bounds.nc_bound_noisy_symmetric(overlaps, budget) + STRUCTURAL_TOL
 
 
 class TestAgainstTheUniformGrid:
@@ -562,14 +566,7 @@ class TestSandwichRelations:
         model = build_saturating_model(0.5)
         states = dict(model.states)
         states["a_perp"] = EpistemicState(model.grid_in, np.roll(states["a_perp"].density, 5))
-        broken = OnticModel(
-            grid_in=model.grid_in,
-            grid_out=model.grid_out,
-            c_ab=model.c_ab,
-            states=states,
-            responses=model.responses,
-            clone_map=model.clone_map,
-        )
+        broken = model._replace(states=states)
         assert check_O1(broken).max_residual > STRUCTURAL_TOL
         assert check_O2(broken).max_residual > STRUCTURAL_TOL
         rep_ab, rep_partner = verify_sandwich_ideal(broken, [("a", "b"), ("a_perp", "a")])
@@ -586,6 +583,17 @@ class TestSandwichRelations:
         for pair in model.pairs:
             report = verify_sandwich_noisy(model, pair, eps[pair[0]], eps[pair[1]])
             assert report.margin_lower >= -STRUCTURAL_TOL and report.margin_upper >= -STRUCTURAL_TOL, (pair, report)
+
+    @pytest.mark.parametrize("nan_density", ["a", "b"], ids=["forward", "reverse"])
+    def test_a_nan_confusability_gives_nan_margins(self, monkeypatch, nan_density):
+        # The forward orientation passes a's density through b's response, the reverse one b's through a's.
+        model = build_saturating_model(0.5)
+        nan_state = model.states[nan_density]
+        monkeypatch.setattr(ontic, "confusability",
+                            lambda mu, xi: math.nan if mu is nan_state else confusability(mu, xi))
+        report = verify_sandwich_noisy(model, ("a", "b"), 0.0, 0.0)
+        assert math.isnan(report.lower) and math.isnan(report.upper)
+        assert math.isnan(report.margin_lower) and math.isnan(report.margin_upper)
 
     def test_zero_mixing_reduces_to_equality(self):
         model = build_saturating_model(0.5)
@@ -619,14 +627,7 @@ class TestSandwichRelations:
         model = build_saturating_model(0.5)
         states = dict(model.states)
         states["a_perp"] = EpistemicState(model.grid_in, np.roll(states["a_perp"].density, 9))
-        broken = OnticModel(
-            grid_in=model.grid_in,
-            grid_out=model.grid_out,
-            c_ab=model.c_ab,
-            states=states,
-            responses=model.responses,
-            clone_map=model.clone_map,
-        )
+        broken = model._replace(states=states)
         assert check_O2(broken).max_residual > STRUCTURAL_TOL
         eps = measured_epsilons(broken)
         report = verify_sandwich_noisy(broken, ("a", "b"), eps["a"], eps["b"])

@@ -293,7 +293,7 @@ class TestNcBoundModes:
         got = ceiling_at(0.015, 0.5, "thm2-direct", "ideal-overlap")
         eb = bounds.depolarizing_epsilons(0.015)
         want = bounds.nc_bound_noisy(bounds.OverlapParams.symmetric(0.5), eb)
-        assert got == want.value
+        assert got == want
 
     def test_observed_mode_uses_noisy_confusabilities(self):
         lo = ceiling_at(0.1, 0.2, "thm2-direct", "ideal-overlap")
