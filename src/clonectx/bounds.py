@@ -1,4 +1,4 @@
-"""Closed-form scalar bounds for state-dependent cloning, and the experiment's names.
+"""Closed-form scalar bounds for state-dependent cloning, and the experiment's names and observables.
 
 Everything in this module is a deterministic pure function of its inputs:
 the optimal quantum cloning fidelity for a pair of pure states with a given
@@ -7,11 +7,13 @@ reach (ideal, noise-robust, and the stronger symmetric variant), the
 noncontextual state-discrimination ceiling, the error budgets induced
 by a depolarizing channel acting on every stage of the experiment, and the
 confusabilities that channel leaves observable.  The names of the
-experiment's preparations, tests and mixing equivalences live here too, so
-that :mod:`clonectx.quantum` and :mod:`clonectx.ontic` share one spelling,
-and so do the sweep mode tables ``ERR_MODES`` and ``C_MODES`` with their
-defaults, which :mod:`clonectx.scan` computes with and the CLI offers, and
-the figure-data file formats ``CURVE_FORMATS``.
+experiment's preparations, tests and mixing equivalences live here too,
+with the observables measured from them (error allowances, global fidelity,
+mixing residuals), so that :mod:`clonectx.quantum` and :mod:`clonectx.ontic`
+share one spelling and one formula.  The sweep mode tables ``ERR_MODES``
+and ``C_MODES`` with their defaults, which :mod:`clonectx.scan` computes
+with and the CLI offers, live here too, as do the figure-data file formats
+``CURVE_FORMATS``.
 
 Every closed form computes on Python floats with :mod:`math` alone and
 returns a ``float``, with no exception: the noise-robust ceilings return
@@ -41,6 +43,26 @@ STATE_NAMES = (
 )
 TEST_NAMES = ("a", "b", "alpha", "beta", "aa", "bb")
 EQUIVALENCE_PAIRS = (("a", "b"), ("alpha", "aa"), ("beta", "bb"))
+
+
+def measured_epsilons(p) -> dict[str, float]:
+    """Each test's allowance eps_s, the worse of the shortfall 1 - p(s, s) and the leak p(s_perp, s), where
+    ``p(s, t)``, here and below, is the probability that preparation ``s`` passes test ``t``."""
+    return {s: _worst((1.0 - p(s, s), p(f"{s}_perp", s))) for s in TEST_NAMES}
+
+
+def global_fidelity(p) -> float:
+    """F_g = p(alpha, aa)/2 + p(beta, bb)/2: the clone outputs' average pass probability of the two-copy tests."""
+    return 0.5 * p("alpha", "aa") + 0.5 * p("beta", "bb")
+
+
+def mixing_residuals(entries, pairs) -> dict[str, float]:
+    """Per pair s~s2, the worst |(x + x_perp)/2 - (y + y_perp)/2| over the four preparations' ``entries``."""
+    residuals = {}
+    for s, s2 in pairs:
+        cells = zip(entries[s], entries[f"{s}_perp"], entries[s2], entries[f"{s2}_perp"], strict=True)
+        residuals[f"{s}~{s2}"] = _worst(abs(0.5 * (x + x_perp) - 0.5 * (y + y_perp)) for x, x_perp, y, y_perp in cells)
+    return residuals
 
 
 def _check_unit(name: str, x) -> float:

@@ -315,10 +315,8 @@ def _cmd_verify_ontic(report: RunReport, args: argparse.Namespace, ontic) -> Non
     model = ontic.build_saturating_model(c)
     tol = ontic.STRUCTURAL_TOL
 
-    o1 = ontic.check_O1(model)
-    report.check("perfect-correlations", "max residual", o1.max_residual, tol)
-    o2 = ontic.check_O2(model)
-    report.check("mixing-equivalences", "max residual", o2.max_residual, tol)
+    report.check("perfect-correlations", "max residual", ontic.check_O1(model).max_residual, tol)
+    report.check("mixing-equivalences", "max residual", ontic.check_O2(model).max_residual, tol)
 
     f_g = ontic.global_fidelity(model)
     target = bounds.nc_bound_ideal(c, c * c)
@@ -335,7 +333,7 @@ def _cmd_verify_ontic(report: RunReport, args: argparse.Namespace, ontic) -> Non
     beta_resid = bounds._worst(abs(beta - x * y) for beta, (x, y) in cells)
     report.check("clone-of-b-is-product-density", "max residual", beta_resid, tol)
 
-    c_model = ontic.confusability(model.states["a"], model.responses["b"])
+    c_model = model.pass_probability("a", "b")
     report.check("maximal-overlap-of-inputs", f"|{c_model:.6f} - {c}|", abs(c_model - c), tol)
 
 

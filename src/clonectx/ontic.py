@@ -12,12 +12,14 @@ this module does not load numpy.
 The centrepiece is :func:`build_saturating_model`: the explicit
 preparation-noncontextual model whose cloning strategy reaches the
 noncontextual fidelity ceiling exactly, at any overlap in [0, 1], on the
-coarsest partition its supports allow.  Checkers for the perfect-test
-correlations (O1), the mixing equivalences (O2), the distance/confusability
-sandwich relations measure any model built from these parts: their reports
-carry residuals and margins, never a verdict, and the caller compares them
-with the one tolerance ``STRUCTURAL_TOL``.  Only :func:`dpi_check` returns
-a verdict, judged at that tolerance.
+coarsest partition its supports allow.  A model supplies its pass
+probabilities and densities, and :mod:`clonectx.bounds` measures the
+observables from them.  Checkers for the perfect-test correlations (O1),
+the mixing equivalences (O2), the distance/confusability sandwich relations
+measure any model built from these parts: their reports carry residuals
+and margins, never a verdict, and the caller compares them with the one
+tolerance ``STRUCTURAL_TOL``.  Only :func:`dpi_check` returns a verdict,
+judged at that tolerance.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import math
 from collections import namedtuple
 from collections.abc import Sequence
 
+from . import bounds
 from .bounds import EQUIVALENCE_PAIRS, STATE_NAMES, TEST_NAMES, _check_unit, _Checked, _worst
 
 DOMAIN_LENGTH = 2.0
@@ -207,9 +210,10 @@ class OnticModel(_Checked, namedtuple("OnticModel", "states responses clone_map"
     and indicator-style response functions for the six tests, both dicts
     keyed by name, and the cloning kernel.  The kernel's source and target
     are the model's input and output grids, ``grid_in`` and ``grid_out``;
-    every state and response lies on one of them.  ``pairs`` names the
-    mixing equivalences the model is expected to satisfy: always
-    ``EQUIVALENCE_PAIRS``, a constant of the class.
+    every state and response lies on one of them, each state and its
+    partner on its test's grid, and both sides of a pair on one grid.
+    ``pairs`` names the mixing equivalences the model is expected to
+    satisfy: always ``EQUIVALENCE_PAIRS``, a constant of the class.
     """
 
     __slots__ = ()
@@ -228,7 +232,15 @@ class OnticModel(_Checked, namedtuple("OnticModel", "states responses clone_map"
             off = [name for name, part in parts.items() if part.grid not in grids]
             if off:
                 raise ValueError(f"{kind} {off[0]} lies on neither grid of the clone map")
+        off = [(n, s) for s in TEST_NAMES for n in (s, f"{s}_perp") if model.states[n].grid != model.responses[s].grid]
+        off += [(s2, s) for s, s2 in model.pairs if model.states[s2].grid != model.responses[s].grid]
+        if off:
+            raise ValueError("state {} does not lie on the grid of test {}".format(*off[0]))
         return model
+
+    def pass_probability(self, s: str, t: str) -> float:
+        """Probability that preparation ``s`` passes test ``t``: its :func:`confusability`."""
+        return confusability(self.states[s], self.responses[t])
 
     @property
     def grid_in(self) -> LambdaGrid:
@@ -247,8 +259,8 @@ class O1Report(namedtuple("O1Report", "match_probs leak_probs max_residual")):
 
 def check_O1(model: OnticModel) -> O1Report:
     """Measure how far p(pass | matching) is from 1 and p(pass | orthogonal) from 0, over every test."""
-    match_probs = {s: confusability(model.states[s], model.responses[s]) for s in TEST_NAMES}
-    leak_probs = {s: confusability(model.states[f"{s}_perp"], model.responses[s]) for s in TEST_NAMES}
+    match_probs = {s: model.pass_probability(s, s) for s in TEST_NAMES}
+    leak_probs = {s: model.pass_probability(f"{s}_perp", s) for s in TEST_NAMES}
     worst = _worst((0.0, *(abs(1.0 - p) for p in match_probs.values()), *leak_probs.values()))
     return O1Report(match_probs=match_probs, leak_probs=leak_probs, max_residual=worst)
 
@@ -261,31 +273,18 @@ class O2Report(namedtuple("O2Report", "pair_residuals max_residual")):
 
 def check_O2(model: OnticModel) -> O2Report:
     """Measure, cell by cell, how far half/half mixtures of each pair and its partners disagree."""
-    residuals: dict[str, float] = {}
-    for s, s2 in model.pairs:
-        cells = zip(model.states[s].density, model.states[f"{s}_perp"].density,
-                    model.states[s2].density, model.states[f"{s2}_perp"].density)
-        residuals[f"{s}~{s2}"] = _worst(abs(0.5 * (x + x_perp) - 0.5 * (y + y_perp)) for x, x_perp, y, y_perp in cells)
-    worst = _worst(residuals.values())
-    return O2Report(pair_residuals=residuals, max_residual=worst)
+    residuals = bounds.mixing_residuals({s: state.density for s, state in model.states.items()}, model.pairs)
+    return O2Report(pair_residuals=residuals, max_residual=_worst(residuals.values()))
 
 
 def global_fidelity(model: OnticModel) -> float:
     """Average pass probability of the clone outputs against the two-copy tests."""
-    c_alpha_aa = confusability(model.states["alpha"], model.responses["aa"])
-    c_beta_bb = confusability(model.states["beta"], model.responses["bb"])
-    return 0.5 * c_alpha_aa + 0.5 * c_beta_bb
+    return bounds.global_fidelity(model.pass_probability)
 
 
 def measured_epsilons(model: OnticModel) -> dict[str, float]:
-    """Per-test error allowance actually exhibited by the model.
-
-    The worst of the correlation shortfall 1 - p(pass | matching) and the
-    orthogonal leak p(pass | orthogonal); this is the tightest budget under
-    which the model satisfies the noisy correlation requirements.
-    """
-    report = check_O1(model)
-    return {s: _worst((1.0 - report.match_probs[s], report.leak_probs[s])) for s in TEST_NAMES}
+    """Per-test error allowance actually exhibited by the model: :func:`clonectx.bounds.measured_epsilons`."""
+    return bounds.measured_epsilons(model.pass_probability)
 
 
 def _saturating_supports(c: float) -> dict[str, list]:
@@ -399,7 +398,7 @@ def verify_sandwich_ideal(model: OnticModel, pairs: Sequence[tuple[str, str]]) -
     reports = []
     for s, s2 in pairs:
         dist = l1_distance(model.states[s], model.states[s2])
-        conf = confusability(model.states[s], model.responses[s2])
+        conf = model.pass_probability(s, s2)
         residual = abs(dist - 2.0 * (1.0 - conf))
         reports.append(SandwichIdealReport(pair=(s, s2), l1=dist, confus=conf, residual=residual))
     return reports
@@ -423,8 +422,8 @@ def verify_sandwich_noisy(model: OnticModel, pair: tuple[str, str], eps_s: float
     """
     s, s2 = pair
     dist = l1_distance(model.states[s], model.states[s2])
-    c_fwd = confusability(model.states[s], model.responses[s2])
-    c_rev = confusability(model.states[s2], model.responses[s])
+    c_fwd = model.pass_probability(s, s2)
+    c_rev = model.pass_probability(s2, s)
     lower = 2.0 * _worst((1.0 - c_fwd - eps_s2, 1.0 - c_rev - eps_s))
     upper = -2.0 * _worst((-(1.0 - c_fwd + eps_s2), -(1.0 - c_rev + eps_s)))
     return SandwichNoisyReport(pair=pair, l1=dist, lower=lower, upper=upper,

@@ -2,11 +2,11 @@
 
 Builds the full set of preparations and two-outcome test measurements of a
 cloning run in which every stage (input preparation, cloning unitary,
-measurement) is degraded by a depolarizing channel, evaluates all observed
-probabilities through the Born rule, and verifies the mixing equivalences
-as matrix identities.  The closed forms it is checked against, and the
-names its preparations and tests are keyed by, live in :mod:`clonectx.bounds`;
-the inputs' gauge and the two-copy frame live in :mod:`clonectx.cloner`.
+measurement) is degraded by a depolarizing channel.  The ensemble supplies
+its pass probabilities, by the Born rule, and its matrices' entries; the
+observables measured from them, the closed forms they are checked against
+and the names of the preparations and tests live in :mod:`clonectx.bounds`,
+the inputs' gauge and the two-copy frame in :mod:`clonectx.cloner`.
 
 The two input states live in a real two-dimensional span; the clone
 outputs live in the corresponding two-qubit tensor space (dimension 4).
@@ -23,7 +23,7 @@ import math
 from collections import namedtuple
 
 from .bounds import (EQUIVALENCE_PAIRS, STATE_NAMES, TEST_NAMES, ErrorBudget, OverlapParams, _check_unit, _Checked,
-                     _worst)
+                     _worst, global_fidelity, measured_epsilons, mixing_residuals)
 from .cloner import input_pair, plane_basis
 
 HERMITIAN_TOL = 1e-12
@@ -210,7 +210,7 @@ class ExperimentRecord(namedtuple("ExperimentRecord", "overlaps budget f_global 
     __slots__ = ()
 
 
-class NoisyEnsemble(namedtuple("NoisyEnsemble", "v c_ab states tests")):
+class NoisyEnsemble(namedtuple("NoisyEnsemble", "states tests")):
     """All preparations and test measurements of the depolarized experiment.
 
     ``states`` maps each name of :data:`clonectx.bounds.STATE_NAMES` to its
@@ -221,39 +221,23 @@ class NoisyEnsemble(namedtuple("NoisyEnsemble", "v c_ab states tests")):
 
     __slots__ = ()
 
+    def pass_probability(self, s: str, t: str) -> float:
+        """Born probability that preparation ``s`` passes test ``t``."""
+        return born(self.states[s], self.tests[t])
+
     def equivalence_residuals(self) -> dict[str, float]:
         """Max-entry residual of each of the four mixing equivalences."""
-
-        def mixture(s: str) -> list[complex]:
-            rows = zip(self.states[s].matrix, self.states[f"{s}_perp"].matrix)
-            return [0.5 * (x + y) for row, row_perp in rows for x, y in zip(row, row_perp)]
-
-        return {
-            f"{s}~{s2}": _worst(abs(x - y) for x, y in zip(mixture(s), mixture(s2)))
-            for s, s2 in EQUIVALENCE_PAIRS + (("aa", "bb"),)
-        }
+        entries = {s: [x for row in rho.matrix for x in row] for s, rho in self.states.items()}
+        return mixing_residuals(entries, EQUIVALENCE_PAIRS + (("aa", "bb"),))
 
     def record(self) -> ExperimentRecord:
-        """Every observed probability of the run, from the Born rule on this ensemble.
-
-        Observed confusabilities for both preparation pairs, the six measured
-        error allowances (worst of correlation shortfall and orthogonal leak),
-        and the global cloning fidelity of the noiseless-optimal strategy.
-        """
-        states, tests = self.states, self.tests
-        overlaps = OverlapParams(
-            c_ab=born(states["a"], tests["b"]),
-            c_ba=born(states["b"], tests["a"]),
-            c_aabb=born(states["aa"], tests["bb"]),
-            c_bbaa=born(states["bb"], tests["aa"]),
-        )
-        budget = ErrorBudget(**{
-            f"eps_{s}": _worst((1.0 - born(states[s], tests[s]), born(states[f"{s}_perp"], tests[s])))
-            for s in TEST_NAMES
-        })
-        f_global = 0.5 * born(states["alpha"], tests["aa"]) + 0.5 * born(states["beta"], tests["bb"])
-        o2_residual = _worst(self.equivalence_residuals().values())
-        return ExperimentRecord(overlaps=overlaps, budget=budget, f_global=f_global, o2_residual=o2_residual)
+        """Every observed quantity of the run, measured by :mod:`clonectx.bounds` from this ensemble's Born
+        probabilities: both pairs' confusabilities, the six error allowances, F_g and the worst mixing residual."""
+        p = self.pass_probability
+        overlaps = OverlapParams(c_ab=p("a", "b"), c_ba=p("b", "a"), c_aabb=p("aa", "bb"), c_bbaa=p("bb", "aa"))
+        budget = ErrorBudget(**{f"eps_{s}": eps for s, eps in measured_epsilons(p).items()})
+        return ExperimentRecord(overlaps=overlaps, budget=budget, f_global=global_fidelity(p),
+                                o2_residual=_worst(self.equivalence_residuals().values()))
 
 
 def noisy_ensemble(v: float, c_ab: float) -> NoisyEnsemble:
@@ -288,9 +272,5 @@ def noisy_ensemble(v: float, c_ab: float) -> NoisyEnsemble:
         rho = depolarize(_ketbra(psi), v)
         return rho if len(psi) == 2 else depolarize(rho, v)
 
-    return NoisyEnsemble(
-        v=v,
-        c_ab=c,
-        states={name: prepare(kets[name]) for name in STATE_NAMES},
-        tests={s: TwoOutcomeMeasurement(depolarize(_ketbra(kets[s]), v).matrix) for s in TEST_NAMES},
-    )
+    return NoisyEnsemble(states={name: prepare(kets[name]) for name in STATE_NAMES},
+                         tests={s: TwoOutcomeMeasurement(depolarize(_ketbra(kets[s]), v).matrix) for s in TEST_NAMES})

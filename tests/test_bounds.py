@@ -289,3 +289,78 @@ class TestScalarContract:
     def test_rejects_a_bad_probability(self, name, bad):
         with pytest.raises(ValueError, match="must lie in"):
             SCALAR_FORMS[name](bad)
+
+
+# p(s, t) of a hand-made experiment, in dyadic rationals so that every observable is exact.
+# Only the probabilities an observable reads are present: reading any other raises KeyError.
+PASS = {
+    ("a", "a"): 0.875, ("a_perp", "a"): 0.0625,  # the shortfall is the worse term
+    ("b", "b"): 1.0, ("b_perp", "b"): 0.25,  # the leak is
+    ("alpha", "alpha"): 0.5, ("alpha_perp", "alpha"): 0.0,
+    ("beta", "beta"): 0.75, ("beta_perp", "beta"): 0.25,  # a tie
+    ("aa", "aa"): 0.96875, ("aa_perp", "aa"): 0.0,
+    ("bb", "bb"): 1.0, ("bb_perp", "bb"): 0.0,
+    ("alpha", "aa"): 0.75, ("beta", "bb"): 0.5,
+}
+ENTRIES = {
+    "a": (1.0, 0.0), "a_perp": (0.0, 1.0), "b": (0.5, 0.5), "b_perp": (0.5, 0.5),
+    "x": (1.0, 0.5), "x_perp": (0.0, 0.0), "y": (0.25, 0.25), "y_perp": (0.25, 0.25),
+    "z": (1 + 1j,), "z_perp": (1 - 1j,), "w": (0j,), "w_perp": (0j,),
+}
+
+
+class TestObservables:
+    """The observables both models are measured by, on a hand-made p(s, t) and hand-made entries."""
+
+    def test_measured_epsilons(self):
+        eps = bounds.measured_epsilons(lambda s, t: PASS[s, t])
+        assert eps == {"a": 0.125, "b": 0.25, "alpha": 0.5, "beta": 0.25, "aa": 0.03125, "bb": 0.0}
+        assert list(eps) == list(bounds.TEST_NAMES)
+
+    def test_a_nan_leak_is_a_nan_epsilon(self):
+        # The leak is the later of an epsilon's two terms; the shortfall of bb is 0.
+        eps = bounds.measured_epsilons(lambda s, t: math.nan if (s, t) == ("bb_perp", "bb") else PASS[s, t])
+        assert math.isnan(eps.pop("bb"))
+        assert eps == {"a": 0.125, "b": 0.25, "alpha": 0.5, "beta": 0.25, "aa": 0.03125}
+
+    def test_global_fidelity(self):
+        assert bounds.global_fidelity(lambda s, t: PASS[s, t]) == 0.625
+        assert math.isnan(bounds.global_fidelity(lambda s, t: math.nan if s == "beta" else PASS[s, t]))
+
+    def test_mixing_residuals(self):
+        residuals = bounds.mixing_residuals(ENTRIES, [("a", "b"), ("x", "y"), ("z", "w")])
+        assert residuals == {"a~b": 0.0, "x~y": 0.25, "z~w": 1.0}
+
+    @pytest.mark.parametrize("entry", [0, 1], ids=["first-entry", "later-entry"])
+    def test_a_nan_in_a_later_pair_is_a_nan_residual(self, entry):
+        y_perp = tuple(math.nan if i == entry else x for i, x in enumerate(ENTRIES["y_perp"]))
+        residuals = bounds.mixing_residuals({**ENTRIES, "y_perp": y_perp}, [("a", "b"), ("x", "y")])
+        assert residuals["a~b"] == 0.0 and math.isnan(residuals["x~y"])
+
+    def test_entries_of_different_lengths_raise(self):
+        with pytest.raises(ValueError):
+            bounds.mixing_residuals({**ENTRIES, "b_perp": (0.5, 0.5, 0.0)}, [("a", "b")])
+
+    def test_both_models_keep_the_float_order_of_the_written_out_formulas(self):
+        # Bit-equal, not approximate: each model's observables are these sums and differences, in this order.
+        from clonectx import ontic, quantum
+        from clonectx.ontic import confusability
+        from clonectx.quantum import born
+
+        ens = quantum.noisy_ensemble(0.015, 0.5)
+        states, tests = ens.states, ens.tests
+        rec = ens.record()
+        assert rec.budget == ErrorBudget(**{
+            f"eps_{s}": max(1.0 - born(states[s], tests[s]), born(states[f"{s}_perp"], tests[s]))
+            for s in bounds.TEST_NAMES
+        })
+        assert rec.f_global == 0.5 * born(states["alpha"], tests["aa"]) + 0.5 * born(states["beta"], tests["bb"])
+
+        model = ontic.mix_with_uniform(ontic.build_saturating_model(0.37), 0.1)
+        states, responses = model.states, model.responses
+        assert ontic.global_fidelity(model) == (0.5 * confusability(states["alpha"], responses["aa"])
+                                                + 0.5 * confusability(states["beta"], responses["bb"]))
+        assert ontic.measured_epsilons(model) == {
+            s: max(1.0 - confusability(states[s], responses[s]), confusability(states[f"{s}_perp"], responses[s]))
+            for s in bounds.TEST_NAMES
+        }

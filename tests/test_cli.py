@@ -424,6 +424,33 @@ class TestReports:
         _, out2, _ = run_cli(capsys, *argv)
         assert out1 == out2
 
+    # sha256 of stdout, text then --json, pinned before the observables moved into bounds.  These reports
+    # compute with arithmetic, sqrt and fsum alone, so their bytes do not depend on the platform's libm.
+    GOLDEN = {
+        ("bounds", "--c", "0.5", "--v", "0.015"): (
+            "e350cb71531fd29e5cbb0e96c49e8d2f4bec57373189784811c6bd3204ca0b6a",
+            "f502ebc4902e7205ffe57225eb3ff7267019071e416a5afbcb55b03fdbedcfc6"),
+        ("verify-ontic", "--c", "0"): (
+            "ee23b0856914eff8e43da9c5cb59d6a01a7dbb1131c1836c894b52ae6a59bded",
+            "22a96e0a0bef37373a8c986e3bbb1040126cb3a41cb86a8bb33223292a7248ca"),
+        ("verify-ontic", "--c", "0.37"): (
+            "664588a49254fc5360089c27082460635160ae2be6324b6cabeef26cfaab3c68",
+            "fffe0dc31d73b868e857c3aa131571827e38258deb051b15bc3b279f0984bfbd"),
+        ("verify-ontic", "--c", "1"): (
+            "947c24d82e5c38b2b48541a1ea11dc77bf009b29d2489810a12bee60dd3327d3",
+            "bd1641075c35d9b5f4072b50f29c6748b8a9a507d75c482caf9897fc1e7be1b7"),
+        ("verify-ontic", "--c", "0.37", "--resolution", "100"): (
+            "ef8cdf90dc1e531a51f2d7970423b94738fcc27844ad5a3800406545046abc55",
+            "a85633ced3902a7c653bbd3a9c6cde383caf48faf010c263bd7cc76886dd95d3"),
+    }
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    @pytest.mark.parametrize("argv", GOLDEN, ids=lambda argv: "".join(argv).replace("--", "-"))
+    def test_reports_are_byte_identical_to_the_golden_hashes(self, capsys, argv, as_json):
+        code, out, _ = run_cli(capsys, *argv, *["--json"] * as_json)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN[argv][as_json], out
+
     def test_wall_time_goes_to_stderr(self, capsys):
         _, out, err = run_cli(capsys, "bounds", "--c", "0.5")
         assert "elapsed" not in out

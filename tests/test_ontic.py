@@ -204,6 +204,31 @@ class TestValidationErrors:
             else:
                 model._replace(**{field: moved})
 
+    @pytest.mark.parametrize(
+        "moved, message",
+        [
+            # A partner on the kernel's other grid: a~b would compare a 4-cell density with a 16-cell one.
+            ({"states": {"a_perp": "out"}}, "state a_perp does not lie on the grid of test a"),
+            ({"responses": {"aa": "in"}}, "state aa does not lie on the grid of test aa"),
+            # Each test with its own state and partner, but the two sides of a~b on different grids.
+            ({"states": {"b": "out", "b_perp": "out"}, "responses": {"b": "out"}},
+             "state b does not lie on the grid of test a"),
+        ],
+        ids=["partner", "response", "pair"],
+    )
+    @pytest.mark.parametrize("route", ["constructor", "replace"])
+    def test_a_state_off_the_grid_of_its_test(self, moved, message, route):
+        model = build_saturating_model(0.5)
+        flat = {"in": model.grid_in, "out": model.grid_out}
+        make = {"states": EpistemicState.uniform, "responses": lambda g: ResponseFunction(g, (0.0,) * g.num_cells)}
+        fields = {field: {**getattr(model, field), **{name: make[field](flat[g]) for name, g in parts.items()}}
+                  for field, parts in moved.items()}
+        with pytest.raises(ValueError, match=message):
+            if route == "constructor":
+                OnticModel(**{**model._asdict(), **fields})
+            else:
+                model._replace(**fields)
+
     @pytest.mark.parametrize("w", [-0.1, 1.5, math.nan])
     def test_mixing_weight_outside_the_unit_interval(self, w):
         with pytest.raises(ValueError, match="mixing weight must lie in"):
