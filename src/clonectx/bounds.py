@@ -102,10 +102,8 @@ def _worst(terms) -> float:
 
 
 def _check_units(record: tuple) -> tuple:
-    """A record whose every field is a probability, checked by :func:`_check_unit`."""
-    for name, x in zip(record._fields, record):
-        _check_unit(name, x)
-    return record
+    """The fields of ``record``, every one a probability, each checked and normalised by :func:`_check_unit`."""
+    return tuple(_check_unit(name, x) for name, x in zip(record._fields, record))
 
 
 class OverlapParams(_Checked, namedtuple("OverlapParams", "c_ab c_ba c_aabb c_bbaa")):
@@ -135,15 +133,6 @@ class ErrorBudget(_Checked, namedtuple("ErrorBudget", "eps_a eps_b eps_alpha eps
 
     __slots__ = ()
     _check = staticmethod(_check_units)
-
-    @classmethod
-    def zero(cls) -> "ErrorBudget":
-        return cls(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-
-    @classmethod
-    def uniform(cls, eps: float) -> "ErrorBudget":
-        eps = _check_unit("eps", eps)
-        return cls(eps, eps, eps, eps, eps, eps)
 
 
 def quantum_optimal_fidelity(c_ab: float) -> float:

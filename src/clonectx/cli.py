@@ -151,7 +151,7 @@ def _resolution(text: str) -> int:
     return x
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="clonectx",
         description="Cloning-fidelity bounds, noisy-experiment simulation and noncontextuality verification.",
@@ -199,7 +199,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v", type=_probability, required=True)
     p.add_argument("--c", type=_probability, required=True)
 
-    return parser
+    return parser, sub.choices
 
 
 def _cmd_bounds(report: RunReport, args: argparse.Namespace) -> None:
@@ -351,7 +351,7 @@ _HANDLERS = {
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
         args = parser.parse_args(argv)
         handler, module = _HANDLERS[args.command]
@@ -363,7 +363,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         try:
             handler(report, args, *modules)
         except argparse.ArgumentTypeError as exc:  # an argument found bad only when used, as curves --out
-            parser.error(str(exc))
+            commands[args.command].error(str(exc))
     except SystemExit as exc:  # argparse has written its usage or error message, and exits
         return int(exc.code or 0)
     elapsed = time.perf_counter() - start

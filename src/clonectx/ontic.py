@@ -67,20 +67,8 @@ class LambdaGrid(_Checked, namedtuple("LambdaGrid", "edges cells volumes", defau
         return cls((tuple(DOMAIN_LENGTH * k / n for k in range(n + 1)),) * dimension)
 
     @property
-    def dimension(self) -> int:
-        return len(self.edges)
-
-    @property
     def num_cells(self) -> int:
         return len(self.cells)
-
-    @property
-    def cell_volume(self) -> float:
-        """The volume every cell of a uniform grid has."""
-        v = DOMAIN_LENGTH**self.dimension / self.num_cells
-        if any(abs(x - v) > STRUCTURAL_TOL * v for x in self.volumes):
-            raise ValueError("the cells of this grid differ in volume")
-        return v
 
 
 def _indicator(grid: LambdaGrid, rects) -> tuple[float, ...]:
@@ -125,7 +113,7 @@ class EpistemicState(_Checked, namedtuple("EpistemicState", "grid density")):
     @classmethod
     def uniform(cls, grid: LambdaGrid) -> "EpistemicState":
         """Flat density over the whole domain."""
-        return cls(grid, (1.0 / DOMAIN_LENGTH**grid.dimension,) * grid.num_cells)
+        return cls(grid, (1.0 / DOMAIN_LENGTH**len(grid.edges),) * grid.num_cells)
 
 
 class ResponseFunction(_Checked, namedtuple("ResponseFunction", "grid values")):
@@ -199,7 +187,8 @@ def apply_map(t: StochasticMap, mu: EpistemicState) -> EpistemicState:
 
 
 def dpi_check(t: StochasticMap, mu: EpistemicState, nu: EpistemicState) -> bool:
-    """Data-processing inequality: the pushforward never increases the l1 distance."""
+    """Data-processing inequality: the pushforward never increases the l1 distance.
+    Acceptance criterion 8 runs it; no command does until one checks the noisy model."""
     return l1_distance(apply_map(t, mu), apply_map(t, nu)) <= l1_distance(mu, nu) + STRUCTURAL_TOL
 
 
@@ -208,9 +197,8 @@ class OnticModel(_Checked, namedtuple("OnticModel", "states responses clone_map"
 
     Twelve preparation densities (six tests and their orthogonal partners)
     and indicator-style response functions for the six tests, both dicts
-    keyed by name, and the cloning kernel.  The kernel's source and target
-    are the model's input and output grids, ``grid_in`` and ``grid_out``;
-    every state and response lies on one of them, each state and its
+    keyed by name, and the cloning kernel.  Every state and response lies
+    on one of the kernel's source and target grids, each state and its
     partner on its test's grid, and both sides of a pair on one grid.
     ``pairs`` names the mixing equivalences the model is expected to
     satisfy: always ``EQUIVALENCE_PAIRS``, a constant of the class.
@@ -241,14 +229,6 @@ class OnticModel(_Checked, namedtuple("OnticModel", "states responses clone_map"
     def pass_probability(self, s: str, t: str) -> float:
         """Probability that preparation ``s`` passes test ``t``: its :func:`confusability`."""
         return confusability(self.states[s], self.responses[t])
-
-    @property
-    def grid_in(self) -> LambdaGrid:
-        return self.clone_map.source
-
-    @property
-    def grid_out(self) -> LambdaGrid:
-        return self.clone_map.target
 
 
 class O1Report(namedtuple("O1Report", "match_probs leak_probs max_residual")):
@@ -283,7 +263,8 @@ def global_fidelity(model: OnticModel) -> float:
 
 
 def measured_epsilons(model: OnticModel) -> dict[str, float]:
-    """Per-test error allowance actually exhibited by the model: :func:`clonectx.bounds.measured_epsilons`."""
+    """Per-test error allowance actually exhibited by the model: :func:`clonectx.bounds.measured_epsilons`.
+    Acceptance criterion 3 runs it; no command does until one checks the noisy model."""
     return bounds.measured_epsilons(model.pass_probability)
 
 
@@ -372,6 +353,7 @@ def mix_with_uniform(model: OnticModel, w: float) -> OnticModel:
 
     Preserves all mixing equivalences while degrading the test correlations,
     producing a controlled noisy model with measurable error allowances.
+    Acceptance criterion 3 runs it; no command does until one checks the noisy model.
     """
     if not 0.0 <= w <= 1.0:
         raise ValueError(f"mixing weight must lie in [0, 1], got {w!r}")
@@ -419,6 +401,7 @@ def verify_sandwich_noisy(model: OnticModel, pair: tuple[str, str], eps_s: float
     and ``upper - l1``, measured on any model.  Both hold on a model that
     satisfies the mixing equivalences and whose :func:`measured_epsilons`
     are no larger than the allowances supplied; the lower one needs neither.
+    Acceptance criterion 3 runs it; no command does until one checks the noisy model.
     """
     s, s2 = pair
     dist = l1_distance(model.states[s], model.states[s2])

@@ -96,19 +96,6 @@ class PureState(_Checked, namedtuple("PureState", "amplitudes")):
             raise ValueError(f"state norm deviates from 1 by {deviation:.3e}")
         return (amp,)
 
-    @property
-    def dim(self) -> int:
-        return len(self.amplitudes)
-
-    def density(self) -> "DensityOperator":
-        return _ketbra(self.amplitudes)
-
-    def overlap2(self, other: "PureState") -> float:
-        """Squared inner product |<self|other>|**2."""
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} and {other.dim}")
-        return abs(sum(x.conjugate() * y for x, y in zip(self.amplitudes, other.amplitudes))) ** 2
-
 
 class DensityOperator(_Checked, namedtuple("DensityOperator", "matrix")):
     """Hermitian, positive-semidefinite, unit-trace matrix (dimension 2 or 4), stored as a tuple of rows."""

@@ -73,11 +73,6 @@ class CurveSeries(_Checked, namedtuple("CurveSeries", "x_label y_label x y prove
             x = (*x[:i], 0.0, *x[i + 1:])
         return series.x_label, series.y_label, x, y, series.provenance
 
-    @property
-    def points(self) -> tuple:
-        """The (x, y) pairs, x rising."""
-        return tuple(zip(self.x, self.y))
-
 
 class ViolationRegion(_Checked, namedtuple("ViolationRegion", "v c_lo c_hi err_mode c_mode anomalies",
                                            defaults=((),))):
@@ -112,7 +107,8 @@ def _gap_in_c(v: float, err_mode: str, c_mode: str):
 
 
 def advantage_gap(v: float, c: float, err_mode: str, c_mode: str) -> float:
-    """Quantum noisy fidelity minus the (unclamped) noncontextual ceiling."""
+    """Quantum noisy fidelity minus the (unclamped) noncontextual ceiling.  No command calls it: it is the
+    scalar reference route that the fused pass of :func:`_critical_levels` is checked against, bit for bit."""
     return _gap_in_c(_check_unit("v", v), err_mode, c_mode)(_check_unit("c", c))
 
 
@@ -211,7 +207,8 @@ def _trigonometric_root(p: float, q: float, shift: float) -> float:
     """The root nearest 1/2 of y**3 + p*y + q at v = y - shift, when all three roots are real.
 
     The trigonometric form of the depressed cubic, for a discriminant
-    q**2/4 + p**3/27 that is not positive.
+    q**2/4 + p**3/27 that is not positive.  No point of the commands' modes
+    is known to reach it; the tests reach it through planted error terms.
     """
     r = math.sqrt(-p / 3.0)
     phi = math.acos(max(-1.0, min(1.0, -0.5 * q / (r * r * r)))) if r else 0.0

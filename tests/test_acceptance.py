@@ -77,8 +77,8 @@ def test_criterion_3_sandwich_relations():
     for _ in range(200):
         d1 = rng.random(grid.num_cells) + 1e-3
         d2 = rng.random(grid.num_cells) + 1e-3
-        mu = ontic.EpistemicState(grid, d1 / (d1.sum() * grid.cell_volume))
-        nu = ontic.EpistemicState(grid, d2 / (d2.sum() * grid.cell_volume))
+        mu = ontic.EpistemicState(grid, d1 / (d1.sum() * grid.volumes[0]))
+        nu = ontic.EpistemicState(grid, d2 / (d2.sum() * grid.volumes[0]))
         xi = ontic.ResponseFunction(grid, rng.random(grid.num_cells))
         eps = 1.0 - ontic.confusability(nu, xi)
         c_fwd = ontic.confusability(mu, xi)
@@ -86,7 +86,7 @@ def test_criterion_3_sandwich_relations():
 
     # ... and on a model with a deliberately broken equivalence.
     states = dict(model.states)
-    states["a_perp"] = ontic.EpistemicState(model.grid_in, np.roll(states["a_perp"].density, 11))
+    states["a_perp"] = ontic.EpistemicState(model.clone_map.source, np.roll(states["a_perp"].density, 11))
     broken = model._replace(states=states)
     assert ontic.check_O2(broken).max_residual > ontic.STRUCTURAL_TOL
     eps_b = ontic.measured_epsilons(broken)
@@ -158,10 +158,10 @@ def test_criterion_6_published_violation_interval(capsys):
 def test_criterion_7_strict_quantum_advantage():
     grid = np.linspace(0.0, 1.0, 1000)
     q, nc = list(scan.figure_curves(grid, scan.DEFAULT_C_MODE, ()).values())
-    strict = sum(1 for (c, fq), (_, fnc) in list(zip(q.points, nc.points))[1:-1] if fq > fnc)
+    strict = sum(1 for fq, fnc in list(zip(q.y, nc.y))[1:-1] if fq > fnc)
     end_err = max(
-        abs(q.points[0][1] - nc.points[0][1]),
-        abs(q.points[-1][1] - nc.points[-1][1]),
+        abs(q.y[0] - nc.y[0]),
+        abs(q.y[-1] - nc.y[-1]),
     )
     report(
         7,
@@ -177,7 +177,7 @@ def test_criterion_8_stochastic_property_suite():
 
     def rand_state(grid):
         d = rng.random(grid.num_cells) + 1e-3
-        return ontic.EpistemicState(grid, d / (d.sum() * grid.cell_volume))
+        return ontic.EpistemicState(grid, d / (d.sum() * grid.volumes[0]))
 
     dpi_ok = True
     for _ in range(200):

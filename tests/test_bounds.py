@@ -90,12 +90,12 @@ class TestNcBoundIdeal:
 class TestNoisyBounds:
     def test_zero_budget_reduces_to_ideal_exactly(self):
         for c in np.linspace(0.0, 1.0, 21):
-            got = bounds.nc_bound_noisy(OverlapParams.symmetric(c), ErrorBudget.zero())
+            got = bounds.nc_bound_noisy(OverlapParams.symmetric(c), ErrorBudget(*(0.0,) * 6))
             assert got == bounds.nc_bound_ideal(c, c * c)
             assert got <= 1.0
 
     def test_uniform_budget_adds_two_epsilon(self):
-        got = bounds.nc_bound_noisy(OverlapParams.symmetric(0.5), ErrorBudget.uniform(0.01))
+        got = bounds.nc_bound_noisy(OverlapParams.symmetric(0.5), ErrorBudget(*(0.01,) * 6))
         assert got == pytest.approx(0.895, abs=1e-15)
 
     # Every entry differs, so a weight moved from one epsilon to another changes the error term.
@@ -116,23 +116,23 @@ class TestNoisyBounds:
 
     def test_clamped_flag_keeps_raw_value(self):
         # A vacuous ceiling comes back raw, above 1; the bounds report flags it.
-        got = bounds.nc_bound_noisy(OverlapParams.symmetric(0.0), ErrorBudget.uniform(0.9))
+        got = bounds.nc_bound_noisy(OverlapParams.symmetric(0.0), ErrorBudget(*(0.9,) * 6))
         assert type(got) is float and got > 1.0
 
     def test_symmetric_variant_case_split(self):
         # Asymmetric inputs exercising both min branches, evaluated by hand:
         # min(0.02-0.4, 0.02-0.5) = -0.48, min(0.16+0.02, 0.25+0.02) = 0.18.
         ov = OverlapParams(c_ab=0.4, c_ba=0.5, c_aabb=0.16, c_bbaa=0.25)
-        got = bounds.nc_bound_noisy_symmetric(ov, ErrorBudget.uniform(0.02))
+        got = bounds.nc_bound_noisy_symmetric(ov, ErrorBudget(*(0.02,) * 6))
         assert got == pytest.approx(1.0 - 0.24 + 0.09 + 0.02, abs=1e-15)
         # Swapped asymmetry flips the chosen branches.
         ov2 = OverlapParams(c_ab=0.5, c_ba=0.4, c_aabb=0.25, c_bbaa=0.16)
-        got2 = bounds.nc_bound_noisy_symmetric(ov2, ErrorBudget.uniform(0.02))
+        got2 = bounds.nc_bound_noisy_symmetric(ov2, ErrorBudget(*(0.02,) * 6))
         assert got2 == pytest.approx(got, abs=1e-15)
 
     def test_symmetric_variant_zero_budget(self):
         for c in (0.0, 0.3, 1.0):
-            got = bounds.nc_bound_noisy_symmetric(OverlapParams.symmetric(c), ErrorBudget.zero())
+            got = bounds.nc_bound_noisy_symmetric(OverlapParams.symmetric(c), ErrorBudget(*(0.0,) * 6))
             assert got == pytest.approx(bounds.nc_bound_ideal(c, c * c), abs=1e-15)
 
     def test_symmetric_never_exceeds_plain_bound(self):
@@ -148,7 +148,7 @@ class TestNoisyBounds:
         # At the edge of the published violation window the uniform
         # effective-epsilon ceiling and the noisy quantum fidelity cross.
         eps = bounds.err_terms(0.015).eps_effective
-        ceiling = bounds.nc_bound_noisy(OverlapParams.symmetric(0.318), ErrorBudget.uniform(eps))
+        ceiling = bounds.nc_bound_noisy(OverlapParams.symmetric(0.318), ErrorBudget(*(eps,) * 6))
         assert ceiling == pytest.approx(bounds.quantum_noisy_fidelity(0.015, 0.318), abs=0.05)
 
 
@@ -238,7 +238,7 @@ class TestValueTypes:
 
     def test_budget_validation(self):
         with pytest.raises(ValueError):
-            ErrorBudget.uniform(math.inf)
+            ErrorBudget(*(math.inf,) * 6)
 
 
 # Every public closed form, as a function of one probability x (the others held
@@ -257,9 +257,9 @@ SCALAR_FORMS = {
     "observed_target_confusability[c_ab]": lambda x: bounds.observed_target_confusability(0.015, x),
     "depolarizing_epsilons": lambda x: bounds.depolarizing_epsilons(x).eps_aa,
     "err_terms": lambda x: bounds.err_terms(x).err_prime,
-    "nc_bound_noisy": lambda x: bounds.nc_bound_noisy(OverlapParams.symmetric(x), ErrorBudget.uniform(0.01)),
+    "nc_bound_noisy": lambda x: bounds.nc_bound_noisy(OverlapParams.symmetric(x), ErrorBudget(*(0.01,) * 6)),
     "nc_bound_noisy_symmetric": lambda x: bounds.nc_bound_noisy_symmetric(
-        OverlapParams.symmetric(0.5), ErrorBudget.uniform(x)),
+        OverlapParams.symmetric(0.5), ErrorBudget(*(x,) * 6)),
 }
 
 

@@ -74,7 +74,8 @@ class TestExitCodes:
         (tmp_path / "notes.txt").write_text("kept")
         code, stdout, err = run_cli(capsys, "curves", "--out", str(tmp_path / out), "--points", "5")
         assert code == 2
-        assert "argument --out: cannot create directory" in err
+        assert err.startswith("usage: clonectx curves ")
+        assert "\nclonectx curves: error: argument --out: cannot create directory" in err
         assert stdout == ""
         assert (tmp_path / "notes.txt").read_text() == "kept"
 
@@ -82,7 +83,9 @@ class TestExitCodes:
         (tmp_path / "fidelity_quantum.csv").mkdir()
         code, stdout, err = run_cli(capsys, "curves", "--out", str(tmp_path), "--points", "5")
         assert code == 2
-        assert f"argument --out: cannot write {str(tmp_path / 'fidelity_quantum.csv')!r}: Is a directory" in err
+        assert err.startswith("usage: clonectx curves ")
+        assert (f"\nclonectx curves: error: argument --out: cannot write {str(tmp_path / 'fidelity_quantum.csv')!r}: "
+                "Is a directory") in err
         assert stdout == ""
 
     @pytest.mark.parametrize("later", [("--points", "1"), ("--format", "xml"), ("--bogus",)],
@@ -469,7 +472,7 @@ class TestReports:
     ], ids=lambda argv: argv[0])
     def test_inputs_are_the_parsed_arguments_in_parser_order(self, capsys, tmp_path, argv, as_json):
         argv = [a.format(tmp=tmp_path / "figs") for a in argv] + ["--json"] * as_json
-        parsed = vars(cli._build_parser().parse_args(argv))
+        parsed = vars(cli._build_parser()[0].parse_args(argv))
         expected = [(k, v) for k, v in parsed.items() if k not in ("command", "json")]
         _, out, _ = run_cli(capsys, *argv)
         if as_json:

@@ -42,7 +42,7 @@ SEED = 20260810
 
 def random_state(rng, grid):
     density = rng.random(grid.num_cells) + 1e-3
-    density /= density.sum() * grid.cell_volume
+    density /= density.sum() * grid.volumes[0]
     return EpistemicState(grid, density)
 
 
@@ -75,17 +75,11 @@ class TestGridAndStates:
         with pytest.raises(ValueError):
             make()
 
-    def test_cell_volume(self):
-        assert LambdaGrid.uniform(1, 10).cell_volume == pytest.approx(0.2)
-        assert LambdaGrid.uniform(2, 10).cell_volume == pytest.approx(0.04)
-
     def test_uneven_partition(self):
         grid = LambdaGrid(((0.0, 0.5, 2.0), (0, 1.5, 2)))
         assert grid.cells == (((0.0, 0.5), (0.0, 1.5)), ((0.0, 0.5), (1.5, 2.0)),
                               ((0.5, 2.0), (0.0, 1.5)), ((0.5, 2.0), (1.5, 2.0)))
         assert grid.volumes == (0.75, 0.25, 2.25, 0.75)
-        with pytest.raises(ValueError, match="differ in volume"):
-            grid.cell_volume
         mu = EpistemicState.uniform_on(grid, [((0.0, 0.5), (0.0, 2.0))])
         assert mu.density == (1.0, 1.0, 0.0, 0.0)
 
@@ -219,7 +213,7 @@ class TestValidationErrors:
     @pytest.mark.parametrize("route", ["constructor", "replace"])
     def test_a_state_off_the_grid_of_its_test(self, moved, message, route):
         model = build_saturating_model(0.5)
-        flat = {"in": model.grid_in, "out": model.grid_out}
+        flat = {"in": model.clone_map.source, "out": model.clone_map.target}
         make = {"states": EpistemicState.uniform, "responses": lambda g: ResponseFunction(g, (0.0,) * g.num_cells)}
         fields = {field: {**getattr(model, field), **{name: make[field](flat[g]) for name, g in parts.items()}}
                   for field, parts in moved.items()}
@@ -238,7 +232,8 @@ class TestValidationErrors:
         # The partner of a squeezed onto [1, 1.5]: still disjoint from a, so O1 holds, but a ~ b mixes unevenly.
         # a and b are untouched, so both sandwich checks still measure their relations, which hold.
         model = build_saturating_model(0.5)
-        broken = model._replace(states={**model.states, "a_perp": EpistemicState(model.grid_in, (0.0, 0.0, 2.0, 0.0))})
+        squeezed = EpistemicState(model.clone_map.source, (0.0, 0.0, 2.0, 0.0))
+        broken = model._replace(states={**model.states, "a_perp": squeezed})
         assert check_O1(broken).max_residual <= STRUCTURAL_TOL
         assert check_O2(broken).max_residual == pytest.approx(0.5, rel=0, abs=1e-15)
         (ideal,) = verify_sandwich_ideal(broken, [("a", "b")])
@@ -262,7 +257,7 @@ class TestStochasticMaps:
         src, tgt = LambdaGrid.uniform(1, 12), LambdaGrid.uniform(2, 8)
         for _ in range(20):
             out = apply_map(random_kernel(rng, src, tgt), random_state(rng, src))
-            assert sum(out.density) * tgt.cell_volume == pytest.approx(1.0, abs=1e-9)
+            assert sum(out.density) * tgt.volumes[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_collapse_kernel_erases_distance(self):
         rng = np.random.default_rng(SEED)
@@ -331,7 +326,6 @@ class TestSaturatingModel:
     def test_a_model_is_its_states_responses_and_kernel(self):
         model = mix_with_uniform(build_saturating_model(0.37), 0.5)
         assert OnticModel._fields == ("states", "responses", "clone_map")
-        assert model.grid_in is model.clone_map.source and model.grid_out is model.clone_map.target
         assert model.pairs is bounds.EQUIVALENCE_PAIRS
         with pytest.raises(AttributeError):
             model.pairs = (("a", "b"),)
@@ -364,8 +358,8 @@ class TestSaturatingModel:
     @pytest.mark.parametrize("c, cells", [(0.0, 2), (0.5, 4), (0.37, 4), (1.0, 2)])
     def test_partition_size_does_not_depend_on_any_resolution(self, c, cells):
         model = build_saturating_model(c)
-        assert model.grid_in.num_cells == cells
-        assert model.grid_out.edges == model.grid_in.edges * 2
+        assert model.clone_map.source.num_cells == cells
+        assert model.clone_map.target.edges == model.clone_map.source.edges * 2
         assert len(model.clone_map.kernel) == cells
         assert all(len(row) == cells * cells for row in model.clone_map.kernel)
 
@@ -373,13 +367,13 @@ class TestSaturatingModel:
     def test_kernel_nbytes_counts_8_bytes_per_entry(self, c, nbytes):
         # The benchmark's memory pass reads clone_map.kernel.nbytes as the kernel's size.
         model = build_saturating_model(c)
-        expected = 8 * model.grid_in.num_cells * model.grid_out.num_cells
+        expected = 8 * model.clone_map.source.num_cells * model.clone_map.target.num_cells
         assert model.clone_map.kernel.nbytes == expected == nbytes
 
     def test_deliberate_o1_violation_is_flagged(self):
         model = build_saturating_model(0.5)
         broken_responses = dict(model.responses)
-        broken_responses["a"] = ResponseFunction(model.grid_in, np.ones(model.grid_in.num_cells))
+        broken_responses["a"] = ResponseFunction(model.clone_map.source, np.ones(model.clone_map.source.num_cells))
         broken = model._replace(responses=broken_responses)
         report = check_O1(broken)
         assert report.max_residual > STRUCTURAL_TOL
@@ -418,7 +412,7 @@ class TestSaturatingModel:
         model = build_saturating_model(0.5)
         shifted = np.roll(model.states["a_perp"].density, 7)
         states = dict(model.states)
-        states["a_perp"] = EpistemicState(model.grid_in, shifted)
+        states["a_perp"] = EpistemicState(model.clone_map.source, shifted)
         broken = model._replace(states=states)
         assert check_O2(broken).max_residual > STRUCTURAL_TOL
 
@@ -554,7 +548,7 @@ class TestAgainstTheUniformGrid:
         # Cell by cell: each cell of the partition is a block of grid cells,
         # and the model's density there is the grid density's mean over the
         # block.  The two complements holding the filler Q place it apart.
-        axis = model.grid_in.edges[0]
+        axis = model.clone_map.source.edges[0]
         blocks = [slice(round(lo * m), round(hi * m)) for lo, hi in zip(axis, axis[1:])]
         for name in STATE_NAMES:
             if name in ("aa_perp", "alpha_perp"):
@@ -590,7 +584,7 @@ class TestSandwichRelations:
         # A model that fails O1 and O2 is still measured; its O1 and O2 residuals tell the caller so.
         model = build_saturating_model(0.5)
         states = dict(model.states)
-        states["a_perp"] = EpistemicState(model.grid_in, np.roll(states["a_perp"].density, 5))
+        states["a_perp"] = EpistemicState(model.clone_map.source, np.roll(states["a_perp"].density, 5))
         broken = model._replace(states=states)
         assert check_O1(broken).max_residual > STRUCTURAL_TOL
         assert check_O2(broken).max_residual > STRUCTURAL_TOL
@@ -651,7 +645,7 @@ class TestSandwichRelations:
     def test_lower_bound_on_broken_model(self):
         model = build_saturating_model(0.5)
         states = dict(model.states)
-        states["a_perp"] = EpistemicState(model.grid_in, np.roll(states["a_perp"].density, 9))
+        states["a_perp"] = EpistemicState(model.clone_map.source, np.roll(states["a_perp"].density, 9))
         broken = model._replace(states=states)
         assert check_O2(broken).max_residual > STRUCTURAL_TOL
         eps = measured_epsilons(broken)

@@ -92,20 +92,20 @@ def fidelity_curves(grid):
 class TestFidelityCurves:
     def test_endpoints_agree_at_one(self):
         q, nc = fidelity_curves([0.0, 0.5, 1.0])
-        assert q.points[0][1] == pytest.approx(1.0, abs=1e-12)
-        assert q.points[-1][1] == pytest.approx(1.0, abs=1e-12)
-        assert nc.points[0][1] == pytest.approx(1.0, abs=1e-12)
-        assert nc.points[-1][1] == pytest.approx(1.0, abs=1e-12)
+        assert q.y[0] == pytest.approx(1.0, abs=1e-12)
+        assert q.y[-1] == pytest.approx(1.0, abs=1e-12)
+        assert nc.y[0] == pytest.approx(1.0, abs=1e-12)
+        assert nc.y[-1] == pytest.approx(1.0, abs=1e-12)
 
     def test_values_at_half(self):
         q, nc = fidelity_curves([0.5])
-        assert q.points[0][1] == pytest.approx(0.98296291314453414, abs=1e-12)
-        assert nc.points[0][1] == pytest.approx(0.875, abs=1e-15)
+        assert q.y[0] == pytest.approx(0.98296291314453414, abs=1e-12)
+        assert nc.y[0] == pytest.approx(0.875, abs=1e-15)
 
     def test_quantum_dominates_inside(self):
         grid = np.linspace(0.0, 1.0, 200)
         q, nc = fidelity_curves(grid)
-        for (c, fq), (_, fnc) in list(zip(q.points, nc.points))[1:-1]:
+        for c, fq, fnc in list(zip(q.x, q.y, nc.y))[1:-1]:
             assert fq > fnc, c
 
 
@@ -247,7 +247,7 @@ class TestCriticalNoise:
     def test_curve_agrees_with_pointwise_roots(self, err_mode, c_mode):
         grid = np.linspace(0.05, 0.95, 19)
         series = figure_curves(grid, c_mode, [err_mode])[f"noise_resistance_{err_mode}"]
-        for c, v in series.points:
+        for c, v in zip(series.x, series.y):
             assert v == critical_noise(c, err_mode, c_mode)
 
     @pytest.mark.parametrize("c_mode", list(C_MODES))
@@ -593,7 +593,6 @@ class TestFigureCurves:
         series = CurveSeries("x", "y", np.array([-0.0, 0.5]), [1, 2], "test")
         assert bits(series.x) == bits((0.0, 0.5)) and series.y == (1.0, 2.0)
         assert all(type(v) is float for v in series.x + series.y)
-        assert series.points == ((0.0, 1.0), (0.5, 2.0))
 
     def test_columns_must_match_in_length(self):
         with pytest.raises(ValueError, match="2 abscissae but 1 ordinates"):
@@ -608,7 +607,7 @@ class TestEmitters:
             rows = list(csv.reader(fh))
         assert rows[0] == ["x", "y"]
         parsed = [(float(x), float(y)) for x, y in rows[1:]]
-        assert parsed == list(series.points)
+        assert parsed == list(zip(series.x, series.y))
 
     def test_series_json_schema(self, tmp_path):
         series, _ = fidelity_curves(np.linspace(0.0, 1.0, 5))
@@ -616,7 +615,7 @@ class TestEmitters:
         doc = json.loads((tmp_path / "curve.json").read_text())
         assert set(doc) == {"label", "mode", "points"}
         assert doc["mode"] == series.provenance
-        assert [tuple(p) for p in doc["points"]] == list(series.points)
+        assert [tuple(p) for p in doc["points"]] == list(zip(series.x, series.y))
 
     @pytest.mark.parametrize("size", [0, 1, 7])
     def test_series_files_match_the_library_writers(self, tmp_path, monkeypatch, size):
