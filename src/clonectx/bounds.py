@@ -46,9 +46,9 @@ EQUIVALENCE_PAIRS = (("a", "b"), ("alpha", "aa"), ("beta", "bb"))
 
 
 def measured_epsilons(p) -> dict[str, float]:
-    """Each test's allowance eps_s, the worse of the shortfall 1 - p(s, s) and the leak p(s_perp, s), where
-    ``p(s, t)``, here and below, is the probability that preparation ``s`` passes test ``t``."""
-    return {s: _worst((1.0 - p(s, s), p(f"{s}_perp", s))) for s in TEST_NAMES}
+    """Each test's allowance eps_s, the worse of the shortfall |1 - p(s, s)| (a p(s, s) rounded past 1 counts too)
+    and the leak p(s_perp, s), where ``p(s, t)``, here and below, is the probability that ``s`` passes test ``t``."""
+    return {s: _worst((abs(1.0 - p(s, s)), p(f"{s}_perp", s))) for s in TEST_NAMES}
 
 
 def global_fidelity(p) -> float:

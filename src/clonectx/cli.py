@@ -313,12 +313,13 @@ def _cmd_verify_ontic(report: RunReport, args: argparse.Namespace, ontic) -> Non
                 f"snapping overlap {args.c} to {c} (= {k}/{m}) so supports align with the grid"]
     report.outputs["c_snapped"] = c
     model = ontic.build_saturating_model(c)
+    p = model.pass_probability
     tol = ontic.STRUCTURAL_TOL
 
-    report.check("perfect-correlations", "max residual", ontic.check_O1(model).max_residual, tol)
-    report.check("mixing-equivalences", "max residual", ontic.check_O2(model).max_residual, tol)
+    report.check("perfect-correlations", "max residual", bounds._worst(bounds.measured_epsilons(p).values()), tol)
+    report.check("mixing-equivalences", "max residual", bounds._worst(model.equivalence_residuals().values()), tol)
 
-    f_g = ontic.global_fidelity(model)
+    f_g = bounds.global_fidelity(p)
     target = bounds.nc_bound_ideal(c, c * c)
     report.outputs["f_global"] = f_g
     report.outputs["nc_bound_ideal"] = target
@@ -333,7 +334,7 @@ def _cmd_verify_ontic(report: RunReport, args: argparse.Namespace, ontic) -> Non
     beta_resid = bounds._worst(abs(beta - x * y) for beta, (x, y) in cells)
     report.check("clone-of-b-is-product-density", "max residual", beta_resid, tol)
 
-    c_model = model.pass_probability("a", "b")
+    c_model = p("a", "b")
     report.check("maximal-overlap-of-inputs", f"|{c_model:.6f} - {c}|", abs(c_model - c), tol)
 
 

@@ -12,14 +12,14 @@ this module does not load numpy.
 The centrepiece is :func:`build_saturating_model`: the explicit
 preparation-noncontextual model whose cloning strategy reaches the
 noncontextual fidelity ceiling exactly, at any overlap in [0, 1], on the
-coarsest partition its supports allow.  A model supplies its pass
-probabilities and densities, and :mod:`clonectx.bounds` measures the
-observables from them.  Checkers for the perfect-test correlations (O1),
-the mixing equivalences (O2), the distance/confusability sandwich relations
-measure any model built from these parts: their reports carry residuals
-and margins, never a verdict, and the caller compares them with the one
-tolerance ``STRUCTURAL_TOL``.  Only :func:`dpi_check` returns a verdict,
-judged at that tolerance.
+coarsest partition its supports allow.  A model has the quantum
+ensemble's two methods, ``pass_probability`` and ``equivalence_residuals``,
+and :mod:`clonectx.bounds` measures every observable through them: the
+error allowances of the perfect-test correlations, the global fidelity and
+the mixing residuals.  The distance/confusability sandwich relations and
+the data-processing margin measure any model built from these parts.  No
+function here returns a verdict: the caller compares each residual and
+margin with the one tolerance ``STRUCTURAL_TOL``.
 """
 
 from __future__ import annotations
@@ -186,10 +186,10 @@ def apply_map(t: StochasticMap, mu: EpistemicState) -> EpistemicState:
     return EpistemicState(t.target, out)
 
 
-def dpi_check(t: StochasticMap, mu: EpistemicState, nu: EpistemicState) -> bool:
-    """Data-processing inequality: the pushforward never increases the l1 distance.
+def dpi_margin(t: StochasticMap, mu: EpistemicState, nu: EpistemicState) -> float:
+    """Data-processing margin: how far the pushforward lowers the l1 distance, never below 0 but for rounding.
     Acceptance criterion 8 runs it; no command does until one checks the noisy model."""
-    return l1_distance(apply_map(t, mu), apply_map(t, nu)) <= l1_distance(mu, nu) + STRUCTURAL_TOL
+    return l1_distance(mu, nu) - l1_distance(apply_map(t, mu), apply_map(t, nu))
 
 
 class OnticModel(_Checked, namedtuple("OnticModel", "states responses clone_map")):
@@ -230,42 +230,9 @@ class OnticModel(_Checked, namedtuple("OnticModel", "states responses clone_map"
         """Probability that preparation ``s`` passes test ``t``: its :func:`confusability`."""
         return confusability(self.states[s], self.responses[t])
 
-
-class O1Report(namedtuple("O1Report", "match_probs leak_probs max_residual")):
-    """Perfect-correlation check: pass probabilities on matching and orthogonal preparations."""
-
-    __slots__ = ()
-
-
-def check_O1(model: OnticModel) -> O1Report:
-    """Measure how far p(pass | matching) is from 1 and p(pass | orthogonal) from 0, over every test."""
-    match_probs = {s: model.pass_probability(s, s) for s in TEST_NAMES}
-    leak_probs = {s: model.pass_probability(f"{s}_perp", s) for s in TEST_NAMES}
-    worst = _worst((0.0, *(abs(1.0 - p) for p in match_probs.values()), *leak_probs.values()))
-    return O1Report(match_probs=match_probs, leak_probs=leak_probs, max_residual=worst)
-
-
-class O2Report(namedtuple("O2Report", "pair_residuals max_residual")):
-    """Mixing-equivalence check: cellwise residual of the equal-mixture identity per pair."""
-
-    __slots__ = ()
-
-
-def check_O2(model: OnticModel) -> O2Report:
-    """Measure, cell by cell, how far half/half mixtures of each pair and its partners disagree."""
-    residuals = bounds.mixing_residuals({s: state.density for s, state in model.states.items()}, model.pairs)
-    return O2Report(pair_residuals=residuals, max_residual=_worst(residuals.values()))
-
-
-def global_fidelity(model: OnticModel) -> float:
-    """Average pass probability of the clone outputs against the two-copy tests."""
-    return bounds.global_fidelity(model.pass_probability)
-
-
-def measured_epsilons(model: OnticModel) -> dict[str, float]:
-    """Per-test error allowance actually exhibited by the model: :func:`clonectx.bounds.measured_epsilons`.
-    Acceptance criterion 3 runs it; no command does until one checks the noisy model."""
-    return bounds.measured_epsilons(model.pass_probability)
+    def equivalence_residuals(self) -> dict[str, float]:
+        """Cellwise residual of each mixing equivalence in ``pairs``, by :func:`clonectx.bounds.mixing_residuals`."""
+        return bounds.mixing_residuals({s: state.density for s, state in self.states.items()}, self.pairs)
 
 
 def _saturating_supports(c: float) -> dict[str, list]:
@@ -321,7 +288,11 @@ def build_saturating_model(c_ab: float) -> OnticModel:
     layer on [0, 2]^2: the ideal targets are the product densities, the
     cloning kernel keeps the input point and appends a fresh sample from
     the branch density, and the orthogonal partners are unit-height regions
-    chosen so every mixing equivalence holds cell by cell.
+    chosen so the three equivalences of ``pairs`` hold cell by cell.  The
+    fourth one the quantum experiment has, aa~bb, fails: its cellwise
+    residual is 1/2 at every c < 1.  The ceiling's proof uses the pair
+    (aa, bb) only through l1 >= 2(1 - c_aabb), which needs no equivalence,
+    so the model still witnesses that the ceiling is reached.
 
     Every support is a union of rectangles with edges in {0, 1-c, 1, 2-c, 2},
     so the model is built on that partition, exactly at ``c_ab``: at most
@@ -373,9 +344,10 @@ class SandwichIdealReport(namedtuple("SandwichIdealReport", "pair l1 confus resi
 def verify_sandwich_ideal(model: OnticModel, pairs: Sequence[tuple[str, str]]) -> list[SandwichIdealReport]:
     """Residual of the ideal relation |mu_s - mu_s'| = 2(1 - c_ss') for each pair.
 
-    The relation holds on a model that passes the perfect-correlation (O1)
-    and mixing (O2) checks; on any other model the residuals are still
-    measured, and it is for the caller to read them beside O1 and O2.
+    The relation holds on a model with perfect test correlations (every
+    measured epsilon 0) and the mixing equivalences (every equivalence
+    residual 0); on any other model the residuals are still measured, and
+    it is for the caller to read them beside those.
     """
     reports = []
     for s, s2 in pairs:
@@ -399,7 +371,7 @@ def verify_sandwich_noisy(model: OnticModel, pair: tuple[str, str], eps_s: float
     NaN in either gives NaN bounds (the minimum is the negated
     :func:`_worst` of the negated terms).  The margins are ``l1 - lower``
     and ``upper - l1``, measured on any model.  Both hold on a model that
-    satisfies the mixing equivalences and whose :func:`measured_epsilons`
+    satisfies the mixing equivalences and whose :func:`clonectx.bounds.measured_epsilons`
     are no larger than the allowances supplied; the lower one needs neither.
     Acceptance criterion 3 runs it; no command does until one checks the noisy model.
     """

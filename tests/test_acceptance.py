@@ -41,9 +41,9 @@ def test_criterion_2_saturating_model_reaches_the_ceiling():
     for c in (0.1, 0.25, 0.5, 0.75):
         model = ontic.build_saturating_model(c)
         target = 1.0 - c / 2.0 + c * c / 2.0
-        worst_f = max(worst_f, abs(ontic.global_fidelity(model) - target))
-        worst_o1 = max(worst_o1, ontic.check_O1(model).max_residual)
-        worst_o2 = max(worst_o2, ontic.check_O2(model).max_residual)
+        worst_f = max(worst_f, abs(bounds.global_fidelity(model.pass_probability) - target))
+        worst_o1 = max(worst_o1, bounds._worst(bounds.measured_epsilons(model.pass_probability).values()))
+        worst_o2 = max(worst_o2, bounds._worst(model.equivalence_residuals().values()))
     elapsed = time.perf_counter() - start
     report(
         2,
@@ -63,7 +63,7 @@ def test_criterion_3_sandwich_relations():
     noisy_ok = True
     for w in (0.01, 0.05, 0.1):
         mixed = ontic.mix_with_uniform(model, w)
-        eps = ontic.measured_epsilons(mixed)
+        eps = bounds.measured_epsilons(mixed.pass_probability)
         for pair in mixed.pairs:
             rep = ontic.verify_sandwich_noisy(mixed, pair, eps[pair[0]], eps[pair[1]])
             noisy_ok = (noisy_ok and rep.margin_lower >= -ontic.STRUCTURAL_TOL
@@ -88,8 +88,8 @@ def test_criterion_3_sandwich_relations():
     states = dict(model.states)
     states["a_perp"] = ontic.EpistemicState(model.clone_map.source, np.roll(states["a_perp"].density, 11))
     broken = model._replace(states=states)
-    assert ontic.check_O2(broken).max_residual > ontic.STRUCTURAL_TOL
-    eps_b = ontic.measured_epsilons(broken)
+    assert bounds._worst(broken.equivalence_residuals().values()) > ontic.STRUCTURAL_TOL
+    eps_b = bounds.measured_epsilons(broken.pass_probability)
     broken_rep = ontic.verify_sandwich_noisy(broken, ("a", "b"), eps_b["a"], eps_b["b"])
     lower_ok = lower_ok and broken_rep.margin_lower >= -ontic.STRUCTURAL_TOL
 
@@ -184,7 +184,7 @@ def test_criterion_8_stochastic_property_suite():
         k = rng.random((src.num_cells, tgt.num_cells)) + 1e-3
         k /= k.sum(axis=1, keepdims=True)
         t = ontic.StochasticMap(src, tgt, k)
-        dpi_ok = dpi_ok and ontic.dpi_check(t, rand_state(src), rand_state(src))
+        dpi_ok = dpi_ok and ontic.dpi_margin(t, rand_state(src), rand_state(src)) >= -ontic.STRUCTURAL_TOL
 
     triangle_ok = True
     for _ in range(200):

@@ -358,9 +358,10 @@ class TestObservables:
 
         model = ontic.mix_with_uniform(ontic.build_saturating_model(0.37), 0.1)
         states, responses = model.states, model.responses
-        assert ontic.global_fidelity(model) == (0.5 * confusability(states["alpha"], responses["aa"])
-                                                + 0.5 * confusability(states["beta"], responses["bb"]))
-        assert ontic.measured_epsilons(model) == {
-            s: max(1.0 - confusability(states[s], responses[s]), confusability(states[f"{s}_perp"], responses[s]))
+        p = model.pass_probability
+        assert bounds.global_fidelity(p) == (0.5 * confusability(states["alpha"], responses["aa"])
+                                             + 0.5 * confusability(states["beta"], responses["bb"]))
+        assert bounds.measured_epsilons(p) == {
+            s: max(abs(1.0 - confusability(states[s], responses[s])), confusability(states[f"{s}_perp"], responses[s]))
             for s in bounds.TEST_NAMES
         }

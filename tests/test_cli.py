@@ -445,6 +445,10 @@ class TestReports:
         ("verify-ontic", "--c", "0.37", "--resolution", "100"): (
             "ef8cdf90dc1e531a51f2d7970423b94738fcc27844ad5a3800406545046abc55",
             "a85633ced3902a7c653bbd3a9c6cde383caf48faf010c263bd7cc76886dd95d3"),
+        # A matching pass probability rounds to 1 + 2**-52 here: its shortfall is a residual of 2.220e-16.
+        ("verify-ontic", "--c", "0.8824059935355894"): (
+            "b3228015edb05f3427e5820c5d326c42c35007ed69e71104e0c8f05202bef199",
+            "4319861157b12d118bbf8c3cb88795160b6df68a9abeadafdff72c7eafdac9ae"),
     }
 
     @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
@@ -601,31 +605,31 @@ class TestSubcommands:
 
     def test_verify_ontic_fails_a_fidelity_off_by_a_micro(self, capsys, monkeypatch):
         # At n = 100 a grid-size slack of 4h = 0.08 would let this through.
-        from clonectx import ontic
+        from clonectx import bounds
 
-        real = ontic.global_fidelity
-        monkeypatch.setattr(ontic, "global_fidelity", lambda model: real(model) + 1e-6)
+        real = bounds.global_fidelity
+        monkeypatch.setattr(bounds, "global_fidelity", lambda p: real(p) + 1e-6)
         code, out, _ = run_cli(capsys, "verify-ontic", "--c", "0.5", "--resolution", "100")
         assert code == 1
         assert "[FAIL] fidelity-saturates-nc-bound" in out
         assert "result: FAIL" in out
 
     def test_verify_ontic_runs_each_model_check_once(self, capsys, monkeypatch):
-        from clonectx import ontic
+        from clonectx import bounds, ontic
 
-        calls = {"check_O1": 0, "check_O2": 0}
-        for name in calls:
-            real = getattr(ontic, name)
+        calls = {"measured_epsilons": 0, "equivalence_residuals": 0}
+        for owner, name in ((bounds, "measured_epsilons"), (ontic.OnticModel, "equivalence_residuals")):
+            real = getattr(owner, name)
 
             def counted(*args, _real=real, _name=name, **kwargs):
                 calls[_name] += 1
                 return _real(*args, **kwargs)
 
-            monkeypatch.setattr(ontic, name, counted)
+            monkeypatch.setattr(owner, name, counted)
         code, out, _ = run_cli(capsys, "verify-ontic", "--c", "0.5", "--resolution", "20")
         assert code == 0
         assert out.count("distance-confusability-identity") == 4
-        assert calls == {"check_O1": 1, "check_O2": 1}
+        assert calls == {"measured_epsilons": 1, "equivalence_residuals": 1}
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=100)
     @given(c=st.floats(0.0, 1.0))

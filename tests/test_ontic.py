@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clonectx import bounds, ontic
-from clonectx.bounds import STATE_NAMES, TEST_NAMES
+from clonectx.bounds import STATE_NAMES, TEST_NAMES, _worst, global_fidelity, measured_epsilons
 from clonectx.ontic import (
     STRUCTURAL_TOL,
     EpistemicState,
@@ -25,13 +25,9 @@ from clonectx.ontic import (
     StochasticMap,
     apply_map,
     build_saturating_model,
-    check_O1,
-    check_O2,
     confusability,
-    dpi_check,
-    global_fidelity,
+    dpi_margin,
     l1_distance,
-    measured_epsilons,
     mix_with_uniform,
     verify_sandwich_ideal,
     verify_sandwich_noisy,
@@ -234,8 +230,8 @@ class TestValidationErrors:
         model = build_saturating_model(0.5)
         squeezed = EpistemicState(model.clone_map.source, (0.0, 0.0, 2.0, 0.0))
         broken = model._replace(states={**model.states, "a_perp": squeezed})
-        assert check_O1(broken).max_residual <= STRUCTURAL_TOL
-        assert check_O2(broken).max_residual == pytest.approx(0.5, rel=0, abs=1e-15)
+        assert _worst(measured_epsilons(broken.pass_probability).values()) <= STRUCTURAL_TOL
+        assert _worst(broken.equivalence_residuals().values()) == pytest.approx(0.5, rel=0, abs=1e-15)
         (ideal,) = verify_sandwich_ideal(broken, [("a", "b")])
         assert ideal == verify_sandwich_ideal(model, [("a", "b")])[0]
         assert ideal.residual <= STRUCTURAL_TOL
@@ -274,7 +270,7 @@ class TestStochasticMaps:
         for _ in range(200):
             t = random_kernel(rng, src, tgt)
             mu, nu = random_state(rng, src), random_state(rng, src)
-            assert dpi_check(t, mu, nu)
+            assert dpi_margin(t, mu, nu) >= -STRUCTURAL_TOL
 
     def test_dpi_with_identity_is_equality(self):
         rng = np.random.default_rng(SEED)
@@ -285,32 +281,42 @@ class TestStochasticMaps:
             l1_distance(mu, nu), abs=1e-12
         )
 
+    def test_dpi_margin_of_a_kernel_with_equal_rows_is_the_whole_distance(self):
+        # Every row the same: both pushforwards are that row, so nothing of the distance survives.
+        # Dyadic densities and kernel entries keep every sum exact.
+        grid = LambdaGrid.uniform(1, 16)
+        row = np.random.default_rng(SEED).permutation([0.5, 0.25, 0.125, 0.0625, 0.0625] + [0.0] * 11)
+        same = StochasticMap(grid, grid, [row] * 16)
+        mu = EpistemicState.uniform_on(grid, [((0.0, 1.0),)])
+        nu = EpistemicState.uniform_on(grid, [((0.25, 0.5),), ((1.0, 1.75),)])
+        assert dpi_margin(same, mu, nu) == l1_distance(mu, nu) == 1.5
+
 
 class TestSaturatingModel:
     @pytest.mark.parametrize("c", [0.0, 0.1, 0.25, 0.5, 0.75, 1.0])
     def test_perfect_correlations(self, c):
         model = build_saturating_model(c)
-        report = check_O1(model)
-        assert report.max_residual <= STRUCTURAL_TOL, report
+        eps = measured_epsilons(model.pass_probability)
+        assert _worst(eps.values()) <= STRUCTURAL_TOL, eps
 
     @pytest.mark.parametrize("c", [0.0, 0.1, 0.25, 0.5, 0.75, 1.0])
     def test_mixing_equivalences(self, c):
         model = build_saturating_model(c)
-        report = check_O2(model)
-        assert report.max_residual <= STRUCTURAL_TOL, report
+        residuals = model.equivalence_residuals()
+        assert _worst(residuals.values()) <= STRUCTURAL_TOL, residuals
 
     @pytest.mark.parametrize("c", [0.0, 0.1, 0.25, 0.5, 0.75, 1.0])
     def test_fidelity_saturates_the_ceiling(self, c):
         model = build_saturating_model(c)
         target = bounds.nc_bound_ideal(c, c**2)
-        assert global_fidelity(model) == pytest.approx(target, abs=1e-12)
+        assert global_fidelity(model.pass_probability) == pytest.approx(target, abs=1e-12)
 
     def test_half_overlap_by_hand(self):
         model = build_saturating_model(0.5)
         c_alpha_aa = confusability(model.states["alpha"], model.responses["aa"])
         assert c_alpha_aa == pytest.approx(0.75, abs=1e-12)
         assert confusability(model.states["beta"], model.responses["bb"]) == pytest.approx(1.0, abs=1e-12)
-        assert global_fidelity(model) == pytest.approx(0.875, abs=1e-12)
+        assert global_fidelity(model.pass_probability) == pytest.approx(0.875, abs=1e-12)
 
     def test_input_mixtures_flatten_to_uniform(self):
         model = build_saturating_model(0.5)
@@ -375,38 +381,30 @@ class TestSaturatingModel:
         broken_responses = dict(model.responses)
         broken_responses["a"] = ResponseFunction(model.clone_map.source, np.ones(model.clone_map.source.num_cells))
         broken = model._replace(responses=broken_responses)
-        report = check_O1(broken)
-        assert report.max_residual > STRUCTURAL_TOL
-        assert report.leak_probs["a"] == pytest.approx(1.0, abs=1e-12)
-
-    def test_a_nan_after_the_first_term_fails_check_O1(self, monkeypatch):
-        # The last term is the leak of the last test, bb, on its orthogonal partner.
-        model = build_saturating_model(0.5)
-        last = model.states["bb_perp"]
-        monkeypatch.setattr(ontic, "confusability", lambda mu, xi: math.nan if mu is last else confusability(mu, xi))
-        report = check_O1(model)
-        assert math.isnan(report.leak_probs["bb"]) and math.isnan(report.max_residual)
-        assert not report.max_residual <= STRUCTURAL_TOL
+        eps = measured_epsilons(broken.pass_probability)
+        assert _worst(eps.values()) > STRUCTURAL_TOL
+        assert eps["a"] == pytest.approx(1.0, abs=1e-12)
 
     def test_a_nan_leak_is_the_measured_epsilon(self, monkeypatch):
         # The leak is the later of the two terms of an epsilon; the shortfall of bb is 0.
+        # bb is the last test, so the NaN is the last term of the worst epsilon too.
         model = build_saturating_model(0.5)
         last = model.states["bb_perp"]
         monkeypatch.setattr(ontic, "confusability", lambda mu, xi: math.nan if mu is last else confusability(mu, xi))
-        eps = measured_epsilons(model)
-        assert math.isnan(eps["bb"])
+        eps = measured_epsilons(model.pass_probability)
+        assert math.isnan(eps["bb"]) and math.isnan(_worst(eps.values()))
         assert all(eps[s] <= STRUCTURAL_TOL for s in TEST_NAMES if s != "bb"), eps
 
-    def test_a_nan_in_a_later_cell_fails_check_O2(self):
+    def test_a_nan_in_a_later_cell_is_the_equivalence_residual(self):
         # Past EpistemicState's own check, which would reject the NaN.
         model = build_saturating_model(0.5)
         s, s2 = model.pairs[-1]
         state = model.states[f"{s2}_perp"]
         broken = tuple.__new__(EpistemicState, (state.grid, (*state.density[:-1], math.nan)))
-        report = check_O2(model._replace(states={**model.states, f"{s2}_perp": broken}))
-        assert math.isnan(report.pair_residuals[f"{s}~{s2}"]) and math.isnan(report.max_residual)
-        assert report.pair_residuals[f"{model.pairs[0][0]}~{model.pairs[0][1]}"] <= STRUCTURAL_TOL
-        assert not report.max_residual <= STRUCTURAL_TOL
+        residuals = model._replace(states={**model.states, f"{s2}_perp": broken}).equivalence_residuals()
+        assert math.isnan(residuals[f"{s}~{s2}"]) and math.isnan(_worst(residuals.values()))
+        assert residuals[f"{model.pairs[0][0]}~{model.pairs[0][1]}"] <= STRUCTURAL_TOL
+        assert not _worst(residuals.values()) <= STRUCTURAL_TOL
 
     def test_deliberate_o2_violation_is_flagged(self):
         model = build_saturating_model(0.5)
@@ -414,7 +412,7 @@ class TestSaturatingModel:
         states = dict(model.states)
         states["a_perp"] = EpistemicState(model.clone_map.source, shifted)
         broken = model._replace(states=states)
-        assert check_O2(broken).max_residual > STRUCTURAL_TOL
+        assert _worst(broken.equivalence_residuals().values()) > STRUCTURAL_TOL
 
 
 def uniform_grid_model(n, k):
@@ -482,10 +480,10 @@ class TestExactAtEveryOverlap:
         for name, state in model.states.items():
             mass = math.fsum(d * v for d, v in zip(state.density, state.grid.volumes))
             assert mass == pytest.approx(1.0, rel=0, abs=1e-14), name
-        assert global_fidelity(model) == pytest.approx(1.0 - c / 2.0 + c * c / 2.0, rel=0, abs=1e-14)
-        o1, o2 = check_O1(model), check_O2(model)
-        assert o1.max_residual <= 1e-14, o1
-        assert o2.max_residual <= 1e-14, o2
+        assert global_fidelity(model.pass_probability) == pytest.approx(1.0 - c / 2.0 + c * c / 2.0, rel=0, abs=1e-14)
+        eps, residuals = measured_epsilons(model.pass_probability), model.equivalence_residuals()
+        assert _worst(eps.values()) <= 1e-14, eps
+        assert _worst(residuals.values()) <= 1e-14, residuals
         expected = sandwich_closed_forms(c)
         for rep in verify_sandwich_ideal(model, list(expected)):
             assert rep.residual <= 1e-14, rep
@@ -493,6 +491,26 @@ class TestExactAtEveryOverlap:
         assert confusability(model.states["a"], model.responses["b"]) == pytest.approx(c, rel=0, abs=1e-14)
         b = model.states["b"].density
         assert np.abs(np.array(model.states["beta"].density) - np.outer(b, b).ravel()).max() <= 1e-14
+
+
+def check_O1_max_residual(p):
+    """The worst perfect-correlation residual as ``ontic.check_O1`` wrote it out, before the worst measured
+    epsilon replaced it: a reference that the shortfall's ``abs`` in ``bounds.measured_epsilons`` must match."""
+    return _worst((0.0, *(abs(1.0 - p(s, s)) for s in TEST_NAMES), *(p(f"{s}_perp", s) for s in TEST_NAMES)))
+
+
+class TestWorstEpsilonIsThePerfectCorrelationResidual:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(c=st.floats(0.0, 1.0), w=st.floats(0.0, 1.0, exclude_min=True))
+    @example(c=0.8824059935355894, w=1.0)
+    @example(c=0.0, w=5e-324)
+    @example(c=1.0, w=1e-9)
+    def test_worst_measured_epsilon_equals_the_written_out_residual(self, c, w):
+        # At c = 0.8824059935355894 a matching pass probability rounds to 1 + 2**-52.
+        model = build_saturating_model(c)
+        for m in (model, mix_with_uniform(model, w)):
+            p = m.pass_probability
+            assert _worst(measured_epsilons(p).values()) == check_O1_max_residual(p)
 
 
 class TestNoisyModelRespectsTheNoisyCeilings:
@@ -512,9 +530,9 @@ class TestNoisyModelRespectsTheNoisyCeilings:
             c_aabb=confusability(states["aa"], responses["bb"]),
             c_bbaa=confusability(states["bb"], responses["aa"]),
         )
-        eps = measured_epsilons(model)
+        eps = measured_epsilons(model.pass_probability)
         budget = bounds.ErrorBudget(**{f"eps_{s}": eps[s] for s in TEST_NAMES})
-        f_g = global_fidelity(model)
+        f_g = global_fidelity(model.pass_probability)
         assert f_g <= bounds.nc_bound_noisy(overlaps, budget) + STRUCTURAL_TOL
         assert f_g <= bounds.nc_bound_noisy_symmetric(overlaps, budget) + STRUCTURAL_TOL
 
@@ -534,12 +552,11 @@ class TestAgainstTheUniformGrid:
             return integral(densities[s] * responses[t])
 
         model = build_saturating_model(k / m)
-        assert global_fidelity(model) == pytest.approx(0.5 * conf("alpha", "aa") + 0.5 * conf("beta", "bb"),
-                                                       rel=0, abs=1e-14)
-        o1 = check_O1(model)
+        assert global_fidelity(model.pass_probability) == pytest.approx(
+            0.5 * conf("alpha", "aa") + 0.5 * conf("beta", "bb"), rel=0, abs=1e-14)
         for s in TEST_NAMES:
-            assert o1.match_probs[s] == pytest.approx(conf(s, s), rel=0, abs=1e-14), s
-            assert o1.leak_probs[s] == pytest.approx(conf(f"{s}_perp", s), rel=0, abs=1e-14), s
+            assert model.pass_probability(s, s) == pytest.approx(conf(s, s), rel=0, abs=1e-14), s
+            assert model.pass_probability(f"{s}_perp", s) == pytest.approx(conf(f"{s}_perp", s), rel=0, abs=1e-14), s
         for rep in verify_sandwich_ideal(model, list(sandwich_closed_forms(k / m))):
             s, t = rep.pair
             assert rep.l1 == pytest.approx(integral(np.abs(densities[s] - densities[t])), rel=0, abs=1e-14), rep
@@ -586,8 +603,8 @@ class TestSandwichRelations:
         states = dict(model.states)
         states["a_perp"] = EpistemicState(model.clone_map.source, np.roll(states["a_perp"].density, 5))
         broken = model._replace(states=states)
-        assert check_O1(broken).max_residual > STRUCTURAL_TOL
-        assert check_O2(broken).max_residual > STRUCTURAL_TOL
+        assert _worst(measured_epsilons(broken.pass_probability).values()) > STRUCTURAL_TOL
+        assert _worst(broken.equivalence_residuals().values()) > STRUCTURAL_TOL
         rep_ab, rep_partner = verify_sandwich_ideal(broken, [("a", "b"), ("a_perp", "a")])
         assert rep_ab == verify_sandwich_ideal(model, [("a", "b")])[0]
         # a's rolled partner now overlaps a: l1 = 1, a's response passes it with 1/2, residual 0.
@@ -597,8 +614,8 @@ class TestSandwichRelations:
     @pytest.mark.parametrize("w", [0.01, 0.05, 0.1])
     def test_noisy_sandwich_on_mixed_models(self, w):
         model = mix_with_uniform(build_saturating_model(0.5), w)
-        assert check_O2(model).max_residual <= STRUCTURAL_TOL
-        eps = measured_epsilons(model)
+        assert _worst(model.equivalence_residuals().values()) <= STRUCTURAL_TOL
+        eps = measured_epsilons(model.pass_probability)
         for pair in model.pairs:
             report = verify_sandwich_noisy(model, pair, eps[pair[0]], eps[pair[1]])
             assert report.margin_lower >= -STRUCTURAL_TOL and report.margin_upper >= -STRUCTURAL_TOL, (pair, report)
@@ -623,7 +640,7 @@ class TestSandwichRelations:
     def test_undersized_allowances_give_a_negative_margin(self):
         # The model exhibits allowances of 0.05 for a and b; with none granted the lower bound overshoots.
         model = mix_with_uniform(build_saturating_model(0.5), 0.1)
-        eps = measured_epsilons(model)
+        eps = measured_epsilons(model.pass_probability)
         assert eps["a"] > STRUCTURAL_TOL and eps["b"] > STRUCTURAL_TOL
         report = verify_sandwich_noisy(model, ("a", "b"), 0.0, 0.0)
         assert report.margin_lower == pytest.approx(-0.1, rel=0, abs=1e-15)
@@ -647,7 +664,7 @@ class TestSandwichRelations:
         states = dict(model.states)
         states["a_perp"] = EpistemicState(model.clone_map.source, np.roll(states["a_perp"].density, 9))
         broken = model._replace(states=states)
-        assert check_O2(broken).max_residual > STRUCTURAL_TOL
-        eps = measured_epsilons(broken)
+        assert _worst(broken.equivalence_residuals().values()) > STRUCTURAL_TOL
+        eps = measured_epsilons(broken.pass_probability)
         report = verify_sandwich_noisy(broken, ("a", "b"), eps["a"], eps["b"])
         assert report.margin_lower >= -STRUCTURAL_TOL
