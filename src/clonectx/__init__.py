@@ -14,7 +14,7 @@ record is a named tuple:
 * :mod:`clonectx.quantum` -- finite-dimensional simulation of the noisy
   cloning experiment (states, channels, Born rule, clone outputs as states).
 * :mod:`clonectx.ontic`   -- ontological models on a partition into cells,
-  with operational-equivalence checkers and the bound-saturating model.
+  the bound-saturating model, sandwich residuals and margins.
 * :mod:`clonectx.scan`    -- parameter sweeps, violation intervals and
   figure-data series writers.
 * :mod:`clonectx.cli`     -- command-line front end.

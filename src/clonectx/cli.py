@@ -252,24 +252,27 @@ def _cmd_quantum(report: RunReport, args: argparse.Namespace, quantum, residuals
     checked against the closed forms, with each equivalence residual if ``residuals``."""
     v, c = args.v, args.c
     ens = quantum.noisy_ensemble(v, c)
-    rec = ens.record()
-    report.outputs.update({f"{k}_observed": x for k, x in rec.overlaps._asdict().items()})
-    report.outputs.update(rec.budget._asdict())
-    report.outputs.update({"f_global": rec.f_global, "o2_residual": rec.o2_residual})
+    p = ens.pass_probability
+    overlaps = {"c_ab": p("a", "b"), "c_ba": p("b", "a"), "c_aabb": p("aa", "bb"), "c_bbaa": p("bb", "aa")}
+    eps = bounds.measured_epsilons(p)
+    f_g = bounds.global_fidelity(p)
+    equivalences = ens.equivalence_residuals()
+    o2_residual = bounds._worst(equivalences.values())
+    report.outputs.update({f"{k}_observed": x for k, x in overlaps.items()} | {f"eps_{s}": x for s, x in eps.items()})
+    report.outputs.update(f_global=f_g, o2_residual=o2_residual)
     if residuals:
-        for pair, resid in ens.equivalence_residuals().items():
-            report.outputs[f"equivalence_residual[{pair}]"] = resid
+        report.outputs.update({f"equivalence_residual[{pair}]": x for pair, x in equivalences.items()})
 
     eb = bounds.depolarizing_epsilons(v)
     report.check("epsilons-match-closed-forms", "max |delta|",
-                 bounds._worst(abs(x - y) for x, y in zip(rec.budget, eb)), ACCEPT_EXACT)
-    d_cab = abs(rec.overlaps.c_ab - bounds.observed_confusability(v, c))
-    d_caabb = abs(rec.overlaps.c_aabb - bounds.observed_target_confusability(v, c))
+                 bounds._worst(abs(x - y) for x, y in zip(eps.values(), eb)), ACCEPT_EXACT)
+    d_cab = abs(overlaps["c_ab"] - bounds.observed_confusability(v, c))
+    d_caabb = abs(overlaps["c_aabb"] - bounds.observed_target_confusability(v, c))
     report.check("observed-confusabilities-match-closed-forms", "max |delta|",
                  bounds._worst((d_cab, d_caabb)), ACCEPT_EXACT)
     report.check("global-fidelity-matches-closed-form", "|delta|",
-                 abs(rec.f_global - bounds.quantum_noisy_fidelity(v, c)), ACCEPT_EXACT)
-    report.check("mixing-equivalences", "max residual", rec.o2_residual, ACCEPT_EXACT)
+                 abs(f_g - bounds.quantum_noisy_fidelity(v, c)), ACCEPT_EXACT)
+    report.check("mixing-equivalences", "max residual", o2_residual, ACCEPT_EXACT)
 
 
 def _cmd_region(report: RunReport, args: argparse.Namespace, scan) -> None:
@@ -325,8 +328,8 @@ def _cmd_verify_ontic(report: RunReport, args: argparse.Namespace, ontic) -> Non
     report.outputs["nc_bound_ideal"] = target
     report.check("fidelity-saturates-nc-bound", "|delta|", abs(f_g - target), tol)
 
-    for rep in ontic.verify_sandwich_ideal(model, model.pairs + (("aa", "bb"),)):
-        report.check(f"distance-confusability-identity[{rep.pair[0]}~{rep.pair[1]}]", "residual", rep.residual, tol)
+    for pair, residual in ontic.sandwich_residuals(model, model.pairs + (("aa", "bb"),)).items():
+        report.check(f"distance-confusability-identity[{pair}]", "residual", residual, tol)
 
     # The output grid is the input grid squared, row-major: the product density is b(x) b(y) cell by cell.
     b = model.states["b"].density

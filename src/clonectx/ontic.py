@@ -16,10 +16,10 @@ coarsest partition its supports allow.  A model has the quantum
 ensemble's two methods, ``pass_probability`` and ``equivalence_residuals``,
 and :mod:`clonectx.bounds` measures every observable through them: the
 error allowances of the perfect-test correlations, the global fidelity and
-the mixing residuals.  The distance/confusability sandwich relations and
-the data-processing margin measure any model built from these parts.  No
-function here returns a verdict: the caller compares each residual and
-margin with the one tolerance ``STRUCTURAL_TOL``.
+the mixing residuals.  The distance/confusability sandwich residuals and
+margins and the data-processing margin are plain floats, measured on any
+model built from these parts.  No function here returns a verdict: the
+caller compares each with the one tolerance ``STRUCTURAL_TOL``.
 """
 
 from __future__ import annotations
@@ -335,44 +335,27 @@ def mix_with_uniform(model: OnticModel, w: float) -> OnticModel:
     return model._replace(states=mixed)
 
 
-class SandwichIdealReport(namedtuple("SandwichIdealReport", "pair l1 confus residual")):
-    """Distance/confusability identity for one pair: l1 distance vs 2(1 - confusability)."""
-
-    __slots__ = ()
-
-
-def verify_sandwich_ideal(model: OnticModel, pairs: Sequence[tuple[str, str]]) -> list[SandwichIdealReport]:
-    """Residual of the ideal relation |mu_s - mu_s'| = 2(1 - c_ss') for each pair.
+def sandwich_residuals(model: OnticModel, pairs: Sequence[tuple[str, str]]) -> dict[str, float]:
+    """Residual of the ideal relation |mu_s - mu_s'| = 2(1 - c_ss') for each pair, keyed ``s~s'``.
 
     The relation holds on a model with perfect test correlations (every
     measured epsilon 0) and the mixing equivalences (every equivalence
     residual 0); on any other model the residuals are still measured, and
     it is for the caller to read them beside those.
     """
-    reports = []
-    for s, s2 in pairs:
-        dist = l1_distance(model.states[s], model.states[s2])
-        conf = model.pass_probability(s, s2)
-        residual = abs(dist - 2.0 * (1.0 - conf))
-        reports.append(SandwichIdealReport(pair=(s, s2), l1=dist, confus=conf, residual=residual))
-    return reports
+    states, p = model.states, model.pass_probability
+    return {f"{s}~{s2}": abs(l1_distance(states[s], states[s2]) - 2.0 * (1.0 - p(s, s2))) for s, s2 in pairs}
 
 
-class SandwichNoisyReport(namedtuple("SandwichNoisyReport", "pair l1 lower upper margin_lower margin_upper")):
-    """Two-sided distance/confusability bounds for one pair under an error budget."""
-
-    __slots__ = ()
-
-
-def verify_sandwich_noisy(model: OnticModel, pair: tuple[str, str], eps_s: float, eps_s2: float) -> SandwichNoisyReport:
-    """Bounds 2*max(...) <= |mu_s - mu_s'| <= 2*min(...) with the given allowances, and the margins of both.
+def sandwich_margins(model: OnticModel, pair: tuple[str, str], eps_s: float, eps_s2: float) -> tuple[float, float]:
+    """Margins l1 - lower and upper - l1 of the bounds 2*max(...) <= |mu_s - mu_s'| <= 2*min(...), given allowances.
 
     The bounds use both orientations of the pair's confusability, and a
-    NaN in either gives NaN bounds (the minimum is the negated
-    :func:`_worst` of the negated terms).  The margins are ``l1 - lower``
-    and ``upper - l1``, measured on any model.  Both hold on a model that
-    satisfies the mixing equivalences and whose :func:`clonectx.bounds.measured_epsilons`
-    are no larger than the allowances supplied; the lower one needs neither.
+    NaN in either gives NaN margins (the minimum is the negated
+    :func:`_worst` of the negated terms).  The margins are measured on any
+    model.  Both are nonnegative on a model that satisfies the mixing
+    equivalences and whose :func:`clonectx.bounds.measured_epsilons` are no
+    larger than the allowances supplied; the lower one needs neither.
     Acceptance criterion 3 runs it; no command does until one checks the noisy model.
     """
     s, s2 = pair
@@ -381,5 +364,4 @@ def verify_sandwich_noisy(model: OnticModel, pair: tuple[str, str], eps_s: float
     c_rev = model.pass_probability(s2, s)
     lower = 2.0 * _worst((1.0 - c_fwd - eps_s2, 1.0 - c_rev - eps_s))
     upper = -2.0 * _worst((-(1.0 - c_fwd + eps_s2), -(1.0 - c_rev + eps_s)))
-    return SandwichNoisyReport(pair=pair, l1=dist, lower=lower, upper=upper,
-                               margin_lower=dist - lower, margin_upper=upper - dist)
+    return dist - lower, upper - dist

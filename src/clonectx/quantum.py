@@ -2,11 +2,12 @@
 
 Builds the full set of preparations and two-outcome test measurements of a
 cloning run in which every stage (input preparation, cloning unitary,
-measurement) is degraded by a depolarizing channel.  The ensemble supplies
-its pass probabilities, by the Born rule, and its matrices' entries; the
-observables measured from them, the closed forms they are checked against
-and the names of the preparations and tests live in :mod:`clonectx.bounds`,
-the inputs' gauge and the two-copy frame in :mod:`clonectx.cloner`.
+measurement) is degraded by a depolarizing channel.  The ensemble has
+:class:`clonectx.ontic.OnticModel`'s two methods, ``pass_probability`` (Born
+rule) and ``equivalence_residuals``; the observables measured through them,
+the closed forms they are checked against and the names of the preparations
+and tests live in :mod:`clonectx.bounds`, the inputs' gauge and the two-copy
+frame in :mod:`clonectx.cloner`.
 
 The two input states live in a real two-dimensional span; the clone
 outputs live in the corresponding two-qubit tensor space (dimension 4).
@@ -22,8 +23,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .bounds import (EQUIVALENCE_PAIRS, STATE_NAMES, TEST_NAMES, ErrorBudget, OverlapParams, _check_unit, _Checked,
-                     _worst, global_fidelity, measured_epsilons, mixing_residuals)
+from .bounds import EQUIVALENCE_PAIRS, STATE_NAMES, TEST_NAMES, _check_unit, _Checked, mixing_residuals
 from .cloner import input_pair, plane_basis
 
 HERMITIAN_TOL = 1e-12
@@ -190,13 +190,6 @@ def optimal_clone_pair(c_ab: float) -> tuple[PureState, PureState]:
     return PureState(alpha), PureState(beta)
 
 
-class ExperimentRecord(namedtuple("ExperimentRecord", "overlaps budget f_global o2_residual")):
-    """Born-rule summary of one noisy run: observed confusabilities (:class:`OverlapParams`),
-    measured error budget (:class:`ErrorBudget`), global fidelity and the worst mixing-equivalence residual."""
-
-    __slots__ = ()
-
-
 class NoisyEnsemble(namedtuple("NoisyEnsemble", "states tests")):
     """All preparations and test measurements of the depolarized experiment.
 
@@ -216,15 +209,6 @@ class NoisyEnsemble(namedtuple("NoisyEnsemble", "states tests")):
         """Max-entry residual of each of the four mixing equivalences."""
         entries = {s: [x for row in rho.matrix for x in row] for s, rho in self.states.items()}
         return mixing_residuals(entries, EQUIVALENCE_PAIRS + (("aa", "bb"),))
-
-    def record(self) -> ExperimentRecord:
-        """Every observed quantity of the run, measured by :mod:`clonectx.bounds` from this ensemble's Born
-        probabilities: both pairs' confusabilities, the six error allowances, F_g and the worst mixing residual."""
-        p = self.pass_probability
-        overlaps = OverlapParams(c_ab=p("a", "b"), c_ba=p("b", "a"), c_aabb=p("aa", "bb"), c_bbaa=p("bb", "aa"))
-        budget = ErrorBudget(**{f"eps_{s}": eps for s, eps in measured_epsilons(p).items()})
-        return ExperimentRecord(overlaps=overlaps, budget=budget, f_global=global_fidelity(p),
-                                o2_residual=_worst(self.equivalence_residuals().values()))
 
 
 def noisy_ensemble(v: float, c_ab: float) -> NoisyEnsemble:

@@ -55,9 +55,7 @@ def test_criterion_2_saturating_model_reaches_the_ceiling():
 
 def test_criterion_3_sandwich_relations():
     model = ontic.build_saturating_model(0.5)
-    worst_ideal = max(
-        rep.residual for rep in ontic.verify_sandwich_ideal(model, model.pairs)
-    )
+    worst_ideal = max(ontic.sandwich_residuals(model, model.pairs).values())
     ideal_ok = worst_ideal <= 4.0 * (2.0 / 200)
 
     noisy_ok = True
@@ -65,9 +63,8 @@ def test_criterion_3_sandwich_relations():
         mixed = ontic.mix_with_uniform(model, w)
         eps = bounds.measured_epsilons(mixed.pass_probability)
         for pair in mixed.pairs:
-            rep = ontic.verify_sandwich_noisy(mixed, pair, eps[pair[0]], eps[pair[1]])
-            noisy_ok = (noisy_ok and rep.margin_lower >= -ontic.STRUCTURAL_TOL
-                        and rep.margin_upper >= -ontic.STRUCTURAL_TOL)
+            margin_lower, margin_upper = ontic.sandwich_margins(mixed, pair, eps[pair[0]], eps[pair[1]])
+            noisy_ok = noisy_ok and margin_lower >= -ontic.STRUCTURAL_TOL and margin_upper >= -ontic.STRUCTURAL_TOL
 
     # Lower bound without the mixing equivalences: arbitrary densities and
     # responses, allowance measured from the response itself.
@@ -90,8 +87,8 @@ def test_criterion_3_sandwich_relations():
     broken = model._replace(states=states)
     assert bounds._worst(broken.equivalence_residuals().values()) > ontic.STRUCTURAL_TOL
     eps_b = bounds.measured_epsilons(broken.pass_probability)
-    broken_rep = ontic.verify_sandwich_noisy(broken, ("a", "b"), eps_b["a"], eps_b["b"])
-    lower_ok = lower_ok and broken_rep.margin_lower >= -ontic.STRUCTURAL_TOL
+    broken_lower, _ = ontic.sandwich_margins(broken, ("a", "b"), eps_b["a"], eps_b["b"])
+    lower_ok = lower_ok and broken_lower >= -ontic.STRUCTURAL_TOL
 
     report(
         3,
@@ -104,11 +101,11 @@ def test_criterion_3_sandwich_relations():
 def test_criterion_4_depolarizing_closed_forms():
     worst_eps, worst_o2 = 0.0, 0.0
     for v in (0.015, 0.1, 0.3):
-        rec = quantum.noisy_ensemble(v, 0.5).record()
+        eps = bounds.measured_epsilons(quantum.noisy_ensemble(v, 0.5).pass_probability)
         worst_eps = max(
             worst_eps,
-            abs(rec.budget.eps_a - (v - v * v / 2.0)),
-            abs(rec.budget.eps_aa - 0.75 * v * (3.0 - 3.0 * v + v * v)),
+            abs(eps["a"] - (v - v * v / 2.0)),
+            abs(eps["aa"] - 0.75 * v * (3.0 - 3.0 * v + v * v)),
         )
         residuals = quantum.noisy_ensemble(v, 0.5).equivalence_residuals()
         worst_o2 = max(worst_o2, max(residuals.values()))
@@ -127,8 +124,8 @@ def test_criterion_5_noisy_fidelity_identity():
     worst = 0.0
     for v in (0.0, 0.015, 0.1, 0.3, 0.6):
         for c in (0.1, 0.3, 0.5, 0.7, 0.9):
-            rec = quantum.noisy_ensemble(v, c).record()
-            worst = max(worst, abs(rec.f_global - bounds.quantum_noisy_fidelity(v, c)))
+            f_g = bounds.global_fidelity(quantum.noisy_ensemble(v, c).pass_probability)
+            worst = max(worst, abs(f_g - bounds.quantum_noisy_fidelity(v, c)))
     report(5, worst <= 1e-12, f"simulated vs closed-form noisy fidelity on 5x5 grid: max |delta| = {worst:.3e} <= 1e-12")
 
 

@@ -349,12 +349,12 @@ class TestObservables:
 
         ens = quantum.noisy_ensemble(0.015, 0.5)
         states, tests = ens.states, ens.tests
-        rec = ens.record()
-        assert rec.budget == ErrorBudget(**{
-            f"eps_{s}": max(1.0 - born(states[s], tests[s]), born(states[f"{s}_perp"], tests[s]))
-            for s in bounds.TEST_NAMES
-        })
-        assert rec.f_global == 0.5 * born(states["alpha"], tests["aa"]) + 0.5 * born(states["beta"], tests["bb"])
+        p = ens.pass_probability
+        assert bounds.measured_epsilons(p) == {
+            s: max(1.0 - born(states[s], tests[s]), born(states[f"{s}_perp"], tests[s])) for s in bounds.TEST_NAMES
+        }
+        assert bounds.global_fidelity(p) == (0.5 * born(states["alpha"], tests["aa"])
+                                             + 0.5 * born(states["beta"], tests["bb"]))
 
         model = ontic.mix_with_uniform(ontic.build_saturating_model(0.37), 0.1)
         states, responses = model.states, model.responses

@@ -122,6 +122,15 @@ def nan_last_epsilon(monkeypatch):
     monkeypatch.setattr(bounds, "depolarizing_epsilons", lambda v: (*real(v)[:-1], math.nan))
 
 
+def nan_bb_perp_leak(monkeypatch):
+    # A NaN pass probability of bb's orthogonal partner: the measured eps_bb is NaN.
+    from clonectx import quantum
+
+    real = quantum.NoisyEnsemble.pass_probability
+    monkeypatch.setattr(quantum.NoisyEnsemble, "pass_probability",
+                        lambda ens, s, t: math.nan if s == "bb_perp" else real(ens, s, t))
+
+
 def nan_target_confusability(monkeypatch):
     from clonectx import bounds
 
@@ -169,13 +178,15 @@ class TestNanTerms:
         "argv, sabotage, verdict",
         [
             (("noise", "--v", "0.015", "--c", "0.5"), nan_last_epsilon, "epsilons-match-closed-forms"),
+            (("noise", "--v", "0.015", "--c", "0.5"), nan_bb_perp_leak, "epsilons-match-closed-forms"),
             (("noise", "--v", "0.015", "--c", "0.5"), nan_target_confusability,
              "observed-confusabilities-match-closed-forms"),
             (("verify-quantum", "--v", "0.015", "--c", "0.5"), nan_last_equivalence, "mixing-equivalences"),
             (("verify-ontic", "--c", "0.37"), nan_last_product_cell, "clone-of-b-is-product-density"),
             (("verify-ontic", "--c", "0.37"), nan_last_a_perp_cell, "mixing-equivalences"),
         ],
-        ids=["epsilons", "observed-confusabilities", "o2-residual", "beta-product-density", "a-perp-density"],
+        ids=["epsilons", "measured-epsilon", "observed-confusabilities", "o2-residual", "beta-product-density",
+             "a-perp-density"],
     )
     def test_verdict_fails_and_exits_one(self, capsys, monkeypatch, argv, sabotage, verdict):
         sabotage(monkeypatch)
@@ -449,6 +460,26 @@ class TestReports:
         ("verify-ontic", "--c", "0.8824059935355894"): (
             "b3228015edb05f3427e5820c5d326c42c35007ed69e71104e0c8f05202bef199",
             "4319861157b12d118bbf8c3cb88795160b6df68a9abeadafdff72c7eafdac9ae"),
+        # Pinned before the quantum route's measurements became plain floats.  Its input gauge takes acos,
+        # cos and sin, so at c = 0.5 these bytes rest on a libm that rounds them as glibc does.
+        ("noise", "--v", "0.015", "--c", "0.5"): (
+            "f8977cd626e72e8a06c01e0faaa27e5ed10b4828c6969a31426002389229b42c",
+            "36c9205d76860fd8852f68ff388bbfa248279c289d5ec51a45a9af0be1d91928"),
+        ("verify-quantum", "--v", "0.015", "--c", "0.5"): (
+            "f0eaea5e30052088dd35b61c25e72364644ee8850048127a876e124446981837",
+            "3060eaff52da7ea813ea21e611f411f06f4ddafa0b3095eb442da66fbb1df841"),
+        ("noise", "--v", "0", "--c", "1"): (
+            "f6b959865059872b641c93f55907f56c7d50ed91b53520315613631ce6b9fe82",
+            "0c434e335c465b7da7ce2b9e5fd3a2fc165969daf10f9c24c3a61db26b8f970a"),
+        ("verify-quantum", "--v", "0", "--c", "1"): (
+            "3fcf12dcae30f91679f081d78a4e10fcef51c025acb2c85909c7c9c503e5606e",
+            "159afeb003060785589392b2982cd6d7fd8dce5f42c20763f4ffb3ed54963d33"),
+        ("noise", "--v", "1", "--c", "0"): (
+            "616fb18cf842f4fae99b9bff3bc1330954145c04c2c11fd82ff24ff0b3027919",
+            "f65adc530f59f7625b40d299e8c10ad845435920409478e016300df77cc557b5"),
+        ("verify-quantum", "--v", "1", "--c", "0"): (
+            "7343332f39aa5a80bddd2601aaad77e88658b5d3589e87625cf1b6f1972c9b31",
+            "77827d5468c1f1e865ef5945cbe853183f14bf0680f8425c9b8bef5c6b948640"),
     }
 
     @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
@@ -614,11 +645,13 @@ class TestSubcommands:
         assert "[FAIL] fidelity-saturates-nc-bound" in out
         assert "result: FAIL" in out
 
-    def test_verify_ontic_runs_each_model_check_once(self, capsys, monkeypatch):
-        from clonectx import bounds, ontic
+    @staticmethod
+    def count_calls(monkeypatch, model_class):
+        """Calls of ``bounds.measured_epsilons`` and of ``model_class.equivalence_residuals``, counted as they run."""
+        from clonectx import bounds
 
         calls = {"measured_epsilons": 0, "equivalence_residuals": 0}
-        for owner, name in ((bounds, "measured_epsilons"), (ontic.OnticModel, "equivalence_residuals")):
+        for owner, name in ((bounds, "measured_epsilons"), (model_class, "equivalence_residuals")):
             real = getattr(owner, name)
 
             def counted(*args, _real=real, _name=name, **kwargs):
@@ -626,9 +659,24 @@ class TestSubcommands:
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    def test_verify_ontic_runs_each_model_check_once(self, capsys, monkeypatch):
+        from clonectx import ontic
+
+        calls = self.count_calls(monkeypatch, ontic.OnticModel)
         code, out, _ = run_cli(capsys, "verify-ontic", "--c", "0.5", "--resolution", "20")
         assert code == 0
         assert out.count("distance-confusability-identity") == 4
+        assert calls == {"measured_epsilons": 1, "equivalence_residuals": 1}
+
+    def test_verify_quantum_runs_each_model_check_once(self, capsys, monkeypatch):
+        from clonectx import quantum
+
+        calls = self.count_calls(monkeypatch, quantum.NoisyEnsemble)
+        code, out, _ = run_cli(capsys, "verify-quantum", "--v", "0.015", "--c", "0.5")
+        assert code == 0
+        assert out.count("equivalence_residual[") == 4
         assert calls == {"measured_epsilons": 1, "equivalence_residuals": 1}
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=100)

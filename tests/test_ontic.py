@@ -29,8 +29,8 @@ from clonectx.ontic import (
     dpi_margin,
     l1_distance,
     mix_with_uniform,
-    verify_sandwich_ideal,
-    verify_sandwich_noisy,
+    sandwich_margins,
+    sandwich_residuals,
 )
 
 SEED = 20260810
@@ -232,12 +232,12 @@ class TestValidationErrors:
         broken = model._replace(states={**model.states, "a_perp": squeezed})
         assert _worst(measured_epsilons(broken.pass_probability).values()) <= STRUCTURAL_TOL
         assert _worst(broken.equivalence_residuals().values()) == pytest.approx(0.5, rel=0, abs=1e-15)
-        (ideal,) = verify_sandwich_ideal(broken, [("a", "b")])
-        assert ideal == verify_sandwich_ideal(model, [("a", "b")])[0]
-        assert ideal.residual <= STRUCTURAL_TOL
-        noisy = verify_sandwich_noisy(broken, ("a", "b"), 0.0, 0.0)
-        assert noisy == verify_sandwich_noisy(model, ("a", "b"), 0.0, 0.0)
-        assert abs(noisy.margin_lower) <= STRUCTURAL_TOL and abs(noisy.margin_upper) <= STRUCTURAL_TOL
+        ideal = sandwich_residuals(broken, [("a", "b")])
+        assert ideal == sandwich_residuals(model, [("a", "b")])
+        assert ideal["a~b"] <= STRUCTURAL_TOL
+        margins = sandwich_margins(broken, ("a", "b"), 0.0, 0.0)
+        assert margins == sandwich_margins(model, ("a", "b"), 0.0, 0.0)
+        assert abs(margins[0]) <= STRUCTURAL_TOL and abs(margins[1]) <= STRUCTURAL_TOL
 
 
 class TestStochasticMaps:
@@ -485,9 +485,11 @@ class TestExactAtEveryOverlap:
         assert _worst(eps.values()) <= 1e-14, eps
         assert _worst(residuals.values()) <= 1e-14, residuals
         expected = sandwich_closed_forms(c)
-        for rep in verify_sandwich_ideal(model, list(expected)):
-            assert rep.residual <= 1e-14, rep
-            assert (rep.l1, rep.confus) == pytest.approx(expected[rep.pair], rel=0, abs=1e-14), rep
+        sandwich = sandwich_residuals(model, list(expected))
+        for (s, t), closed_form in expected.items():
+            assert sandwich[f"{s}~{t}"] <= 1e-14, (s, t)
+            got = (l1_distance(model.states[s], model.states[t]), model.pass_probability(s, t))
+            assert got == pytest.approx(closed_form, rel=0, abs=1e-14), (s, t)
         assert confusability(model.states["a"], model.responses["b"]) == pytest.approx(c, rel=0, abs=1e-14)
         b = model.states["b"].density
         assert np.abs(np.array(model.states["beta"].density) - np.outer(b, b).ravel()).max() <= 1e-14
@@ -557,10 +559,10 @@ class TestAgainstTheUniformGrid:
         for s in TEST_NAMES:
             assert model.pass_probability(s, s) == pytest.approx(conf(s, s), rel=0, abs=1e-14), s
             assert model.pass_probability(f"{s}_perp", s) == pytest.approx(conf(f"{s}_perp", s), rel=0, abs=1e-14), s
-        for rep in verify_sandwich_ideal(model, list(sandwich_closed_forms(k / m))):
-            s, t = rep.pair
-            assert rep.l1 == pytest.approx(integral(np.abs(densities[s] - densities[t])), rel=0, abs=1e-14), rep
-            assert rep.confus == pytest.approx(conf(s, t), rel=0, abs=1e-14), rep
+        for s, t in sandwich_closed_forms(k / m):
+            l1 = l1_distance(model.states[s], model.states[t])
+            assert l1 == pytest.approx(integral(np.abs(densities[s] - densities[t])), rel=0, abs=1e-14), (s, t)
+            assert model.pass_probability(s, t) == pytest.approx(conf(s, t), rel=0, abs=1e-14), (s, t)
 
         # Cell by cell: each cell of the partition is a block of grid cells,
         # and the model's density there is the grid density's mean over the
@@ -581,21 +583,19 @@ class TestSandwichRelations:
     @pytest.mark.parametrize("c", [0.1, 0.5, 0.75])
     def test_ideal_identity_on_saturating_model(self, pair, c):
         model = build_saturating_model(c)
-        (report,) = verify_sandwich_ideal(model, [pair])
-        assert report.residual <= STRUCTURAL_TOL, report
+        (residual,) = sandwich_residuals(model, [pair]).values()
+        assert residual <= STRUCTURAL_TOL, pair
 
     def test_ideal_identity_values_at_half(self):
         model = build_saturating_model(0.5)
-        rep_ab, rep_tt = verify_sandwich_ideal(model, [("a", "b"), ("aa", "bb")])
-        assert rep_ab.l1 == pytest.approx(1.0, abs=1e-12)
-        assert rep_tt.l1 == pytest.approx(1.5, abs=1e-12)
-        assert 2 * (1 - rep_tt.confus) == pytest.approx(1.5, abs=1e-12)
+        assert l1_distance(model.states["a"], model.states["b"]) == pytest.approx(1.0, abs=1e-12)
+        assert l1_distance(model.states["aa"], model.states["bb"]) == pytest.approx(1.5, abs=1e-12)
+        assert 2 * (1 - model.pass_probability("aa", "bb")) == pytest.approx(1.5, abs=1e-12)
 
     def test_identical_inputs_give_zero_both_sides(self):
         model = build_saturating_model(1.0)
-        (report,) = verify_sandwich_ideal(model, [("a", "b")])
-        assert report.l1 == pytest.approx(0.0, abs=1e-12)
-        assert report.confus == pytest.approx(1.0, abs=1e-12)
+        assert l1_distance(model.states["a"], model.states["b"]) == pytest.approx(0.0, abs=1e-12)
+        assert model.pass_probability("a", "b") == pytest.approx(1.0, abs=1e-12)
 
     def test_ideal_check_measures_an_invalid_model(self):
         # A model that fails O1 and O2 is still measured; its O1 and O2 residuals tell the caller so.
@@ -605,11 +605,11 @@ class TestSandwichRelations:
         broken = model._replace(states=states)
         assert _worst(measured_epsilons(broken.pass_probability).values()) > STRUCTURAL_TOL
         assert _worst(broken.equivalence_residuals().values()) > STRUCTURAL_TOL
-        rep_ab, rep_partner = verify_sandwich_ideal(broken, [("a", "b"), ("a_perp", "a")])
-        assert rep_ab == verify_sandwich_ideal(model, [("a", "b")])[0]
+        residuals = sandwich_residuals(broken, [("a", "b"), ("a_perp", "a")])
+        assert residuals["a~b"] == sandwich_residuals(model, [("a", "b")])["a~b"]
         # a's rolled partner now overlaps a: l1 = 1, a's response passes it with 1/2, residual 0.
-        assert (rep_partner.l1, rep_partner.confus, rep_partner.residual) == pytest.approx((1.0, 0.5, 0.0),
-                                                                                            rel=0, abs=1e-15)
+        partner = (l1_distance(states["a_perp"], states["a"]), broken.pass_probability("a_perp", "a"))
+        assert (*partner, residuals["a_perp~a"]) == pytest.approx((1.0, 0.5, 0.0), rel=0, abs=1e-15)
 
     @pytest.mark.parametrize("w", [0.01, 0.05, 0.1])
     def test_noisy_sandwich_on_mixed_models(self, w):
@@ -617,8 +617,8 @@ class TestSandwichRelations:
         assert _worst(model.equivalence_residuals().values()) <= STRUCTURAL_TOL
         eps = measured_epsilons(model.pass_probability)
         for pair in model.pairs:
-            report = verify_sandwich_noisy(model, pair, eps[pair[0]], eps[pair[1]])
-            assert report.margin_lower >= -STRUCTURAL_TOL and report.margin_upper >= -STRUCTURAL_TOL, (pair, report)
+            margin_lower, margin_upper = sandwich_margins(model, pair, eps[pair[0]], eps[pair[1]])
+            assert margin_lower >= -STRUCTURAL_TOL and margin_upper >= -STRUCTURAL_TOL, (pair, margin_lower)
 
     @pytest.mark.parametrize("nan_density", ["a", "b"], ids=["forward", "reverse"])
     def test_a_nan_confusability_gives_nan_margins(self, monkeypatch, nan_density):
@@ -627,24 +627,23 @@ class TestSandwichRelations:
         nan_state = model.states[nan_density]
         monkeypatch.setattr(ontic, "confusability",
                             lambda mu, xi: math.nan if mu is nan_state else confusability(mu, xi))
-        report = verify_sandwich_noisy(model, ("a", "b"), 0.0, 0.0)
-        assert math.isnan(report.lower) and math.isnan(report.upper)
-        assert math.isnan(report.margin_lower) and math.isnan(report.margin_upper)
+        margin_lower, margin_upper = sandwich_margins(model, ("a", "b"), 0.0, 0.0)
+        assert math.isnan(margin_lower) and math.isnan(margin_upper)
 
     def test_zero_mixing_reduces_to_equality(self):
         model = build_saturating_model(0.5)
-        report = verify_sandwich_noisy(model, ("a", "b"), 0.0, 0.0)
-        assert abs(report.margin_lower) <= STRUCTURAL_TOL
-        assert abs(report.margin_upper) <= STRUCTURAL_TOL
+        margin_lower, margin_upper = sandwich_margins(model, ("a", "b"), 0.0, 0.0)
+        assert abs(margin_lower) <= STRUCTURAL_TOL
+        assert abs(margin_upper) <= STRUCTURAL_TOL
 
     def test_undersized_allowances_give_a_negative_margin(self):
         # The model exhibits allowances of 0.05 for a and b; with none granted the lower bound overshoots.
         model = mix_with_uniform(build_saturating_model(0.5), 0.1)
         eps = measured_epsilons(model.pass_probability)
         assert eps["a"] > STRUCTURAL_TOL and eps["b"] > STRUCTURAL_TOL
-        report = verify_sandwich_noisy(model, ("a", "b"), 0.0, 0.0)
-        assert report.margin_lower == pytest.approx(-0.1, rel=0, abs=1e-15)
-        assert report.margin_upper >= -STRUCTURAL_TOL
+        margin_lower, margin_upper = sandwich_margins(model, ("a", "b"), 0.0, 0.0)
+        assert margin_lower == pytest.approx(-0.1, rel=0, abs=1e-15)
+        assert margin_upper >= -STRUCTURAL_TOL
 
     def test_lower_bound_needs_no_equivalences(self):
         # The one-sided relation 2(1 - c - eps) <= |mu - nu| holds for any
@@ -666,5 +665,5 @@ class TestSandwichRelations:
         broken = model._replace(states=states)
         assert _worst(broken.equivalence_residuals().values()) > STRUCTURAL_TOL
         eps = measured_epsilons(broken.pass_probability)
-        report = verify_sandwich_noisy(broken, ("a", "b"), eps["a"], eps["b"])
-        assert report.margin_lower >= -STRUCTURAL_TOL
+        margin_lower, _ = sandwich_margins(broken, ("a", "b"), eps["a"], eps["b"])
+        assert margin_lower >= -STRUCTURAL_TOL

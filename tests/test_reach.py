@@ -24,7 +24,7 @@ KEPT = {
     "ontic.LambdaGrid.uniform": "builds the acceptance gate's grids (criteria 3 and 8)",
     "ontic.EpistemicState.uniform": "the flat density that mix_with_uniform blends in",
     "ontic._Table.nbytes": "perfbench reports it as the kernel's size",
-    **dict.fromkeys(["ontic.mix_with_uniform", "ontic.verify_sandwich_noisy", "ontic.dpi_margin"], NOISY_FAMILY),
+    **dict.fromkeys(["ontic.mix_with_uniform", "ontic.sandwich_margins", "ontic.dpi_margin"], NOISY_FAMILY),
     "scan.advantage_gap": "the scalar reference route that the fused critical-level pass is checked against",
     "scan._trigonometric_root": "the cubic's three-real-root branch, which no point of the commands' modes is "
                                 "known to reach; the tests reach it through planted error terms",
