@@ -12,19 +12,19 @@ exit status.  Every verdict is one residual judged at one tolerance by
 any fails, 2 for argument errors.  :func:`run` makes every report, its
 inputs the parsed arguments in the order ``-h`` lists them; the
 subcommand's handler only computes, and fills the report with outputs and
-verdicts.  This
-module imports :mod:`clonectx.bounds` alone, which computes on Python
-floats, keeps its records in named tuples and holds the sweep modes and
-curve formats the parser offers, so importing it loads neither numpy,
-:mod:`inspect` nor :mod:`pathlib`.  Every other module loads
-only for the subcommands that use it, by one rule: ``_HANDLERS`` names the
-module each handler takes, and :func:`run` imports it before the clock
-starts, so ``elapsed:`` times the computation alone.  Those modules are
-:mod:`clonectx.scan` for ``region``, ``critical-noise`` and ``curves``,
-:mod:`clonectx.cloner` for ``clones``, :mod:`clonectx.quantum` (which takes
-the cloner's basis) for ``noise`` and ``verify-quantum``, and
-:mod:`clonectx.ontic` for ``verify-ontic``; ``bounds`` needs none.  Each
-computes on Python floats or complex numbers, so no subcommand loads numpy.
+verdicts.  This module imports :mod:`clonectx.bounds` alone, which computes
+on Python floats, keeps its records in named tuples and holds the sweep
+modes and curve formats the parser offers, so importing it loads neither
+numpy, :mod:`inspect` nor :mod:`pathlib`.  Every other module loads only
+for the subcommands that use it, by one rule: ``_COMMANDS`` names, beside
+each subcommand's help, handler and arguments, the module its handler
+takes, and :func:`run` imports it before the clock starts, so ``elapsed:``
+times the computation alone.  Those modules are :mod:`clonectx.scan` for
+``region``, ``critical-noise`` and ``curves``, :mod:`clonectx.cloner` for
+``clones``, :mod:`clonectx.quantum` (which takes the cloner's basis) for
+``noise`` and ``verify-quantum``, and :mod:`clonectx.ontic` for
+``verify-ontic``; ``bounds`` needs none.  Each computes on Python floats or
+complex numbers, so no subcommand loads numpy.
 """
 
 from __future__ import annotations
@@ -151,57 +151,6 @@ def _resolution(text: str) -> int:
     return x
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    parser = argparse.ArgumentParser(
-        prog="clonectx",
-        description="Cloning-fidelity bounds, noisy-experiment simulation and noncontextuality verification.",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit the report as JSON")
-
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("bounds", parents=[common], help="closed-form fidelity bounds at a given overlap")
-    p.add_argument("--c", type=_probability, required=True, help="input confusability in [0, 1]")
-    p.add_argument("--v", type=_probability, default=None, help="depolarizing noise level in [0, 1]")
-
-    p = sub.add_parser("clones", parents=[common], help="optimize the clone outputs and cross-check the closed form")
-    p.add_argument("--c", type=_probability, required=True)
-
-    p = sub.add_parser("noise", parents=[common], help="simulate the depolarized experiment")
-    p.add_argument("--v", type=_probability, required=True)
-    p.add_argument("--c", type=_probability, required=True)
-
-    region = sub.add_parser("region", parents=[common], help="confusability interval with a quantum advantage")
-    region.add_argument("--v", type=_probability, required=True)
-
-    critical = sub.add_parser("critical-noise", parents=[common], help="largest noise level keeping the advantage")
-    critical.add_argument("--c", type=_open_probability, required=True, help="input confusability in (0, 1)")
-    for p in (region, critical):  # after the point, so -h and the inputs list the modes after it
-        p.add_argument("--err-mode", choices=bounds.ERR_MODES, default=bounds.DEFAULT_ERR_MODE)
-        p.add_argument("--c-mode", choices=bounds.C_MODES, default=bounds.DEFAULT_C_MODE)
-
-    p = sub.add_parser("curves", parents=[common], help="write figure data (fidelity tradeoff, noise resistance)")
-    p.add_argument("--out", type=_directory, required=True, help="output directory, made if it does not exist")
-    p.add_argument("--format", choices=bounds.CURVE_FORMATS, default="csv")
-    p.add_argument("--points", type=_curve_points, default=500,
-                   help=f"number of c grid points, 2 to {MAX_POINTS} "
-                   f"(about {BYTES_PER_CURVE_POINT} bytes of memory per point)")
-    p.add_argument("--c-mode", choices=bounds.C_MODES, default=bounds.DEFAULT_C_MODE)
-
-    p = sub.add_parser("verify-ontic", parents=[common], help="build the saturating model and run every check")
-    p.add_argument("--c", type=_probability, required=True)
-    p.add_argument("--resolution", type=_resolution, default=None,
-                   help="snap c first to the nearest k/(n/2), the overlaps a grid of n cells per axis "
-                   "can hold; n is even, 4 to 2**53 (default: no snapping, the model is built at c)")
-
-    p = sub.add_parser("verify-quantum", parents=[common], help="verify the noisy experiment against closed forms")
-    p.add_argument("--v", type=_probability, required=True)
-    p.add_argument("--c", type=_probability, required=True)
-
-    return parser, sub.choices
-
-
 def _cmd_bounds(report: RunReport, args: argparse.Namespace) -> None:
     c = args.c
     report.outputs["quantum_optimal_fidelity"] = bounds.quantum_optimal_fidelity(c)
@@ -294,8 +243,8 @@ def _cmd_curves(report: RunReport, args: argparse.Namespace, scan) -> None:
         raise argparse.ArgumentTypeError(f"argument --out: cannot create directory {out!r}: "
                                          f"{exc.strerror}") from exc
     n = args.points
-    # The published error term is ambiguous, so both defensible noise
-    #-resistance curves are emitted side by side.
+    # The published error term is ambiguous, so both defensible
+    # noise-resistance curves are emitted side by side.
     curves = scan.figure_curves([i / (n - 1) for i in range(n)], args.c_mode, ("thm2-direct", "err-prime"))
     try:
         # "" rather than ".": the files are then named bare, as pathlib.Path(".") / name spells them.
@@ -341,24 +290,60 @@ def _cmd_verify_ontic(report: RunReport, args: argparse.Namespace, ontic) -> Non
     report.check("maximal-overlap-of-inputs", f"|{c_model:.6f} - {c}|", abs(c_model - c), tol)
 
 
-# Each subcommand's handler, and the module it takes beyond bounds (None: it needs none).
-_HANDLERS = {
-    "bounds": (_cmd_bounds, None),
-    "clones": (_cmd_clones, "cloner"),
-    "noise": (partial(_cmd_quantum, residuals=False), "quantum"),
-    "region": (_cmd_region, "scan"),
-    "critical-noise": (_cmd_critical_noise, "scan"),
-    "curves": (_cmd_curves, "scan"),
-    "verify-ontic": (_cmd_verify_ontic, "ontic"),
-    "verify-quantum": (partial(_cmd_quantum, residuals=True), "quantum"),
+# The argument specs several subcommands share.
+_C = ("--c", {"type": _probability, "required": True})
+_V = ("--v", {"type": _probability, "required": True})
+_ERR_MODE = ("--err-mode", {"choices": bounds.ERR_MODES, "default": bounds.DEFAULT_ERR_MODE})
+_C_MODE = ("--c-mode", {"choices": bounds.C_MODES, "default": bounds.DEFAULT_C_MODE})
+
+# Each subcommand: its help, its handler, the module the handler takes beyond bounds (None: it needs
+# none), and its arguments after --json as (flag, options), in the order -h and the report's inputs list them.
+_COMMANDS = {
+    "bounds": ("closed-form fidelity bounds at a given overlap", _cmd_bounds, None, [
+        ("--c", {"type": _probability, "required": True, "help": "input confusability in [0, 1]"}),
+        ("--v", {"type": _probability, "help": "depolarizing noise level in [0, 1]"})]),
+    "clones": ("optimize the clone outputs and cross-check the closed form", _cmd_clones, "cloner", [_C]),
+    "noise": ("simulate the depolarized experiment", partial(_cmd_quantum, residuals=False), "quantum", [_V, _C]),
+    "region": ("confusability interval with a quantum advantage", _cmd_region, "scan", [_V, _ERR_MODE, _C_MODE]),
+    "critical-noise": ("largest noise level keeping the advantage", _cmd_critical_noise, "scan", [
+        ("--c", {"type": _open_probability, "required": True, "help": "input confusability in (0, 1)"}),
+        _ERR_MODE, _C_MODE]),
+    "curves": ("write figure data (fidelity tradeoff, noise resistance)", _cmd_curves, "scan", [
+        ("--out", {"type": _directory, "required": True, "help": "output directory, made if it does not exist"}),
+        ("--format", {"choices": bounds.CURVE_FORMATS, "default": "csv"}),
+        ("--points", {"type": _curve_points, "default": 500,
+                      "help": f"number of c grid points, 2 to {MAX_POINTS} "
+                              f"(about {BYTES_PER_CURVE_POINT} bytes of memory per point)"}),
+        _C_MODE]),
+    "verify-ontic": ("build the saturating model and run every check", _cmd_verify_ontic, "ontic", [
+        _C,
+        ("--resolution", {"type": _resolution,
+                          "help": "snap c first to the nearest k/(n/2), the overlaps a grid of n cells per axis "
+                                  "can hold; n is even, 4 to 2**53 (default: no snapping, the model is built at c)"})]),
+    "verify-quantum": ("verify the noisy experiment against closed forms", partial(_cmd_quantum, residuals=True),
+                       "quantum", [_V, _C]),
 }
+
+
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    parser = argparse.ArgumentParser(
+        prog="clonectx",
+        description="Cloning-fidelity bounds, noisy-experiment simulation and noncontextuality verification.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, _, _, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--json", action="store_true", help="emit the report as JSON")
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+    return parser, sub.choices
 
 
 def run(argv: Sequence[str] | None = None) -> int:
     parser, commands = _build_parser()
     try:
         args = parser.parse_args(argv)
-        handler, module = _HANDLERS[args.command]
+        _, handler, module, _ = _COMMANDS[args.command]
         # The module loads before the clock starts: elapsed: is compute only.
         modules = (importlib.import_module(f"{__package__}.{module}"),) if module else ()
         # A report's inputs are its parsed arguments, in the order -h lists them.

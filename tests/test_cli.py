@@ -1,6 +1,7 @@
 """Command-line front-end tests: exit codes, report formats, determinism,
 and file emission."""
 
+import argparse
 import contextlib
 import csv
 import gc
@@ -428,6 +429,71 @@ def test_verify_ontic_peak_memory_does_not_grow_with_resolution(tmp_path):
     baseline = peak_rss_mb(tmp_path, "bounds", "--c", "0.37", "--v", "0.015")
     ontic_rss = peak_rss_mb(tmp_path, "verify-ontic", "--c", "0.37", "--resolution", "2000")
     assert ontic_rss - baseline <= 2.0, (ontic_rss, baseline)
+
+
+class TestParser:
+    """The parser's structure, pinned field by field rather than as ``-h`` text, whose layout
+    changes with ``COLUMNS`` and between Python versions."""
+
+    HELP = (["-h", "--help"], "help", "==SUPPRESS==", False, None, "show this help message and exit", None)
+    JSON = (["--json"], "json", False, False, None, "emit the report as JSON", None)
+    ERR_MODE = (["--err-mode"], "err_mode", "thm2-direct", False, ["thm2-direct", "appendix-err", "err-prime"],
+                None, None)
+    C_MODE = (["--c-mode"], "c_mode", "observed-confusability", False, ["ideal-overlap", "observed-confusability"],
+              None, None)
+    C = (["--c"], "c", None, True, None, None, "_probability")
+    V = (["--v"], "v", None, True, None, None, "_probability")
+    # Each subcommand in the order -h lists them: its help, then every action as
+    # (option_strings, dest, default, required, choices, help, type.__name__).
+    EXPECTED = {
+        "bounds": ("closed-form fidelity bounds at a given overlap", [
+            HELP, JSON,
+            (["--c"], "c", None, True, None, "input confusability in [0, 1]", "_probability"),
+            (["--v"], "v", None, False, None, "depolarizing noise level in [0, 1]", "_probability")]),
+        "clones": ("optimize the clone outputs and cross-check the closed form", [HELP, JSON, C]),
+        "noise": ("simulate the depolarized experiment", [HELP, JSON, V, C]),
+        "region": ("confusability interval with a quantum advantage", [HELP, JSON, V, ERR_MODE, C_MODE]),
+        "critical-noise": ("largest noise level keeping the advantage", [
+            HELP, JSON,
+            (["--c"], "c", None, True, None, "input confusability in (0, 1)", "_open_probability"),
+            ERR_MODE, C_MODE]),
+        "curves": ("write figure data (fidelity tradeoff, noise resistance)", [
+            HELP, JSON,
+            (["--out"], "out", None, True, None, "output directory, made if it does not exist", "_directory"),
+            (["--format"], "format", "csv", False, ["csv", "json"], None, None),
+            (["--points"], "points", 500, False, None,
+             "number of c grid points, 2 to 1000000 (about 350 bytes of memory per point)", "_curve_points"),
+            C_MODE]),
+        "verify-ontic": ("build the saturating model and run every check", [
+            HELP, JSON, C,
+            (["--resolution"], "resolution", None, False, None,
+             "snap c first to the nearest k/(n/2), the overlaps a grid of n cells per axis can hold; n is even, "
+             "4 to 2**53 (default: no snapping, the model is built at c)", "_resolution")]),
+        "verify-quantum": ("verify the noisy experiment against closed forms", [HELP, JSON, V, C]),
+    }
+
+    @staticmethod
+    def _subparsers(parser):
+        return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+    def test_top_level_lists_each_subcommand_with_its_help(self):
+        parser = cli._build_parser()[0]
+        assert (parser.prog, parser.description) == (
+            "clonectx", "Cloning-fidelity bounds, noisy-experiment simulation and noncontextuality verification.")
+        assert [(a.option_strings, a.dest) for a in parser._actions] == [(["-h", "--help"], "help"), ([], "command")]
+        sub = self._subparsers(parser)
+        assert sub.required
+        assert [(a.dest, a.help) for a in sub._choices_actions] == [(k, v[0]) for k, v in self.EXPECTED.items()]
+        assert list(sub.choices) == list(self.EXPECTED)
+
+    @pytest.mark.parametrize("name", EXPECTED)
+    def test_each_subcommand_has_its_pinned_arguments(self, name):
+        subparser = self._subparsers(cli._build_parser()[0]).choices[name]
+        assert subparser.prog == f"clonectx {name}"
+        actions = [(a.option_strings, a.dest, a.default, a.required,
+                    None if a.choices is None else list(a.choices), a.help, getattr(a.type, "__name__", None))
+                   for a in subparser._actions]
+        assert actions == self.EXPECTED[name][1]
 
 
 class TestReports:

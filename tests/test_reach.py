@@ -6,7 +6,8 @@ its code's file and first line.  The module- and class-level ``def`` of
 ``src/clonectx`` that no command calls must be exactly the keys of ``KEPT``:
 a new function that no command reaches fails here until a command runs it or
 ``KEPT`` names why it stays, and a kept function that a command comes to
-reach fails until it leaves ``KEPT``.
+reach fails until it leaves ``KEPT``.  Every subcommand of ``cli._COMMANDS``
+has a run here, so one added to the table fails until it has one.
 """
 
 import ast
@@ -63,6 +64,10 @@ def _defs() -> dict[tuple[str, int], str]:
                     first = node.decorator_list[0].lineno if node.decorator_list else node.lineno
                     found[module.__file__, first] = f"{prefix}.{node.name}"
     return found
+
+
+def test_every_subcommand_has_a_reach_run(tmp_path):
+    assert {argv[0] for argv in _commands(tmp_path)} == set(cli._COMMANDS)
 
 
 def test_every_function_is_reached_by_a_command_or_kept(capsys, tmp_path):
