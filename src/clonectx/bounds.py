@@ -8,33 +8,39 @@ noncontextual state-discrimination ceiling, the error budgets induced
 by a depolarizing channel acting on every stage of the experiment, and the
 confusabilities that channel leaves observable.  The names of the
 experiment's preparations, tests and mixing equivalences live here too,
-with the observables measured from them (error allowances, global fidelity,
-mixing residuals), so that :mod:`clonectx.quantum` and :mod:`clonectx.ontic`
-share one spelling and one formula.  The sweep mode tables ``ERR_MODES``
-and ``C_MODES`` with their defaults, which :mod:`clonectx.scan` computes
-with and the CLI offers, live here too, as do the figure-data file formats
-``CURVE_FORMATS``.
+with the observables measured from them (overlaps, error allowances, global
+fidelity, mixing residuals), so that :mod:`clonectx.quantum` and
+:mod:`clonectx.ontic` share one spelling and one formula.  The sweep mode
+tables ``ERR_MODES`` and ``C_MODES`` with their defaults, which
+:mod:`clonectx.scan` computes with and the CLI offers, live here too, as do
+the figure-data file formats ``CURVE_FORMATS``.
 
 Every closed form computes on Python floats with :mod:`math` alone and
-returns a ``float``, with no exception: the noise-robust ceilings return
-theirs raw, above 1 for a generous budget.  Importing this module does not
+returns a ``float``, or a dict of them keyed by name: the error budget by
+test (:func:`depolarizing_epsilons`, as :func:`measured_epsilons`), the
+overlaps ``c_ab c_ba c_aabb c_bbaa`` (:func:`ideal_overlaps`, as
+:func:`measured_overlaps`) and the error terms (:func:`err_terms`).  The
+noise-robust ceilings take the overlaps and the error budget in those two
+shapes, so a model's measurements feed them as they are, and return their
+ceiling raw, above 1 for a generous budget.  Importing this module does not
 load numpy.  Every validated probability goes through :func:`_check_unit`,
-which rejects NaN, ±inf and anything outside [0, 1] with a ``ValueError``,
-and every residual that is the worst of several terms goes through
-:func:`_worst`, which keeps a NaN.  The package's records are named
-tuples; those that check their fields subclass :class:`_Checked`, which
-puts every construction through the check.
+which rejects NaN, ±inf and anything outside [0, 1] with a ``ValueError``
+naming the value (a ceiling names each dict value by its key, ``eps_``
+prefixed for an allowance), and every residual that is the worst of
+several terms goes through :func:`_worst`, which keeps a NaN.  This module
+holds no records; those of the other modules that check their fields
+subclass :class:`_Checked`, which puts every construction through the check.
 
 Conventions: ``c_ab`` is the confusability of the two input preparations
 (squared overlap in the ideal quantum realisation), ``c_aabb`` the
-confusability of the two ideal two-copy targets, and ``eps_*`` the
-worst-case deviation of each test measurement from perfect correlation.
+confusability of the two ideal two-copy targets (``c_ba`` and ``c_bbaa``
+the same pairs the other way round), and eps_s, keyed ``s`` in a budget, the
+worst-case deviation of test ``s`` from perfect correlation.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 
 STATE_NAMES = (
     "a", "b", "a_perp", "b_perp",
@@ -43,6 +49,11 @@ STATE_NAMES = (
 )
 TEST_NAMES = ("a", "b", "alpha", "beta", "aa", "bb")
 EQUIVALENCE_PAIRS = (("a", "b"), ("alpha", "aa"), ("beta", "bb"))
+
+
+def measured_overlaps(p) -> dict[str, float]:
+    """The confusabilities the noise-robust ceilings read: of the inputs both ways and of the two-copy targets."""
+    return {"c_ab": p("a", "b"), "c_ba": p("b", "a"), "c_aabb": p("aa", "bb"), "c_bbaa": p("bb", "aa")}
 
 
 def measured_epsilons(p) -> dict[str, float]:
@@ -73,6 +84,11 @@ def _check_unit(name: str, x) -> float:
     return x + 0.0  # -0.0 as +0.0; every other float unchanged
 
 
+def _unit_values(values: dict, prefix: str = "") -> dict[str, float]:
+    """``values`` with each value checked and normalised by :func:`_check_unit`, named ``prefix`` + its key."""
+    return {k: _check_unit(prefix + k, x) for k, x in values.items()}
+
+
 class _Checked:
     """Mixin, listed before its ``namedtuple`` base, for a record whose fields are checked on every construction.
 
@@ -99,40 +115,6 @@ def _worst(terms) -> float:
     """
     terms = tuple(terms)
     return math.nan if any(map(math.isnan, terms)) else max(terms)
-
-
-def _check_units(record: tuple) -> tuple:
-    """The fields of ``record``, every one a probability, each checked and normalised by :func:`_check_unit`."""
-    return tuple(_check_unit(name, x) for name, x in zip(record._fields, record))
-
-
-class OverlapParams(_Checked, namedtuple("OverlapParams", "c_ab c_ba c_aabb c_bbaa")):
-    """Observed confusabilities feeding the noncontextual bounds.
-
-    ``c_ab``/``c_ba``: input pair, both directions.  ``c_aabb``/``c_bbaa``:
-    two-copy target pair.  All four are probabilities; the symmetric
-    quantum experiment has ``c_ab == c_ba`` and ``c_aabb == c_bbaa == c_ab**2``.
-    """
-
-    __slots__ = ()
-    _check = staticmethod(_check_units)
-
-    @classmethod
-    def symmetric(cls, c: float) -> "OverlapParams":
-        """Overlaps of the ideal symmetric experiment: c both ways, c**2 for the copies."""
-        c = _check_unit("c", c)
-        return cls(c_ab=c, c_ba=c, c_aabb=c * c, c_bbaa=c * c)
-
-
-class ErrorBudget(_Checked, namedtuple("ErrorBudget", "eps_a eps_b eps_alpha eps_beta eps_aa eps_bb")):
-    """Per-preparation noise allowances eps_s for the six test measurements.
-
-    eps_s bounds both the shortfall of p(pass | matching preparation) from 1
-    and the leak p(pass | orthogonal preparation).
-    """
-
-    __slots__ = ()
-    _check = staticmethod(_check_units)
 
 
 def quantum_optimal_fidelity(c_ab: float) -> float:
@@ -168,34 +150,42 @@ def nc_bound_ideal(c_ab: float, c_aabb: float) -> float:
     return nc_bound(_check_unit("c_ab", c_ab), _check_unit("c_aabb", c_aabb))
 
 
-def _budget_err(eb: ErrorBudget) -> float:
+def ideal_overlaps(c: float) -> dict[str, float]:
+    """:func:`measured_overlaps` of the ideal symmetric experiment: c both ways, c**2 for the copies."""
+    c = _check_unit("c", c)
+    return {"c_ab": c, "c_ba": c, "c_aabb": c * c, "c_bbaa": c * c}
+
+
+def _budget_err(eps: dict) -> float:
     """Error term (eps_b + 2*eps_bb + eps_aa)/2 of the noise-robust ceiling."""
-    return 0.5 * (eb.eps_b + 2.0 * eb.eps_bb + eb.eps_aa)
+    return 0.5 * (eps["b"] + 2.0 * eps["bb"] + eps["aa"])
 
 
-def nc_bound_noisy(ov: OverlapParams, eb: ErrorBudget) -> float:
-    """Noise-robust noncontextual ceiling.
+def nc_bound_noisy(overlaps: dict, eps: dict) -> float:
+    """Noise-robust noncontextual ceiling, from :func:`measured_overlaps` and :func:`measured_epsilons`.
 
     Adds (eps_b + 2*eps_bb + eps_aa)/2 to the ideal bound; reduces to it
     exactly for a zero budget.  Unclamped: a generous budget gives a raw
     value above 1 (a vacuous ceiling), so monotonicity in the budget stays
-    visible.
+    visible.  Every value of both dicts is checked by :func:`_check_unit`.
     """
-    return nc_bound(ov.c_ab, ov.c_aabb, _budget_err(eb))
+    ov, eb = _unit_values(overlaps), _unit_values(eps, "eps_")
+    return nc_bound(ov["c_ab"], ov["c_aabb"], _budget_err(eb))
 
 
-def nc_bound_noisy_symmetric(ov: OverlapParams, eb: ErrorBudget) -> float:
-    """Stronger, exchange-symmetric form of the noise-robust ceiling.
+def nc_bound_noisy_symmetric(overlaps: dict, eps: dict) -> float:
+    """Stronger, exchange-symmetric form of the noise-robust ceiling, on the inputs of :func:`nc_bound_noisy`.
 
     1 + min(eps_b - c_ab, eps_a - c_ba)/2
       + min(c_aabb + eps_bb, c_bbaa + eps_aa)/2
       + (eps_aa + eps_bb)/2
 
-    Never exceeds :func:`nc_bound_noisy` on the same inputs; unclamped too.
+    Never exceeds :func:`nc_bound_noisy` on the same inputs; unclamped and checked as it is.
     """
-    term_in = min(eb.eps_b - ov.c_ab, eb.eps_a - ov.c_ba)
-    term_out = min(ov.c_aabb + eb.eps_bb, ov.c_bbaa + eb.eps_aa)
-    return 1.0 + 0.5 * term_in + 0.5 * term_out + 0.5 * (eb.eps_aa + eb.eps_bb)
+    ov, eb = _unit_values(overlaps), _unit_values(eps, "eps_")
+    term_in = min(eb["b"] - ov["c_ab"], eb["a"] - ov["c_ba"])
+    term_out = min(ov["c_aabb"] + eb["bb"], ov["c_bbaa"] + eb["aa"])
+    return 1.0 + 0.5 * term_in + 0.5 * term_out + 0.5 * (eb["aa"] + eb["bb"])
 
 
 def nc_discrimination_bound(c_ab: float, eps_b: float = 0.0) -> float:
@@ -208,8 +198,8 @@ def nc_discrimination_bound(c_ab: float, eps_b: float = 0.0) -> float:
     return 1.0 - 0.5 * (c_ab - eps_b)
 
 
-def depolarizing_epsilons(v: float) -> ErrorBudget:
-    """Error budget induced by depolarizing every stage at noise level ``v``.
+def depolarizing_epsilons(v: float) -> dict[str, float]:
+    """Error budget induced by depolarizing every stage at noise level ``v``, keyed as :func:`measured_epsilons`.
 
     Single-copy tests degrade as v - v**2/2 (state and effect each pick up
     one factor of noise); two-copy and clone-output tests degrade as
@@ -219,14 +209,8 @@ def depolarizing_epsilons(v: float) -> ErrorBudget:
     v = _check_unit("v", v)
     eps_single = v - 0.5 * v * v
     eps_double = 0.75 * v * (3.0 - 3.0 * v + v * v)
-    return ErrorBudget(
-        eps_a=eps_single,
-        eps_b=eps_single,
-        eps_alpha=eps_double,
-        eps_beta=eps_double,
-        eps_aa=eps_double,
-        eps_bb=eps_double,
-    )
+    return {"a": eps_single, "b": eps_single, "alpha": eps_double, "beta": eps_double, "aa": eps_double,
+            "bb": eps_double}
 
 
 def _depolarizing_factors(v: float) -> tuple[float, float, float, float, float]:
@@ -244,25 +228,6 @@ def _observed_overlaps(c: float, factors: tuple) -> tuple[float, float]:
     """Observed (c_ab, c_aabb) at a checked ``c``, given the noise level's :func:`_depolarizing_factors`."""
     k3, q, k2, b, h = factors
     return k2 * c + b + h, k3 * c * c + q
-
-
-class ErrTerms(namedtuple("ErrTerms", "err_thm2 err_appendix err_prime eps_effective")):
-    """Every published form of the depolarizing error term, side by side.
-
-    The source material is internally inconsistent about which combination
-    of epsilons enters the noise-robust bound, so all variants are computed
-    and none is silently preferred:
-
-    * ``err_thm2``:     (eps_b + 2*eps_bb + eps_aa)/2 with the depolarizing
-                        budget, i.e. v*(31 - 29v + 9v**2)/8.
-    * ``err_appendix``: v*(31 - 29v + 9v**2)/2, the printed sum of all six
-                        epsilons (with the two-copy ones doubled).
-    * ``err_prime``:    v*(31 - 21v + 9v**2)/8, the printed symmetric form.
-    * ``eps_effective``: v*(31 - 21v + 9v**2)/16, the single equivalent
-                        epsilon whose uniform budget gives ``err_prime``.
-    """
-
-    __slots__ = ()
 
 
 # Error term of the noisy ceiling under each published variant (``err_mode``),
@@ -290,16 +255,25 @@ DEFAULT_C_MODE = "observed-confusability"
 CURVE_FORMATS = ("csv", "json")
 
 
-def err_terms(v: float) -> ErrTerms:
-    """All depolarizing-noise error-term variants at noise level ``v``."""
+def err_terms(v: float) -> dict[str, float]:
+    """Every published form of the depolarizing error term at noise level ``v``, side by side.
+
+    The source material is internally inconsistent about which combination
+    of epsilons enters the noise-robust bound, so all variants are computed
+    and none is silently preferred:
+
+    * ``err_thm2``:     (eps_b + 2*eps_bb + eps_aa)/2 with the depolarizing
+                        budget, i.e. v*(31 - 29v + 9v**2)/8.
+    * ``err_appendix``: v*(31 - 29v + 9v**2)/2, the printed sum of all six
+                        epsilons (with the two-copy ones doubled).
+    * ``err_prime``:    v*(31 - 21v + 9v**2)/8, the printed symmetric form.
+    * ``eps_effective``: v*(31 - 21v + 9v**2)/16, the single equivalent
+                        epsilon whose uniform budget gives ``err_prime``.
+    """
     v = _check_unit("v", v)
     err_prime = ERR_MODES["err-prime"](v)
-    return ErrTerms(
-        err_thm2=ERR_MODES["thm2-direct"](v),
-        err_appendix=ERR_MODES["appendix-err"](v),
-        err_prime=err_prime,
-        eps_effective=0.5 * err_prime,
-    )
+    return {"err_thm2": ERR_MODES["thm2-direct"](v), "err_appendix": ERR_MODES["appendix-err"](v),
+            "err_prime": err_prime, "eps_effective": 0.5 * err_prime}
 
 
 def quantum_noisy_fidelity(v: float, c_ab: float) -> float:

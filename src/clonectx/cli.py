@@ -13,13 +13,12 @@ any fails, 2 for argument errors.  :func:`run` makes every report, its
 inputs the parsed arguments in the order ``-h`` lists them; the
 subcommand's handler only computes, and fills the report with outputs and
 verdicts.  This module imports :mod:`clonectx.bounds` alone, which computes
-on Python floats, keeps its records in named tuples and holds the sweep
-modes and curve formats the parser offers, so importing it loads neither
-numpy, :mod:`inspect` nor :mod:`pathlib`.  Every other module loads only
-for the subcommands that use it, by one rule: ``_COMMANDS`` names, beside
-each subcommand's help, handler and arguments, the module its handler
-takes, and :func:`run` imports it before the clock starts, so ``elapsed:``
-times the computation alone.  Those modules are :mod:`clonectx.scan` for
+on Python floats and holds the sweep modes and curve formats the parser
+offers, so importing it loads neither numpy, :mod:`inspect` nor
+:mod:`pathlib`.  Every other module loads only for the subcommands that use
+it, by one rule: ``_COMMANDS`` names, beside each subcommand's help, handler
+and arguments, the module its handler takes, and :func:`run` imports it
+before the clock starts, so ``elapsed:`` times the computation alone.  Those modules are :mod:`clonectx.scan` for
 ``region``, ``critical-noise`` and ``curves``, :mod:`clonectx.cloner` for
 ``clones``, :mod:`clonectx.quantum` (which takes the cloner's basis) for
 ``noise`` and ``verify-quantum``, and :mod:`clonectx.ontic` for
@@ -158,24 +157,12 @@ def _cmd_bounds(report: RunReport, args: argparse.Namespace) -> None:
     report.outputs["nc_discrimination_bound"] = bounds.nc_discrimination_bound(c)
     if args.v is not None:
         v = args.v
-        eb = bounds.depolarizing_epsilons(v)
-        terms = bounds.err_terms(v)
-        noisy = bounds.nc_bound_noisy(bounds.OverlapParams.symmetric(c), eb)
-        symm = bounds.nc_bound_noisy_symmetric(bounds.OverlapParams.symmetric(c), eb)
-        report.outputs.update(
-            {
-                "eps_single_copy": eb.eps_a,
-                "eps_two_copy": eb.eps_aa,
-                "err_thm2": terms.err_thm2,
-                "err_appendix": terms.err_appendix,
-                "err_prime": terms.err_prime,
-                "eps_effective": terms.eps_effective,
-                "nc_bound_noisy": noisy,
-                "nc_bound_noisy_clamped": noisy > 1.0,
-                "nc_bound_noisy_symmetric": symm,
-                "quantum_noisy_fidelity": bounds.quantum_noisy_fidelity(v, c),
-            }
-        )
+        eps, overlaps = bounds.depolarizing_epsilons(v), bounds.ideal_overlaps(c)
+        noisy = bounds.nc_bound_noisy(overlaps, eps)
+        report.outputs.update({"eps_single_copy": eps["a"], "eps_two_copy": eps["aa"]} | bounds.err_terms(v))
+        report.outputs.update(nc_bound_noisy=noisy, nc_bound_noisy_clamped=noisy > 1.0,
+                              nc_bound_noisy_symmetric=bounds.nc_bound_noisy_symmetric(overlaps, eps),
+                              quantum_noisy_fidelity=bounds.quantum_noisy_fidelity(v, c))
 
 
 def _cmd_clones(report: RunReport, args: argparse.Namespace, cloner) -> None:
@@ -202,8 +189,7 @@ def _cmd_quantum(report: RunReport, args: argparse.Namespace, quantum, residuals
     v, c = args.v, args.c
     ens = quantum.noisy_ensemble(v, c)
     p = ens.pass_probability
-    overlaps = {"c_ab": p("a", "b"), "c_ba": p("b", "a"), "c_aabb": p("aa", "bb"), "c_bbaa": p("bb", "aa")}
-    eps = bounds.measured_epsilons(p)
+    overlaps, eps = bounds.measured_overlaps(p), bounds.measured_epsilons(p)
     f_g = bounds.global_fidelity(p)
     equivalences = ens.equivalence_residuals()
     o2_residual = bounds._worst(equivalences.values())
@@ -212,13 +198,14 @@ def _cmd_quantum(report: RunReport, args: argparse.Namespace, quantum, residuals
     if residuals:
         report.outputs.update({f"equivalence_residual[{pair}]": x for pair, x in equivalences.items()})
 
-    eb = bounds.depolarizing_epsilons(v)
+    closed = bounds.depolarizing_epsilons(v)
     report.check("epsilons-match-closed-forms", "max |delta|",
-                 bounds._worst(abs(x - y) for x, y in zip(eps.values(), eb)), ACCEPT_EXACT)
-    d_cab = abs(overlaps["c_ab"] - bounds.observed_confusability(v, c))
-    d_caabb = abs(overlaps["c_aabb"] - bounds.observed_target_confusability(v, c))
-    report.check("observed-confusabilities-match-closed-forms", "max |delta|",
-                 bounds._worst((d_cab, d_caabb)), ACCEPT_EXACT)
+                 bounds._worst(abs(eps[s] - closed[s]) for s in eps), ACCEPT_EXACT)
+    # The experiment is symmetric: each pair's confusability has one closed form, both ways round.
+    c_in, c_out = bounds.observed_confusability(v, c), bounds.observed_target_confusability(v, c)
+    deltas = (abs(overlaps["c_ab"] - c_in), abs(overlaps["c_ba"] - c_in),
+              abs(overlaps["c_aabb"] - c_out), abs(overlaps["c_bbaa"] - c_out))
+    report.check("observed-confusabilities-match-closed-forms", "max |delta|", bounds._worst(deltas), ACCEPT_EXACT)
     report.check("global-fidelity-matches-closed-form", "|delta|",
                  abs(f_g - bounds.quantum_noisy_fidelity(v, c)), ACCEPT_EXACT)
     report.check("mixing-equivalences", "max residual", o2_residual, ACCEPT_EXACT)

@@ -110,7 +110,7 @@ def test_criterion_4_depolarizing_closed_forms():
         residuals = quantum.noisy_ensemble(v, 0.5).equivalence_residuals()
         worst_o2 = max(worst_o2, max(residuals.values()))
     eb = bounds.depolarizing_epsilons(0.015)
-    c_a, c_aa = 1.0 - eb.eps_a, 1.0 - eb.eps_aa
+    c_a, c_aa = 1.0 - eb["a"], 1.0 - eb["aa"]
     quality_ok = abs(c_a - 0.9851) <= 1e-4 and abs(c_aa - 0.9667) <= 1e-4
     report(
         4,

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from clonectx import bounds
-from clonectx.bounds import ErrorBudget, OverlapParams
+from clonectx.bounds import TEST_NAMES, ideal_overlaps
 
 # mpmath, 60 significant digits, rounded to 20:
 F_OPT_025 = 0.98176274578121056808
@@ -87,59 +87,64 @@ class TestNcBoundIdeal:
             assert bounds.quantum_optimal_fidelity(c) > bounds.nc_bound_ideal(c, c * c)
 
 
+def uniform(eps):
+    """An error budget that allows ``eps`` for every test."""
+    return dict.fromkeys(TEST_NAMES, eps)
+
+
 class TestNoisyBounds:
     def test_zero_budget_reduces_to_ideal_exactly(self):
         for c in np.linspace(0.0, 1.0, 21):
-            got = bounds.nc_bound_noisy(OverlapParams.symmetric(c), ErrorBudget(*(0.0,) * 6))
+            got = bounds.nc_bound_noisy(ideal_overlaps(c), uniform(0.0))
             assert got == bounds.nc_bound_ideal(c, c * c)
             assert got <= 1.0
 
     def test_uniform_budget_adds_two_epsilon(self):
-        got = bounds.nc_bound_noisy(OverlapParams.symmetric(0.5), ErrorBudget(*(0.01,) * 6))
+        got = bounds.nc_bound_noisy(ideal_overlaps(0.5), uniform(0.01))
         assert got == pytest.approx(0.895, abs=1e-15)
 
     # Every entry differs, so a weight moved from one epsilon to another changes the error term.
-    DISTINCT = ErrorBudget(eps_a=0.011, eps_b=0.013, eps_alpha=0.017, eps_beta=0.019, eps_aa=0.023, eps_bb=0.029)
+    DISTINCT = {"a": 0.011, "b": 0.013, "alpha": 0.017, "beta": 0.019, "aa": 0.023, "bb": 0.029}
 
     def test_error_term_weighs_each_epsilon(self):
-        ov = OverlapParams(c_ab=0.4, c_ba=0.5, c_aabb=0.16, c_bbaa=0.25)
+        ov = {"c_ab": 0.4, "c_ba": 0.5, "c_aabb": 0.16, "c_bbaa": 0.25}
         eb = self.DISTINCT
-        err = bounds.nc_bound_noisy(ov, eb) - bounds.nc_bound_ideal(ov.c_ab, ov.c_aabb)
-        assert err == pytest.approx((eb.eps_b + 2.0 * eb.eps_bb + eb.eps_aa) / 2.0, rel=0, abs=1e-15)
+        err = bounds.nc_bound_noisy(ov, eb) - bounds.nc_bound_ideal(ov["c_ab"], ov["c_aabb"])
+        assert err == pytest.approx((eb["b"] + 2.0 * eb["bb"] + eb["aa"]) / 2.0, rel=0, abs=1e-15)
         assert err == pytest.approx(0.047, rel=0, abs=1e-15)
 
     @pytest.mark.parametrize("field", ["eps_a", "eps_alpha", "eps_beta"])
     def test_error_term_ignores_the_other_epsilons(self, field):
-        ov = OverlapParams.symmetric(0.37)
-        moved = self.DISTINCT._replace(**{field: 0.5})
+        ov = ideal_overlaps(0.37)
+        moved = {**self.DISTINCT, field.removeprefix("eps_"): 0.5}
         assert bounds.nc_bound_noisy(ov, moved) == bounds.nc_bound_noisy(ov, self.DISTINCT)
 
     def test_clamped_flag_keeps_raw_value(self):
         # A vacuous ceiling comes back raw, above 1; the bounds report flags it.
-        got = bounds.nc_bound_noisy(OverlapParams.symmetric(0.0), ErrorBudget(*(0.9,) * 6))
+        got = bounds.nc_bound_noisy(ideal_overlaps(0.0), uniform(0.9))
         assert type(got) is float and got > 1.0
 
     def test_symmetric_variant_case_split(self):
         # Asymmetric inputs exercising both min branches, evaluated by hand:
         # min(0.02-0.4, 0.02-0.5) = -0.48, min(0.16+0.02, 0.25+0.02) = 0.18.
-        ov = OverlapParams(c_ab=0.4, c_ba=0.5, c_aabb=0.16, c_bbaa=0.25)
-        got = bounds.nc_bound_noisy_symmetric(ov, ErrorBudget(*(0.02,) * 6))
+        ov = {"c_ab": 0.4, "c_ba": 0.5, "c_aabb": 0.16, "c_bbaa": 0.25}
+        got = bounds.nc_bound_noisy_symmetric(ov, uniform(0.02))
         assert got == pytest.approx(1.0 - 0.24 + 0.09 + 0.02, abs=1e-15)
         # Swapped asymmetry flips the chosen branches.
-        ov2 = OverlapParams(c_ab=0.5, c_ba=0.4, c_aabb=0.25, c_bbaa=0.16)
-        got2 = bounds.nc_bound_noisy_symmetric(ov2, ErrorBudget(*(0.02,) * 6))
+        ov2 = {"c_ab": 0.5, "c_ba": 0.4, "c_aabb": 0.25, "c_bbaa": 0.16}
+        got2 = bounds.nc_bound_noisy_symmetric(ov2, uniform(0.02))
         assert got2 == pytest.approx(got, abs=1e-15)
 
     def test_symmetric_variant_zero_budget(self):
         for c in (0.0, 0.3, 1.0):
-            got = bounds.nc_bound_noisy_symmetric(OverlapParams.symmetric(c), ErrorBudget(*(0.0,) * 6))
+            got = bounds.nc_bound_noisy_symmetric(ideal_overlaps(c), uniform(0.0))
             assert got == pytest.approx(bounds.nc_bound_ideal(c, c * c), abs=1e-15)
 
     def test_symmetric_never_exceeds_plain_bound(self):
         rng = np.random.default_rng(20260810)
         for _ in range(500):
-            ov = OverlapParams(*rng.random(4))
-            eb = ErrorBudget(*rng.random(6))
+            ov = dict(zip(("c_ab", "c_ba", "c_aabb", "c_bbaa"), rng.random(4)))
+            eb = dict(zip(TEST_NAMES, rng.random(6)))
             strong = bounds.nc_bound_noisy_symmetric(ov, eb)
             plain = bounds.nc_bound_noisy(ov, eb)
             assert strong <= plain + 1e-12
@@ -147,8 +152,8 @@ class TestNoisyBounds:
     def test_boundary_overlap_meets_noisy_quantum_value(self):
         # At the edge of the published violation window the uniform
         # effective-epsilon ceiling and the noisy quantum fidelity cross.
-        eps = bounds.err_terms(0.015).eps_effective
-        ceiling = bounds.nc_bound_noisy(OverlapParams.symmetric(0.318), ErrorBudget(*(eps,) * 6))
+        eps = bounds.err_terms(0.015)["eps_effective"]
+        ceiling = bounds.nc_bound_noisy(ideal_overlaps(0.318), uniform(eps))
         assert ceiling == pytest.approx(bounds.quantum_noisy_fidelity(0.015, 0.318), abs=0.05)
 
 
@@ -164,26 +169,27 @@ class TestDiscriminationBound:
 class TestDepolarizingEpsilons:
     def test_zero_noise(self):
         eb = bounds.depolarizing_epsilons(0.0)
-        assert all(getattr(eb, f) == 0.0 for f in eb._fields)
+        assert list(eb) == list(TEST_NAMES)
+        assert all(x == 0.0 for x in eb.values())
 
     def test_published_level(self):
         eb = bounds.depolarizing_epsilons(0.015)
-        assert eb.eps_a == pytest.approx(0.0148875, abs=1e-15)
-        assert eb.eps_b == eb.eps_a
-        assert eb.eps_aa == pytest.approx(0.03324628125, abs=1e-15)
-        assert eb.eps_alpha == eb.eps_beta == eb.eps_aa == eb.eps_bb
+        assert eb["a"] == pytest.approx(0.0148875, abs=1e-15)
+        assert eb["b"] == eb["a"]
+        assert eb["aa"] == pytest.approx(0.03324628125, abs=1e-15)
+        assert eb["alpha"] == eb["beta"] == eb["aa"] == eb["bb"]
 
     def test_correlation_quality_parameters(self):
         # C_s = (p(pass|match) + p(pass-perp|match-perp))/2 = 1 - eps_s here.
         eb = bounds.depolarizing_epsilons(0.015)
-        assert 1.0 - eb.eps_a == pytest.approx(0.9851, abs=1e-4)
-        assert 1.0 - eb.eps_aa == pytest.approx(0.9667, abs=1e-4)
+        assert 1.0 - eb["a"] == pytest.approx(0.9851, abs=1e-4)
+        assert 1.0 - eb["aa"] == pytest.approx(0.9667, abs=1e-4)
 
     def test_componentwise_monotone_in_v(self):
         vs = np.linspace(0.0, 1.0, 101)
         budgets = [bounds.depolarizing_epsilons(v) for v in vs]
-        for name in ("eps_a", "eps_aa"):
-            vals = [getattr(eb, name) for eb in budgets]
+        for name in ("a", "aa"):
+            vals = [eb[name] for eb in budgets]
             assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
 
     def test_domain_error(self):
@@ -194,23 +200,24 @@ class TestDepolarizingEpsilons:
 class TestErrTerms:
     def test_zero(self):
         terms = bounds.err_terms(0.0)
-        assert (terms.err_thm2, terms.err_appendix, terms.err_prime, terms.eps_effective) == (0, 0, 0, 0)
+        assert terms == {"err_thm2": 0, "err_appendix": 0, "err_prime": 0, "eps_effective": 0}
+        assert list(terms) == ["err_thm2", "err_appendix", "err_prime", "eps_effective"]
 
     def test_published_level(self):
         terms = bounds.err_terms(0.015)
-        assert terms.err_thm2 == pytest.approx(ERR_THM2_0015, abs=1e-15)
-        assert terms.err_appendix == pytest.approx(ERR_APPENDIX_0015, abs=1e-15)
-        assert terms.err_prime == pytest.approx(ERR_PRIME_0015, abs=1e-15)
-        assert terms.eps_effective == pytest.approx(EPS_EFFECTIVE_0015, abs=1e-15)
+        assert terms["err_thm2"] == pytest.approx(ERR_THM2_0015, abs=1e-15)
+        assert terms["err_appendix"] == pytest.approx(ERR_APPENDIX_0015, abs=1e-15)
+        assert terms["err_prime"] == pytest.approx(ERR_PRIME_0015, abs=1e-15)
+        assert terms["eps_effective"] == pytest.approx(EPS_EFFECTIVE_0015, abs=1e-15)
 
     def test_variants_disagree_and_stay_recorded(self):
         # The two published polynomial forms differ in the v^2 coefficient;
         # the discrepancy is real and must not be reconciled away.
         for v in (0.015, 0.1, 0.3):
             terms = bounds.err_terms(v)
-            assert terms.err_prime != pytest.approx(terms.err_thm2, abs=1e-9)
-            assert terms.err_appendix == pytest.approx(4.0 * terms.err_thm2, abs=1e-12)
-            assert terms.err_prime == pytest.approx(2.0 * terms.eps_effective, abs=1e-15)
+            assert terms["err_prime"] != pytest.approx(terms["err_thm2"], abs=1e-9)
+            assert terms["err_appendix"] == pytest.approx(4.0 * terms["err_thm2"], abs=1e-12)
+            assert terms["err_prime"] == pytest.approx(2.0 * terms["eps_effective"], abs=1e-15)
 
 
 class TestQuantumNoisyFidelity:
@@ -226,19 +233,56 @@ class TestQuantumNoisyFidelity:
         assert bounds.quantum_noisy_fidelity(0.015, 0.5) == pytest.approx(F_NOISY_0015_05, abs=1e-12)
 
 
+CEILINGS = pytest.mark.parametrize("ceiling", [bounds.nc_bound_noisy, bounds.nc_bound_noisy_symmetric],
+                                    ids=lambda f: f.__name__)
+
+
 class TestValueTypes:
-    def test_symmetric_constructor_squares_the_copy_overlap(self):
-        ov = OverlapParams.symmetric(0.3)
-        assert ov.c_ab == ov.c_ba == 0.3
-        assert ov.c_aabb == ov.c_bbaa == pytest.approx(0.09, abs=1e-15)
+    def test_ideal_overlaps_square_the_copy_overlap(self):
+        ov = ideal_overlaps(0.3)
+        assert list(ov) == ["c_ab", "c_ba", "c_aabb", "c_bbaa"]
+        assert ov["c_ab"] == ov["c_ba"] == 0.3
+        assert ov["c_aabb"] == ov["c_bbaa"] == pytest.approx(0.09, abs=1e-15)
 
     def test_overlap_validation(self):
         with pytest.raises(ValueError):
-            OverlapParams(c_ab=0.5, c_ba=0.5, c_aabb=-0.1, c_bbaa=0.25)
+            bounds.nc_bound_noisy({"c_ab": 0.5, "c_ba": 0.5, "c_aabb": -0.1, "c_bbaa": 0.25}, uniform(0.0))
 
     def test_budget_validation(self):
         with pytest.raises(ValueError):
-            ErrorBudget(*(math.inf,) * 6)
+            bounds.nc_bound_noisy_symmetric(ideal_overlaps(0.5), uniform(math.inf))
+
+    def test_measured_overlaps_of_the_ideal_experiment_are_the_ideal_overlaps(self):
+        # p(s, t) of the ideal experiment: c between the inputs, c**2 between the two-copy targets.
+        overlap = {frozenset(("a", "b")): 0.3, frozenset(("aa", "bb")): 0.3 * 0.3}
+        assert bounds.measured_overlaps(lambda s, t: overlap[frozenset((s, t))]) == ideal_overlaps(0.3)
+
+    @CEILINGS
+    @pytest.mark.parametrize("key", ["c_ab", "c_ba", "c_aabb", "c_bbaa", *(f"eps_{s}" for s in TEST_NAMES)])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.1, 1.5])
+    def test_a_bad_value_raises_naming_its_key(self, ceiling, key, bad):
+        ov, eb = ideal_overlaps(0.3), uniform(0.1)
+        if key in ov:
+            ov[key] = bad
+        else:
+            eb[key.removeprefix("eps_")] = bad
+        with pytest.raises(ValueError, match=rf"^{key} must lie in \[0, 1\], got "):
+            ceiling(ov, eb)
+
+    @pytest.mark.parametrize("c", [np.float64(0.5), 1, -0.0, np.float32(0.25), 0, np.float64(-0.0)], ids=repr)
+    def test_ideal_overlaps_come_back_as_positive_floats(self, c):
+        # A numpy scalar would print as np.float64(...), and -0.0 as "-0.0", in any report that echoes it.
+        ov = ideal_overlaps(c)
+        assert [type(x) for x in ov.values()] == [float] * 4
+        assert ov["c_ab"] == float(c) and all(math.copysign(1.0, x) == 1.0 for x in ov.values())
+
+    @CEILINGS
+    def test_ceilings_read_numpy_scalars_and_negative_zero_as_floats(self, ceiling):
+        given = (np.float64(0.5), 1, -0.0, np.float32(0.25), 0, np.float64(-0.0))
+        ov, eb = dict(zip(("c_ab", "c_ba", "c_aabb", "c_bbaa"), given)), dict(zip(TEST_NAMES, given))
+        got = ceiling(ov, eb)
+        assert type(got) is float
+        assert got == ceiling({k: float(x) for k, x in ov.items()}, {s: float(x) for s, x in eb.items()})
 
 
 # Every public closed form, as a function of one probability x (the others held
@@ -255,11 +299,10 @@ SCALAR_FORMS = {
     "observed_confusability[c_ab]": lambda x: bounds.observed_confusability(0.015, x),
     "observed_target_confusability[v]": lambda x: bounds.observed_target_confusability(x, 0.5),
     "observed_target_confusability[c_ab]": lambda x: bounds.observed_target_confusability(0.015, x),
-    "depolarizing_epsilons": lambda x: bounds.depolarizing_epsilons(x).eps_aa,
-    "err_terms": lambda x: bounds.err_terms(x).err_prime,
-    "nc_bound_noisy": lambda x: bounds.nc_bound_noisy(OverlapParams.symmetric(x), ErrorBudget(*(0.01,) * 6)),
-    "nc_bound_noisy_symmetric": lambda x: bounds.nc_bound_noisy_symmetric(
-        OverlapParams.symmetric(0.5), ErrorBudget(*(x,) * 6)),
+    "depolarizing_epsilons": lambda x: bounds.depolarizing_epsilons(x)["aa"],
+    "err_terms": lambda x: bounds.err_terms(x)["err_prime"],
+    "nc_bound_noisy": lambda x: bounds.nc_bound_noisy(ideal_overlaps(x), uniform(0.01)),
+    "nc_bound_noisy_symmetric": lambda x: bounds.nc_bound_noisy_symmetric(ideal_overlaps(0.5), uniform(x)),
 }
 
 

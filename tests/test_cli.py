@@ -120,7 +120,7 @@ def nan_last_epsilon(monkeypatch):
     from clonectx import bounds
 
     real = bounds.depolarizing_epsilons
-    monkeypatch.setattr(bounds, "depolarizing_epsilons", lambda v: (*real(v)[:-1], math.nan))
+    monkeypatch.setattr(bounds, "depolarizing_epsilons", lambda v: {**real(v), "bb": math.nan})
 
 
 def nan_bb_perp_leak(monkeypatch):
@@ -510,6 +510,19 @@ class TestReports:
         ("bounds", "--c", "0.5", "--v", "0.015"): (
             "e350cb71531fd29e5cbb0e96c49e8d2f4bec57373189784811c6bd3204ca0b6a",
             "f502ebc4902e7205ffe57225eb3ff7267019071e416a5afbcb55b03fdbedcfc6"),
+        # Pinned before the noisy ceilings took dicts: no --v, both noise extremes, and a c near 0.
+        ("bounds", "--c", "0.37"): (
+            "ec8375e2e780eb59ce94927d066be99683997b5f5b00acf6aedc7c67ed4f5eb5",
+            "494a5b42fe9736c003369e913054d0f555f79c63535412e44dbfd294de2815b7"),
+        ("bounds", "--c", "0", "--v", "1"): (
+            "d0c56290585f3bfd5901f6e276429bc541edbfc5dacbe1f893382f0f0457489a",
+            "08300b7df5711cddd862509d20ea34f71ac48e147184cee696867da5c569f6b3"),
+        ("bounds", "--c", "1", "--v", "0"): (
+            "d225b246aa4857a22ef44b2cf23332c58ab119158c69f0ce738759cdaeaca36f",
+            "a8b135502fbcf386fc6a8950d1d7659754a1fe88095079f8cdeb12c937bcdce2"),
+        ("bounds", "--c", "1e-9", "--v", "0.3"): (
+            "c32ab5909c8f556d22f0b962a7a640c1971df55cabc023cd3452507b514d8871",
+            "ea2ee94030c1866040ed48e8b5cb69d7b39acea4b05be64fb90ee28efacaf0e8"),
         ("verify-ontic", "--c", "0"): (
             "ee23b0856914eff8e43da9c5cb59d6a01a7dbb1131c1836c894b52ae6a59bded",
             "22a96e0a0bef37373a8c986e3bbb1040126cb3a41cb86a8bb33223292a7248ca"),
@@ -685,6 +698,20 @@ class TestSubcommands:
         code, out, _ = run_cli(capsys, "verify-quantum", "--v", "0", "--c", "0.9999999999")
         assert code == 0
         assert "[PASS] mixing-equivalences" in out
+
+    @pytest.mark.parametrize("command", ["noise", "verify-quantum"])
+    @pytest.mark.parametrize("drifted", [("b", "a"), ("bb", "aa")], ids=["c_ba", "c_bbaa"])
+    def test_observed_confusabilities_verdict_reads_the_reverse_overlaps(self, capsys, monkeypatch, command, drifted):
+        # Only one reverse overlap drifts: no other verdict reads it, and the forward overlaps stay as simulated.
+        from clonectx import quantum
+
+        real = quantum.NoisyEnsemble.pass_probability
+        monkeypatch.setattr(quantum.NoisyEnsemble, "pass_probability",
+                            lambda ens, s, t: real(ens, s, t) + (1e-6 if (s, t) == drifted else 0.0))
+        code, out, _ = run_cli(capsys, command, "--v", "0.015", "--c", "0.5")
+        assert code == 1
+        assert re.findall(r"^  \[FAIL\] (\S+)  \(max \|delta\| = (\S+) ", out, re.MULTILINE) == [
+            ("observed-confusabilities-match-closed-forms", "1.000e-06")], out
 
     def test_verify_ontic(self, capsys):
         code, out, _ = run_cli(capsys, "verify-ontic", "--c", "0.5", "--resolution", "200")

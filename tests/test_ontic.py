@@ -524,19 +524,10 @@ class TestNoisyModelRespectsTheNoisyCeilings:
     @example(c=0.0, w=1.0)
     @example(c=1.0, w=1e-9)
     def test_global_fidelity_within_both_noisy_ceilings(self, c, w):
-        model = mix_with_uniform(build_saturating_model(c), w)
-        states, responses = model.states, model.responses
-        overlaps = bounds.OverlapParams(
-            c_ab=confusability(states["a"], responses["b"]),
-            c_ba=confusability(states["b"], responses["a"]),
-            c_aabb=confusability(states["aa"], responses["bb"]),
-            c_bbaa=confusability(states["bb"], responses["aa"]),
-        )
-        eps = measured_epsilons(model.pass_probability)
-        budget = bounds.ErrorBudget(**{f"eps_{s}": eps[s] for s in TEST_NAMES})
-        f_g = global_fidelity(model.pass_probability)
-        assert f_g <= bounds.nc_bound_noisy(overlaps, budget) + STRUCTURAL_TOL
-        assert f_g <= bounds.nc_bound_noisy_symmetric(overlaps, budget) + STRUCTURAL_TOL
+        p = mix_with_uniform(build_saturating_model(c), w).pass_probability
+        overlaps, eps, f_g = bounds.measured_overlaps(p), measured_epsilons(p), global_fidelity(p)
+        assert f_g <= bounds.nc_bound_noisy(overlaps, eps) + STRUCTURAL_TOL
+        assert f_g <= bounds.nc_bound_noisy_symmetric(overlaps, eps) + STRUCTURAL_TOL
 
 
 class TestAgainstTheUniformGrid:

@@ -407,7 +407,7 @@ class TestNoisyEnsemble:
         assert max(ens.equivalence_residuals().values()) <= 1e-12
         eb = bounds.depolarizing_epsilons(v)
         for s in bounds.TEST_NAMES:
-            assert eps[s] == pytest.approx(getattr(eb, f"eps_{s}"), abs=1e-12)
+            assert eps[s] == pytest.approx(eb[s], abs=1e-12)
         assert c_ab == pytest.approx(bounds.observed_confusability(v, c), abs=1e-12)
         assert c_aabb == pytest.approx(bounds.observed_target_confusability(v, c), abs=1e-12)
         assert f_g == pytest.approx(bounds.quantum_noisy_fidelity(v, c), abs=1e-12)
@@ -418,12 +418,12 @@ class TestSimulatedProbabilities:
     def test_epsilons_match_closed_forms(self, v):
         eps = bounds.measured_epsilons(noisy_ensemble(v, 0.5).pass_probability)
         eb = bounds.depolarizing_epsilons(v)
-        assert eps["a"] == pytest.approx(eb.eps_a, abs=1e-12)
-        assert eps["b"] == pytest.approx(eb.eps_b, abs=1e-12)
-        assert eps["alpha"] == pytest.approx(eb.eps_alpha, abs=1e-12)
-        assert eps["beta"] == pytest.approx(eb.eps_beta, abs=1e-12)
-        assert eps["aa"] == pytest.approx(eb.eps_aa, abs=1e-12)
-        assert eps["bb"] == pytest.approx(eb.eps_bb, abs=1e-12)
+        assert eps["a"] == pytest.approx(eb["a"], abs=1e-12)
+        assert eps["b"] == pytest.approx(eb["b"], abs=1e-12)
+        assert eps["alpha"] == pytest.approx(eb["alpha"], abs=1e-12)
+        assert eps["beta"] == pytest.approx(eb["beta"], abs=1e-12)
+        assert eps["aa"] == pytest.approx(eb["aa"], abs=1e-12)
+        assert eps["bb"] == pytest.approx(eb["bb"], abs=1e-12)
 
     def test_published_noise_level(self):
         eps = bounds.measured_epsilons(noisy_ensemble(0.015, 0.5).pass_probability)

@@ -6,21 +6,17 @@ through the constructor, ``_replace`` and ``_make``; all three must raise
 """
 
 import copy
-import math
 import pickle
 
-import numpy as np
 import pytest
 
-from clonectx import bounds, cli, ontic, quantum, scan
+from clonectx import cli, ontic, quantum, scan
 
 GRID = ontic.LambdaGrid.uniform(1, 4)
 IDENTITY = tuple(tuple(float(i == j) for j in range(4)) for i in range(4))
 
 # (a valid record, a field, a value that field may not take)
 RECORDS = {
-    "OverlapParams": (lambda: bounds.OverlapParams.symmetric(0.3), "c_ab", math.nan),
-    "ErrorBudget": (lambda: bounds.ErrorBudget(*(0.1,) * 6), "eps_bb", 1.5),
     "CurveSeries": (lambda: scan.CurveSeries("c", "F", (0.0, 0.5), (1.0, 0.9), "p"), "x", (0.5, 0.0)),
     "ViolationRegion": (lambda: scan.ViolationRegion(0.015, 0.3, 0.7, "thm2-direct", "ideal-overlap"),
                         "c_hi", None),
@@ -76,7 +72,7 @@ def test_copies_of_a_valid_record_are_equal(record, field, bad):
 
 def test_make_rejects_a_wrong_field_count():
     with pytest.raises(TypeError):
-        bounds.OverlapParams._make([0.1, 0.2, 0.3])
+        scan.CurveSeries._make(["c", "F", (0.0, 0.5)])
 
 
 def test_copies_normalise_like_the_constructor():
@@ -85,18 +81,6 @@ def test_copies_normalise_like_the_constructor():
     grid = GRID._replace(edges=[(0, 0.5, 2)])
     assert grid == ontic.LambdaGrid(((0.0, 0.5, 2.0),))
     assert grid.cells == (((0.0, 0.5),), ((0.5, 2.0),)) and grid.volumes == (0.5, 1.5)
-
-
-@pytest.mark.parametrize("route", ["constructor", "replace", "make"])
-@pytest.mark.parametrize("record", [bounds.OverlapParams, bounds.ErrorBudget], ids=lambda r: r.__name__)
-def test_probability_fields_come_back_as_floats(record, route):
-    # A numpy scalar would print as np.float64(...), and -0.0 as "-0.0", in any report that echoes the field.
-    given = (np.float64(0.5), 1, -0.0, np.float32(0.25), 0, np.float64(-0.0))[:len(record._fields)]
-    build = {"constructor": lambda: record(*given), "make": lambda: record._make(given),
-             "replace": lambda: record(*(0.5,) * len(given))._replace(**dict(zip(record._fields, given)))}
-    fields = build[route]()
-    assert [type(x) for x in fields] == [float] * len(given)
-    assert fields == tuple(map(float, given)) and all(math.copysign(1.0, x) == 1.0 for x in fields)
 
 
 def test_model_copy_with_mixed_states_is_checked():
