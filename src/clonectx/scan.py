@@ -203,19 +203,6 @@ def violation_interval(v: float, err_mode: str = DEFAULT_ERR_MODE, c_mode: str =
                            anomalies=tuple(roots) if len(roots) > 2 else ())
 
 
-def _trigonometric_root(p: float, q: float, shift: float) -> float:
-    """The root nearest 1/2 of y**3 + p*y + q at v = y - shift, when all three roots are real.
-
-    The trigonometric form of the depressed cubic, for a discriminant
-    q**2/4 + p**3/27 that is not positive.  No point of the commands' modes
-    is known to reach it; the tests reach it through planted error terms.
-    """
-    r = math.sqrt(-p / 3.0)
-    phi = math.acos(max(-1.0, min(1.0, -0.5 * q / (r * r * r)))) if r else 0.0
-    roots = [2.0 * r * math.cos((phi - 2.0 * math.pi * k) / 3.0) - shift for k in range(3)]
-    return min(roots, key=lambda y: abs(y - 0.5))
-
-
 _NODES = (0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0)
 
 
@@ -226,10 +213,12 @@ def _critical_levels(cs: Sequence[float], c_mode: str, err_modes: Sequence[str])
 
     The gap at v = 0, 1/3, 2/3 and 1 fixes a cubic in v.  Its level is 0 when
     there is no advantage at v = 0 and 1 when it survives v = 1; otherwise the
-    gap is nonincreasing in v, so the level is the cubic's real root nearest
-    1/2, clamped to [0, 1] and polished by one Newton step on the cubic.
-    Cardano's formula gives that root, or :func:`_trigonometric_root` when
-    the cubic has three real roots.
+    gap is nonincreasing in v, so the level is the cubic's real root, from
+    Cardano's formula, clamped to [0, 1] and polished by one Newton step on
+    the cubic.  At every c in (0, 1) and under every mode pair that root is
+    the only one: Cardano's radicand q**2/4 + p**3/27 is at least 1/8 and the
+    cubic's leading coefficient at least 1 in size, which an exact test in
+    ``tests/test_scan.py`` proves.
 
     The depolarizing factors, the ``c_mode``'s factors and every error term
     are taken once per node; at each point F(c) is the one call, and the
@@ -281,13 +270,10 @@ def _critical_levels(cs: Sequence[float], c_mode: str, err_modes: Sequence[str])
             shift = a2 / (3.0 * a3)  # v = y - shift gives y**3 + p*y + q
             p = a1 / a3 - 3.0 * shift * shift
             q = g0 / a3 - shift * (p + shift * shift)
-            disc = 0.25 * q * q + p * p * p / 27.0
-            if disc > 0.0:  # one real root: Cardano, where nothing cancels, so x is never 0
-                x = -0.5 * q - copysign(sqrt(disc), q)
-                u = x ** (1.0 / 3.0) if x > 0.0 else -((-x) ** (1.0 / 3.0))  # the real cube root
-                v = u - p / (3.0 * u) - shift
-            else:
-                v = _trigonometric_root(p, q, shift)
+            # Cardano's radicand is at least 1/8 (the cubic's one real root), so x, where nothing cancels, is never 0.
+            x = -0.5 * q - copysign(sqrt(0.25 * q * q + p * p * p / 27.0), q)
+            u = x ** (1.0 / 3.0) if x > 0.0 else -((-x) ** (1.0 / 3.0))  # the real cube root
+            v = u - p / (3.0 * u) - shift
             # Clamped to [0, 1] by comparisons, which cost a fraction of min(max(...)) calls here.
             v = 0.0 if v < 0.0 else 1.0 if v > 1.0 else v
             slope = a1 + v * (2.0 * a2 + 3.0 * a3 * v)

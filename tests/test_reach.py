@@ -27,8 +27,6 @@ KEPT = {
     "ontic._Table.nbytes": "perfbench reports it as the kernel's size",
     **dict.fromkeys(["ontic.mix_with_uniform", "ontic.sandwich_margins", "ontic.dpi_margin"], NOISY_FAMILY),
     "scan.advantage_gap": "the scalar reference route that the fused critical-level pass is checked against",
-    "scan._trigonometric_root": "the cubic's three-real-root branch, which no point of the commands' modes is "
-                                "known to reach; the tests reach it through planted error terms",
 }
 
 MODE_PAIRS = [("--err-mode", e, "--c-mode", c) for e in bounds.ERR_MODES for c in bounds.C_MODES]

@@ -3,8 +3,11 @@ and the CSV/JSON curve writer."""
 
 import csv
 import functools
+import itertools
 import json
 import math
+import operator
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -375,19 +378,27 @@ def reference_cbrt(x):
     return math.copysign(abs(x) ** (1.0 / 3.0), x)
 
 
-def reference_cubic_root_nearest_half(a0, a1, a2, a3):
-    """The real root of a0 + a1*v + a2*v**2 + a3*v**3 nearest 1/2 (a3 != 0): Cardano, or the trigonometric form."""
+def reference_cubic(g0, g1, g2, g3):
+    """The coefficients a1, a2, a3 of the cubic g0 + a1*v + a2*v**2 + a3*v**3 through the gaps at v = 0, 1/3, 2/3, 1."""
+    a1 = g3 - 5.5 * g0 + 9.0 * g1 - 4.5 * g2
+    a2 = 4.5 * (2.0 * g0 - 5.0 * g1 + 4.0 * g2 - g3)
+    a3 = 4.5 * (g3 - g0 + 3.0 * (g1 - g2))
+    return a1, a2, a3
+
+
+def reference_depressed(a0, a1, a2, a3):
+    """The shift, p, q and Cardano's radicand q**2/4 + p**3/27 of y**3 + p*y + q, the cubic at v = y - shift."""
     shift = a2 / (3.0 * a3)
     p = a1 / a3 - 3.0 * shift * shift
     q = a0 / a3 - shift * (p + shift * shift)
-    disc = 0.25 * q * q + p * p * p / 27.0
-    if disc > 0.0:
-        u = reference_cbrt(-0.5 * q - math.copysign(math.sqrt(disc), q))
-        return u - p / (3.0 * u) - shift
-    r = math.sqrt(-p / 3.0)
-    phi = math.acos(max(-1.0, min(1.0, -0.5 * q / (r * r * r)))) if r else 0.0
-    roots = [2.0 * r * math.cos((phi - 2.0 * math.pi * k) / 3.0) - shift for k in range(3)]
-    return min(roots, key=lambda y: abs(y - 0.5))
+    return shift, p, q, 0.25 * q * q + p * p * p / 27.0
+
+
+def reference_cubic_root(a0, a1, a2, a3):
+    """The real root of a0 + a1*v + a2*v**2 + a3*v**3 (a3 != 0) by Cardano, for a cubic with one real root."""
+    shift, p, q, disc = reference_depressed(a0, a1, a2, a3)
+    u = reference_cbrt(-0.5 * q - math.copysign(math.sqrt(disc), q))
+    return u - p / (3.0 * u) - shift
 
 
 def reference_critical_level(g0, g1, g2, g3):
@@ -401,10 +412,8 @@ def reference_critical_level(g0, g1, g2, g3):
         return 1.0
     if g0 <= 0.0:
         return 0.0
-    a1 = g3 - 5.5 * g0 + 9.0 * g1 - 4.5 * g2
-    a2 = 4.5 * (2.0 * g0 - 5.0 * g1 + 4.0 * g2 - g3)
-    a3 = 4.5 * (g3 - g0 + 3.0 * (g1 - g2))
-    v = reference_cubic_root_nearest_half(g0, a1, a2, a3)
+    a1, a2, a3 = reference_cubic(g0, g1, g2, g3)
+    v = reference_cubic_root(g0, a1, a2, a3)
     v = 0.0 if v < 0.0 else 1.0 if v > 1.0 else v
     slope = a1 + v * (2.0 * a2 + 3.0 * a3 * v)
     if slope:
@@ -421,9 +430,7 @@ def numpy_critical_level(c, err_mode, c_mode):
         return 1.0
     if g0 <= 0.0:
         return 0.0
-    a1 = g3 - 5.5 * g0 + 9.0 * g1 - 4.5 * g2
-    a2 = 4.5 * (2.0 * g0 - 5.0 * g1 + 4.0 * g2 - g3)
-    a3 = 4.5 * (g3 - g0 + 3.0 * (g1 - g2))
+    a1, a2, a3 = reference_cubic(g0, g1, g2, g3)
     roots = np.roots([a3, a2, a1, g0])
     roots = roots.real[roots.imag == 0.0]
     v = float(np.clip(roots[np.argmin(np.abs(roots - 0.5))], 0.0, 1.0))
@@ -457,22 +464,136 @@ class TestAgainstTheNumpyRoute:
         assert abs(critical_noise(c, err_mode, c_mode) - numpy_critical_level(c, err_mode, c_mode)) <= 1e-12
 
 
-def planted_level(monkeypatch, gap):
-    """The pass's critical level at c = 1/2 under an error term planted so that the gap there is ``gap(v)``.
+def plant(monkeypatch, gap):
+    """Add the error-term mode "planted", under which the gap at c = 1/2 in ideal-overlap is ``gap(v)``.
 
     To rounding: the pass subtracts the planted term from the fidelity and ceiling it computes itself.
     """
     ceiling = bounds.nc_bound_ideal(0.5, 0.25)
     monkeypatch.setitem(ERR_MODES, "planted", lambda v: bounds.quantum_noisy_fidelity(v, 0.5) - ceiling - float(gap(v)))
+
+
+def planted_level(monkeypatch, gap):
+    """The pass's critical level at c = 1/2 under an error term planted so that the gap there is ``gap(v)``."""
+    plant(monkeypatch, gap)
     return critical_noise(0.5, "planted", "ideal-overlap")
 
 
-@pytest.fixture
-def trigonometric_calls(monkeypatch):
-    """The arguments of every call the pass makes to the trigonometric form of the cubic, in order."""
-    calls, solve = [], scan._trigonometric_root
-    monkeypatch.setattr(scan, "_trigonometric_root", lambda *args: calls.append(args) or solve(*args))
-    return calls
+# The exact certificate that the critical-level cubic has one real root.  With
+# t = sqrt(c) + sqrt(1 + c), which runs over (1, 1 + sqrt(2)) as c runs over (0, 1),
+# sqrt(c) = (t*t - 1)/2t and sqrt(1 + c) = (t*t + 1)/2t, so each gap at a node, times
+# (2t)**4, is a polynomial in t.
+
+# Above 1 + sqrt(2), the t of c = 1; the certificate asserts that exactly.
+T_HI = Fraction(99, 41)
+
+
+class Poly:
+    """A polynomial in t with exact rational coefficients, lowest power first; a float is read exactly."""
+
+    def __init__(self, coefficients):
+        self.c = [Fraction(a) for a in coefficients]
+
+    def __add__(self, other):
+        other = other if isinstance(other, Poly) else Poly([other])
+        return Poly(a + b for a, b in itertools.zip_longest(self.c, other.c, fillvalue=0))
+
+    def __neg__(self):
+        return Poly(-a for a in self.c)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        other = other if isinstance(other, Poly) else Poly([other])
+        out = [0] * (len(self.c) + len(other.c) - 1)
+        for i, a in enumerate(self.c):
+            for j, b in enumerate(other.c):
+                out[i + j] += a * b
+        return Poly(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k):
+        return functools.reduce(operator.mul, [self] * k, Poly([1]))
+
+    def __call__(self, t):
+        return functools.reduce(lambda y, a: y * t + a, reversed(self.c), 0)
+
+
+def moebius(poly, lo, hi):
+    """Integer coefficients in x with the signs of those of (1 + x)**n * poly((lo + hi*x)/(1 + x)), n = len(poly.c) - 1.
+
+    As x runs over (0, inf), t runs over (lo, hi), so by Descartes' rule of signs the
+    coefficients' sign changes bound the roots of ``poly`` in (lo, hi), with the same parity.
+    """
+    lo, hi = Fraction(lo), Fraction(hi)
+    q = math.lcm(lo.denominator, hi.denominator)
+    scale = math.lcm(*(a.denominator for a in poly.c))
+    num, den = Poly([lo * q, hi * q]), Poly([q, q])
+    out, den_power = Poly([0]), Poly([1])
+    for a in reversed(poly.c):  # Horner's rule on sum(a_k * num**k * den**(n - k))
+        out, den_power = out * num + a * scale * den_power, den_power * den
+    return [int(a) for a in out.c]
+
+
+def roots_between(poly, lo, hi, depth=64):
+    """Disjoint intervals (a, b) in (lo, hi), ascending, that each hold one root of ``poly`` and together all of them.
+
+    Descartes' rule of signs on the Moebius image of (lo, hi): no sign change means no
+    root, one means one, and more halve the interval, (m, m) standing for a root at a
+    midpoint m.  For a square-free ``poly`` that ends (Vincent's theorem); past ``depth``
+    halvings, taken for a multiple root, it raises.
+    """
+    signs = [a > 0 for a in moebius(poly, lo, hi) if a]
+    count = sum(map(operator.ne, signs, signs[1:]))
+    if count < 2:
+        return [(lo, hi)] * count
+    if not depth:
+        raise ArithmeticError(f"no root isolated in ({lo}, {hi}): a multiple root?")
+    mid = (Fraction(lo) + Fraction(hi)) / 2
+    at_mid = [(mid, mid)] if poly(mid) == 0 else []
+    return [*roots_between(poly, lo, mid, depth - 1), *at_mid, *roots_between(poly, mid, hi, depth - 1)]
+
+
+def positive_between(poly, lo, hi):
+    """Whether ``poly`` > 0 on all of (lo, hi): no root there, and positive at the midpoint."""
+    return not roots_between(poly, lo, hi) and poly((Fraction(lo) + Fraction(hi)) / 2) > 0
+
+
+def node_gaps(err_mode, c_mode):
+    """(2t)**4 times the gap at each of ``scan._NODES``, as a ``Poly`` in t.
+
+    The constants are the floats the pass itself uses, each read exactly: the error term,
+    the depolarizing factors and the ``c_mode``'s factors at each node.  The gap is the
+    pass's n - (m + e), with F(c) = (1 + c*sqrt(c) + (1 - c)*sqrt(1 + c))/2.
+    """
+    t = Poly([0, 1])
+    d = 2 * t
+    root_c, root_1c = t * t - 1, t * t + 1  # sqrt(c) and sqrt(1 + c), times d
+    c = root_c**2  # times d**2
+    f = t * (d**3 + root_c**3 + (d * d - c) * root_1c)  # F(c), times d**4
+    gaps = []
+    for v in scan._NODES:
+        k, q = bounds._depolarizing_factors(v)[:2]
+        tc, r, s, b, h = C_MODES[c_mode](v)
+        m = d**4 - 0.5 * (s * c * d * d + b * d**4 + h * d**4) + 0.5 * (tc * c * c + r * d**4)
+        gaps.append(k * f + q * d**4 - (m + ERR_MODES[err_mode](v) * d**4))
+    return gaps
+
+
+def cubic_margins(gaps):
+    """The certificate's two margins, as a ``Poly`` each, from :func:`node_gaps`.
+
+    With A1, A2, A3 the cubic's coefficients a1, a2, a3 times (2t)**4, and D the
+    discriminant of A3*v**3 + A2*v**2 + A1*v + G0: the radicand's, -D - (27/2)*A3**4,
+    which is 108*(2t)**16*a3**4 times (radicand - 1/8), and the leading coefficient's,
+    A3**2 - (2t)**8, which is (2t)**8 times (a3**2 - 1).
+    """
+    g0 = gaps[0]
+    a1, a2, a3 = reference_cubic(*gaps)
+    disc = 18 * a3 * a2 * a1 * g0 - 4 * a2**3 * g0 + a2**2 * a1**2 - 4 * a3 * a1**3 - 27 * a3**2 * g0**2
+    return -disc - 13.5 * a3**4, a3**2 - Poly([0, 2]) ** 8
 
 
 class TestRootHelpers:
@@ -502,35 +623,81 @@ class TestRootHelpers:
         assert np.allclose(got, coeffs, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize(
-        "roots, scale, nearest, three_real",
+        "roots, nearest",
         [
-            ((0.2, 0.5, 0.9), -1.0, 0.5, True),
-            ((-3.0, 0.3, 4.0), 2.5, 0.3, True),
-            ((0.4, complex(2.0, 1.0), complex(2.0, -1.0)), -0.7, 0.4, False),
-            ((0.6, complex(-1.0, 1.0), complex(-1.0, -1.0)), -0.7, 0.6, False),
+            ((0.4, complex(2.0, 1.0), complex(2.0, -1.0)), 0.4),
+            ((0.6, complex(-1.0, 1.0), complex(-1.0, -1.0)), 0.6),
         ],
-        ids=["three-real-inside", "three-real-spread", "one-real-negative-cube-root", "one-real-positive-cube-root"],
+        ids=["one-real-negative-cube-root", "one-real-positive-cube-root"],
     )
-    def test_cubic_root_nearest_half(self, monkeypatch, trigonometric_calls, roots, scale, nearest, three_real):
-        # Three distinct real roots take the trigonometric branch, one real root Cardano's.  Cardano's
-        # radicand is negative when the complex pair lies right of the real root and positive when it
-        # lies left, so a cube root that lost its sign would miss the root in one of the two cases.
-        poly = scale * np.polynomial.polynomial.polyfromroots(roots).real
+    def test_cubic_root_nearest_half(self, monkeypatch, roots, nearest):
+        # Cardano's cube-root argument is negative when the complex pair lies right of the real
+        # root and positive when it lies left, so a cube root that lost its sign would miss the
+        # root in one of the two cases.
+        poly = -0.7 * np.polynomial.polynomial.polyfromroots(roots).real
         level = planted_level(monkeypatch, lambda v: np.polynomial.polynomial.polyval(v, poly))
         assert level == pytest.approx(nearest, rel=0, abs=1e-14)
-        assert bool(trigonometric_calls) == three_real
 
     def test_advantage_surviving_full_noise_gives_level_one(self, monkeypatch):
         # The cubic through these nodes crosses zero near v = 0.2, but the gap is still positive at v = 1.
         gaps = {0.0: 0.3, 1.0 / 3.0: -0.1, 2.0 / 3.0: -0.1, 1.0: 0.05}
         assert planted_level(monkeypatch, gaps.__getitem__) == 1.0
 
-    @pytest.mark.parametrize("c_mode", list(C_MODES))
-    def test_every_root_on_the_grid_takes_cardano(self, trigonometric_calls, c_mode):
-        # The trigonometric form is a fallback: no gap of the six mode pairs has three real roots.
-        grid = [0.0, 5e-324, 1e-300, *(i / 20000 for i in range(1, 20000)), 1.0 - 2.0**-53, 1.0]
-        figure_curves(grid, c_mode, list(ERR_MODES))
-        assert trigonometric_calls == []
+
+class TestTheCubicHasOneRealRoot:
+    """Cardano is the pass's only branch: an exact proof over all of (0, 1), and its margin on the floats."""
+
+    @for_all_specs
+    def test_certificate(self, err_mode, c_mode):
+        # T_HI > 1 and T_HI**2 - 2*T_HI - 1 > 0, so T_HI > 1 + sqrt(2): (1, T_HI) holds every c in (0, 1).
+        assert T_HI > 1 and T_HI * T_HI - 2 * T_HI - 1 > 0
+        gaps = node_gaps(err_mode, c_mode)
+        for c in (1e-3, 0.37, 0.999):  # the polynomials are the pass's gaps, to rounding
+            t = math.sqrt(c) + math.sqrt(1.0 + c)
+            got = [float(g(Fraction(t))) / (2.0 * t) ** 4 for g in gaps]
+            assert got == pytest.approx([advantage_gap(v, c, err_mode, c_mode) for v in scan._NODES], abs=1e-12)
+        radicand, lead = cubic_margins(gaps)
+        assert positive_between(radicand, 1, T_HI), "Cardano's radicand falls below 1/8"
+        assert positive_between(lead, 1, T_HI), "|a3| falls below 1"
+
+    def test_a_planted_three_real_root_cubic_fails_the_certificate(self, monkeypatch):
+        # At c = 1/2 the planted cubic is -(v - 0.2)(v - 0.5)(v - 0.9): three real roots in [0, 1].
+        plant(monkeypatch, lambda v: -(v - 0.2) * (v - 0.5) * (v - 0.9))
+        radicand, _ = cubic_margins(node_gaps("planted", "ideal-overlap"))
+        assert not positive_between(radicand, 1, T_HI)
+        # The pass has no branch for it: its radicand is negative, and math.sqrt raises.
+        with pytest.raises(ValueError, match="math domain error"):
+            critical_noise(0.5, "planted", "ideal-overlap")
+
+    @pytest.mark.parametrize(
+        "poly, roots",
+        [
+            (Poly([-2, 1]), [2.0]),
+            (Poly([Fraction(-9999, 10000), -2, 1]), [1.0 + math.sqrt(1.9999)]),
+            (Poly([-2, 1]) * Poly([Fraction(-9999, 10000), -2, 1]), [2.0, 1.0 + math.sqrt(1.9999)]),
+            (Poly([5, -4, 1]), []),
+        ],
+        ids=["t-2", "root-3.5e-5-below-1+sqrt2", "both", "complex-pair-2+-i"],
+    )
+    def test_descartes_isolates_the_roots_in_the_window(self, poly, roots):
+        # t*t - 2t - 1 + 1e-4 has its root 1 + sqrt(1.9999) about 3.5e-5 below 1 + sqrt(2).
+        found = roots_between(poly, 1, T_HI)
+        assert len(found) == len(roots)
+        for (a, b), root in zip(found, roots):
+            assert a <= root <= b
+            assert a == b or poly(a) * poly(b) < 0
+
+    @for_all_specs
+    def test_every_radicand_on_the_grid_clears_the_margin(self, err_mode, c_mode):
+        # The pass's radicand, from advantage_gap's node gaps in the pass's order, is at least
+        # the certificate's 1/8 on the floats too.  The gaps are at most about 6 in size and
+        # |a3| >= 1, so dividing by a3 magnifies no rounding; on this grid shift, p and q stay
+        # below 2 in size, so the float radicand lies within about 1e-14 of the exact one and
+        # cannot cross the margin.  A negative one would end the pass in a traceback.
+        grid = [5e-324, 1e-300, *(i / 20000 for i in range(1, 20000)), 1.0 - 2.0**-53]
+        low = min((reference_depressed(g0, *reference_cubic(g0, *rest))[3], c)
+                  for c in grid for g0, *rest in [[advantage_gap(v, c, err_mode, c_mode) for v in scan._NODES]])
+        assert low[0] >= 0.125, low
 
 
 class TestModeTables:
