@@ -12,7 +12,8 @@ record is a named tuple:
 * :mod:`clonectx.cloner`  -- the two-copy frame and the independent search
   for the optimal clone outputs.
 * :mod:`clonectx.quantum` -- finite-dimensional simulation of the noisy
-  cloning experiment (states, channels, Born rule, clone outputs as states).
+  cloning experiment (density operators, channels, Born rule, the closed-form
+  clone outputs as real kets).
 * :mod:`clonectx.ontic`   -- ontological models on a partition into cells,
   the bound-saturating model, sandwich residuals and margins.
 * :mod:`clonectx.scan`    -- parameter sweeps, violation intervals and

@@ -11,11 +11,12 @@ frame in :mod:`clonectx.cloner`.
 
 The two input states live in a real two-dimensional span; the clone
 outputs live in the corresponding two-qubit tensor space (dimension 4).
-No matrix is larger than 4 x 4, so states are tuples of complex amplitudes
-and operators tuples of rows, computed with :mod:`math` alone: ``clonectx
-noise`` and ``verify-quantum`` run without numpy.  Every operator is
-validated on construction (shape, Hermitian, spectrum, trace), and every
-tolerance test is written so that NaN fails it.
+No matrix is larger than 4 x 4, so kets are the real tuples of
+:mod:`clonectx.cloner` and operators tuples of rows of complex entries,
+computed with :mod:`math` alone: ``clonectx noise`` and ``verify-quantum``
+run without numpy.  Every operator is validated on construction (shape,
+Hermitian, spectrum, trace), each ket once as the density operator it
+becomes, and every tolerance test is written so that NaN fails it.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .cloner import input_pair, plane_basis
 HERMITIAN_TOL = 1e-12
 BORN_CLIP_TOL = 1e-10
 
-Vector = tuple  # complex amplitudes, dimension 2 or 4
+Vector = tuple  # amplitudes, dimension 2 or 4; the experiment's kets are real
 Matrix = tuple  # rows of complex entries, 2 x 2 or 4 x 4
 
 
@@ -71,30 +72,13 @@ def _spectrum_above(m: Matrix, floor: float) -> bool:
 
 
 def _ketbra(psi: Vector) -> "DensityOperator":
+    """|psi><psi|, checked as a density operator: a ket of dimension other than 2 or 4, with a NaN
+    or off unit norm (the trace test, ||psi||^2 within HERMITIAN_TOL of 1) raises ValueError."""
     return DensityOperator(tuple(tuple(x * y.conjugate() for y in psi) for x in psi))
 
 
 def _apply(m: Matrix, psi: Vector) -> Vector:
     return tuple(sum(a * x for a, x in zip(row, psi)) for row in m)
-
-
-class PureState(_Checked, namedtuple("PureState", "amplitudes")):
-    """Unit vector in dimension 2 or 4, stored as a tuple of complex amplitudes."""
-
-    __slots__ = ()
-
-    @staticmethod
-    def _check(state: tuple) -> tuple:
-        try:
-            amp = tuple(complex(a) for a in state.amplitudes)
-        except TypeError:
-            raise ValueError("state must be a vector of numbers") from None
-        if len(amp) not in (2, 4):
-            raise ValueError(f"state must be a vector of dimension 2 or 4, got {len(amp)} entries")
-        deviation = abs(math.sqrt(sum(a.real * a.real + a.imag * a.imag for a in amp)) - 1.0)
-        if not deviation <= HERMITIAN_TOL:
-            raise ValueError(f"state norm deviates from 1 by {deviation:.3e}")
-        return (amp,)
 
 
 class DensityOperator(_Checked, namedtuple("DensityOperator", "matrix")):
@@ -153,12 +137,6 @@ def born(rho: DensityOperator, m: TwoOutcomeMeasurement) -> float:
     return min(max(val, 0.0), 1.0)
 
 
-def make_input_pair(c_ab: float) -> tuple[PureState, PureState]:
-    """Real qubit pair with squared overlap ``c_ab``, in the gauge of :func:`clonectx.cloner.input_pair`."""
-    ket_a, ket_b = input_pair(_check_unit("c_ab", c_ab))
-    return PureState(ket_a), PureState(ket_b)
-
-
 def depolarize(rho: DensityOperator, v: float) -> DensityOperator:
     """Depolarizing channel in the state's own dimension d: (1-v) rho + v I/d."""
     v = _check_unit("v", v)
@@ -173,7 +151,7 @@ def _quarter_turn(e1: Vector, e2: Vector) -> Matrix:
     return tuple(tuple(y_i * x_j - x_i * y_j for x_j, y_j in zip(e1, e2)) for x_i, y_i in zip(e1, e2))
 
 
-def optimal_clone_pair(c_ab: float) -> tuple[PureState, PureState]:
+def optimal_clone_pair(c_ab: float) -> tuple[Vector, Vector]:
     """Closed-form outputs of the optimal cloner for inputs with confusability ``c_ab``.
 
     The pair sits symmetrically about the bisector of the two-copy targets,
@@ -187,7 +165,7 @@ def optimal_clone_pair(c_ab: float) -> tuple[PureState, PureState]:
     sin_psi = math.sqrt((1.0 - rc) / 2.0)
     alpha = tuple(cos_psi * x + sin_psi * y for x, y in zip(e1, e2))
     beta = tuple(cos_psi * x - sin_psi * y for x, y in zip(e1, e2))
-    return PureState(alpha), PureState(beta)
+    return alpha, beta
 
 
 class NoisyEnsemble(namedtuple("NoisyEnsemble", "states tests")):
@@ -228,14 +206,10 @@ def noisy_ensemble(v: float, c_ab: float) -> NoisyEnsemble:
     v = _check_unit("v", v)
     c = _check_unit("c_ab", c_ab)
 
-    ket_a, ket_b = make_input_pair(c)
-    ket_alpha, ket_beta = optimal_clone_pair(c)
+    a, b = input_pair(c)
+    alpha, beta = optimal_clone_pair(c)
     aa, bb, e1, e2, _ = plane_basis(c)
-    kets = {
-        "a": ket_a.amplitudes, "b": ket_b.amplitudes,
-        "alpha": ket_alpha.amplitudes, "beta": ket_beta.amplitudes,
-        "aa": aa, "bb": bb,
-    }
+    kets = {"a": a, "b": b, "alpha": alpha, "beta": beta, "aa": aa, "bb": bb}
     turn = {2: _quarter_turn((1.0, 0.0), (0.0, 1.0)), 4: _quarter_turn(e1, e2)}
     kets.update({f"{s}_perp": _apply(turn[len(psi)], psi) for s, psi in kets.items()})
 

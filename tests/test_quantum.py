@@ -14,11 +14,9 @@ from clonectx import bounds, cloner, quantum
 from clonectx.quantum import (
     HERMITIAN_TOL,
     DensityOperator,
-    PureState,
     TwoOutcomeMeasurement,
     born,
     depolarize,
-    make_input_pair,
     noisy_ensemble,
     optimal_clone_pair,
 )
@@ -81,23 +79,24 @@ def hermitian(q, spectrum):
 class TestInputPair:
     @pytest.mark.parametrize("c", [0.0, 0.1, 0.25, 0.5, 0.9, 1.0])
     def test_overlap_is_exact(self, c):
-        ket_a, ket_b = make_input_pair(c)
-        assert abs(np.vdot(ket_a.amplitudes, ket_b.amplitudes)) ** 2 == pytest.approx(c, abs=1e-12)
+        ket_a, ket_b = cloner.input_pair(c)
+        assert abs(np.vdot(ket_a, ket_b)) ** 2 == pytest.approx(c, abs=1e-12)
 
     def test_identical_inputs_use_the_first_axis(self):
-        ket_a, ket_b = make_input_pair(1.0)
-        np.testing.assert_allclose(ket_a.amplitudes, [1.0, 0.0], atol=1e-15)
-        np.testing.assert_allclose(ket_b.amplitudes, [1.0, 0.0], atol=1e-15)
+        ket_a, ket_b = cloner.input_pair(1.0)
+        np.testing.assert_allclose(ket_a, [1.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(ket_b, [1.0, 0.0], atol=1e-15)
 
     def test_orthogonal_inputs(self):
-        ket_a, ket_b = make_input_pair(0.0)
-        assert abs(np.vdot(ket_a.amplitudes, ket_b.amplitudes)) < 1e-12
+        ket_a, ket_b = cloner.input_pair(0.0)
+        assert abs(np.vdot(ket_a, ket_b)) < 1e-12
 
 
 class TestOperators:
-    def test_pure_state_rejects_unnormalized(self):
-        with pytest.raises(ValueError):
-            PureState(np.array([1.0, 1.0]))
+    @pytest.mark.parametrize("ket", [(1.0, 1.0), (1.0 + 2e-12, 0.0)], ids=["norm-sqrt2", "norm-2e-12"])
+    def test_ketbra_rejects_a_ket_off_unit_norm(self, ket):
+        with pytest.raises(ValueError, match="trace"):
+            quantum._ketbra(ket)
 
     def test_density_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
@@ -124,27 +123,26 @@ class TestOperators:
             DensityOperator(np.eye(2) * (0.5 + 1e-9))
 
     @pytest.mark.parametrize("make", [
-        lambda: PureState([1.0, 0.0, 0.0]),
-        lambda: PureState([[1.0, 0.0], [0.0, 0.0]]),
+        lambda: quantum._ketbra([1.0, 0.0, 0.0]),
         lambda: DensityOperator([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
         lambda: DensityOperator([1.0, 0.0]),
         lambda: DensityOperator(np.eye(3) / 3.0),
         lambda: TwoOutcomeMeasurement([[1.0, 0.0], [0.0]]),
-    ], ids=["state-3", "state-2x2", "density-2x3", "density-vector", "density-3x3", "effect-ragged"])
+    ], ids=["ket-3", "density-2x3", "density-vector", "density-3x3", "effect-ragged"])
     def test_shapes_other_than_2_or_4_are_rejected(self, make):
         with pytest.raises(ValueError):
             make()
 
     @pytest.mark.parametrize("make", [
-        lambda: PureState([NAN, 0.0]),
-        lambda: PureState([1.0, NAN]),
+        lambda: quantum._ketbra([NAN, 0.0]),
+        lambda: quantum._ketbra([1.0, NAN]),
         lambda: DensityOperator([[NAN, 0.0], [0.0, 0.5]]),
         lambda: DensityOperator([[0.5, NAN], [NAN, 0.5]]),
         lambda: DensityOperator(np.diag([0.5, complex(0.5, NAN)])),
         lambda: TwoOutcomeMeasurement([[NAN, 0.0], [0.0, 0.5]]),
         lambda: TwoOutcomeMeasurement([[0.5, 0.0], [0.0, NAN]]),
         lambda: DensityOperator(np.diag([math.inf, 0.5])),
-    ], ids=["state-first", "state-second", "density-diagonal", "density-off-diagonal", "density-imaginary",
+    ], ids=["ket-first", "ket-second", "density-diagonal", "density-off-diagonal", "density-imaginary",
             "effect-first", "effect-last", "density-inf"])
     def test_nan_entries_are_rejected(self, make):
         with pytest.raises(ValueError):
@@ -170,22 +168,21 @@ class TestOperators:
             born(rho, TwoOutcomeMeasurement(np.diag([0.0, 1.0])))
 
     def test_born_trivials(self):
-        ket_a, _ = make_input_pair(0.5)
-        rho = quantum._ketbra(ket_a.amplitudes)
-        ket = np.array(ket_a.amplitudes)
+        ket_a, _ = cloner.input_pair(0.5)
+        rho = quantum._ketbra(ket_a)
+        ket = np.array(ket_a)
         proj = TwoOutcomeMeasurement(np.outer(ket, ket.conj()))
         anti = TwoOutcomeMeasurement(np.eye(2) - np.array(proj.effect))
         assert born(rho, proj) == pytest.approx(1.0, abs=1e-12)
         assert born(rho, anti) == pytest.approx(0.0, abs=1e-12)
 
     def test_born_dimension_mismatch(self):
-        ket_a, _ = make_input_pair(0.5)
+        ket_a, _ = cloner.input_pair(0.5)
         with pytest.raises(ValueError):
-            born(quantum._ketbra(ket_a.amplitudes), TwoOutcomeMeasurement(np.eye(4) / 2))
+            born(quantum._ketbra(ket_a), TwoOutcomeMeasurement(np.eye(4) / 2))
 
     def test_depolarize_endpoints(self):
-        psi = PureState(np.array([1.0, 0.0, 0.0, 0.0], dtype=complex))
-        rho = quantum._ketbra(psi.amplitudes)
+        rho = quantum._ketbra((1.0, 0.0, 0.0, 0.0))
         np.testing.assert_allclose(depolarize(rho, 0.0).matrix, rho.matrix, atol=1e-15)
         np.testing.assert_allclose(depolarize(rho, 1.0).matrix, np.eye(4) / 4.0, atol=1e-15)
 
@@ -193,7 +190,7 @@ class TestOperators:
         for d in (2, 4):
             psi = np.zeros(d, dtype=complex)
             psi[0], psi[-1] = 0.6, 0.8j
-            rho = quantum._ketbra(PureState(psi).amplitudes)
+            rho = quantum._ketbra(tuple(psi))
             for v in V_GRID:
                 want = (1.0 - v) * np.array(rho.matrix) + v * np.eye(d) / d
                 np.testing.assert_allclose(depolarize(rho, v).matrix, want, atol=1e-15)
@@ -202,10 +199,10 @@ class TestOperators:
     def test_single_copy_noise_via_partial_trace(self, v):
         # Depolarizing the qubit directly agrees with depolarizing it next to
         # an ancilla |0> and tracing the ancilla out.
-        ket_a, _ = make_input_pair(0.3)
-        joint = quantum._ketbra(PureState(np.kron(ket_a.amplitudes, np.array([1.0, 0.0], dtype=complex))).amplitudes)
+        ket_a, _ = cloner.input_pair(0.3)
+        joint = quantum._ketbra(tuple(np.kron(ket_a, np.array([1.0, 0.0], dtype=complex))))
         traced = np.einsum("ikjk->ij", np.array(depolarize(joint, v).matrix).reshape(2, 2, 2, 2))
-        got = depolarize(quantum._ketbra(ket_a.amplitudes), v)
+        got = depolarize(quantum._ketbra(ket_a), v)
         np.testing.assert_allclose(got.matrix, traced, atol=1e-14)
 
 
@@ -304,22 +301,20 @@ class TestCloneOptimizer:
     @pytest.mark.parametrize("c", C_GRID)
     def test_closed_form_pair_achieves_the_optimum(self, c):
         alpha, beta = optimal_clone_pair(c)
-        ket_a, _ = make_input_pair(c)
-        aa = np.kron(ket_a.amplitudes, ket_a.amplitudes)
-        _, ket_b = make_input_pair(c)
-        bb = np.kron(ket_b.amplitudes, ket_b.amplitudes)
-        f = 0.5 * abs(np.vdot(aa, alpha.amplitudes)) ** 2 + 0.5 * abs(np.vdot(bb, beta.amplitudes)) ** 2
+        ket_a, ket_b = cloner.input_pair(c)
+        aa, bb = np.kron(ket_a, ket_a), np.kron(ket_b, ket_b)
+        f = 0.5 * abs(np.vdot(aa, alpha)) ** 2 + 0.5 * abs(np.vdot(bb, beta)) ** 2
         assert f == pytest.approx(bounds.quantum_optimal_fidelity(c), abs=1e-13)
-        assert np.vdot(alpha.amplitudes, beta.amplitudes).real == pytest.approx(np.sqrt(c), abs=1e-13)
+        assert np.vdot(alpha, beta).real == pytest.approx(np.sqrt(c), abs=1e-13)
 
     @pytest.mark.parametrize("c", [0.0, 1e-9, 0.1, 0.5, 0.9, 1.0 - 1e-9, 1.0])
     def test_plane_basis_is_the_kron_of_the_inputs(self, c):
         # noisy_ensemble builds its two-copy states from this frame, so it must
-        # be exactly the Kronecker products of make_input_pair's kets.
-        ket_a, ket_b = make_input_pair(c)
+        # be exactly the Kronecker products of input_pair's kets.
+        ket_a, ket_b = cloner.input_pair(c)
         aa, bb, e1, e2, e3 = (np.array(x) for x in cloner.plane_basis(c))
-        assert np.array_equal(aa, np.kron(ket_a.amplitudes, ket_a.amplitudes).real)
-        assert np.array_equal(bb, np.kron(ket_b.amplitudes, ket_b.amplitudes).real)
+        assert np.array_equal(aa, np.kron(ket_a, ket_a).real)
+        assert np.array_equal(bb, np.kron(ket_b, ket_b).real)
         frame = np.array([e1, e2, e3])
         np.testing.assert_allclose(frame @ frame.T, np.eye(3), atol=1e-15)
 
@@ -327,7 +322,6 @@ class TestCloneOptimizer:
     def test_inputs_and_targets_take_the_one_gauge_bit_for_bit(self, c):
         # repr tells every float apart, the sign of a zero included.
         ket_a, ket_b = cloner.input_pair(c)
-        assert repr(make_input_pair(c)) == repr((PureState(ket_a), PureState(ket_b)))
         (a0, a1), (b0, b1) = ket_a, ket_b
         aa, bb = cloner.plane_basis(c)[:2]
         assert repr(aa) == repr((a0 * a0, a0 * a1, a1 * a0, a1 * a1))

@@ -7,7 +7,9 @@ its code's file and first line.  The module- and class-level ``def`` of
 a new function that no command reaches fails here until a command runs it or
 ``KEPT`` names why it stays, and a kept function that a command comes to
 reach fails until it leaves ``KEPT``.  Every subcommand of ``cli._COMMANDS``
-has a run here, so one added to the table fails until it has one.
+has a run here, so one added to the table fails until it has one.  No
+module imports a name it never reads, so a deletion cannot leave a dead
+import behind.
 """
 
 import ast
@@ -62,6 +64,26 @@ def _defs() -> dict[tuple[str, int], str]:
                     first = node.decorator_list[0].lineno if node.decorator_list else node.lineno
                     found[module.__file__, first] = f"{prefix}.{node.name}"
     return found
+
+
+def _unused_imports(source: str) -> list[str]:
+    """The names that ``source`` imports and never reads, ``from __future__`` aside."""
+    tree = ast.parse(source)
+    imported = {alias.asname or alias.name.split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    return sorted(imported - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)})
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    modules = sorted(Path(clonectx.__file__).parent.glob("*.py"))
+    assert {path.name: names for path in modules if (names := _unused_imports(path.read_text()))} == {}
+
+
+def test_an_unused_import_fails_the_check():
+    planted = "from __future__ import annotations\nimport math\nimport os.path\nfrom json import dumps as d\nmath.pi\n"
+    assert _unused_imports(planted) == ["d", "os"]
 
 
 def test_every_subcommand_has_a_reach_run(tmp_path):

@@ -20,7 +20,6 @@ RECORDS = {
     "CurveSeries": (lambda: scan.CurveSeries("c", "F", (0.0, 0.5), (1.0, 0.9), "p"), "x", (0.5, 0.0)),
     "ViolationRegion": (lambda: scan.ViolationRegion(0.015, 0.3, 0.7, "thm2-direct", "ideal-overlap"),
                         "c_hi", None),
-    "PureState": (lambda: quantum.PureState((1.0, 0.0)), "amplitudes", (1.0, 1.0)),
     "DensityOperator": (lambda: quantum.DensityOperator(((0.5, 0.0), (0.0, 0.5))),
                         "matrix", ((1.5, 0.0), (0.0, -0.5))),
     "TwoOutcomeMeasurement": (lambda: quantum.TwoOutcomeMeasurement(((1.0, 0.0), (0.0, 0.0))),
@@ -76,8 +75,8 @@ def test_make_rejects_a_wrong_field_count():
 
 
 def test_copies_normalise_like_the_constructor():
-    state = quantum.PureState((1.0, 0.0))._replace(amplitudes=[0, 1])
-    assert state.amplitudes == (0j, 1 + 0j)
+    rho = quantum.DensityOperator(((1.0, 0.0), (0.0, 0.0)))._replace(matrix=[[0, 0], [0, 1]])
+    assert repr(rho.matrix) == repr(((0j, 0j), (0j, 1 + 0j)))
     grid = GRID._replace(edges=[(0, 0.5, 2)])
     assert grid == ontic.LambdaGrid(((0.0, 0.5, 2.0),))
     assert grid.cells == (((0.0, 0.5),), ((0.5, 2.0),)) and grid.volumes == (0.5, 1.5)
