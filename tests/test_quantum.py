@@ -93,7 +93,8 @@ class TestInputPair:
 
 
 class TestOperators:
-    @pytest.mark.parametrize("ket", [(1.0, 1.0), (1.0 + 2e-12, 0.0)], ids=["norm-sqrt2", "norm-2e-12"])
+    @pytest.mark.parametrize("ket", [(1.0, 1.0), (1.0 + 2e-12, 0.0), (0.5, 0.5, 0.5, 0.5 + 2e-12)],
+                             ids=["norm-sqrt2", "norm-2e-12", "norm-2e-12-dim4"])
     def test_ketbra_rejects_a_ket_off_unit_norm(self, ket):
         with pytest.raises(ValueError, match="trace"):
             quantum._ketbra(ket)
@@ -124,11 +125,13 @@ class TestOperators:
 
     @pytest.mark.parametrize("make", [
         lambda: quantum._ketbra([1.0, 0.0, 0.0]),
+        lambda: quantum._ketbra([1.0, 0.0, 0.0, 0.0, 0.0]),
+        lambda: quantum._ketbra(()),
         lambda: DensityOperator([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
         lambda: DensityOperator([1.0, 0.0]),
         lambda: DensityOperator(np.eye(3) / 3.0),
         lambda: TwoOutcomeMeasurement([[1.0, 0.0], [0.0]]),
-    ], ids=["ket-3", "density-2x3", "density-vector", "density-3x3", "effect-ragged"])
+    ], ids=["ket-3", "ket-5", "ket-empty", "density-2x3", "density-vector", "density-3x3", "effect-ragged"])
     def test_shapes_other_than_2_or_4_are_rejected(self, make):
         with pytest.raises(ValueError):
             make()
@@ -136,13 +139,14 @@ class TestOperators:
     @pytest.mark.parametrize("make", [
         lambda: quantum._ketbra([NAN, 0.0]),
         lambda: quantum._ketbra([1.0, NAN]),
+        lambda: quantum._ketbra([0.5, 0.5, 0.5, NAN]),
         lambda: DensityOperator([[NAN, 0.0], [0.0, 0.5]]),
         lambda: DensityOperator([[0.5, NAN], [NAN, 0.5]]),
         lambda: DensityOperator(np.diag([0.5, complex(0.5, NAN)])),
         lambda: TwoOutcomeMeasurement([[NAN, 0.0], [0.0, 0.5]]),
         lambda: TwoOutcomeMeasurement([[0.5, 0.0], [0.0, NAN]]),
         lambda: DensityOperator(np.diag([math.inf, 0.5])),
-    ], ids=["ket-first", "ket-second", "density-diagonal", "density-off-diagonal", "density-imaginary",
+    ], ids=["ket-first", "ket-second", "ket-dim4-last", "density-diagonal", "density-off-diagonal", "density-imaginary",
             "effect-first", "effect-last", "density-inf"])
     def test_nan_entries_are_rejected(self, make):
         with pytest.raises(ValueError):
