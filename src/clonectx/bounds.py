@@ -18,7 +18,7 @@ the figure-data file formats ``CURVE_FORMATS``.
 Every closed form computes on Python floats with :mod:`math` alone and
 returns a ``float``, or a dict of them keyed by name: the error budget by
 test (:func:`depolarizing_epsilons`, as :func:`measured_epsilons`), the
-overlaps ``c_ab c_ba c_aabb c_bbaa`` (:func:`ideal_overlaps`, as
+overlaps ``c_ab c_ba c_aabb c_bbaa`` (:func:`observed_overlaps`, as
 :func:`measured_overlaps`) and the error terms (:func:`err_terms`).  The
 noise-robust ceilings take the overlaps and the error budget in those two
 shapes, so a model's measurements feed them as they are, and return their
@@ -150,12 +150,6 @@ def nc_bound_ideal(c_ab: float, c_aabb: float) -> float:
     return nc_bound(_check_unit("c_ab", c_ab), _check_unit("c_aabb", c_aabb))
 
 
-def ideal_overlaps(c: float) -> dict[str, float]:
-    """:func:`measured_overlaps` of the ideal symmetric experiment: c both ways, c**2 for the copies."""
-    c = _check_unit("c", c)
-    return {"c_ab": c, "c_ba": c, "c_aabb": c * c, "c_bbaa": c * c}
-
-
 def _budget_err(eps: dict) -> float:
     """Error term (eps_b + 2*eps_bb + eps_aa)/2 of the noise-robust ceiling."""
     return 0.5 * (eps["b"] + 2.0 * eps["bb"] + eps["aa"])
@@ -218,7 +212,7 @@ def _depolarizing_factors(v: float) -> tuple[float, float, float, float, float]:
 
     (1-v)**3, v*(3 - 3v + v**2)/4, (1-v)**2, v*(1-v) and v**2/2: the weights
     of the noiseless value and of the noise in :func:`quantum_noisy_fidelity`
-    and in both observed confusabilities.
+    and in :func:`observed_overlaps`.
     """
     one_mv = 1.0 - v
     return one_mv**3, 0.25 * v * (3.0 - 3.0 * v + v * v), one_mv**2, v * one_mv, 0.5 * v * v
@@ -287,13 +281,10 @@ def quantum_noisy_fidelity(v: float, c_ab: float) -> float:
     return k3 * quantum_optimal_fidelity(c_ab) + q
 
 
-def observed_confusability(v: float, c_ab: float) -> float:
-    """Noisy input-pair confusability at depolarizing level ``v``: (1-v)^2 c + v(1-v) + v^2/2."""
+def observed_overlaps(v: float, c_ab: float) -> dict[str, float]:
+    """:func:`measured_overlaps` of the experiment depolarized at level ``v``, whose symmetry gives each pair one value:
+    (1-v)^2 c + v(1-v) + v^2/2 for the inputs, (1-v)^3 c^2 + v(3-3v+v^2)/4 for the two-copy targets.
+    At v = 0 they are c and c*c bit for bit."""
     factors = _depolarizing_factors(_check_unit("v", v))
-    return _observed_overlaps(_check_unit("c_ab", c_ab), factors)[0]
-
-
-def observed_target_confusability(v: float, c_ab: float) -> float:
-    """Noisy target-pair confusability at depolarizing level ``v``: (1-v)^3 c^2 + v(3-3v+v^2)/4."""
-    factors = _depolarizing_factors(_check_unit("v", v))
-    return _observed_overlaps(_check_unit("c_ab", c_ab), factors)[1]
+    c_in, c_out = _observed_overlaps(_check_unit("c_ab", c_ab), factors)
+    return {"c_ab": c_in, "c_ba": c_in, "c_aabb": c_out, "c_bbaa": c_out}

@@ -157,7 +157,7 @@ def _cmd_bounds(report: RunReport, args: argparse.Namespace) -> None:
     report.outputs["nc_discrimination_bound"] = bounds.nc_discrimination_bound(c)
     if args.v is not None:
         v = args.v
-        eps, overlaps = bounds.depolarizing_epsilons(v), bounds.ideal_overlaps(c)
+        eps, overlaps = bounds.depolarizing_epsilons(v), bounds.observed_overlaps(0.0, c)
         noisy = bounds.nc_bound_noisy(overlaps, eps)
         report.outputs.update({"eps_single_copy": eps["a"], "eps_two_copy": eps["aa"]} | bounds.err_terms(v))
         report.outputs.update(nc_bound_noisy=noisy, nc_bound_noisy_clamped=noisy > 1.0,
@@ -198,14 +198,10 @@ def _cmd_quantum(report: RunReport, args: argparse.Namespace, quantum, residuals
     if residuals:
         report.outputs.update({f"equivalence_residual[{pair}]": x for pair, x in equivalences.items()})
 
-    closed = bounds.depolarizing_epsilons(v)
-    report.check("epsilons-match-closed-forms", "max |delta|",
-                 bounds._worst(abs(eps[s] - closed[s]) for s in eps), ACCEPT_EXACT)
-    # The experiment is symmetric: each pair's confusability has one closed form, both ways round.
-    c_in, c_out = bounds.observed_confusability(v, c), bounds.observed_target_confusability(v, c)
-    deltas = (abs(overlaps["c_ab"] - c_in), abs(overlaps["c_ba"] - c_in),
-              abs(overlaps["c_aabb"] - c_out), abs(overlaps["c_bbaa"] - c_out))
-    report.check("observed-confusabilities-match-closed-forms", "max |delta|", bounds._worst(deltas), ACCEPT_EXACT)
+    for name, measured, closed in (("epsilons-match-closed-forms", eps, bounds.depolarizing_epsilons(v)),
+                                   ("observed-confusabilities-match-closed-forms", overlaps,
+                                    bounds.observed_overlaps(v, c))):
+        report.check(name, "max |delta|", bounds._worst(abs(measured[k] - closed[k]) for k in measured), ACCEPT_EXACT)
     report.check("global-fidelity-matches-closed-form", "|delta|",
                  abs(f_g - bounds.quantum_noisy_fidelity(v, c)), ACCEPT_EXACT)
     report.check("mixing-equivalences", "max residual", o2_residual, ACCEPT_EXACT)

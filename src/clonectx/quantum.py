@@ -14,8 +14,10 @@ outputs live in the corresponding two-qubit tensor space (dimension 4).
 No matrix is larger than 4 x 4, so kets are the real tuples of
 :mod:`clonectx.cloner` and operators tuples of rows of complex entries,
 computed with :mod:`math` alone: ``clonectx noise`` and ``verify-quantum``
-run without numpy.  Every operator is validated on construction (shape,
-Hermitian, spectrum, trace), each ket once as the density operator it
+run without numpy.  Every operator is a :class:`DensityOperator`, a test's
+pass effect too (the operator its preparation is after the first round of
+noise, built once for both), validated on construction (shape, Hermitian,
+spectrum, trace); each ket is checked once as the density operator it
 becomes, and every tolerance test is written so that NaN fails it.
 """
 
@@ -34,36 +36,25 @@ Vector = tuple  # amplitudes, dimension 2 or 4; the experiment's kets are real
 Matrix = tuple  # rows of complex entries, 2 x 2 or 4 x 4
 
 
-def _square(m, what: str) -> Matrix:
-    """``m`` as a 2 x 2 or 4 x 4 tuple of rows of complex numbers; any other shape raises ValueError."""
-    try:
-        rows = tuple(tuple(complex(x) for x in row) for row in m)
-    except TypeError:
-        raise ValueError(f"{what} must be a 2x2 or 4x4 matrix of numbers") from None
-    if len(rows) not in (2, 4) or any(len(row) != len(rows) for row in rows):
-        raise ValueError(f"{what} must be 2x2 or 4x4, got rows of lengths {[len(row) for row in rows]}")
-    return rows
-
-
 def _hermitian(m: Matrix) -> bool:
     """Whether every entry of ``m`` is within HERMITIAN_TOL of its conjugate transpose's."""
     d = len(m)
     return all(abs(m[i][j] - m[j][i].conjugate()) <= HERMITIAN_TOL for i in range(d) for j in range(i, d))
 
 
-def _spectrum_above(m: Matrix, floor: float) -> bool:
-    """Whether every eigenvalue of the Hermitian ``m`` exceeds ``floor``.
+def _spectrum_above(m: Matrix) -> bool:
+    """Whether every eigenvalue of the Hermitian ``m`` exceeds -HERMITIAN_TOL.
 
-    That holds exactly when m - floor * I is positive definite, that is when
-    its Cholesky factorisation m - floor * I = L L^H runs with every pivot
-    positive; a NaN pivot fails too.
+    That holds exactly when m + HERMITIAN_TOL * I is positive definite, that
+    is when its Cholesky factorisation m + HERMITIAN_TOL * I = L L^H runs
+    with every pivot positive; a NaN pivot fails too.
     """
     low: list[list[complex]] = []
     for i, m_row in enumerate(m):
         row: list = []
         for j in range(i):
             row.append((m_row[j] - sum(row[k] * low[j][k].conjugate() for k in range(j))) / low[j][j])
-        pivot = m_row[i].real - floor - sum(x.real * x.real + x.imag * x.imag for x in row)
+        pivot = m_row[i].real + HERMITIAN_TOL - sum(x.real * x.real + x.imag * x.imag for x in row)
         if not pivot > 0.0:
             return False
         row.append(math.sqrt(pivot))
@@ -88,10 +79,15 @@ class DensityOperator(_Checked, namedtuple("DensityOperator", "matrix")):
 
     @staticmethod
     def _check(rho: tuple) -> tuple:
-        m = _square(rho.matrix, "density operator")
+        try:
+            m = tuple(tuple(complex(x) for x in row) for row in rho.matrix)
+        except TypeError:
+            raise ValueError("density operator must be a 2x2 or 4x4 matrix of numbers") from None
+        if len(m) not in (2, 4) or any(len(row) != len(m) for row in m):
+            raise ValueError(f"density operator must be 2x2 or 4x4, got rows of lengths {[len(row) for row in m]}")
         if not _hermitian(m):
             raise ValueError("density operator is not Hermitian within tolerance")
-        if not _spectrum_above(m, -HERMITIAN_TOL):
+        if not _spectrum_above(m):
             raise ValueError(f"density operator has an eigenvalue below -{HERMITIAN_TOL}")
         deviation = abs(sum(m[i][i].real for i in range(len(m))) - 1.0)
         if not deviation <= HERMITIAN_TOL:
@@ -103,32 +99,13 @@ class DensityOperator(_Checked, namedtuple("DensityOperator", "matrix")):
         return len(self.matrix)
 
 
-class TwoOutcomeMeasurement(_Checked, namedtuple("TwoOutcomeMeasurement", "effect")):
-    """Two-outcome test; stores the pass effect as a tuple of rows, the fail effect being identity minus it."""
-
-    __slots__ = ()
-
-    @staticmethod
-    def _check(test: tuple) -> tuple:
-        e = _square(test.effect, "effect")
-        if not _hermitian(e):
-            raise ValueError("effect is not Hermitian within tolerance")
-        # The spectrum of E lies in [0, 1] when both E and I - E have none below 0.
-        negated = tuple(tuple(-x for x in row) for row in e)
-        if not (_spectrum_above(e, -HERMITIAN_TOL) and _spectrum_above(negated, -1.0 - HERMITIAN_TOL)):
-            raise ValueError(f"effect spectrum escapes [0, 1] by more than {HERMITIAN_TOL}")
-        return (e,)
-
-    @property
-    def dim(self) -> int:
-        return len(self.effect)
-
-
-def born(rho: DensityOperator, m: TwoOutcomeMeasurement) -> float:
-    """Pass probability Tr[rho * effect], the sum of rho_ij * effect_ji, clipped only within a tight tolerance."""
-    if rho.dim != m.dim:
-        raise ValueError(f"dimension mismatch: state {rho.dim}, effect {m.dim}")
-    p = sum(sum(r * e for r, e in zip(row, col)) for row, col in zip(rho.matrix, zip(*m.effect)))
+def born(rho: DensityOperator, test: DensityOperator) -> float:
+    """Probability Tr[rho E], the sum of rho_ij * E_ji, that ``rho`` passes the test whose pass effect E is ``test``,
+    clipped only within a tight tolerance.  E is a density operator, so its spectrum lies in [0, 1] within
+    d * HERMITIAN_TOL: the fail effect I - E is an effect too."""
+    if rho.dim != test.dim:
+        raise ValueError(f"dimension mismatch: state {rho.dim}, effect {test.dim}")
+    p = sum(sum(r * e for r, e in zip(row, col)) for row, col in zip(rho.matrix, zip(*test.matrix)))
     if not abs(p.imag) <= BORN_CLIP_TOL:
         raise ValueError(f"Born probability has imaginary part {p.imag:.3e}")
     val = p.real
@@ -195,13 +172,15 @@ def noisy_ensemble(v: float, c_ab: float) -> NoisyEnsemble:
     Input preparations are depolarized once; clone outputs and two-copy
     targets take the channel twice (output states inherit one round from
     the noisy input and one from the noisy transformation; targets get a
-    deliberate second round so the mixing equivalences close).  Tests are
-    projectors depolarized once.  Every orthogonal partner is its
-    preparation turned by 90 degrees inside its layer's real plane: the
-    qubit plane, or span{e1, e2} of :func:`clonectx.cloner.plane_basis`, which holds
-    alpha, beta, aa and bb for every ``c_ab`` in [0, 1].  Each equal mixture
-    of a state and its partner is then half the plane's projector, so all
-    four mixing equivalences hold as matrix identities.
+    deliberate second round so the mixing equivalences close).  The pass
+    effect of test ``s`` is its projector depolarized once: the operator
+    preparation ``s`` is after its first round, built once for both.  Every
+    orthogonal partner is its preparation turned by 90 degrees inside its
+    layer's real plane: the qubit plane, or span{e1, e2} of
+    :func:`clonectx.cloner.plane_basis`, which holds alpha, beta, aa and bb
+    for every ``c_ab`` in [0, 1].  Each equal mixture of a state and its
+    partner is then half the plane's projector, so all four mixing
+    equivalences hold as matrix identities.
     """
     v = _check_unit("v", v)
     c = _check_unit("c_ab", c_ab)
@@ -213,9 +192,6 @@ def noisy_ensemble(v: float, c_ab: float) -> NoisyEnsemble:
     turn = {2: _quarter_turn((1.0, 0.0), (0.0, 1.0)), 4: _quarter_turn(e1, e2)}
     kets.update({f"{s}_perp": _apply(turn[len(psi)], psi) for s, psi in kets.items()})
 
-    def prepare(psi: Vector) -> DensityOperator:
-        rho = depolarize(_ketbra(psi), v)
-        return rho if len(psi) == 2 else depolarize(rho, v)
-
-    return NoisyEnsemble(states={name: prepare(kets[name]) for name in STATE_NAMES},
-                         tests={s: TwoOutcomeMeasurement(depolarize(_ketbra(kets[s]), v).matrix) for s in TEST_NAMES})
+    once = {s: depolarize(_ketbra(psi), v) for s, psi in kets.items()}
+    return NoisyEnsemble(states={s: once[s] if once[s].dim == 2 else depolarize(once[s], v) for s in STATE_NAMES},
+                         tests={s: once[s] for s in TEST_NAMES})

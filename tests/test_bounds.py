@@ -9,9 +9,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from clonectx import bounds
-from clonectx.bounds import TEST_NAMES, ideal_overlaps
+from clonectx.bounds import TEST_NAMES, observed_overlaps
 
 # mpmath, 60 significant digits, rounded to 20:
 F_OPT_025 = 0.98176274578121056808
@@ -95,12 +97,12 @@ def uniform(eps):
 class TestNoisyBounds:
     def test_zero_budget_reduces_to_ideal_exactly(self):
         for c in np.linspace(0.0, 1.0, 21):
-            got = bounds.nc_bound_noisy(ideal_overlaps(c), uniform(0.0))
+            got = bounds.nc_bound_noisy(observed_overlaps(0.0, c), uniform(0.0))
             assert got == bounds.nc_bound_ideal(c, c * c)
             assert got <= 1.0
 
     def test_uniform_budget_adds_two_epsilon(self):
-        got = bounds.nc_bound_noisy(ideal_overlaps(0.5), uniform(0.01))
+        got = bounds.nc_bound_noisy(observed_overlaps(0.0, 0.5), uniform(0.01))
         assert got == pytest.approx(0.895, abs=1e-15)
 
     # Every entry differs, so a weight moved from one epsilon to another changes the error term.
@@ -115,13 +117,13 @@ class TestNoisyBounds:
 
     @pytest.mark.parametrize("field", ["eps_a", "eps_alpha", "eps_beta"])
     def test_error_term_ignores_the_other_epsilons(self, field):
-        ov = ideal_overlaps(0.37)
+        ov = observed_overlaps(0.0, 0.37)
         moved = {**self.DISTINCT, field.removeprefix("eps_"): 0.5}
         assert bounds.nc_bound_noisy(ov, moved) == bounds.nc_bound_noisy(ov, self.DISTINCT)
 
     def test_clamped_flag_keeps_raw_value(self):
         # A vacuous ceiling comes back raw, above 1; the bounds report flags it.
-        got = bounds.nc_bound_noisy(ideal_overlaps(0.0), uniform(0.9))
+        got = bounds.nc_bound_noisy(observed_overlaps(0.0, 0.0), uniform(0.9))
         assert type(got) is float and got > 1.0
 
     def test_symmetric_variant_case_split(self):
@@ -137,7 +139,7 @@ class TestNoisyBounds:
 
     def test_symmetric_variant_zero_budget(self):
         for c in (0.0, 0.3, 1.0):
-            got = bounds.nc_bound_noisy_symmetric(ideal_overlaps(c), uniform(0.0))
+            got = bounds.nc_bound_noisy_symmetric(observed_overlaps(0.0, c), uniform(0.0))
             assert got == pytest.approx(bounds.nc_bound_ideal(c, c * c), abs=1e-15)
 
     def test_symmetric_never_exceeds_plain_bound(self):
@@ -153,7 +155,7 @@ class TestNoisyBounds:
         # At the edge of the published violation window the uniform
         # effective-epsilon ceiling and the noisy quantum fidelity cross.
         eps = bounds.err_terms(0.015)["eps_effective"]
-        ceiling = bounds.nc_bound_noisy(ideal_overlaps(0.318), uniform(eps))
+        ceiling = bounds.nc_bound_noisy(observed_overlaps(0.0, 0.318), uniform(eps))
         assert ceiling == pytest.approx(bounds.quantum_noisy_fidelity(0.015, 0.318), abs=0.05)
 
 
@@ -238,8 +240,8 @@ CEILINGS = pytest.mark.parametrize("ceiling", [bounds.nc_bound_noisy, bounds.nc_
 
 
 class TestValueTypes:
-    def test_ideal_overlaps_square_the_copy_overlap(self):
-        ov = ideal_overlaps(0.3)
+    def test_noiseless_overlaps_square_the_copy_overlap(self):
+        ov = observed_overlaps(0.0, 0.3)
         assert list(ov) == ["c_ab", "c_ba", "c_aabb", "c_bbaa"]
         assert ov["c_ab"] == ov["c_ba"] == 0.3
         assert ov["c_aabb"] == ov["c_bbaa"] == pytest.approx(0.09, abs=1e-15)
@@ -250,18 +252,18 @@ class TestValueTypes:
 
     def test_budget_validation(self):
         with pytest.raises(ValueError):
-            bounds.nc_bound_noisy_symmetric(ideal_overlaps(0.5), uniform(math.inf))
+            bounds.nc_bound_noisy_symmetric(observed_overlaps(0.0, 0.5), uniform(math.inf))
 
     def test_measured_overlaps_of_the_ideal_experiment_are_the_ideal_overlaps(self):
         # p(s, t) of the ideal experiment: c between the inputs, c**2 between the two-copy targets.
         overlap = {frozenset(("a", "b")): 0.3, frozenset(("aa", "bb")): 0.3 * 0.3}
-        assert bounds.measured_overlaps(lambda s, t: overlap[frozenset((s, t))]) == ideal_overlaps(0.3)
+        assert bounds.measured_overlaps(lambda s, t: overlap[frozenset((s, t))]) == observed_overlaps(0.0, 0.3)
 
     @CEILINGS
     @pytest.mark.parametrize("key", ["c_ab", "c_ba", "c_aabb", "c_bbaa", *(f"eps_{s}" for s in TEST_NAMES)])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.1, 1.5])
     def test_a_bad_value_raises_naming_its_key(self, ceiling, key, bad):
-        ov, eb = ideal_overlaps(0.3), uniform(0.1)
+        ov, eb = observed_overlaps(0.0, 0.3), uniform(0.1)
         if key in ov:
             ov[key] = bad
         else:
@@ -270,11 +272,25 @@ class TestValueTypes:
             ceiling(ov, eb)
 
     @pytest.mark.parametrize("c", [np.float64(0.5), 1, -0.0, np.float32(0.25), 0, np.float64(-0.0)], ids=repr)
-    def test_ideal_overlaps_come_back_as_positive_floats(self, c):
+    def test_noiseless_overlaps_come_back_as_positive_floats(self, c):
         # A numpy scalar would print as np.float64(...), and -0.0 as "-0.0", in any report that echoes it.
-        ov = ideal_overlaps(c)
+        ov = observed_overlaps(0.0, c)
         assert [type(x) for x in ov.values()] == [float] * 4
         assert ov["c_ab"] == float(c) and all(math.copysign(1.0, x) == 1.0 for x in ov.values())
+
+    @settings(derandomize=True, database=None)
+    @given(c=st.floats(0.0, 1.0))
+    @example(c=0.0)
+    @example(c=-0.0)
+    @example(c=5e-324)
+    @example(c=1.0 - 2.0**-53)
+    @example(c=1.0)
+    def test_noiseless_overlaps_are_the_ideal_ones_bit_for_bit(self, c):
+        # The bounds report's noisy ceilings read these as the ideal experiment's (c, c*c).
+        c += 0.0
+        ov = observed_overlaps(0.0, c)
+        assert [type(x) for x in ov.values()] == [float] * 4
+        assert [x.hex() for x in ov.values()] == [c.hex(), c.hex(), (c * c).hex(), (c * c).hex()]
 
     @CEILINGS
     def test_ceilings_read_numpy_scalars_and_negative_zero_as_floats(self, ceiling):
@@ -295,14 +311,12 @@ SCALAR_FORMS = {
     "nc_discrimination_bound[eps_b]": lambda x: bounds.nc_discrimination_bound(0.5, x),
     "quantum_noisy_fidelity[v]": lambda x: bounds.quantum_noisy_fidelity(x, 0.5),
     "quantum_noisy_fidelity[c_ab]": lambda x: bounds.quantum_noisy_fidelity(0.015, x),
-    "observed_confusability[v]": lambda x: bounds.observed_confusability(x, 0.5),
-    "observed_confusability[c_ab]": lambda x: bounds.observed_confusability(0.015, x),
-    "observed_target_confusability[v]": lambda x: bounds.observed_target_confusability(x, 0.5),
-    "observed_target_confusability[c_ab]": lambda x: bounds.observed_target_confusability(0.015, x),
+    "observed_overlaps[v]": lambda x: observed_overlaps(x, 0.5)["c_aabb"],
+    "observed_overlaps[c_ab]": lambda x: observed_overlaps(0.015, x)["c_ab"],
     "depolarizing_epsilons": lambda x: bounds.depolarizing_epsilons(x)["aa"],
     "err_terms": lambda x: bounds.err_terms(x)["err_prime"],
-    "nc_bound_noisy": lambda x: bounds.nc_bound_noisy(ideal_overlaps(x), uniform(0.01)),
-    "nc_bound_noisy_symmetric": lambda x: bounds.nc_bound_noisy_symmetric(ideal_overlaps(0.5), uniform(x)),
+    "nc_bound_noisy": lambda x: bounds.nc_bound_noisy(observed_overlaps(0.0, x), uniform(0.01)),
+    "nc_bound_noisy_symmetric": lambda x: bounds.nc_bound_noisy_symmetric(observed_overlaps(0.0, 0.5), uniform(x)),
 }
 
 

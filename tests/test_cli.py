@@ -132,10 +132,16 @@ def nan_bb_perp_leak(monkeypatch):
                         lambda ens, s, t: math.nan if s == "bb_perp" else real(ens, s, t))
 
 
-def nan_target_confusability(monkeypatch):
-    from clonectx import bounds
+def nan_overlap(key):
+    """A sabotage that makes the closed-form overlap ``key`` NaN."""
 
-    monkeypatch.setattr(bounds, "observed_target_confusability", lambda v, c: math.nan)
+    def sabotage(monkeypatch):
+        from clonectx import bounds
+
+        real = bounds.observed_overlaps
+        monkeypatch.setattr(bounds, "observed_overlaps", lambda v, c: {**real(v, c), key: math.nan})
+
+    return sabotage
 
 
 def nan_last_equivalence(monkeypatch):
@@ -173,21 +179,23 @@ def nan_last_a_perp_cell(monkeypatch):
 
 
 class TestNanTerms:
-    """A residual that is the worst of several terms fails its verdict when a term after the first is NaN."""
+    """A residual that is the worst of several terms fails its verdict when a term, the first or a later one, is NaN."""
 
     @pytest.mark.parametrize(
         "argv, sabotage, verdict",
         [
             (("noise", "--v", "0.015", "--c", "0.5"), nan_last_epsilon, "epsilons-match-closed-forms"),
             (("noise", "--v", "0.015", "--c", "0.5"), nan_bb_perp_leak, "epsilons-match-closed-forms"),
-            (("noise", "--v", "0.015", "--c", "0.5"), nan_target_confusability,
+            (("noise", "--v", "0.015", "--c", "0.5"), nan_overlap("c_ab"),
+             "observed-confusabilities-match-closed-forms"),
+            (("noise", "--v", "0.015", "--c", "0.5"), nan_overlap("c_bbaa"),
              "observed-confusabilities-match-closed-forms"),
             (("verify-quantum", "--v", "0.015", "--c", "0.5"), nan_last_equivalence, "mixing-equivalences"),
             (("verify-ontic", "--c", "0.37"), nan_last_product_cell, "clone-of-b-is-product-density"),
             (("verify-ontic", "--c", "0.37"), nan_last_a_perp_cell, "mixing-equivalences"),
         ],
-        ids=["epsilons", "measured-epsilon", "observed-confusabilities", "o2-residual", "beta-product-density",
-             "a-perp-density"],
+        ids=["epsilons", "measured-epsilon", "observed-confusabilities-first", "observed-confusabilities-last",
+             "o2-residual", "beta-product-density", "a-perp-density"],
     )
     def test_verdict_fails_and_exits_one(self, capsys, monkeypatch, argv, sabotage, verdict):
         sabotage(monkeypatch)

@@ -22,8 +22,6 @@ RECORDS = {
                         "c_hi", None),
     "DensityOperator": (lambda: quantum.DensityOperator(((0.5, 0.0), (0.0, 0.5))),
                         "matrix", ((1.5, 0.0), (0.0, -0.5))),
-    "TwoOutcomeMeasurement": (lambda: quantum.TwoOutcomeMeasurement(((1.0, 0.0), (0.0, 0.0))),
-                              "effect", ((2.0, 0.0), (0.0, 0.0))),
     "LambdaGrid": (lambda: GRID, "edges", ((0.0, 1.0),)),
     "EpistemicState": (lambda: ontic.EpistemicState.uniform(GRID), "density", (1.0, 1.0, 1.0, 1.0)),
     "ResponseFunction": (lambda: ontic.ResponseFunction(GRID, (1.0, 0.0, 0.0, 1.0)), "values", (2.0, 0.0, 0.0, 0.0)),

@@ -294,7 +294,7 @@ def ceiling_at(v, c, err_mode, c_mode):
 class TestNcBoundModes:
     def test_ideal_mode_matches_bounds_module(self):
         got = ceiling_at(0.015, 0.5, "thm2-direct", "ideal-overlap")
-        want = bounds.nc_bound_noisy(bounds.ideal_overlaps(0.5), bounds.depolarizing_epsilons(0.015))
+        want = bounds.nc_bound_noisy(bounds.observed_overlaps(0.0, 0.5), bounds.depolarizing_epsilons(0.015))
         assert got == want
 
     def test_observed_mode_uses_noisy_confusabilities(self):
