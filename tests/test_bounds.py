@@ -278,6 +278,12 @@ class TestValueTypes:
         assert [type(x) for x in ov.values()] == [float] * 4
         assert ov["c_ab"] == float(c) and all(math.copysign(1.0, x) == 1.0 for x in ov.values())
 
+    @pytest.mark.parametrize("v, c, name", [(math.nan, math.nan, "v"), (1.5, -0.1, "v"), (0.5, 1.5, "c_ab")],
+                             ids=["both-nan", "both-out", "c-only"])
+    def test_observed_overlaps_check_v_before_c_ab(self, v, c, name):
+        with pytest.raises(ValueError, match=rf"^{name} must lie in \[0, 1\], got "):
+            observed_overlaps(v, c)
+
     @settings(derandomize=True, database=None)
     @given(c=st.floats(0.0, 1.0))
     @example(c=0.0)
@@ -311,8 +317,10 @@ SCALAR_FORMS = {
     "nc_discrimination_bound[eps_b]": lambda x: bounds.nc_discrimination_bound(0.5, x),
     "quantum_noisy_fidelity[v]": lambda x: bounds.quantum_noisy_fidelity(x, 0.5),
     "quantum_noisy_fidelity[c_ab]": lambda x: bounds.quantum_noisy_fidelity(0.015, x),
-    "observed_overlaps[v]": lambda x: observed_overlaps(x, 0.5)["c_aabb"],
-    "observed_overlaps[c_ab]": lambda x: observed_overlaps(0.015, x)["c_ab"],
+    "observed_overlaps[v].c_ab": lambda x: observed_overlaps(x, 0.5)["c_ab"],
+    "observed_overlaps[v].c_aabb": lambda x: observed_overlaps(x, 0.5)["c_aabb"],
+    "observed_overlaps[c_ab].c_ab": lambda x: observed_overlaps(0.015, x)["c_ab"],
+    "observed_overlaps[c_ab].c_aabb": lambda x: observed_overlaps(0.015, x)["c_aabb"],
     "depolarizing_epsilons": lambda x: bounds.depolarizing_epsilons(x)["aa"],
     "err_terms": lambda x: bounds.err_terms(x)["err_prime"],
     "nc_bound_noisy": lambda x: bounds.nc_bound_noisy(observed_overlaps(0.0, x), uniform(0.01)),

@@ -107,6 +107,11 @@ class TestOperators:
         with pytest.raises(ValueError):
             DensityOperator(np.array([[1.2, 0.0], [0.0, -0.2]]))
 
+    def test_density_rejects_an_eigenvalue_just_below_zero(self):
+        # The trace is 1 to the last bit, so the spectrum test alone must reject it.
+        with pytest.raises(ValueError, match="eigenvalue below"):
+            DensityOperator(np.diag([1.0 + 1e-9, -1e-9]))
+
     def test_density_rejects_trace_off_one(self):
         with pytest.raises(ValueError, match="trace"):
             DensityOperator(np.eye(2) * (0.5 + 1e-9))
@@ -118,7 +123,8 @@ class TestOperators:
         lambda: DensityOperator([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
         lambda: DensityOperator([1.0, 0.0]),
         lambda: DensityOperator(np.eye(3) / 3.0),
-    ], ids=["ket-3", "ket-5", "ket-empty", "density-2x3", "density-vector", "density-3x3"])
+        lambda: DensityOperator([[1.0, 0.0], [0.0]]),
+    ], ids=["ket-3", "ket-5", "ket-empty", "density-2x3", "density-vector", "density-3x3", "density-ragged"])
     def test_shapes_other_than_2_or_4_are_rejected(self, make):
         with pytest.raises(ValueError):
             make()
@@ -130,9 +136,10 @@ class TestOperators:
         lambda: DensityOperator([[NAN, 0.0], [0.0, 0.5]]),
         lambda: DensityOperator([[0.5, NAN], [NAN, 0.5]]),
         lambda: DensityOperator(np.diag([0.5, complex(0.5, NAN)])),
+        lambda: DensityOperator([[0.5, 0.0], [0.0, NAN]]),
         lambda: DensityOperator(np.diag([math.inf, 0.5])),
     ], ids=["ket-first", "ket-second", "ket-dim4-last", "density-diagonal", "density-off-diagonal", "density-imaginary",
-            "density-inf"])
+            "density-last", "density-inf"])
     def test_nan_entries_are_rejected(self, make):
         with pytest.raises(ValueError):
             make()
@@ -239,6 +246,27 @@ class TestAgainstNumpy:
         else:
             assert not rejected
 
+    # A test's pass effect E is a density operator, and born reads I - E as the fail effect: the density checks
+    # keep E's spectrum in [-tol, 1 + d * tol], and that bound is reached.  The d - 1 low eigenvalues sit at
+    # -low * tol and the trace at 1 + trace * tol, so the top one is 1 + ((d - 1) * low + trace) * tol.  The
+    # edges are judged 1e-2 * tol either side, as 1 + tol is rounded to the spacing of doubles near 1.
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(d=st.sampled_from([2, 4]), data=st.data(),
+           low=st.sampled_from([1.0 - 1e-2, 1.0 + 1e-2]), trace=st.sampled_from([1.0 - 1e-2, 1.0 + 1e-2]))
+    def test_the_density_checks_bound_an_effects_spectrum_within_d_tol(self, d, data, low, trace):
+        q, _ = data.draw(hermitian_spectra(d))
+        spectrum = np.full(d, -low * HERMITIAN_TOL)
+        spectrum[0] = 1.0 + ((d - 1) * low + trace) * HERMITIAN_TOL
+        m = hermitian(q, spectrum)
+        try:
+            DensityOperator(m)
+        except ValueError as exc:
+            assert low > 1.0 or trace > 1.0, exc
+        else:
+            assert low < 1.0 and trace < 1.0
+            eigs = np.linalg.eigvalsh(m)
+            assert eigs.min() >= -HERMITIAN_TOL and eigs.max() <= 1.0 + d * HERMITIAN_TOL
+
 
 class TestCloneOptimizer:
     @pytest.mark.parametrize("c", [0.1, 0.25, 0.5, 0.75, 0.9, 1e-4, 1e-3])
@@ -330,6 +358,16 @@ class TestNoisyEnsemble:
         ens = noisy_ensemble(0.015, 0.5)
         assert calls == {"_ketbra": 12, "depolarize": 20}
         assert ens.tests["a"] is ens.states["a"] and ens.tests["b"] is ens.states["b"]
+
+    @pytest.mark.parametrize("s", bounds.TEST_NAMES)
+    @settings(derandomize=True, database=None, deadline=None, max_examples=50)
+    @given(v=V_DOMAIN, c=C_DOMAIN)
+    def test_each_pass_effect_has_the_depolarized_projector_spectrum(self, s, v, c):
+        # (1 - v)|psi><psi| + v I/d: v/d, d - 1 times, then 1 - v + v/d, all in [0, 1], so I - E is an effect too.
+        effect = noisy_ensemble(v, c).tests[s]
+        d = effect.dim
+        eigs = np.linalg.eigvalsh(np.array(effect.matrix))
+        np.testing.assert_allclose(eigs, [v / d] * (d - 1) + [1.0 - v + v / d], rtol=0, atol=1e-14)
 
     def test_input_pair_mixture_is_maximally_mixed(self):
         ens = noisy_ensemble(0.1, 0.5)
