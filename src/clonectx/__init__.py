@@ -1,9 +1,8 @@
 """Workbench for the contextuality analysis of state-dependent quantum cloning.
 
 Modules by concern; ``cloner``, ``ontic`` and ``scan`` import only ``bounds``,
-``quantum`` only ``bounds`` and ``cloner``.  ``bounds``, ``cloner``,
-``ontic`` and ``scan`` compute on Python floats and ``quantum`` on Python
-complex numbers, with :mod:`math`; no module imports numpy, and every
+``quantum`` only ``bounds`` and ``cloner``.  Every module computes on
+Python floats, with :mod:`math`; no module imports numpy, and every
 record is a named tuple:
 
 * :mod:`clonectx.bounds`  -- closed-form fidelities, noncontextual ceilings,

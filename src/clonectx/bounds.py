@@ -182,14 +182,9 @@ def nc_bound_noisy_symmetric(overlaps: dict, eps: dict) -> float:
     return 1.0 + 0.5 * term_in + 0.5 * term_out + 0.5 * (eb["aa"] + eb["bb"])
 
 
-def nc_discrimination_bound(c_ab: float, eps_b: float = 0.0) -> float:
-    """Noncontextual ceiling on the success probability of distinguishing the inputs.
-
-    1 - (c_ab - eps_b)/2; the ideal case (eps_b = 0) gives 1 - c_ab/2.
-    """
-    c_ab = _check_unit("c_ab", c_ab)
-    eps_b = _check_unit("eps_b", eps_b)
-    return 1.0 - 0.5 * (c_ab - eps_b)
+def nc_discrimination_bound(c_ab: float) -> float:
+    """Noncontextual ceiling 1 - c_ab/2 on the success probability of distinguishing the inputs."""
+    return 1.0 - 0.5 * _check_unit("c_ab", c_ab)
 
 
 def depolarizing_epsilons(v: float) -> dict[str, float]:

@@ -22,8 +22,8 @@ before the clock starts, so ``elapsed:`` times the computation alone.  Those mod
 ``region``, ``critical-noise`` and ``curves``, :mod:`clonectx.cloner` for
 ``clones``, :mod:`clonectx.quantum` (which takes the cloner's basis) for
 ``noise`` and ``verify-quantum``, and :mod:`clonectx.ontic` for
-``verify-ontic``; ``bounds`` needs none.  Each computes on Python floats or
-complex numbers, so no subcommand loads numpy.
+``verify-ontic``; ``bounds`` needs none.  Each computes on Python floats,
+so no subcommand loads numpy.
 """
 
 from __future__ import annotations

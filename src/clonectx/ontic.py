@@ -326,8 +326,7 @@ def mix_with_uniform(model: OnticModel, w: float) -> OnticModel:
     producing a controlled noisy model with measurable error allowances.
     Acceptance criterion 3 runs it; no command does until one checks the noisy model.
     """
-    if not 0.0 <= w <= 1.0:
-        raise ValueError(f"mixing weight must lie in [0, 1], got {w!r}")
+    w = _check_unit("mixing weight", w)
     mixed = {}
     for name, state in model.states.items():
         flat = EpistemicState.uniform(state.grid)

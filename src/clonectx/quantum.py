@@ -1,4 +1,4 @@
-"""Finite-dimensional simulation of the noisy cloning experiment, on Python complex numbers.
+"""Finite-dimensional simulation of the noisy cloning experiment, on Python floats.
 
 Builds the full set of preparations and two-outcome test measurements of a
 cloning run in which every stage (input preparation, cloning unitary,
@@ -12,13 +12,14 @@ frame in :mod:`clonectx.cloner`.
 The two input states live in a real two-dimensional span; the clone
 outputs live in the corresponding two-qubit tensor space (dimension 4).
 No matrix is larger than 4 x 4, so kets are the real tuples of
-:mod:`clonectx.cloner` and operators tuples of rows of complex entries,
-computed with :mod:`math` alone: ``clonectx noise`` and ``verify-quantum``
-run without numpy.  Every operator is a :class:`DensityOperator`, a test's
-pass effect too (the operator its preparation is after the first round of
-noise, built once for both), validated on construction (shape, Hermitian,
-spectrum, trace); each ket is checked once as the density operator it
-becomes, and every tolerance test is written so that NaN fails it.
+:mod:`clonectx.cloner` and operators real symmetric tuples of rows of
+floats, computed with :mod:`math` alone: ``clonectx noise`` and
+``verify-quantum`` run without numpy.  Every operator is a
+:class:`DensityOperator`, a test's pass effect too (the operator its
+preparation is after the first round of noise, built once for both),
+validated on construction (shape, symmetry, spectrum, trace); each ket is
+checked once as the density operator it becomes, and every tolerance test
+is written so that NaN fails it.
 """
 
 from __future__ import annotations
@@ -33,28 +34,28 @@ HERMITIAN_TOL = 1e-12
 BORN_CLIP_TOL = 1e-10
 
 Vector = tuple  # amplitudes, dimension 2 or 4; the experiment's kets are real
-Matrix = tuple  # rows of complex entries, 2 x 2 or 4 x 4
+Matrix = tuple  # rows of float entries, 2 x 2 or 4 x 4
 
 
-def _hermitian(m: Matrix) -> bool:
-    """Whether every entry of ``m`` is within HERMITIAN_TOL of its conjugate transpose's."""
+def _symmetric(m: Matrix) -> bool:
+    """Whether every entry of ``m`` is within HERMITIAN_TOL of its transpose's."""
     d = len(m)
-    return all(abs(m[i][j] - m[j][i].conjugate()) <= HERMITIAN_TOL for i in range(d) for j in range(i, d))
+    return all(abs(m[i][j] - m[j][i]) <= HERMITIAN_TOL for i in range(d) for j in range(i + 1, d))
 
 
 def _spectrum_above(m: Matrix) -> bool:
-    """Whether every eigenvalue of the Hermitian ``m`` exceeds -HERMITIAN_TOL.
+    """Whether every eigenvalue of the real symmetric ``m`` exceeds -HERMITIAN_TOL.
 
     That holds exactly when m + HERMITIAN_TOL * I is positive definite, that
-    is when its Cholesky factorisation m + HERMITIAN_TOL * I = L L^H runs
+    is when its Cholesky factorisation m + HERMITIAN_TOL * I = L L^T runs
     with every pivot positive; a NaN pivot fails too.
     """
-    low: list[list[complex]] = []
+    low: list[list[float]] = []
     for i, m_row in enumerate(m):
         row: list = []
         for j in range(i):
-            row.append((m_row[j] - sum(row[k] * low[j][k].conjugate() for k in range(j))) / low[j][j])
-        pivot = m_row[i].real + HERMITIAN_TOL - sum(x.real * x.real + x.imag * x.imag for x in row)
+            row.append((m_row[j] - sum(row[k] * low[j][k] for k in range(j))) / low[j][j])
+        pivot = m_row[i] + HERMITIAN_TOL - sum(x * x for x in row)
         if not pivot > 0.0:
             return False
         row.append(math.sqrt(pivot))
@@ -65,7 +66,7 @@ def _spectrum_above(m: Matrix) -> bool:
 def _ketbra(psi: Vector) -> "DensityOperator":
     """|psi><psi|, checked as a density operator: a ket of dimension other than 2 or 4, with a NaN
     or off unit norm (the trace test, ||psi||^2 within HERMITIAN_TOL of 1) raises ValueError."""
-    return DensityOperator(tuple(tuple(x * y.conjugate() for y in psi) for x in psi))
+    return DensityOperator(tuple(tuple(x * y for y in psi) for x in psi))
 
 
 def _apply(m: Matrix, psi: Vector) -> Vector:
@@ -73,23 +74,23 @@ def _apply(m: Matrix, psi: Vector) -> Vector:
 
 
 class DensityOperator(_Checked, namedtuple("DensityOperator", "matrix")):
-    """Hermitian, positive-semidefinite, unit-trace matrix (dimension 2 or 4), stored as a tuple of rows."""
+    """Real symmetric, positive-semidefinite, unit-trace float matrix (dimension 2 or 4), stored as a tuple of rows."""
 
     __slots__ = ()
 
     @staticmethod
     def _check(rho: tuple) -> tuple:
         try:
-            m = tuple(tuple(complex(x) for x in row) for row in rho.matrix)
+            m = tuple(tuple(float(x) for x in row) for row in rho.matrix)
         except TypeError:
-            raise ValueError("density operator must be a 2x2 or 4x4 matrix of numbers") from None
+            raise ValueError("density operator must be a 2x2 or 4x4 matrix of real numbers") from None
         if len(m) not in (2, 4) or any(len(row) != len(m) for row in m):
             raise ValueError(f"density operator must be 2x2 or 4x4, got rows of lengths {[len(row) for row in m]}")
-        if not _hermitian(m):
-            raise ValueError("density operator is not Hermitian within tolerance")
+        if not _symmetric(m):
+            raise ValueError("density operator is not symmetric within tolerance")
         if not _spectrum_above(m):
             raise ValueError(f"density operator has an eigenvalue below -{HERMITIAN_TOL}")
-        deviation = abs(sum(m[i][i].real for i in range(len(m))) - 1.0)
+        deviation = abs(sum(m[i][i] for i in range(len(m))) - 1.0)
         if not deviation <= HERMITIAN_TOL:
             raise ValueError(f"density operator trace deviates from 1 by {deviation:.3e}")
         return (m,)
@@ -106,12 +107,9 @@ def born(rho: DensityOperator, test: DensityOperator) -> float:
     if rho.dim != test.dim:
         raise ValueError(f"dimension mismatch: state {rho.dim}, effect {test.dim}")
     p = sum(sum(r * e for r, e in zip(row, col)) for row, col in zip(rho.matrix, zip(*test.matrix)))
-    if not abs(p.imag) <= BORN_CLIP_TOL:
-        raise ValueError(f"Born probability has imaginary part {p.imag:.3e}")
-    val = p.real
-    if not -BORN_CLIP_TOL <= val <= 1.0 + BORN_CLIP_TOL:
-        raise ValueError(f"Born probability {val!r} outside [0, 1] beyond tolerance")
-    return min(max(val, 0.0), 1.0)
+    if not -BORN_CLIP_TOL <= p <= 1.0 + BORN_CLIP_TOL:
+        raise ValueError(f"Born probability {p!r} outside [0, 1] beyond tolerance")
+    return min(max(p, 0.0), 1.0)
 
 
 def depolarize(rho: DensityOperator, v: float) -> DensityOperator:

@@ -160,12 +160,9 @@ class TestNoisyBounds:
 
 
 class TestDiscriminationBound:
-    @pytest.mark.parametrize("c, eps, expected", [(1.0, 0.0, 0.5), (0.0, 0.0, 1.0), (0.5, 0.0, 0.75)])
-    def test_values(self, c, eps, expected):
-        assert bounds.nc_discrimination_bound(c, eps) == pytest.approx(expected, abs=1e-15)
-
-    def test_noise_relaxes_the_bound(self):
-        assert bounds.nc_discrimination_bound(0.5, 0.1) == pytest.approx(0.8, abs=1e-15)
+    @pytest.mark.parametrize("c, expected", [(1.0, 0.5), (0.0, 1.0), (0.5, 0.75)])
+    def test_values(self, c, expected):
+        assert bounds.nc_discrimination_bound(c) == pytest.approx(expected, abs=1e-15)
 
 
 class TestDepolarizingEpsilons:
@@ -313,8 +310,7 @@ SCALAR_FORMS = {
     "quantum_optimal_fidelity": lambda x: bounds.quantum_optimal_fidelity(x),
     "nc_bound_ideal[c_ab]": lambda x: bounds.nc_bound_ideal(x, 0.25),
     "nc_bound_ideal[c_aabb]": lambda x: bounds.nc_bound_ideal(0.5, x),
-    "nc_discrimination_bound[c_ab]": lambda x: bounds.nc_discrimination_bound(x, 0.0),
-    "nc_discrimination_bound[eps_b]": lambda x: bounds.nc_discrimination_bound(0.5, x),
+    "nc_discrimination_bound[c_ab]": lambda x: bounds.nc_discrimination_bound(x),
     "quantum_noisy_fidelity[v]": lambda x: bounds.quantum_noisy_fidelity(x, 0.5),
     "quantum_noisy_fidelity[c_ab]": lambda x: bounds.quantum_noisy_fidelity(0.015, x),
     "observed_overlaps[v].c_ab": lambda x: observed_overlaps(x, 0.5)["c_ab"],

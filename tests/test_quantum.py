@@ -36,8 +36,8 @@ C_DOMAIN = st.one_of(
 def numpy_ensemble(v, c):
     """Every preparation and test matrix of the noisy experiment, built with np.outer and np.eye."""
     theta = 0.5 * math.acos(math.sqrt(c))
-    a = np.array([math.cos(theta), math.sin(theta)], dtype=complex)
-    b = np.array([math.cos(theta), -math.sin(theta)], dtype=complex)
+    a = np.array([math.cos(theta), math.sin(theta)])
+    b = np.array([math.cos(theta), -math.sin(theta)])
     aa, bb = np.kron(a, a), np.kron(b, b)
     e1 = (aa + bb) / math.sqrt(2.0 + 2.0 * c)
     e2 = np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2.0)
@@ -53,27 +53,26 @@ def numpy_ensemble(v, c):
         return (1.0 - v) * rho + v * np.eye(len(rho)) / len(rho)
 
     def prepare(psi):
-        rho = depolarize_np(np.outer(psi, psi.conj()))
+        rho = depolarize_np(np.outer(psi, psi))
         return rho if psi.size == 2 else depolarize_np(rho)
 
     states = {name: prepare(kets[name]) for name in bounds.STATE_NAMES}
-    tests = {s: depolarize_np(np.outer(kets[s], kets[s].conj())) for s in bounds.TEST_NAMES}
+    tests = {s: depolarize_np(np.outer(kets[s], kets[s])) for s in bounds.TEST_NAMES}
     return states, tests
 
 
 @st.composite
-def hermitian_spectra(draw, d):
-    """A random unitary (QR of a complex matrix) and a spectrum in [0, 1] of dimension ``d``."""
-    entries = draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * d * d, max_size=2 * d * d))
-    z = np.array(entries[: d * d]).reshape(d, d) + 1j * np.array(entries[d * d:]).reshape(d, d)
-    q, _ = np.linalg.qr(z + np.eye(d))
+def symmetric_spectra(draw, d):
+    """A random orthogonal matrix (QR of a real matrix) and a spectrum in [0, 1] of dimension ``d``."""
+    entries = draw(st.lists(st.floats(-1.0, 1.0), min_size=d * d, max_size=d * d))
+    q, _ = np.linalg.qr(np.array(entries).reshape(d, d) + np.eye(d))
     spectrum = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=d, max_size=d)))
     return q, spectrum
 
 
-def hermitian(q, spectrum):
-    m = (q * spectrum) @ q.conj().T
-    return 0.5 * (m + m.conj().T)
+def symmetric(q, spectrum):
+    m = (q * spectrum) @ q.T
+    return 0.5 * (m + m.T)
 
 
 class TestInputPair:
@@ -135,7 +134,7 @@ class TestOperators:
         lambda: quantum._ketbra([0.5, 0.5, 0.5, NAN]),
         lambda: DensityOperator([[NAN, 0.0], [0.0, 0.5]]),
         lambda: DensityOperator([[0.5, NAN], [NAN, 0.5]]),
-        lambda: DensityOperator(np.diag([0.5, complex(0.5, NAN)])),
+        lambda: DensityOperator(((0.5, 0.0), (0.0, complex(0.5, NAN)))),
         lambda: DensityOperator([[0.5, 0.0], [0.0, NAN]]),
         lambda: DensityOperator(np.diag([math.inf, 0.5])),
     ], ids=["ket-first", "ket-second", "ket-dim4-last", "density-diagonal", "density-off-diagonal", "density-imaginary",
@@ -145,13 +144,13 @@ class TestOperators:
             make()
 
     def test_spectrum_check_fails_on_nan(self):
-        # The constructor's Hermitian check meets a NaN first; the Cholesky
-        # check on its own must still fail one rather than pass it.
-        assert not quantum._spectrum_above(((complex(NAN), 0j), (0j, 1 + 0j)))
-        assert not quantum._spectrum_above(((1 + 0j, complex(NAN)), (complex(NAN), 1 + 0j)))
+        # The constructor's symmetry check meets an off-diagonal NaN first, a
+        # diagonal one only the Cholesky; on its own it must fail either.
+        assert not quantum._spectrum_above(((NAN, 0.0), (0.0, 1.0)))
+        assert not quantum._spectrum_above(((1.0, NAN), (NAN, 1.0)))
 
     def test_born_rejects_nan_that_bypassed_the_constructor(self):
-        rho = tuple.__new__(DensityOperator, (((complex(NAN), 0j), (0j, 0.5 + 0j)),))
+        rho = tuple.__new__(DensityOperator, (((NAN, 0.0), (0.0, 0.5)),))
         with pytest.raises(ValueError):
             born(rho, DensityOperator(np.eye(2) / 2))
 
@@ -159,7 +158,7 @@ class TestOperators:
         rho = DensityOperator(np.diag([1.0 + 5e-13, -5e-13]))
         assert born(rho, DensityOperator(np.diag([0.0, 1.0]))) == 0.0
         assert born(rho, DensityOperator(np.diag([1.0, 0.0]))) == 1.0
-        rho = tuple.__new__(DensityOperator, (((1.0 + 1e-9 + 0j, 0j), (0j, -1e-9 + 0j)),))
+        rho = tuple.__new__(DensityOperator, (((1.0 + 1e-9, 0.0), (0.0, -1e-9)),))
         with pytest.raises(ValueError, match="outside"):
             born(rho, DensityOperator(np.diag([0.0, 1.0])))
 
@@ -167,7 +166,7 @@ class TestOperators:
         ket_a, _ = cloner.input_pair(0.5)
         rho = quantum._ketbra(ket_a)
         ket = np.array(ket_a)
-        proj = DensityOperator(np.outer(ket, ket.conj()))
+        proj = DensityOperator(np.outer(ket, ket))
         anti = DensityOperator(np.eye(2) - np.array(proj.matrix))  # trace 1 in two dimensions
         assert born(rho, proj) == pytest.approx(1.0, abs=1e-12)
         assert born(rho, anti) == pytest.approx(0.0, abs=1e-12)
@@ -184,8 +183,8 @@ class TestOperators:
 
     def test_depolarize_in_any_dimension(self):
         for d in (2, 4):
-            psi = np.zeros(d, dtype=complex)
-            psi[0], psi[-1] = 0.6, 0.8j
+            psi = np.zeros(d)
+            psi[0], psi[-1] = 0.6, -0.8
             rho = quantum._ketbra(tuple(psi))
             for v in V_GRID:
                 want = (1.0 - v) * np.array(rho.matrix) + v * np.eye(d) / d
@@ -196,7 +195,7 @@ class TestOperators:
         # Depolarizing the qubit directly agrees with depolarizing it next to
         # an ancilla |0> and tracing the ancilla out.
         ket_a, _ = cloner.input_pair(0.3)
-        joint = quantum._ketbra(tuple(np.kron(ket_a, np.array([1.0, 0.0], dtype=complex))))
+        joint = quantum._ketbra(tuple(np.kron(ket_a, [1.0, 0.0])))
         traced = np.einsum("ikjk->ij", np.array(depolarize(joint, v).matrix).reshape(2, 2, 2, 2))
         got = depolarize(quantum._ketbra(ket_a), v)
         np.testing.assert_allclose(got.matrix, traced, atol=1e-14)
@@ -229,7 +228,7 @@ class TestAgainstNumpy:
     @given(d=st.sampled_from([2, 4]), data=st.data(),
            floor=st.sampled_from([None, 1.0 + 1e-3, 1.0 - 1e-3]))
     def test_density_spectrum_check_agrees_with_eigvalsh(self, d, data, floor):
-        q, spectrum = data.draw(hermitian_spectra(d))
+        q, spectrum = data.draw(symmetric_spectra(d))
         if spectrum.sum() == 0.0:
             spectrum[0] = 1.0
         spectrum = spectrum / spectrum.sum()
@@ -237,7 +236,7 @@ class TestAgainstNumpy:
             i = int(np.argmin(spectrum))
             spectrum[i] = -floor * HERMITIAN_TOL
             spectrum[(i + 1) % d] += 1.0 - spectrum.sum()  # the trace stays 1
-        m = hermitian(q, spectrum)
+        m = symmetric(q, spectrum)
         rejected = np.linalg.eigvalsh(m).min() < -HERMITIAN_TOL
         try:
             DensityOperator(m)
@@ -254,10 +253,10 @@ class TestAgainstNumpy:
     @given(d=st.sampled_from([2, 4]), data=st.data(),
            low=st.sampled_from([1.0 - 1e-2, 1.0 + 1e-2]), trace=st.sampled_from([1.0 - 1e-2, 1.0 + 1e-2]))
     def test_the_density_checks_bound_an_effects_spectrum_within_d_tol(self, d, data, low, trace):
-        q, _ = data.draw(hermitian_spectra(d))
+        q, _ = data.draw(symmetric_spectra(d))
         spectrum = np.full(d, -low * HERMITIAN_TOL)
         spectrum[0] = 1.0 + ((d - 1) * low + trace) * HERMITIAN_TOL
-        m = hermitian(q, spectrum)
+        m = symmetric(q, spectrum)
         try:
             DensityOperator(m)
         except ValueError as exc:
@@ -334,11 +333,18 @@ class TestNoisyEnsemble:
         residuals = noisy_ensemble(v, c).equivalence_residuals()
         assert max(residuals.values()) <= 1e-12, residuals
 
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(v=V_DOMAIN, c=C_DOMAIN)
+    def test_every_entry_is_a_python_float(self, v, c):
+        ens = noisy_ensemble(v, c)
+        for name, op in [*ens.states.items(), *ens.tests.items()]:
+            assert all(type(x) is float for row in op.matrix for x in row), name
+
     def test_a_nan_after_the_first_entry_is_the_equivalence_residual(self):
         # Past DensityOperator's own check, which would reject the NaN.
         ens = noisy_ensemble(0.015, 0.5)
         *rows, last = ens.states["bb"].matrix
-        bb = tuple.__new__(DensityOperator, ((*rows, (*last[:-1], complex(NAN))),))
+        bb = tuple.__new__(DensityOperator, ((*rows, (*last[:-1], NAN)),))
         residuals = ens._replace(states={**ens.states, "bb": bb}).equivalence_residuals()
         # bb's last entry is the last term of both equivalences that mix bb.
         assert math.isnan(residuals["beta~bb"]) and math.isnan(residuals["aa~bb"])

@@ -22,6 +22,11 @@ RECORDS = {
                         "c_hi", None),
     "DensityOperator": (lambda: quantum.DensityOperator(((0.5, 0.0), (0.0, 0.5))),
                         "matrix", ((1.5, 0.0), (0.0, -0.5))),
+    # Every operator is real: a Python complex entry is rejected, even with a zero or subnormal imaginary part.
+    "DensityOperator[complex-zero]": (lambda: quantum.DensityOperator(((0.5, 0.0), (0.0, 0.5))),
+                                      "matrix", ((0.5, 0j), (0j, 0.5))),
+    "DensityOperator[complex-tiny]": (lambda: quantum.DensityOperator(((0.5, 0.0), (0.0, 0.5))),
+                                      "matrix", ((0.5, 0.0), (0.0, complex(0.5, 1e-300)))),
     "LambdaGrid": (lambda: GRID, "edges", ((0.0, 1.0),)),
     "EpistemicState": (lambda: ontic.EpistemicState.uniform(GRID), "density", (1.0, 1.0, 1.0, 1.0)),
     "ResponseFunction": (lambda: ontic.ResponseFunction(GRID, (1.0, 0.0, 0.0, 1.0)), "values", (2.0, 0.0, 0.0, 0.0)),
@@ -74,7 +79,7 @@ def test_make_rejects_a_wrong_field_count():
 
 def test_copies_normalise_like_the_constructor():
     rho = quantum.DensityOperator(((1.0, 0.0), (0.0, 0.0)))._replace(matrix=[[0, 0], [0, 1]])
-    assert repr(rho.matrix) == repr(((0j, 0j), (0j, 1 + 0j)))
+    assert repr(rho.matrix) == repr(((0.0, 0.0), (0.0, 1.0)))
     grid = GRID._replace(edges=[(0, 0.5, 2)])
     assert grid == ontic.LambdaGrid(((0.0, 0.5, 2.0),))
     assert grid.cells == (((0.0, 0.5),), ((0.5, 2.0),)) and grid.volumes == (0.5, 1.5)
