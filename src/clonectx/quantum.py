@@ -81,7 +81,10 @@ class DensityOperator(_Checked, namedtuple("DensityOperator", "matrix")):
     @staticmethod
     def _check(rho: tuple) -> tuple:
         try:
-            m = tuple(tuple(float(x) for x in row) for row in rho.matrix)
+            # A complex entry (float() would cut a numpy one to its real part with only a warning) has __complex__
+            # but, unlike a Fraction or Decimal, no __trunc__: it is read as float(None), a TypeError.
+            m = tuple(tuple(float(None if hasattr(x, "__complex__") and not hasattr(x, "__trunc__") else x)
+                            for x in row) for row in rho.matrix)
         except TypeError:
             raise ValueError("density operator must be a 2x2 or 4x4 matrix of real numbers") from None
         if len(m) not in (2, 4) or any(len(row) != len(m) for row in m):

@@ -119,7 +119,7 @@ _CHEBYSHEV_9 = tuple(math.cos(math.pi * (k + 0.5) / 9.0) for k in range(9))
 def _t_and_c(x: float) -> tuple[float, float]:
     """t = sqrt(c) + sqrt(1 + c) = 1 + (1 + x)/sqrt(2) for x in [-1, 1], and c = ((t*t - 1)/2t)**2."""
     t = 1.0 + (1.0 + x) / math.sqrt(2.0)
-    return t, min(max(((t * t - 1.0) / (2.0 * t)) ** 2, 0.0), 1.0)
+    return t, min(((t * t - 1.0) / (2.0 * t)) ** 2, 1.0)
 
 
 def _interpolate(xs: Sequence[float], ys: Sequence[float]) -> list[float]:
@@ -188,7 +188,7 @@ def violation_interval(v: float, err_mode: str = DEFAULT_ERR_MODE, c_mode: str =
     v = _check_unit("v", v)
     gap_in_c = _gap_in_c(v, err_mode, c_mode)
     gap = lambda x: gap_in_c(_t_and_c(x)[1])
-    poly = _interpolate(_CHEBYSHEV_9, [gap(x) * (2.0 * _t_and_c(x)[0]) ** 4 for x in _CHEBYSHEV_9])
+    poly = _interpolate(_CHEBYSHEV_9, [gap_in_c(c) * (2.0 * t) ** 4 for t, c in map(_t_and_c, _CHEBYSHEV_9)])
     critical = _real_roots(_derivative(poly))
     tops = [*critical, -1.0, 1.0]
     top_gaps = [gap(x) for x in tops]
@@ -212,13 +212,13 @@ def _critical_levels(cs: Sequence[float], c_mode: str, err_modes: Sequence[str])
     one list per entry of ``err_modes``.
 
     The gap at v = 0, 1/3, 2/3 and 1 fixes a cubic in v.  Its level is 0 when
-    there is no advantage at v = 0 and 1 when it survives v = 1; otherwise the
-    gap is nonincreasing in v, so the level is the cubic's real root, from
-    Cardano's formula, clamped to [0, 1] and polished by one Newton step on
-    the cubic.  At every c in (0, 1) and under every mode pair that root is
-    the only one: Cardano's radicand q**2/4 + p**3/27 is at least 1/8 and the
-    cubic's leading coefficient at least 1 in size, which an exact test in
-    ``tests/test_scan.py`` proves.
+    there is no advantage at v = 0; otherwise it is the cubic's real root, from
+    Cardano's formula, clamped at 0 and polished by one Newton step on the
+    cubic.  At every c in (0, 1) and under every mode pair that root is the
+    only one, and it lies in (0, 1/3), where the gap falls: Cardano's radicand
+    q**2/4 + p**3/27 is at least 1/8, the cubic's leading coefficient at least
+    1 in size, the gap negative at v = 1/3 and v = 1, and the slope negative
+    on [0, 1/3], which an exact test in ``tests/test_scan.py`` proves.
 
     The depolarizing factors, the ``c_mode``'s factors and every error term
     are taken once per node; at each point F(c) is the one call, and the
@@ -256,14 +256,11 @@ def _critical_levels(cs: Sequence[float], c_mode: str, err_modes: Sequence[str])
         m2 = 1.0 - 0.5 * (s2 * c + b2 + h2) + 0.5 * (t2 * c * c + r2)
         m3 = 1.0 - 0.5 * (s3 * c + b3 + h3) + 0.5 * (t3 * c * c + r3)
         for keep, e0, e1, e2, e3 in modes:
-            g0, g3 = f - (m0 + e0), n3 - (m3 + e3)
-            if g3 > 0.0:
-                keep(1.0)
-                continue
+            g0 = f - (m0 + e0)
             if g0 <= 0.0:
                 keep(0.0)
                 continue
-            g1, g2 = n1 - (m1 + e1), n2 - (m2 + e2)
+            g1, g2, g3 = n1 - (m1 + e1), n2 - (m2 + e2), n3 - (m3 + e3)
             a1 = g3 - 5.5 * g0 + 9.0 * g1 - 4.5 * g2
             a2 = 4.5 * (2.0 * g0 - 5.0 * g1 + 4.0 * g2 - g3)
             a3 = 4.5 * (g3 - g0 + 3.0 * (g1 - g2))
@@ -274,22 +271,19 @@ def _critical_levels(cs: Sequence[float], c_mode: str, err_modes: Sequence[str])
             x = -0.5 * q - copysign(sqrt(0.25 * q * q + p * p * p / 27.0), q)
             u = x ** (1.0 / 3.0) if x > 0.0 else -((-x) ** (1.0 / 3.0))  # the real cube root
             v = u - p / (3.0 * u) - shift
-            # Clamped to [0, 1] by comparisons, which cost a fraction of min(max(...)) calls here.
-            v = 0.0 if v < 0.0 else 1.0 if v > 1.0 else v
-            slope = a1 + v * (2.0 * a2 + 3.0 * a3 * v)
-            if slope:
-                v -= (g0 + v * (a1 + v * (a2 + v * a3))) / slope
-                v = 0.0 if v < 0.0 else 1.0 if v > 1.0 else v
-            keep(v)
+            # Cardano can round the root to just below 0 (-1.1e-16 at c = 1 - 2**-53): clamped by comparisons.
+            v = 0.0 if v < 0.0 else v
+            v -= (g0 + v * (a1 + v * (a2 + v * a3))) / (a1 + v * (2.0 * a2 + 3.0 * a3 * v))
+            keep(0.0 if v < 0.0 else v)
     return fidelities, ceilings, inside, levels
 
 
 def critical_noise(c_ab: float, err_mode: str = DEFAULT_ERR_MODE, c_mode: str = DEFAULT_C_MODE) -> float:
     """Largest depolarizing level at which the quantum advantage survives at ``c_ab``.
 
-    The root in v on [0, 1] of the gap under ``err_mode`` and ``c_mode``, from its
-    cubic in v polished by a Newton step.  Returns 0.0 when there is no advantage
-    even noiselessly.
+    The root in v of the gap under ``err_mode`` and ``c_mode``, from its cubic in v
+    polished by a Newton step; it lies in (0, 1/3).  Returns 0.0 when there is no
+    advantage even noiselessly.
     """
     if not 0.0 < c_ab < 1.0:
         raise ValueError(f"c_ab must lie strictly inside (0, 1), got {c_ab!r}")

@@ -3,6 +3,8 @@ the independent clone search against the closed forms, and the pure-Python
 operators against numpy references built here."""
 
 import collections
+import decimal
+import fractions
 import math
 import warnings
 
@@ -142,6 +144,14 @@ class TestOperators:
     def test_nan_entries_are_rejected(self, make):
         with pytest.raises(ValueError):
             make()
+
+    @pytest.mark.parametrize("entry", [
+        int, np.float32, np.float64, fractions.Fraction, decimal.Decimal,
+    ], ids=["int", "numpy-float32", "numpy-float64", "fraction", "decimal"])
+    def test_real_entries_of_any_number_type_read_as_floats(self, entry):
+        # A Fraction or Decimal has the __complex__ of a complex entry, but also the __trunc__ of a real one.
+        rho = DensityOperator(((entry(1), entry(0)), (entry(0), entry(0))))
+        assert repr(rho.matrix) == repr(((1.0, 0.0), (0.0, 0.0)))
 
     def test_spectrum_check_fails_on_nan(self):
         # The constructor's symmetry check meets an off-diagonal NaN first, a

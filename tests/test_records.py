@@ -8,6 +8,7 @@ through the constructor, ``_replace`` and ``_make``; all three must raise
 import copy
 import pickle
 
+import numpy as np
 import pytest
 
 from clonectx import cli, ontic, quantum, scan
@@ -27,6 +28,11 @@ RECORDS = {
                                       "matrix", ((0.5, 0j), (0j, 0.5))),
     "DensityOperator[complex-tiny]": (lambda: quantum.DensityOperator(((0.5, 0.0), (0.0, 0.5))),
                                       "matrix", ((0.5, 0.0), (0.0, complex(0.5, 1e-300)))),
+    # A numpy complex entry too, which float() would cut to its real part with only a ComplexWarning.
+    "DensityOperator[numpy-complex128]": (lambda: quantum.DensityOperator(((0.5, 0.0), (0.0, 0.5))),
+                                          "matrix", np.diag([0.5, complex(0.5, 0.3)])),
+    "DensityOperator[numpy-complex64-zero]": (lambda: quantum.DensityOperator(((0.5, 0.0), (0.0, 0.5))),
+                                              "matrix", np.diag(np.array([0.5, 0.5], dtype=np.complex64))),
     "LambdaGrid": (lambda: GRID, "edges", ((0.0, 1.0),)),
     "EpistemicState": (lambda: ontic.EpistemicState.uniform(GRID), "density", (1.0, 1.0, 1.0, 1.0)),
     "ResponseFunction": (lambda: ontic.ResponseFunction(GRID, (1.0, 0.0, 0.0, 1.0)), "values", (2.0, 0.0, 0.0, 0.0)),

@@ -638,14 +638,34 @@ class TestRootHelpers:
         level = planted_level(monkeypatch, lambda v: np.polynomial.polynomial.polyval(v, poly))
         assert level == pytest.approx(nearest, rel=0, abs=1e-14)
 
-    def test_advantage_surviving_full_noise_gives_level_one(self, monkeypatch):
-        # The cubic through these nodes crosses zero near v = 0.2, but the gap is still positive at v = 1.
-        gaps = {0.0: 0.3, 1.0 / 3.0: -0.1, 2.0 / 3.0: -0.1, 1.0: 0.05}
-        assert planted_level(monkeypatch, gaps.__getitem__) == 1.0
+
+def level_margins(gaps):
+    """The checks that place the level in (0, 1/3), as ``(name, Poly)`` pairs from :func:`node_gaps`.
+
+    Each ``Poly`` is (2t)**4 times minus: the gap at v = 1, the gap at v = 1/3, and each
+    Bernstein coefficient on [0, 1/3] of the cubic's slope a1 + 2*a2*v + 3*a3*v**2, so that
+    a check holds where its ``Poly`` is positive, and the slope is negative on [0, 1/3]
+    where all three of its own are.
+    """
+    a1, a2, a3 = reference_cubic(*gaps)
+    third = Fraction(1, 3)
+    slope = [a1, a1 + a2 * third, a1 + (2 * a2 + a3) * third]
+    return [("the gap at v = 1", -gaps[3]), ("the gap at v = 1/3", -gaps[1]), *(("the slope", -b) for b in slope)]
+
+
+# The confusabilities of the float checks: 19 999 uniform points and three extreme ones, all inside (0, 1).
+GRID_INSIDE = [5e-324, 1e-300, *(i / 20000 for i in range(1, 20000)), 1.0 - 2.0**-53]
+
+
+@functools.cache
+def grid_node_gaps(err_mode, c_mode):
+    """``advantage_gap`` at each of ``scan._NODES`` and each c of ``GRID_INSIDE``, one tuple per c."""
+    return [tuple(advantage_gap(v, c, err_mode, c_mode) for v in scan._NODES) for c in GRID_INSIDE]
 
 
 class TestTheCubicHasOneRealRoot:
-    """Cardano is the pass's only branch: an exact proof over all of (0, 1), and its margin on the floats."""
+    """Cardano is the pass's only branch and its root lies in (0, 1/3), where the gap falls: an exact
+    proof over all of (0, 1), and its margins on the floats."""
 
     @for_all_specs
     def test_certificate(self, err_mode, c_mode):
@@ -659,6 +679,9 @@ class TestTheCubicHasOneRealRoot:
         radicand, lead = cubic_margins(gaps)
         assert positive_between(radicand, 1, T_HI), "Cardano's radicand falls below 1/8"
         assert positive_between(lead, 1, T_HI), "|a3| falls below 1"
+        # With one real root, g0 > 0 and the gap negative at v = 1/3, the root lies in (0, 1/3).
+        for name, margin in level_margins(gaps):
+            assert positive_between(margin, 1, T_HI), f"{name} is not negative"
 
     def test_a_planted_three_real_root_cubic_fails_the_certificate(self, monkeypatch):
         # At c = 1/2 the planted cubic is -(v - 0.2)(v - 0.5)(v - 0.9): three real roots in [0, 1].
@@ -668,6 +691,22 @@ class TestTheCubicHasOneRealRoot:
         # The pass has no branch for it: its radicand is negative, and math.sqrt raises.
         with pytest.raises(ValueError, match="math domain error"):
             critical_noise(0.5, "planted", "ideal-overlap")
+
+    @pytest.mark.parametrize(
+        "gap, fails",
+        [
+            # The cubic through these nodes crosses zero near v = 0.2, but the gap is positive again at v = 1.
+            ({0.0: 0.3, 1.0 / 3.0: -0.1, 2.0 / 3.0: -0.1, 1.0: 0.05}.__getitem__, "the gap at v = 1"),
+            # Negative at v = 1/3 and v = 1, but its slope at v = 1/3 is +0.1.
+            (lambda v: 0.05 - 0.9 * v + 3.0 * v**2 - 3.0 * v**3, "the slope"),
+        ],
+        ids=["surviving-full-noise", "rising-before-one-third"],
+    )
+    def test_a_planted_gap_fails_the_level_checks(self, monkeypatch, gap, fails):
+        plant(monkeypatch, gap)
+        failed = {name for name, margin in level_margins(node_gaps("planted", "ideal-overlap"))
+                  if not positive_between(margin, 1, T_HI)}
+        assert failed == {fails}
 
     @pytest.mark.parametrize(
         "poly, roots",
@@ -694,10 +733,21 @@ class TestTheCubicHasOneRealRoot:
         # |a3| >= 1, so dividing by a3 magnifies no rounding; on this grid shift, p and q stay
         # below 2 in size, so the float radicand lies within about 1e-14 of the exact one and
         # cannot cross the margin.  A negative one would end the pass in a traceback.
-        grid = [5e-324, 1e-300, *(i / 20000 for i in range(1, 20000)), 1.0 - 2.0**-53]
-        low = min((reference_depressed(g0, *reference_cubic(g0, *rest))[3], c)
-                  for c in grid for g0, *rest in [[advantage_gap(v, c, err_mode, c_mode) for v in scan._NODES]])
+        low = min((reference_depressed(gaps[0], *reference_cubic(*gaps))[3], c)
+                  for c, gaps in zip(GRID_INSIDE, grid_node_gaps(err_mode, c_mode)))
         assert low[0] >= 0.125, low
+
+    @for_all_specs
+    def test_every_level_on_the_grid_lies_where_the_gap_falls(self, err_mode, c_mode):
+        # The certificate's level checks on the floats: each level the pass returns lies below 1/3,
+        # the cubic's slope there is at most -1, so the Newton step never divides by a slope
+        # near 0, and the gap at v = 1 is at most -1, so no rounding makes it positive.
+        *_, (levels,) = scan._critical_levels(GRID_INSIDE, c_mode, [err_mode])
+        assert max(levels) < 1.0 / 3.0
+        slopes = [(a1 + v * (2.0 * a2 + 3.0 * a3 * v), c) for c, v, gaps in
+                  zip(GRID_INSIDE, levels, grid_node_gaps(err_mode, c_mode)) for a1, a2, a3 in [reference_cubic(*gaps)]]
+        assert max(slopes)[0] <= -1.0, max(slopes)
+        assert max(gaps[3] for gaps in grid_node_gaps(err_mode, c_mode)) <= -1.0
 
 
 class TestModeTables:
