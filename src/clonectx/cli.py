@@ -263,9 +263,9 @@ def _cmd_verify_ontic(report: RunReport, args: argparse.Namespace, ontic) -> Non
     for pair, residual in ontic.sandwich_residuals(model, model.pairs + (("aa", "bb"),)).items():
         report.check(f"distance-confusability-identity[{pair}]", "residual", residual, tol)
 
-    # The output grid is the input grid squared, row-major: the product density is b(x) b(y) cell by cell.
-    b = model.states["b"].density
-    cells = zip(model.states["beta"].density, itertools.product(b, b), strict=True)
+    # The output cells are the input cells' row-major pairs: a pair's product mass is b's on one times b's on the other.
+    b = model.states["b"].mass
+    cells = zip(model.states["beta"].mass, itertools.product(b, b), strict=True)
     beta_resid = bounds._worst(abs(beta - x * y) for beta, (x, y) in cells)
     report.check("clone-of-b-is-product-density", "max residual", beta_resid, tol)
 

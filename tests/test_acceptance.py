@@ -69,21 +69,21 @@ def test_criterion_3_sandwich_relations():
     # Lower bound without the mixing equivalences: arbitrary densities and
     # responses, allowance measured from the response itself.
     rng = np.random.default_rng(SEED)
-    grid = ontic.LambdaGrid.uniform(1, 50)
+    cells = 50
     lower_ok = True
     for _ in range(200):
-        d1 = rng.random(grid.num_cells) + 1e-3
-        d2 = rng.random(grid.num_cells) + 1e-3
-        mu = ontic.EpistemicState(grid, d1 / (d1.sum() * grid.volumes[0]))
-        nu = ontic.EpistemicState(grid, d2 / (d2.sum() * grid.volumes[0]))
-        xi = ontic.ResponseFunction(grid, rng.random(grid.num_cells))
+        d1 = rng.random(cells) + 1e-3
+        d2 = rng.random(cells) + 1e-3
+        mu = ontic.EpistemicState(d1 / d1.sum())
+        nu = ontic.EpistemicState(d2 / d2.sum())
+        xi = ontic.ResponseFunction(rng.random(cells))
         eps = 1.0 - ontic.confusability(nu, xi)
         c_fwd = ontic.confusability(mu, xi)
         lower_ok = lower_ok and ontic.l1_distance(mu, nu) >= 2.0 * (1.0 - c_fwd - eps) - 1e-12
 
     # ... and on a model with a deliberately broken equivalence.
     states = dict(model.states)
-    states["a_perp"] = ontic.EpistemicState(model.clone_map.source, np.roll(states["a_perp"].density, 11))
+    states["a_perp"] = ontic.EpistemicState(np.roll(states["a_perp"].mass, 11))
     broken = model._replace(states=states)
     assert bounds._worst(broken.equivalence_residuals().values()) > ontic.STRUCTURAL_TOL
     eps_b = bounds.measured_epsilons(broken.pass_probability)
@@ -170,17 +170,17 @@ def test_criterion_7_strict_quantum_advantage():
 def test_criterion_8_stochastic_property_suite():
     start = time.perf_counter()
     rng = np.random.default_rng(SEED)
-    src, tgt = ontic.LambdaGrid.uniform(1, 16), ontic.LambdaGrid.uniform(1, 20)
+    src, tgt = 16, 20
 
-    def rand_state(grid):
-        d = rng.random(grid.num_cells) + 1e-3
-        return ontic.EpistemicState(grid, d / (d.sum() * grid.volumes[0]))
+    def rand_state(cells):
+        d = rng.random(cells) + 1e-3
+        return ontic.EpistemicState(d / d.sum())
 
     dpi_ok = True
     for _ in range(200):
-        k = rng.random((src.num_cells, tgt.num_cells)) + 1e-3
+        k = rng.random((src, tgt)) + 1e-3
         k /= k.sum(axis=1, keepdims=True)
-        t = ontic.StochasticMap(src, tgt, k)
+        t = ontic.StochasticMap(k)
         dpi_ok = dpi_ok and ontic.dpi_margin(t, rand_state(src), rand_state(src)) >= -ontic.STRUCTURAL_TOL
 
     triangle_ok = True

@@ -19,7 +19,6 @@ from clonectx.bounds import STATE_NAMES, TEST_NAMES, _worst, global_fidelity, me
 from clonectx.ontic import (
     STRUCTURAL_TOL,
     EpistemicState,
-    LambdaGrid,
     OnticModel,
     ResponseFunction,
     StochasticMap,
@@ -36,122 +35,91 @@ from clonectx.ontic import (
 SEED = 20260810
 
 
-def random_state(rng, grid):
-    density = rng.random(grid.num_cells) + 1e-3
-    density /= density.sum() * grid.volumes[0]
-    return EpistemicState(grid, density)
+def random_state(rng, cells):
+    mass = rng.random(cells) + 1e-3
+    return EpistemicState(mass / mass.sum())
 
 
-def random_response(rng, grid):
-    return ResponseFunction(grid, rng.random(grid.num_cells))
+def random_response(rng, cells):
+    return ResponseFunction(rng.random(cells))
 
 
-def random_kernel(rng, source, target):
-    k = rng.random((source.num_cells, target.num_cells)) + 1e-3
+def random_kernel(rng, sources, targets):
+    k = rng.random((sources, targets)) + 1e-3
     k /= k.sum(axis=1, keepdims=True)
-    return StochasticMap(source, target, k)
+    return StochasticMap(k)
 
 
-class TestGridAndStates:
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda: LambdaGrid.uniform(3, 10),
-            lambda: LambdaGrid.uniform(1, 0),
-            lambda: LambdaGrid(()),
-            lambda: LambdaGrid(((0.0, 1.0, 1.0, 2.0),)),
-            lambda: LambdaGrid(((0.0, 1.5, 1.0, 2.0),)),
-            lambda: LambdaGrid(((0.0, 1.0),)),
-            lambda: LambdaGrid(((0.5, 2.0),)),
-            lambda: LambdaGrid(((0.0, math.nan, 2.0),)),
-        ],
-        ids=["dimension-3", "no-cells", "no-axes", "empty-cell", "falling", "short", "late-start", "nan-edge"],
-    )
-    def test_grid_validation(self, make):
-        with pytest.raises(ValueError):
-            make()
+class TestStatesAndKernels:
+    def test_state_rejects_negative_mass(self):
+        mass = np.full(10, 0.1)
+        mass[0] = -0.1
+        with pytest.raises(ValueError, match="negative or NaN"):
+            EpistemicState(mass)
 
-    def test_uneven_partition(self):
-        grid = LambdaGrid(((0.0, 0.5, 2.0), (0, 1.5, 2)))
-        assert grid.cells == (((0.0, 0.5), (0.0, 1.5)), ((0.0, 0.5), (1.5, 2.0)),
-                              ((0.5, 2.0), (0.0, 1.5)), ((0.5, 2.0), (1.5, 2.0)))
-        assert grid.volumes == (0.75, 0.25, 2.25, 0.75)
-        mu = EpistemicState.uniform_on(grid, [((0.0, 0.5), (0.0, 2.0))])
-        assert mu.density == (1.0, 1.0, 0.0, 0.0)
-
-    def test_state_rejects_negative_density(self):
-        grid = LambdaGrid.uniform(1, 10)
-        density = np.full(10, 0.5)
-        density[0] = -0.1
-        with pytest.raises(ValueError):
-            EpistemicState(grid, density)
-
-    def test_state_rejects_bad_mass(self):
-        grid = LambdaGrid.uniform(1, 10)
-        with pytest.raises(ValueError):
-            EpistemicState(grid, np.full(10, 1.0))
+    @pytest.mark.parametrize("mass", [np.full(10, 0.2), (), (0.5, 0.5 - 2e-9)], ids=["twice", "empty", "short"])
+    def test_state_rejects_a_total_other_than_one(self, mass):
+        with pytest.raises(ValueError, match="total mass deviates from 1"):
+            EpistemicState(mass)
 
     def test_response_range(self):
-        grid = LambdaGrid.uniform(1, 10)
         with pytest.raises(ValueError):
-            ResponseFunction(grid, np.full(10, 1.5))
+            ResponseFunction(np.full(10, 1.5))
 
     def test_kernel_row_sums_checked(self):
-        grid = LambdaGrid.uniform(1, 4)
         with pytest.raises(ValueError):
-            StochasticMap(grid, grid, np.full((4, 4), 0.3))
+            StochasticMap(np.full((4, 4), 0.3))
 
-    @pytest.mark.parametrize("shape", [(4, 3), (3, 4), (5, 4)])
-    def test_kernel_shape_checked(self, shape):
-        grid = LambdaGrid.uniform(1, 4)
-        with pytest.raises(ValueError, match="shape"):
-            StochasticMap(grid, grid, np.full(shape, 1.0 / shape[1]))
+    @pytest.mark.parametrize("kernel", [(), [(1.0,), (0.5, 0.5)], [(0.5, 0.5), (1.0,)]],
+                             ids=["no-rows", "longer-later-row", "shorter-later-row"])
+    def test_kernel_has_rows_of_one_length(self, kernel):
+        with pytest.raises(ValueError, match="at least one row, all of one length"):
+            StochasticMap(kernel)
+
+    def test_kernel_shape_is_its_sources_by_its_targets(self):
+        assert StochasticMap(np.full((3, 5), 0.2)).shape == (3, 5)
 
     def test_nan_rejected(self):
-        grid = LambdaGrid.uniform(1, 4)
         with pytest.raises(ValueError, match="NaN"):
-            EpistemicState(grid, [math.nan, 0.5, 0.5, 0.0])
+            EpistemicState([math.nan, 0.5, 0.5, 0.0])
         with pytest.raises(ValueError, match="escape"):
-            ResponseFunction(grid, [math.nan, 0.5, 0.5, 0.0])
+            ResponseFunction([math.nan, 0.5, 0.5, 0.0])
         kernel = np.eye(4)
         kernel[1, 2] = math.nan
         with pytest.raises(ValueError, match="NaN"):
-            StochasticMap(grid, grid, kernel)
+            StochasticMap(kernel)
 
 
 class TestDistanceAndConfusability:
     def test_distance_to_self_is_zero(self):
         rng = np.random.default_rng(SEED)
-        mu = random_state(rng, LambdaGrid.uniform(1, 32))
+        mu = random_state(rng, 32)
         assert l1_distance(mu, mu) == 0.0
 
     def test_disjoint_supports_reach_two(self):
-        grid = LambdaGrid.uniform(1, 32)
-        mu = EpistemicState.uniform_on(grid, [((0.0, 1.0),)])
-        nu = EpistemicState.uniform_on(grid, [((1.0, 2.0),)])
+        mu = EpistemicState(np.r_[np.full(16, 1 / 16), np.zeros(16)])
+        nu = EpistemicState(np.r_[np.zeros(16), np.full(16, 1 / 16)])
         assert l1_distance(mu, nu) == pytest.approx(2.0, abs=1e-12)
 
-    def test_grid_mismatch_raises(self):
+    def test_partition_mismatch_raises(self):
         rng = np.random.default_rng(SEED)
-        mu = random_state(rng, LambdaGrid.uniform(1, 16))
-        nu = random_state(rng, LambdaGrid.uniform(1, 32))
+        mu = random_state(rng, 16)
+        nu = random_state(rng, 32)
         with pytest.raises(ValueError):
             l1_distance(mu, nu)
 
     def test_confusability_of_trivial_tests(self):
         rng = np.random.default_rng(SEED)
-        grid = LambdaGrid.uniform(1, 32)
-        mu = random_state(rng, grid)
-        always = ResponseFunction(grid, np.ones(grid.num_cells))
-        never = ResponseFunction(grid, np.zeros(grid.num_cells))
+        mu = random_state(rng, 32)
+        always = ResponseFunction(np.ones(32))
+        never = ResponseFunction(np.zeros(32))
         assert confusability(mu, always) == pytest.approx(1.0, abs=1e-12)
         assert confusability(mu, never) == 0.0
 
     def test_triangle_inequality_random_triples(self):
         rng = np.random.default_rng(SEED)
-        grid = LambdaGrid.uniform(1, 24)
         for _ in range(200):
-            mu, nu, pi = (random_state(rng, grid) for _ in range(3))
+            mu, nu, pi = (random_state(rng, 24) for _ in range(3))
             assert l1_distance(mu, pi) <= l1_distance(mu, nu) + l1_distance(nu, pi) + 1e-12
 
 
@@ -161,18 +129,16 @@ class TestValidationErrors:
     @pytest.mark.parametrize(
         "make, message",
         [
-            (lambda g: EpistemicState(g, (0.5, 0.5, 0.0)), "density must have 4 cells, got 3"),
-            (lambda g: ResponseFunction(g, (1.0,) * 5), "response must have 4 cells, got 5"),
-            (lambda g: confusability(EpistemicState.uniform(g), ResponseFunction(LambdaGrid.uniform(1, 2), (1.0, 0.0))),
-             "same grid"),
-            (lambda g: apply_map(StochasticMap(g, g, np.eye(4)), EpistemicState.uniform(LambdaGrid.uniform(1, 2))),
-             "source grid"),
+            (lambda mu: l1_distance(mu, EpistemicState((0.5, 0.5, 0.0))), "l1_distance requires states on the same"),
+            (lambda mu: confusability(mu, ResponseFunction((1.0,) * 5)), "requires state and response on the same"),
+            (lambda mu: confusability(mu, ResponseFunction((1.0, 0.0))), "requires state and response on the same"),
+            (lambda mu: apply_map(StochasticMap(np.eye(2)), mu), "kernel's source partition"),
         ],
-        ids=["density-length", "response-length", "confusability-grids", "apply-map-grid"],
+        ids=["l1-lengths", "longer-response", "shorter-response", "apply-map-source"],
     )
-    def test_mismatched_grid_or_length(self, make, message):
+    def test_mismatched_partitions(self, make, message):
         with pytest.raises(ValueError, match=message):
-            make(LambdaGrid.uniform(1, 4))
+            make(EpistemicState((0.25,) * 4))
 
     def test_model_missing_a_response(self):
         model = build_saturating_model(0.5)
@@ -182,13 +148,13 @@ class TestValidationErrors:
 
     @pytest.mark.parametrize("field, name", [("states", "a_perp"), ("responses", "a")])
     @pytest.mark.parametrize("route", ["constructor", "replace"])
-    def test_a_part_on_a_grid_outside_the_clone_map(self, field, name, route):
-        # At c = 0.37 the input cells have edges 0, 0.63, 1, 1.63, 2; the same values on the uniform
-        # 4-cell partition still make a valid state or response, but on neither of the kernel's grids.
+    def test_a_part_off_both_partitions_of_the_clone_map(self, field, name, route):
+        # At c = 0.37 the model has 4 input and 16 output cells; 8 cells make a valid state or
+        # response, but on neither partition of the kernel.
         model = build_saturating_model(0.37)
-        part = getattr(model, field)[name]
-        moved = {**getattr(model, field), name: part._replace(grid=LambdaGrid.uniform(1, 4))}
-        with pytest.raises(ValueError, match=f"{name} lies on neither grid of the clone map"):
+        part = {"states": EpistemicState((0.125,) * 8), "responses": ResponseFunction((0.0,) * 8)}[field]
+        moved = {**getattr(model, field), name: part}
+        with pytest.raises(ValueError, match=f"{name} lies on neither partition of the clone map"):
             if route == "constructor":
                 OnticModel(**{**model._asdict(), field: moved})
             else:
@@ -197,21 +163,21 @@ class TestValidationErrors:
     @pytest.mark.parametrize(
         "moved, message",
         [
-            # A partner on the kernel's other grid: a~b would compare a 4-cell density with a 16-cell one.
-            ({"states": {"a_perp": "out"}}, "state a_perp does not lie on the grid of test a"),
-            ({"responses": {"aa": "in"}}, "state aa does not lie on the grid of test aa"),
-            # Each test with its own state and partner, but the two sides of a~b on different grids.
+            # A partner on the kernel's other partition: a~b would compare 4 cells' masses with 16.
+            ({"states": {"a_perp": "out"}}, "state a_perp does not lie on the partition of test a"),
+            ({"responses": {"aa": "in"}}, "state aa does not lie on the partition of test aa"),
+            # Each test with its own state and partner, but the two sides of a~b on different partitions.
             ({"states": {"b": "out", "b_perp": "out"}, "responses": {"b": "out"}},
-             "state b does not lie on the grid of test a"),
+             "state b does not lie on the partition of test a"),
         ],
         ids=["partner", "response", "pair"],
     )
     @pytest.mark.parametrize("route", ["constructor", "replace"])
-    def test_a_state_off_the_grid_of_its_test(self, moved, message, route):
+    def test_a_state_off_the_partition_of_its_test(self, moved, message, route):
         model = build_saturating_model(0.5)
-        flat = {"in": model.clone_map.source, "out": model.clone_map.target}
-        make = {"states": EpistemicState.uniform, "responses": lambda g: ResponseFunction(g, (0.0,) * g.num_cells)}
-        fields = {field: {**getattr(model, field), **{name: make[field](flat[g]) for name, g in parts.items()}}
+        cells = dict(zip(("in", "out"), model.clone_map.shape))
+        make = {"states": lambda n: EpistemicState((1.0 / n,) * n), "responses": lambda n: ResponseFunction((0.0,) * n)}
+        fields = {field: {**getattr(model, field), **{name: make[field](cells[g]) for name, g in parts.items()}}
                   for field, parts in moved.items()}
         with pytest.raises(ValueError, match=message):
             if route == "constructor":
@@ -228,10 +194,11 @@ class TestValidationErrors:
         # The partner of a squeezed onto [1, 1.5]: still disjoint from a, so O1 holds, but a ~ b mixes unevenly.
         # a and b are untouched, so both sandwich checks still measure their relations, which hold.
         model = build_saturating_model(0.5)
-        squeezed = EpistemicState(model.clone_map.source, (0.0, 0.0, 2.0, 0.0))
+        squeezed = EpistemicState((0.0, 0.0, 1.0, 0.0))
         broken = model._replace(states={**model.states, "a_perp": squeezed})
         assert _worst(measured_epsilons(broken.pass_probability).values()) <= STRUCTURAL_TOL
-        assert _worst(broken.equivalence_residuals().values()) == pytest.approx(0.5, rel=0, abs=1e-15)
+        # Half the mass of one 0.5-wide cell: (1 - 0.5)/2.
+        assert _worst(broken.equivalence_residuals().values()) == pytest.approx(0.25, rel=0, abs=1e-15)
         ideal = sandwich_residuals(broken, [("a", "b")])
         assert ideal == sandwich_residuals(model, [("a", "b")])
         assert ideal["a~b"] <= STRUCTURAL_TOL
@@ -243,52 +210,47 @@ class TestValidationErrors:
 class TestStochasticMaps:
     def test_identity_kernel_is_identity(self):
         rng = np.random.default_rng(SEED)
-        grid = LambdaGrid.uniform(1, 16)
-        mu = random_state(rng, grid)
-        ident = StochasticMap(grid, grid, np.eye(16))
-        np.testing.assert_allclose(apply_map(ident, mu).density, mu.density, atol=1e-15)
+        mu = random_state(rng, 16)
+        ident = StochasticMap(np.eye(16))
+        np.testing.assert_allclose(apply_map(ident, mu).mass, mu.mass, atol=1e-15)
 
     def test_pushforward_stays_normalized(self):
         rng = np.random.default_rng(SEED)
-        src, tgt = LambdaGrid.uniform(1, 12), LambdaGrid.uniform(2, 8)
         for _ in range(20):
-            out = apply_map(random_kernel(rng, src, tgt), random_state(rng, src))
-            assert sum(out.density) * tgt.volumes[0] == pytest.approx(1.0, abs=1e-9)
+            out = apply_map(random_kernel(rng, 12, 64), random_state(rng, 12))
+            assert sum(out.mass) == pytest.approx(1.0, abs=1e-9)
 
     def test_collapse_kernel_erases_distance(self):
         rng = np.random.default_rng(SEED)
-        grid = LambdaGrid.uniform(1, 16)
         k = np.zeros((16, 16))
         k[:, 3] = 1.0
-        collapse = StochasticMap(grid, grid, k)
-        mu, nu = random_state(rng, grid), random_state(rng, grid)
+        collapse = StochasticMap(k)
+        mu, nu = random_state(rng, 16), random_state(rng, 16)
         assert l1_distance(apply_map(collapse, mu), apply_map(collapse, nu)) == pytest.approx(0.0, abs=1e-12)
 
     def test_data_processing_inequality_random_cases(self):
         rng = np.random.default_rng(SEED)
-        src, tgt = LambdaGrid.uniform(1, 16), LambdaGrid.uniform(1, 20)
         for _ in range(200):
-            t = random_kernel(rng, src, tgt)
-            mu, nu = random_state(rng, src), random_state(rng, src)
+            t = random_kernel(rng, 16, 20)
+            mu, nu = random_state(rng, 16), random_state(rng, 16)
             assert dpi_margin(t, mu, nu) >= -STRUCTURAL_TOL
 
     def test_dpi_with_identity_is_equality(self):
         rng = np.random.default_rng(SEED)
-        grid = LambdaGrid.uniform(1, 16)
-        ident = StochasticMap(grid, grid, np.eye(16))
-        mu, nu = random_state(rng, grid), random_state(rng, grid)
+        ident = StochasticMap(np.eye(16))
+        mu, nu = random_state(rng, 16), random_state(rng, 16)
         assert l1_distance(apply_map(ident, mu), apply_map(ident, nu)) == pytest.approx(
             l1_distance(mu, nu), abs=1e-12
         )
 
     def test_dpi_margin_of_a_kernel_with_equal_rows_is_the_whole_distance(self):
         # Every row the same: both pushforwards are that row, so nothing of the distance survives.
-        # Dyadic densities and kernel entries keep every sum exact.
-        grid = LambdaGrid.uniform(1, 16)
+        # Dyadic masses and kernel entries keep every sum exact.
         row = np.random.default_rng(SEED).permutation([0.5, 0.25, 0.125, 0.0625, 0.0625] + [0.0] * 11)
-        same = StochasticMap(grid, grid, [row] * 16)
-        mu = EpistemicState.uniform_on(grid, [((0.0, 1.0),)])
-        nu = EpistemicState.uniform_on(grid, [((0.25, 0.5),), ((1.0, 1.75),)])
+        same = StochasticMap([row] * 16)
+        # Flat on [0, 1], and on [0.25, 0.5] and [1, 1.75], on 16 cells of width 1/8.
+        mu = EpistemicState(np.r_[np.full(8, 0.125), np.zeros(8)])
+        nu = EpistemicState(np.isin(np.arange(16), [2, 3, *range(8, 14)]) * 0.125)
         assert dpi_margin(same, mu, nu) == l1_distance(mu, nu) == 1.5
 
 
@@ -319,15 +281,16 @@ class TestSaturatingModel:
         assert global_fidelity(model.pass_probability) == pytest.approx(0.875, abs=1e-12)
 
     def test_input_mixtures_flatten_to_uniform(self):
+        # Each input cell is 0.5 wide at c = 0.5, so the flat measure on [0, 2] puts 0.25 on it.
         model = build_saturating_model(0.5)
-        total = 0.5 * (np.array(model.states["a"].density) + model.states["a_perp"].density)
-        np.testing.assert_allclose(total, 0.5, rtol=0, atol=1e-12)
+        total = 0.5 * (np.array(model.states["a"].mass) + model.states["a_perp"].mass)
+        np.testing.assert_allclose(total, 0.25, rtol=0, atol=1e-12)
 
-    def test_clone_of_b_is_the_product_density(self):
+    def test_clone_of_b_is_the_product_measure(self):
         model = build_saturating_model(0.4)
-        b = model.states["b"].density
+        b = model.states["b"].mass
         product = np.outer(b, b).ravel()
-        assert np.abs(model.states["beta"].density - product).max() <= 1e-9
+        assert np.abs(model.states["beta"].mass - product).max() <= 1e-9
 
     def test_a_model_is_its_states_responses_and_kernel(self):
         model = mix_with_uniform(build_saturating_model(0.37), 0.5)
@@ -364,8 +327,8 @@ class TestSaturatingModel:
     @pytest.mark.parametrize("c, cells", [(0.0, 2), (0.5, 4), (0.37, 4), (1.0, 2)])
     def test_partition_size_does_not_depend_on_any_resolution(self, c, cells):
         model = build_saturating_model(c)
-        assert model.clone_map.source.num_cells == cells
-        assert model.clone_map.target.edges == model.clone_map.source.edges * 2
+        assert model.clone_map.shape == (cells, cells * cells)
+        assert {len(state.mass) for state in model.states.values()} == {cells, cells * cells}
         assert len(model.clone_map.kernel) == cells
         assert all(len(row) == cells * cells for row in model.clone_map.kernel)
 
@@ -373,13 +336,13 @@ class TestSaturatingModel:
     def test_kernel_nbytes_counts_8_bytes_per_entry(self, c, nbytes):
         # The benchmark's memory pass reads clone_map.kernel.nbytes as the kernel's size.
         model = build_saturating_model(c)
-        expected = 8 * model.clone_map.source.num_cells * model.clone_map.target.num_cells
+        expected = 8 * math.prod(model.clone_map.shape)
         assert model.clone_map.kernel.nbytes == expected == nbytes
 
     def test_deliberate_o1_violation_is_flagged(self):
         model = build_saturating_model(0.5)
         broken_responses = dict(model.responses)
-        broken_responses["a"] = ResponseFunction(model.clone_map.source, np.ones(model.clone_map.source.num_cells))
+        broken_responses["a"] = ResponseFunction(np.ones(model.clone_map.shape[0]))
         broken = model._replace(responses=broken_responses)
         eps = measured_epsilons(broken.pass_probability)
         assert _worst(eps.values()) > STRUCTURAL_TOL
@@ -400,7 +363,7 @@ class TestSaturatingModel:
         model = build_saturating_model(0.5)
         s, s2 = model.pairs[-1]
         state = model.states[f"{s2}_perp"]
-        broken = tuple.__new__(EpistemicState, (state.grid, (*state.density[:-1], math.nan)))
+        broken = tuple.__new__(EpistemicState, ((*state.mass[:-1], math.nan),))
         residuals = model._replace(states={**model.states, f"{s2}_perp": broken}).equivalence_residuals()
         assert math.isnan(residuals[f"{s}~{s2}"]) and math.isnan(_worst(residuals.values()))
         assert residuals[f"{model.pairs[0][0]}~{model.pairs[0][1]}"] <= STRUCTURAL_TOL
@@ -408,9 +371,9 @@ class TestSaturatingModel:
 
     def test_deliberate_o2_violation_is_flagged(self):
         model = build_saturating_model(0.5)
-        shifted = np.roll(model.states["a_perp"].density, 7)
+        shifted = np.roll(model.states["a_perp"].mass, 7)
         states = dict(model.states)
-        states["a_perp"] = EpistemicState(model.clone_map.source, shifted)
+        states["a_perp"] = EpistemicState(shifted)
         broken = model._replace(states=states)
         assert _worst(broken.equivalence_residuals().values()) > STRUCTURAL_TOL
 
@@ -478,8 +441,7 @@ class TestExactAtEveryOverlap:
     def test_every_quantity_matches_its_closed_form(self, c):
         model = build_saturating_model(c)
         for name, state in model.states.items():
-            mass = math.fsum(d * v for d, v in zip(state.density, state.grid.volumes))
-            assert mass == pytest.approx(1.0, rel=0, abs=1e-14), name
+            assert math.fsum(state.mass) == pytest.approx(1.0, rel=0, abs=1e-14), name
         assert global_fidelity(model.pass_probability) == pytest.approx(1.0 - c / 2.0 + c * c / 2.0, rel=0, abs=1e-14)
         eps, residuals = measured_epsilons(model.pass_probability), model.equivalence_residuals()
         assert _worst(eps.values()) <= 1e-14, eps
@@ -491,8 +453,8 @@ class TestExactAtEveryOverlap:
             got = (l1_distance(model.states[s], model.states[t]), model.pass_probability(s, t))
             assert got == pytest.approx(closed_form, rel=0, abs=1e-14), (s, t)
         assert confusability(model.states["a"], model.responses["b"]) == pytest.approx(c, rel=0, abs=1e-14)
-        b = model.states["b"].density
-        assert np.abs(np.array(model.states["beta"].density) - np.outer(b, b).ravel()).max() <= 1e-14
+        b = model.states["b"].mass
+        assert np.abs(np.array(model.states["beta"].mass) - np.outer(b, b).ravel()).max() <= 1e-14
 
 
 def check_O1_max_residual(p):
@@ -530,11 +492,31 @@ class TestNoisyModelRespectsTheNoisyCeilings:
         assert f_g <= bounds.nc_bound_noisy_symmetric(overlaps, eps) + STRUCTURAL_TOL
 
 
+class TestFloatEdges:
+    """The partition is what the float edges 0, 1 - c, 1, 2 - c and 2 give, not what c would give exactly."""
+
+    @pytest.mark.parametrize("c, sizes, p_ab, b_mass", [
+        # 1 - c rounds to 1 and 2 - c to 2: the overlap and neither cells are empty, so a and b are disjoint.
+        (1e-17, (1.0, 1.0), 0.0, 1.0),
+        # The overlap cell is 1 - (1 - c) wide, not c, and so is p(a, b).
+        (6e-17, (0.9999999999999999, 1.1102230246251565e-16, 1.0), 1.1102230246251565e-16, 1.0),
+        # 2 - c rounds to 1: the b-only cell is empty, and b's two cells hold 1 - 2**-53 between them.
+        (1.0 - 2**-53, (1.1102230246251565e-16, 0.9999999999999999, 1.0), 0.9999999999999999, 0.9999999999999999),
+    ])
+    def test_input_cell_sizes(self, c, sizes, p_ab, b_mass):
+        model = build_saturating_model(c)
+        # a and its partner cover the input cells between them, each cell at its full size.
+        assert tuple(x + y for x, y in zip(model.states["a"].mass, model.states["a_perp"].mass)) == sizes
+        assert model.clone_map.shape == (len(sizes), len(sizes) ** 2)
+        assert model.pass_probability("a", "b") == p_ab
+        assert math.fsum(model.states["b"].mass) == b_mass
+
+
 class TestAgainstTheUniformGrid:
     """The partition model against the uniform-grid construction, at overlaps that grid holds."""
 
     @pytest.mark.parametrize("n, k", [(4, 0), (4, 1), (4, 2), (20, 3), (20, 10), (64, 13), (100, 37), (100, 50)])
-    def test_same_quantities_and_densities(self, n, k):
+    def test_same_quantities_and_masses(self, n, k):
         m, h = n // 2, 2.0 / n
         densities, responses = uniform_grid_model(n, k)
 
@@ -555,18 +537,21 @@ class TestAgainstTheUniformGrid:
             assert l1 == pytest.approx(integral(np.abs(densities[s] - densities[t])), rel=0, abs=1e-14), (s, t)
             assert model.pass_probability(s, t) == pytest.approx(conf(s, t), rel=0, abs=1e-14), (s, t)
 
-        # Cell by cell: each cell of the partition is a block of grid cells,
-        # and the model's density there is the grid density's mean over the
-        # block.  The two complements holding the filler Q place it apart.
-        axis = model.clone_map.source.edges[0]
-        blocks = [slice(round(lo * m), round(hi * m)) for lo, hi in zip(axis, axis[1:])]
+        # Cell by cell: each input cell of the partition is the block of grid
+        # cells between two of the grid indices 0, m-k, m, 2m-k and 2m (an
+        # empty block is no cell), each output cell a pair of blocks, and the
+        # model's mass there is the grid masses' sum over the block.  The two
+        # complements holding the filler Q place it apart.
+        edges = (0, m - k, m, 2 * m - k, 2 * m)
+        blocks = [slice(lo, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo]
+        assert model.clone_map.shape == (len(blocks), len(blocks) ** 2)
         for name in STATE_NAMES:
             if name in ("aa_perp", "alpha_perp"):
                 continue
-            d = densities[name]
-            means = [d[i].mean() for i in blocks] if d.size == n else \
-                [d.reshape(n, n)[i, j].mean() for i in blocks for j in blocks]
-            assert model.states[name].density == pytest.approx(means, rel=0, abs=1e-14), name
+            x = densities[name] * (h if densities[name].size == n else h * h)
+            sums = [x[i].sum() for i in blocks] if x.size == n else \
+                [x.reshape(n, n)[i, j].sum() for i in blocks for j in blocks]
+            assert model.states[name].mass == pytest.approx(sums, rel=0, abs=1e-14), name
 
 
 class TestSandwichRelations:
@@ -592,7 +577,7 @@ class TestSandwichRelations:
         # A model that fails O1 and O2 is still measured; its O1 and O2 residuals tell the caller so.
         model = build_saturating_model(0.5)
         states = dict(model.states)
-        states["a_perp"] = EpistemicState(model.clone_map.source, np.roll(states["a_perp"].density, 5))
+        states["a_perp"] = EpistemicState(np.roll(states["a_perp"].mass, 5))
         broken = model._replace(states=states)
         assert _worst(measured_epsilons(broken.pass_probability).values()) > STRUCTURAL_TOL
         assert _worst(broken.equivalence_residuals().values()) > STRUCTURAL_TOL
@@ -611,11 +596,11 @@ class TestSandwichRelations:
             margin_lower, margin_upper = sandwich_margins(model, pair, eps[pair[0]], eps[pair[1]])
             assert margin_lower >= -STRUCTURAL_TOL and margin_upper >= -STRUCTURAL_TOL, (pair, margin_lower)
 
-    @pytest.mark.parametrize("nan_density", ["a", "b"], ids=["forward", "reverse"])
-    def test_a_nan_confusability_gives_nan_margins(self, monkeypatch, nan_density):
-        # The forward orientation passes a's density through b's response, the reverse one b's through a's.
+    @pytest.mark.parametrize("nan_name", ["a", "b"], ids=["forward", "reverse"])
+    def test_a_nan_confusability_gives_nan_margins(self, monkeypatch, nan_name):
+        # The forward orientation passes a's masses through b's response, the reverse one b's through a's.
         model = build_saturating_model(0.5)
-        nan_state = model.states[nan_density]
+        nan_state = model.states[nan_name]
         monkeypatch.setattr(ontic, "confusability",
                             lambda mu, xi: math.nan if mu is nan_state else confusability(mu, xi))
         margin_lower, margin_upper = sandwich_margins(model, ("a", "b"), 0.0, 0.0)
@@ -638,13 +623,12 @@ class TestSandwichRelations:
 
     def test_lower_bound_needs_no_equivalences(self):
         # The one-sided relation 2(1 - c - eps) <= |mu - nu| holds for any
-        # pair of densities and any response, with eps the correlation
+        # pair of states and any response, with eps the correlation
         # shortfall of nu itself; no model structure enters.
         rng = np.random.default_rng(SEED)
-        grid = LambdaGrid.uniform(1, 32)
         for _ in range(200):
-            mu, nu = random_state(rng, grid), random_state(rng, grid)
-            xi = random_response(rng, grid)
+            mu, nu = random_state(rng, 32), random_state(rng, 32)
+            xi = random_response(rng, 32)
             c_fwd = confusability(mu, xi)
             eps = 1.0 - confusability(nu, xi)
             assert l1_distance(mu, nu) >= 2.0 * (1.0 - c_fwd - eps) - 1e-12
@@ -652,7 +636,7 @@ class TestSandwichRelations:
     def test_lower_bound_on_broken_model(self):
         model = build_saturating_model(0.5)
         states = dict(model.states)
-        states["a_perp"] = EpistemicState(model.clone_map.source, np.roll(states["a_perp"].density, 9))
+        states["a_perp"] = EpistemicState(np.roll(states["a_perp"].mass, 9))
         broken = model._replace(states=states)
         assert _worst(broken.equivalence_residuals().values()) > STRUCTURAL_TOL
         eps = measured_epsilons(broken.pass_probability)

@@ -24,8 +24,6 @@ NOISY_FAMILY = "the noisy ontic family: acceptance criteria 3 and 8 reach it unt
 KEPT = {
     "bounds._Checked._make": "the namedtuple API, which _replace calls: the override puts it through the check",
     "cli.main": "the console script; every command here runs through cli.run in-process",
-    "ontic.LambdaGrid.uniform": "builds the acceptance gate's grids (criteria 3 and 8)",
-    "ontic.EpistemicState.uniform": "the flat density that mix_with_uniform blends in",
     "ontic._Table.nbytes": "perfbench reports it as the kernel's size",
     **dict.fromkeys(["ontic.mix_with_uniform", "ontic.sandwich_margins", "ontic.dpi_margin"], NOISY_FAMILY),
     "scan.advantage_gap": "the scalar reference route that the fused critical-level pass is checked against",

@@ -13,7 +13,6 @@ import pytest
 
 from clonectx import cli, ontic, quantum, scan
 
-GRID = ontic.LambdaGrid.uniform(1, 4)
 IDENTITY = tuple(tuple(float(i == j) for j in range(4)) for i in range(4))
 
 # (a valid record, a field, a value that field may not take)
@@ -33,10 +32,10 @@ RECORDS = {
                                           "matrix", np.diag([0.5, complex(0.5, 0.3)])),
     "DensityOperator[numpy-complex64-zero]": (lambda: quantum.DensityOperator(((0.5, 0.0), (0.0, 0.5))),
                                               "matrix", np.diag(np.array([0.5, 0.5], dtype=np.complex64))),
-    "LambdaGrid": (lambda: GRID, "edges", ((0.0, 1.0),)),
-    "EpistemicState": (lambda: ontic.EpistemicState.uniform(GRID), "density", (1.0, 1.0, 1.0, 1.0)),
-    "ResponseFunction": (lambda: ontic.ResponseFunction(GRID, (1.0, 0.0, 0.0, 1.0)), "values", (2.0, 0.0, 0.0, 0.0)),
-    "StochasticMap": (lambda: ontic.StochasticMap(GRID, GRID, IDENTITY), "kernel", ((0.5,) * 4,) * 4),
+    "EpistemicState": (lambda: ontic.EpistemicState((0.25,) * 4), "mass", (1.0, 1.0, 1.0, 1.0)),
+    "ResponseFunction": (lambda: ontic.ResponseFunction((1.0, 0.0, 0.0, 1.0)), "values", (2.0, 0.0, 0.0, 0.0)),
+    "StochasticMap": (lambda: ontic.StochasticMap(IDENTITY), "kernel", ((0.5,) * 4,) * 4),
+    "StochasticMap[ragged]": (lambda: ontic.StochasticMap(IDENTITY), "kernel", ((1.0,), (0.0, 1.0))),
     "OnticModel": (lambda: ontic.build_saturating_model(0.3), "states", {}),
 }
 records = pytest.mark.parametrize("record, field, bad", RECORDS.values(), ids=RECORDS)
@@ -86,9 +85,10 @@ def test_make_rejects_a_wrong_field_count():
 def test_copies_normalise_like_the_constructor():
     rho = quantum.DensityOperator(((1.0, 0.0), (0.0, 0.0)))._replace(matrix=[[0, 0], [0, 1]])
     assert repr(rho.matrix) == repr(((0.0, 0.0), (0.0, 1.0)))
-    grid = GRID._replace(edges=[(0, 0.5, 2)])
-    assert grid == ontic.LambdaGrid(((0.0, 0.5, 2.0),))
-    assert grid.cells == (((0.0, 0.5),), ((0.5, 2.0),)) and grid.volumes == (0.5, 1.5)
+    state = ontic.EpistemicState((1.0,))._replace(mass=[0, 1])
+    assert repr(state.mass) == repr((0.0, 1.0)) and state == ontic.EpistemicState((0.0, 1.0))
+    kernel = ontic.StochasticMap(IDENTITY)._replace(kernel=[[1, 0], [0.5, 0.5]]).kernel
+    assert type(kernel) is ontic._Table and repr(kernel) == repr(((1.0, 0.0), (0.5, 0.5)))
 
 
 def test_model_copy_with_mixed_states_is_checked():
