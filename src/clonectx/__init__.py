@@ -15,9 +15,9 @@ record is a named tuple:
   clone outputs as real kets).
 * :mod:`clonectx.ontic`   -- ontological models on a partition into cells,
   the bound-saturating model, sandwich residuals and margins.
-* :mod:`clonectx.scan`    -- parameter sweeps, violation intervals and
-  figure-data series writers.
-* :mod:`clonectx.cli`     -- command-line front end.
+* :mod:`clonectx.scan`    -- parameter sweeps, violation intervals and the
+  figure-data series, computed but not written.
+* :mod:`clonectx.cli`     -- command-line front end; writes every report and figure-data file.
 """
 
 __version__ = "0.1.0"

@@ -12,8 +12,7 @@ with the observables measured from them (overlaps, error allowances, global
 fidelity, mixing residuals), so that :mod:`clonectx.quantum` and
 :mod:`clonectx.ontic` share one spelling and one formula.  The sweep mode
 tables ``ERR_MODES`` and ``C_MODES`` with their defaults, which
-:mod:`clonectx.scan` computes with and the CLI offers, live here too, as do
-the figure-data file formats ``CURVE_FORMATS``.
+:mod:`clonectx.scan` computes with and the CLI offers, live here too.
 
 Every closed form computes on Python floats with :mod:`math` alone and
 returns a ``float``, or a dict of them keyed by name: the error budget by
@@ -239,9 +238,6 @@ C_MODES = {
 # The modes a sweep runs under when none is given; the CLI's defaults too.
 DEFAULT_ERR_MODE = "thm2-direct"
 DEFAULT_C_MODE = "observed-confusability"
-
-# The file formats of the figure data: what scan.write_curves writes and curves --format offers.
-CURVE_FORMATS = ("csv", "json")
 
 
 def err_terms(v: float) -> dict[str, float]:

@@ -1,4 +1,4 @@
-"""Command-line front end.
+"""Command-line front end, and the one module that lays out what clonectx writes: reports and figure files.
 
 Subcommands expose the closed-form bounds, the clone optimizer, the noisy
 quantum experiment, violation-region and critical-noise root finding,
@@ -13,17 +13,17 @@ any fails, 2 for argument errors.  :func:`run` makes every report, its
 inputs the parsed arguments in the order ``-h`` lists them; the
 subcommand's handler only computes, and fills the report with outputs and
 verdicts.  This module imports :mod:`clonectx.bounds` alone, which computes
-on Python floats and holds the sweep modes and curve formats the parser
-offers, so importing it loads neither numpy, :mod:`inspect` nor
-:mod:`pathlib`.  Every other module loads only for the subcommands that use
-it, by one rule: ``_COMMANDS`` names, beside each subcommand's help, handler
-and arguments, the module its handler takes, and :func:`run` imports it
-before the clock starts, so ``elapsed:`` times the computation alone.  Those modules are :mod:`clonectx.scan` for
-``region``, ``critical-noise`` and ``curves``, :mod:`clonectx.cloner` for
-``clones``, :mod:`clonectx.quantum` (which takes the cloner's basis) for
-``noise`` and ``verify-quantum``, and :mod:`clonectx.ontic` for
-``verify-ontic``; ``bounds`` needs none.  Each computes on Python floats,
-so no subcommand loads numpy.
+on Python floats and holds the sweep modes the parser offers, so importing
+it loads neither numpy, :mod:`inspect` nor :mod:`pathlib`.  Every other
+module loads only for the subcommands that use it, by one rule:
+``_COMMANDS`` names, beside each subcommand's help, handler and arguments,
+the module its handler takes, and :func:`run` imports it before the clock
+starts, so ``elapsed:`` times the computation alone.  Those modules are
+:mod:`clonectx.scan` for ``region``, ``critical-noise`` and ``curves``,
+:mod:`clonectx.cloner` for ``clones``, :mod:`clonectx.quantum` (which takes
+the cloner's basis) for ``noise`` and ``verify-quantum``, and
+:mod:`clonectx.ontic` for ``verify-ontic``; ``bounds`` needs none.  Each
+computes on Python floats, so no subcommand loads numpy.
 """
 
 from __future__ import annotations
@@ -96,6 +96,58 @@ class RunReport:
             "result": "fail" if self.failed else "pass",
         }
         return json.dumps(doc, indent=1)
+
+
+# The file formats of the figure data: what curves --format offers and write_curves writes.
+CURVE_FORMATS = ("csv", "json")
+# Points per write: enough to amortise the call, few enough that no file's text is held whole.
+_CHUNK = 4096
+
+
+def _x_text(x: tuple, grid: tuple, grid_text: list[str]) -> list[str]:
+    """Column ``x`` as text: the matching run of ``grid_text`` if ``x`` is a run of ``grid``, else formatted here."""
+    if x and x[0] in grid:
+        start = grid.index(x[0])
+        if grid[start:start + len(x)] == x:
+            return grid_text[start:start + len(x)]
+    return list(map(float.__repr__, x))
+
+
+def write_curves(curves: dict, out: str, ext: str) -> list[str]:
+    """Write each :class:`~clonectx.scan.CurveSeries` to ``out/<name>.<ext>``, ``ext`` one of ``CURVE_FORMATS``.
+
+    A CSV file holds an ``x,y`` header and one row per point, a JSON file the
+    layout of ``json.dump({"label", "mode", "points"}, indent=1)``.  Every float
+    is written as its repr, so a file reads back to the same doubles.  The
+    longest x column is formatted once, and every series whose x column is a
+    run of it takes that run's text; a file is written in chunks of joined lines.
+    Any other ``ext`` raises a ``ValueError`` before a file is made.  Returns the paths, in order.
+
+    A file is opened without ``O_TRUNC`` and cut to length after the last
+    write, so a symlink or hard link sees the new data and the file keeps its
+    mode; truncating at open stalls on ext4 for a file written just before.
+    """
+    if ext not in CURVE_FORMATS:
+        raise ValueError(f"ext must be one of {CURVE_FORMATS}, got {ext!r}")
+    grid = max((s.x for s in curves.values()), key=len, default=())
+    grid_text = list(map(float.__repr__, grid))
+    paths = [os.path.join(out, f"{name}.{ext}") for name in curves]
+    for path, series in zip(paths, curves.values()):
+        xs, ys = _x_text(series.x, grid, grid_text), series.y
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline="" if ext == "csv" else None) as fh:
+            if ext == "csv":
+                fh.write("x,y\r\n")
+                for i in range(0, len(xs), _CHUNK):
+                    fh.write("".join([f"{x},{y!r}\r\n" for x, y in zip(xs[i:i + _CHUNK], ys[i:i + _CHUNK])]))
+            else:
+                label, mode = json.dumps(f"{series.y_label} vs {series.x_label}"), json.dumps(series.provenance)
+                fh.write(f'{{\n "label": {label},\n "mode": {mode},\n "points": [')
+                for i in range(0, len(xs), _CHUNK):
+                    fh.write(("," if i else "") + ",".join([f"\n  [\n   {x},\n   {y!r}\n  ]"
+                                                             for x, y in zip(xs[i:i + _CHUNK], ys[i:i + _CHUNK])]))
+                fh.write("\n ]\n}\n" if xs else "]\n}\n")
+            fh.truncate()
+    return paths
 
 
 def _probability(text: str) -> float:
@@ -231,7 +283,7 @@ def _cmd_curves(report: RunReport, args: argparse.Namespace, scan) -> None:
     curves = scan.figure_curves([i / (n - 1) for i in range(n)], args.c_mode, ("thm2-direct", "err-prime"))
     try:
         # "" rather than ".": the files are then named bare, as pathlib.Path(".") / name spells them.
-        report.outputs["files"] = scan.write_curves(curves, "" if out == "." else out, args.format)
+        report.outputs["files"] = write_curves(curves, "" if out == "." else out, args.format)
     except OSError as exc:
         raise argparse.ArgumentTypeError(f"argument --out: cannot write {str(exc.filename or out)!r}: "
                                          f"{exc.strerror}") from exc
@@ -244,8 +296,7 @@ def _cmd_verify_ontic(report: RunReport, args: argparse.Namespace, ontic) -> Non
         k = round(args.c * m)
         c = k / m
         if abs(c - args.c) > 1e-12:
-            report.outputs["warnings"] = [
-                f"snapping overlap {args.c} to {c} (= {k}/{m}) so supports align with the grid"]
+            report.outputs["warnings"] = [f"snapping overlap {args.c} to the nearest k/(n/2): {c} (= {k}/{m})"]
     report.outputs["c_snapped"] = c
     model = ontic.build_saturating_model(c)
     p = model.pass_probability
@@ -293,7 +344,7 @@ _COMMANDS = {
         _ERR_MODE, _C_MODE]),
     "curves": ("write figure data (fidelity tradeoff, noise resistance)", _cmd_curves, "scan", [
         ("--out", {"type": _directory, "required": True, "help": "output directory, made if it does not exist"}),
-        ("--format", {"choices": bounds.CURVE_FORMATS, "default": "csv"}),
+        ("--format", {"choices": CURVE_FORMATS, "default": "csv"}),
         ("--points", {"type": _curve_points, "default": 500,
                       "help": f"number of c grid points, 2 to {MAX_POINTS} "
                               f"(about {BYTES_PER_CURVE_POINT} bytes of memory per point)"}),
@@ -301,8 +352,8 @@ _COMMANDS = {
     "verify-ontic": ("build the saturating model and run every check", _cmd_verify_ontic, "ontic", [
         _C,
         ("--resolution", {"type": _resolution,
-                          "help": "snap c first to the nearest k/(n/2), the overlaps a grid of n cells per axis "
-                                  "can hold; n is even, 4 to 2**53 (default: no snapping, the model is built at c)"})]),
+                          "help": "snap c first to the nearest k/(n/2); n is even, 4 to 2**53 "
+                                  "(default: no snapping, the model is built at c)"})]),
     "verify-quantum": ("verify the noisy experiment against closed forms", partial(_cmd_quantum, residuals=True),
                        "quantum", [_V, _C]),
 }

@@ -13,10 +13,10 @@ every requested error-term mode at once and solves each cubic in place: its
 one call per point is F(c), and the v-only factors and error terms are taken
 once per pass.  Both figures come
 from that pass (:func:`figure_curves`): the tradeoff is its node at v = 0,
-without the error term.  Each series holds its x and y columns, and
-:func:`write_curves` formats the shared c column once for every file.  Like
-:mod:`clonectx.bounds`, this module computes on Python floats with
-:mod:`math` alone, so the subcommands built on it start without numpy.
+without the error term.  Each series holds its x and y columns; this module
+writes no file, :mod:`clonectx.cli` does.  Like :mod:`clonectx.bounds`, it
+computes on Python floats with :mod:`math` alone, so the subcommands built
+on it start without numpy.
 
 Because the published error term exists in mutually inconsistent variants,
 every sweep takes an ``err_mode``; likewise a ``c_mode`` selects whether the
@@ -24,22 +24,20 @@ noncontextual ceiling is fed the ideal overlap or the noise-degraded observed
 confusabilities.  Both are plain strings, keys of the mode tables
 ``ERR_MODES`` and ``C_MODES``, which :mod:`clonectx.bounds` defines beside
 the defaults ``DEFAULT_ERR_MODE`` and ``DEFAULT_C_MODE`` (this module
-re-exports all four, and the ``CURVE_FORMATS`` of :func:`write_curves`); a
-mode is checked only where :func:`_lookup` resolves it.  Nothing is
-reconciled silently: reports carry the mode they were computed under.
+re-exports all four); a mode is checked only where :func:`_lookup` resolves
+it.  Nothing is reconciled silently: reports carry the mode they were
+computed under.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import operator
-import os
 from collections import namedtuple
 from collections.abc import Sequence
 
 from . import bounds
-from .bounds import C_MODES, CURVE_FORMATS, DEFAULT_C_MODE, DEFAULT_ERR_MODE, ERR_MODES, _check_unit, _Checked
+from .bounds import C_MODES, DEFAULT_C_MODE, DEFAULT_ERR_MODE, ERR_MODES, _check_unit, _Checked
 
 
 def _lookup(table: dict, kind: str, mode: str):
@@ -313,50 +311,3 @@ def figure_curves(c_grid: Sequence[float], c_mode: str, err_modes: Sequence[str]
         curves[f"noise_resistance_{mode}"] = CurveSeries("c_ab", "v_max", inside, ys,
                                                          f"critical depolarizing level ({mode}, {c_mode})")
     return curves
-
-
-# Points per write: enough to amortise the call, few enough that no file's text is held whole.
-_CHUNK = 4096
-
-
-def _x_text(x: tuple, grid: tuple, grid_text: list[str]) -> list[str]:
-    """Column ``x`` as text: the matching run of ``grid_text`` if ``x`` is a run of ``grid``, else formatted here."""
-    if x and x[0] in grid:
-        start = grid.index(x[0])
-        if grid[start:start + len(x)] == x:
-            return grid_text[start:start + len(x)]
-    return list(map(float.__repr__, x))
-
-
-def write_curves(curves: dict[str, CurveSeries], out: str, ext: str) -> list[str]:
-    """Write each series to ``out/<name>.<ext>``, ``ext`` one of ``CURVE_FORMATS``; the paths written, in order.
-
-    A CSV file holds an ``x,y`` header and one row per point, a JSON file the
-    layout of ``json.dump({"label", "mode", "points"}, indent=1)``.  Every float
-    is written as its repr, so a file reads back to the same doubles.  The
-    longest x column is formatted once, and every series whose x column is a
-    run of it takes that run's text; a file is written in chunks of joined lines.
-    Any other ``ext`` raises a ``ValueError`` before a file is made.
-    """
-    if ext not in CURVE_FORMATS:
-        raise ValueError(f"ext must be one of {CURVE_FORMATS}, got {ext!r}")
-    grid = max((s.x for s in curves.values()), key=len, default=())
-    grid_text = list(map(float.__repr__, grid))
-    written = []
-    for name, series in curves.items():
-        path = os.path.join(out, f"{name}.{ext}")
-        xs, ys = _x_text(series.x, grid, grid_text), series.y
-        with open(path, "w", newline="" if ext == "csv" else None) as fh:
-            if ext == "csv":
-                fh.write("x,y\r\n")
-                for i in range(0, len(xs), _CHUNK):
-                    fh.write("".join([f"{x},{y!r}\r\n" for x, y in zip(xs[i:i + _CHUNK], ys[i:i + _CHUNK])]))
-            else:
-                label, mode = json.dumps(f"{series.y_label} vs {series.x_label}"), json.dumps(series.provenance)
-                fh.write(f'{{\n "label": {label},\n "mode": {mode},\n "points": [')
-                for i in range(0, len(xs), _CHUNK):
-                    fh.write(("," if i else "") + ",".join([f"\n  [\n   {x},\n   {y!r}\n  ]"
-                                                             for x, y in zip(xs[i:i + _CHUNK], ys[i:i + _CHUNK])]))
-                fh.write("\n ]\n}\n" if xs else "]\n}\n")
-        written.append(path)
-    return written

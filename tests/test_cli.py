@@ -475,8 +475,8 @@ class TestParser:
         "verify-ontic": ("build the saturating model and run every check", [
             HELP, JSON, C,
             (["--resolution"], "resolution", None, False, None,
-             "snap c first to the nearest k/(n/2), the overlaps a grid of n cells per axis can hold; n is even, "
-             "4 to 2**53 (default: no snapping, the model is built at c)", "_resolution")]),
+             "snap c first to the nearest k/(n/2); n is even, 4 to 2**53 "
+             "(default: no snapping, the model is built at c)", "_resolution")]),
         "verify-quantum": ("verify the noisy experiment against closed forms", [HELP, JSON, V, C]),
     }
 
@@ -540,9 +540,10 @@ class TestReports:
         ("verify-ontic", "--c", "1"): (
             "947c24d82e5c38b2b48541a1ea11dc77bf009b29d2489810a12bee60dd3327d3",
             "bd1641075c35d9b5f4072b50f29c6748b8a9a507d75c482caf9897fc1e7be1b7"),
+        # Re-pinned when the snap warning stopped naming a grid; every other line is as before.
         ("verify-ontic", "--c", "0.37", "--resolution", "100"): (
-            "ef8cdf90dc1e531a51f2d7970423b94738fcc27844ad5a3800406545046abc55",
-            "a85633ced3902a7c653bbd3a9c6cde383caf48faf010c263bd7cc76886dd95d3"),
+            "fa8fada7a871dc132373464dc9d5cc7586db9d384bdf9b73ba9c09fa898b2acf",
+            "aea8d9ab1b8e9e04bd217c96f9c2717e603715fd79cc2b8ef55e3a6a7b0e77b8"),
         # A matching pass probability rounds to 1 + 2**-52 here: its shortfall is a residual of 2.220e-16.
         ("verify-ontic", "--c", "0.8824059935355894"): (
             "b3228015edb05f3427e5820c5d326c42c35007ed69e71104e0c8f05202bef199",
@@ -810,7 +811,7 @@ class TestSubcommands:
         code, out, _ = run_cli(capsys, "verify-ontic", "--c", "0.318", "--resolution", "200")
         assert code == 0
         assert "c_snapped = 0.32" in out
-        assert "snapping overlap 0.318 to 0.32 (= 32/100) so supports align with the grid" in out
+        assert "snapping overlap 0.318 to the nearest k/(n/2): 0.32 (= 32/100)" in out
 
     @pytest.mark.parametrize("n", ["200", str(2**53)])
     def test_verify_ontic_on_the_grid_needs_no_note(self, capsys, n):
@@ -874,6 +875,52 @@ class TestCurves:
         assert doc["inputs"]["out"] == str(Path(text))
         assert doc["outputs"]["files"] == [str(Path(text) / f"{name}.csv") for name in self.CURVE_FILES]
         assert all(os.path.isfile(f) for f in doc["outputs"]["files"])
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rewrite_over_longer_files_gives_a_fresh_runs_bytes(self, capsys, tmp_path, fmt):
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        for out, n in ((reused, "200"), (reused, "5"), (fresh, "5")):
+            assert run_cli(capsys, "curves", "--out", str(out), "--points", n, "--format", fmt)[0] == 0
+        for name in self.CURVE_FILES:
+            assert (reused / f"{name}.{fmt}").read_bytes() == (fresh / f"{name}.{fmt}").read_bytes()
+
+    def test_linked_files_are_updated_in_place(self, capsys, tmp_path):
+        # A symlink and a hard link keep pointing at the rewritten data, and a file keeps its mode.
+        out, fresh, elsewhere = tmp_path / "figs", tmp_path / "fresh", tmp_path / "elsewhere"
+        for d in (out, elsewhere):
+            d.mkdir()
+        old = b"x,y\r\n" + b"0.5,0.5\r\n" * 100
+        for name in self.CURVE_FILES[:2]:
+            (elsewhere / f"{name}.csv").write_bytes(old)
+        (out / "fidelity_quantum.csv").symlink_to(elsewhere / "fidelity_quantum.csv")
+        os.link(elsewhere / "fidelity_noncontextual.csv", out / "fidelity_noncontextual.csv")
+        (out / "noise_resistance_err-prime.csv").write_bytes(old)
+        (out / "noise_resistance_err-prime.csv").chmod(0o600)
+        for d in (out, fresh):
+            assert run_cli(capsys, "curves", "--out", str(d), "--points", "7")[0] == 0
+        assert (out / "fidelity_quantum.csv").is_symlink()
+        assert (out / "fidelity_noncontextual.csv").stat().st_nlink == 2
+        assert (out / "noise_resistance_err-prime.csv").stat().st_mode & 0o777 == 0o600
+        for name in self.CURVE_FILES:
+            assert (out / f"{name}.csv").read_bytes() == (fresh / f"{name}.csv").read_bytes()
+        for name in self.CURVE_FILES[:2]:
+            assert (elsewhere / f"{name}.csv").read_bytes() == (fresh / f"{name}.csv").read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_no_curve_file_is_opened_with_o_trunc(self, capsys, monkeypatch, tmp_path, fmt):
+        # A truncating open of a file written moments before stalls on ext4; the writer truncates after writing.
+        opened, os_open = [], os.open
+
+        def recording_open(path, flags, *args, **kwargs):
+            opened.append((path, flags))
+            return os_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", recording_open)
+        for _ in range(2):
+            assert run_cli(capsys, "curves", "--out", str(tmp_path), "--points", "7", "--format", fmt)[0] == 0
+        names = [os.path.basename(path) for path, _ in opened]
+        assert names == [f"{name}.{fmt}" for name in self.CURVE_FILES] * 2
+        assert not any(flags & os.O_TRUNC for _, flags in opened)
 
     # sha256 of the four files, in CURVE_FILES order, pinned from the per-series writers that came before
     # the shared c column, so that any formatting slip in the writer shows.

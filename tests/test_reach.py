@@ -43,7 +43,7 @@ def _commands(out: Path) -> list[list[str]]:
         ["verify-ontic", "--c", "0.37", "--resolution", "100"],
         *(["region", "--v", "0.015", *modes] for modes in MODE_PAIRS),
         *(["critical-noise", "--c", "0.5", *modes] for modes in MODE_PAIRS),
-        *(["curves", "--out", str(out / fmt), "--points", "50", "--format", fmt] for fmt in bounds.CURVE_FORMATS),
+        *(["curves", "--out", str(out / fmt), "--points", "50", "--format", fmt] for fmt in cli.CURVE_FORMATS),
     ]
     return [argv + tail for argv in commands for tail in ([], ["--json"])]
 

@@ -1,5 +1,5 @@
 """Sweep and root-finding tests: figure curves, violation intervals, critical noise,
-and the CSV/JSON curve writer."""
+and :func:`clonectx.cli.write_curves`, the CSV/JSON writer of those curves."""
 
 import csv
 import functools
@@ -14,7 +14,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from clonectx import bounds, scan
+from clonectx import bounds, cli, scan
+from clonectx.cli import write_curves
 from clonectx.scan import (
     C_MODES,
     ERR_MODES,
@@ -26,7 +27,6 @@ from clonectx.scan import (
     critical_noise,
     figure_curves,
     violation_interval,
-    write_curves,
 )
 
 PAPER_V = 0.015
@@ -837,7 +837,7 @@ class TestEmitters:
     def test_series_files_match_the_library_writers(self, tmp_path, monkeypatch, size):
         # The writer formats by hand, in chunks (of 3 points here, so that 7 points span three);
         # csv.writer and json.dump(indent=1) are the reference layout.
-        monkeypatch.setattr(scan, "_CHUNK", 3)
+        monkeypatch.setattr(cli, "_CHUNK", 3)
         points = tuple((i / 7, 1e-05 * i - 0.5) for i in range(size))
         series = CurveSeries("c_ab", "v_max", [x for x, _ in points], [y for _, y in points], provenance='mode "é"')
         write_curves({"s": series}, tmp_path, "csv")
@@ -856,7 +856,9 @@ class TestEmitters:
         assert list(tmp_path.iterdir()) == []
 
     def test_formats_are_named_once(self):
-        assert scan.CURVE_FORMATS is bounds.CURVE_FORMATS == ("csv", "json")
+        assert cli.CURVE_FORMATS == ("csv", "json")
+        assert not hasattr(bounds, "CURVE_FORMATS") and not hasattr(scan, "CURVE_FORMATS")
+        assert dict(cli._COMMANDS["curves"][3])["--format"]["choices"] is cli.CURVE_FORMATS
 
     @pytest.mark.parametrize("ext", ["csv", "json"])
     def test_shared_x_text_prints_each_series_as_alone(self, tmp_path, ext):
