@@ -4,9 +4,10 @@ Reproduces the two headline figures of the analysis as plain data: the
 quantum-versus-noncontextual fidelity tradeoff across confusabilities, and
 the noise resistance of the quantum advantage (the largest depolarizing
 level at which the quantum fidelity still beats the noncontextual ceiling,
-per confusability).  Every root is taken from a polynomial fitted exactly
-to the gap: a cubic in v for the critical levels, and one of degree 8 in
-t = sqrt(c) + sqrt(1 + c) for the violation window.  The critical levels,
+per confusability).  Each critical level is the root of a cubic in v
+fitted exactly to the gap, and each end of the violation window is a sign
+change of the gap itself, bisected from the top of the noise-resistance
+curve, which every window holds.  The critical levels,
 of one point or of a whole curve, come from one flat loop over the
 confusabilities that evaluates the gap at the cubic's four nodes in v for
 every requested error-term mode at once and solves each cubic in place: its
@@ -72,13 +73,10 @@ class CurveSeries(_Checked, namedtuple("CurveSeries", "x_label y_label x y prove
         return series.x_label, series.y_label, x, y, series.provenance
 
 
-class ViolationRegion(_Checked, namedtuple("ViolationRegion", "v c_lo c_hi err_mode c_mode anomalies",
-                                           defaults=((),))):
+class ViolationRegion(_Checked, namedtuple("ViolationRegion", "v c_lo c_hi err_mode c_mode")):
     """Confusability interval where the quantum fidelity beats the noncontextual ceiling.
 
     ``c_lo``/``c_hi`` are None when no violation exists at this noise level.
-    ``anomalies`` lists every real root of the gap in (0, 1) when there are
-    more than the expected two.
     """
 
     __slots__ = ()
@@ -97,11 +95,12 @@ class ViolationRegion(_Checked, namedtuple("ViolationRegion", "v c_lo c_hi err_m
 
 
 def _gap_in_c(v: float, err_mode: str, c_mode: str):
-    """The gap at noise level ``v`` as a function of c alone; the error term is taken once."""
+    """The gap at a checked noise level ``v`` as a function of a checked c alone; the v-only factors are taken once."""
     err = _lookup(ERR_MODES, "err_mode", err_mode)(v)
     factors = _lookup(C_MODES, "c_mode", c_mode)(v)
-    noisy, ceiling, overlaps = bounds.quantum_noisy_fidelity, bounds.nc_bound, bounds._observed_overlaps
-    return lambda c: noisy(v, c) - ceiling(*overlaps(c, factors), err)
+    k3, q = bounds._depolarizing_factors(v)[:2]
+    fidelity, ceiling, overlaps = bounds._optimal_fidelity, bounds.nc_bound, bounds._observed_overlaps
+    return lambda c: k3 * fidelity(c) + q - ceiling(*overlaps(c, factors), err)
 
 
 def advantage_gap(v: float, c: float, err_mode: str, c_mode: str) -> float:
@@ -110,33 +109,10 @@ def advantage_gap(v: float, c: float, err_mode: str, c_mode: str) -> float:
     return _gap_in_c(_check_unit("v", v), err_mode, c_mode)(_check_unit("c", c))
 
 
-# Chebyshev nodes of x in [-1, 1] for the degree-8 fit of the violation window.
-_CHEBYSHEV_9 = tuple(math.cos(math.pi * (k + 0.5) / 9.0) for k in range(9))
-
-
 def _t_and_c(x: float) -> tuple[float, float]:
     """t = sqrt(c) + sqrt(1 + c) = 1 + (1 + x)/sqrt(2) for x in [-1, 1], and c = ((t*t - 1)/2t)**2."""
     t = 1.0 + (1.0 + x) / math.sqrt(2.0)
     return t, min(((t * t - 1.0) / (2.0 * t)) ** 2, 1.0)
-
-
-def _interpolate(xs: Sequence[float], ys: Sequence[float]) -> list[float]:
-    """Coefficients, lowest power first, of the polynomial through (xs, ys): Newton's divided differences, expanded."""
-    dd = list(ys)
-    for j in range(1, len(xs)):
-        for i in range(len(xs) - 1, j - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - j])
-    poly = [dd[-1]]
-    for a, d in zip(xs[-2::-1], dd[-2::-1]):  # poly * (x - a) + d
-        poly = [d - a * poly[0], *(lo - a * hi for lo, hi in zip(poly, poly[1:])), poly[-1]]
-    return poly
-
-
-def _horner(poly: Sequence[float], x: float) -> float:
-    y = 0.0
-    for a in reversed(poly):
-        y = y * x + a
-    return y
 
 
 def _bisect(f, lo: float, hi: float, lo_positive: bool) -> float:
@@ -149,56 +125,53 @@ def _bisect(f, lo: float, hi: float, lo_positive: bool) -> float:
     return lo if abs(f(lo)) <= abs(f(hi)) else hi
 
 
-def _sign_changes(f, cuts: Sequence[float]) -> list[float]:
-    """Where ``f`` changes sign on [-1, 1], ascending, given cuts that split it into monotone pieces."""
-    ends = [-1.0, *cuts, 1.0]
-    up = [f(x) > 0.0 for x in ends]
-    return [_bisect(f, a, b, sa) for a, b, sa, sb in zip(ends, ends[1:], up, up[1:]) if sa != sb]
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _derivative(poly: Sequence[float]) -> list[float]:
-    return [k * a for k, a in enumerate(poly)][1:]
+def _peak(err_mode: str, c_mode: str) -> tuple[float, float]:
+    """The top of the noise-resistance curve: the x of its c and its level :func:`critical_noise`.
 
-
-def _real_roots(poly: Sequence[float]) -> list[float]:
-    """Real roots in [-1, 1] at which the polynomial changes sign, ascending.
-
-    The derivative cascade: the real roots of the derivative, found the same
-    way, cut [-1, 1] into monotone pieces, and each piece holds at most one root.
+    Golden-section search over x in (-1, 1), down to adjacent floats.  The
+    curve rises to one top and then falls (an exact test in
+    ``tests/test_scan.py`` proves it), so the top never lies beyond the
+    lower of two probes, on the side away from the higher one.
     """
-    if len(poly) < 2:
-        return []
-    return _sign_changes(lambda x: _horner(poly, x), _real_roots(_derivative(poly)))
+    level = lambda x: critical_noise(_t_and_c(x)[1], err_mode, c_mode)
+    lo, hi = -1.0, 1.0
+    a, b = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+    level_a, level_b = level(a), level(b)
+    while lo < a < b < hi:
+        if level_a < level_b:
+            lo, a, level_a = a, b, level_b
+            b = lo + _GOLDEN * (hi - lo)
+            level_b = level(b)
+        else:
+            hi, b, level_b = b, a, level_a
+            a = hi - _GOLDEN * (hi - lo)
+            level_a = level(a)
+    return (a, level_a) if level_a >= level_b else (b, level_b)
 
 
 def violation_interval(v: float, err_mode: str = DEFAULT_ERR_MODE, c_mode: str = DEFAULT_C_MODE) -> ViolationRegion:
     """Confusability interval with a quantum advantage at noise level ``v``.
 
-    (2t)**4 times the gap is a polynomial of degree 8 in t = sqrt(c) + sqrt(1 + c),
-    fitted exactly through 9 Chebyshev nodes; the real roots of its derivative
-    are its critical points, and they cut the domain into pieces on which the
-    gap is monotone.  The region is empty unless the gap is positive at the
-    highest of the domain ends and critical points; it then runs to the
-    nearest sign change of the gap, bisected down to adjacent floats, or to
-    the domain edge, on each side of that top.  More than two sign changes in
-    (0, 1) are all reported in ``anomalies``.
+    At every v the gap is positive on one open interval of c or nowhere, and
+    it is positive at c exactly where v lies below :func:`critical_noise` at
+    c; both are proven exactly in ``tests/test_scan.py``.  So every window
+    holds the top c* of the noise-resistance curve (:func:`_peak`): the
+    region is empty unless the gap is positive there, and each end is then
+    the gap's one sign change between c* and that side's domain edge,
+    bisected in x down to adjacent floats, or the edge itself.
     """
     v = _check_unit("v", v)
     gap_in_c = _gap_in_c(v, err_mode, c_mode)
     gap = lambda x: gap_in_c(_t_and_c(x)[1])
-    poly = _interpolate(_CHEBYSHEV_9, [gap_in_c(c) * (2.0 * t) ** 4 for t, c in map(_t_and_c, _CHEBYSHEV_9)])
-    critical = _real_roots(_derivative(poly))
-    tops = [*critical, -1.0, 1.0]
-    top_gaps = [gap(x) for x in tops]
-    best = max(range(len(tops)), key=top_gaps.__getitem__)
-    if top_gaps[best] <= 0.0:
+    top = _peak(err_mode, c_mode)[0]
+    if gap(top) <= 0.0:
         return ViolationRegion(v=v, c_lo=None, c_hi=None, err_mode=err_mode, c_mode=c_mode)
-    top = _t_and_c(tops[best])[1]
-    roots = [_t_and_c(x)[1] for x in _sign_changes(gap, critical) if -1.0 < x < 1.0]
-    c_lo = max((c for c in roots if c < top), default=0.0)
-    c_hi = min((c for c in roots if c > top), default=1.0)
-    return ViolationRegion(v=v, c_lo=c_lo, c_hi=c_hi, err_mode=err_mode, c_mode=c_mode,
-                           anomalies=tuple(roots) if len(roots) > 2 else ())
+    c_lo = 0.0 if gap(-1.0) > 0.0 else _t_and_c(_bisect(gap, -1.0, top, False))[1]
+    c_hi = 1.0 if gap(1.0) > 0.0 else _t_and_c(_bisect(gap, top, 1.0, True))[1]
+    return ViolationRegion(v=v, c_lo=c_lo, c_hi=c_hi, err_mode=err_mode, c_mode=c_mode)
 
 
 _NODES = (0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0)
